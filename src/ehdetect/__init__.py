@@ -16,6 +16,7 @@ from .battery import (
     gain_level_probs,
     quantize_gain,
     stationary_oracle,
+    stationary_solve,
     steady_state_psi,
     transmit_probability,
     transition_matrix,

@@ -28,6 +28,7 @@ __all__ = [
     "transmit_probability",
     "transition_matrix",
     "battery_transition",
+    "stationary_solve",
     "stationary_oracle",
     "steady_state_psi",
 ]
@@ -103,10 +104,15 @@ class ChainSpec:
             raise ValueError("transmit_prob must lie in [0, 1]")
 
 
-def quantize_gain(gain: float, thresholds) -> int:
-    """Quantizer cell index of a gain draw: the l with mu_l <= gain < mu_{l+1}."""
-    idx = int(np.searchsorted(thresholds, gain, side="right")) - 1
-    return max(0, min(idx, len(thresholds) - 2))
+def quantize_gain(gain, thresholds):
+    """Quantizer cell index of a gain draw: the l with mu_l <= gain < mu_{l+1}.
+
+    Vectorized: an array of gains gives an int64 array of cell indices.
+    """
+    edges = np.asarray(thresholds, dtype=float)
+    idx = np.searchsorted(edges, gain, side="right") - 1
+    idx = np.clip(idx, 0, edges.size - 2).astype(np.int64)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def gain_level_probs(mean_gain: float, thresholds) -> GainLevelProbs:
@@ -204,39 +210,61 @@ def battery_transition(psi: BatteryDistribution, alpha, gain_probs: GainLevelPro
     return BatteryDistribution(psi=psi.psi @ M)
 
 
+def _solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for each matrix of the stack; NaN where A is singular."""
+    try:
+        return np.linalg.solve(A, np.broadcast_to(b, A.shape[:-1] + (1,)))[..., 0]
+    except np.linalg.LinAlgError:
+        if A.ndim == 2:
+            return np.full(A.shape[0], np.nan)
+        # one singular matrix fails the whole stack: retry one matrix at a time
+        return np.stack([_solve_stack(a, b) for a in A])
+
+
+def stationary_solve(M) -> np.ndarray:
+    """Stationary laws of a stack of transition matrices, shape (..., K+1, K+1).
+
+    Solves psi (M - I) = 0 with the normalization row appended, one linear
+    solve for the whole stack. A solution is kept when it is finite, >= -1e-10
+    and has sup-norm residual |psi M - psi| <= 1e-10; any other matrix (for
+    instance a singular system from a reducible ladder, where any distribution
+    may be stationary) falls back to power iteration from the uniform law.
+    Returns the laws, clipped at zero and renormalized.
+    """
+    M = np.asarray(M, dtype=float)
+    K1 = M.shape[-1]
+    # built untransposed and passed as a view: the solver copies its input
+    # anyway, and a strided subtraction over the stack costs more than the check
+    B = M - np.eye(K1)
+    B[..., :, K1 - 1] = 1.0
+    b = np.zeros((K1, 1))
+    b[K1 - 1] = 1.0
+    psi = _solve_stack(np.swapaxes(B, -1, -2), b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = np.abs(np.einsum("...k,...kj->...j", psi, M) - psi)
+        # NaN and inf fail one of the comparisons, so non-finite laws fall back too
+        good = (residual <= 1e-10) & (psi >= -1e-10)
+    bad = np.zeros(M.shape[:-2], dtype=bool) if good.all() else ~good.all(axis=-1)
+    for idx in map(tuple, np.argwhere(bad)):
+        P = M[idx]
+        cur = np.full(K1, 1.0 / K1)
+        for _ in range(1_000_000):
+            nxt = cur @ P
+            if np.max(np.abs(nxt - cur)) <= 1e-15:
+                cur = nxt
+                break
+            cur = nxt
+        psi[idx] = cur
+    psi = np.maximum(psi, 0.0)
+    psi /= psi.sum(axis=-1, keepdims=True)
+    return psi
+
+
 def stationary_oracle(alpha, gain_probs: GainLevelProbs, arrivals: ArrivalUnitPmf,
                       transmit_prob: float) -> BatteryDistribution:
-    """Stationary distribution by direct linear solve.
-
-    Solves psi (M - I) = 0 with the normalization row appended; falls back to
-    power iteration when the system is singular or ill-conditioned (for
-    instance a reducible ladder, where any distribution may be stationary).
-    """
+    """Stationary distribution of the chain under a unit map (see stationary_solve)."""
     M = transition_matrix(alpha, gain_probs, arrivals, transmit_prob)
-    K = M.shape[0] - 1
-    A = M.T - np.eye(K + 1)
-    A[K, :] = 1.0
-    b = np.zeros(K + 1)
-    b[K] = 1.0
-    psi = None
-    try:
-        cand = np.linalg.solve(A, b)
-        if (np.all(np.isfinite(cand)) and np.all(cand >= -1e-10)
-                and np.max(np.abs(cand @ M - cand)) <= 1e-10):
-            psi = cand
-    except np.linalg.LinAlgError:
-        psi = None
-    if psi is None:
-        psi = np.full(K + 1, 1.0 / (K + 1))
-        for _ in range(1_000_000):
-            nxt = psi @ M
-            if np.max(np.abs(nxt - psi)) <= 1e-15:
-                psi = nxt
-                break
-            psi = nxt
-    psi = np.maximum(psi, 0.0)
-    psi /= psi.sum()
-    return BatteryDistribution(psi=psi)
+    return BatteryDistribution(psi=stationary_solve(M))
 
 
 def steady_state_psi(chains, alpha_update, eps2: float = 1e-6,

@@ -130,10 +130,6 @@ def read_table(path) -> tuple[dict, list[dict]]:
 # shared pipeline pieces
 
 
-def _load(path) -> Scenario:
-    return load_scenario(path)
-
-
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     net = scenario.network
     changes = {}
@@ -197,7 +193,7 @@ def _write_outcome(outdir, scenario: Scenario, outcome: OptimizationOutcome) -> 
 
 
 def cmd_powermap(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     outcome = optimize_power_map(scenario)
     _write_outcome(args.out, scenario, outcome)
     for note in outcome.warnings:
@@ -225,7 +221,7 @@ def _simulate_point(scenario: Scenario, outcome: OptimizationOutcome, args,
 
 
 def cmd_simulate(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     outcome = optimize_power_map(scenario)
     if not outcome.converged:
         for note in outcome.warnings:
@@ -265,7 +261,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     spec = SweepSpec(variable=args.variable,
                      values=tuple(float(v) for v in args.values.split(",")))
     columns = ("variable", "value", "lambda_star", "objective_j",
@@ -329,7 +325,7 @@ def _check(name: str, ok: bool, detail: str) -> tuple[str, bool]:
 
 
 def cmd_validate(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     net = scenario.network
     results: list[tuple[str, bool]] = []
     rng = np.random.default_rng(args.seed)

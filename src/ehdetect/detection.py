@@ -64,6 +64,11 @@ class RocCoefficients:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
+    @property
+    def slopes(self) -> tuple[float, float]:
+        """(num1 - den1, num2 - den2); both >= 0 inside the concavity band."""
+        return self.num1 - self.den1, self.num2 - self.den2
+
 
 def roc_coefficients(p_f: float, p_d: float) -> RocCoefficients:
     """Divergence slopes for a sensor operating at (p_f, p_d)."""
@@ -129,9 +134,11 @@ def gaussian_j_divergence(pair: GaussianPair) -> float:
     return (pair.var1 + dm2) / pair.var0 + (pair.var0 + dm2) / pair.var1
 
 
-def sensor_j_divergence(gain: float, power: float, coeffs: RocCoefficients,
-                        noise_var: float) -> float:
-    """Closed-form divergence of one sensor at a given quantized gain and power."""
+def sensor_j_divergence(gain, power, coeffs: RocCoefficients, noise_var: float):
+    """Closed-form divergence of one sensor at a given quantized gain and power.
+
+    Plain arithmetic, so gain and power may be NumPy arrays that broadcast.
+    """
     if noise_var <= 0.0:
         raise ValueError("noise_var must be > 0")
     x = gain * power

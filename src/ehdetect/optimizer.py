@@ -27,6 +27,7 @@ from .battery import (
     arrival_unit_pmf,
     gain_level_probs,
     stationary_oracle,
+    stationary_solve,
     steady_state_psi,
     transmit_probability,
 )
@@ -38,7 +39,7 @@ from .config import (
     SensorParams,
     validate_convex_region,
 )
-from .detection import RocCoefficients, roc_coefficients
+from .detection import RocCoefficients, roc_coefficients, sensor_j_divergence
 
 __all__ = [
     "OptimizerSettings",
@@ -59,6 +60,10 @@ __all__ = [
 # activity codes used in KktReport.active
 INTERIOR, CLAMP_CAUSALITY, CLAMP_OUTAGE, CLAMP_ZERO, LEVEL_ZERO = 0, 1, 2, 3, 4
 
+# non-monotone root scan, scaled per level by the power beyond which the gain
+# is surely below the price
+_SCAN = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 8192)))
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
@@ -72,14 +77,10 @@ class OptimizerSettings:
     budget_tol: float = 1e-6
     psi_tol: float = 1e-6
     root_tol: float = 1e-9
-    price_method: str = "bisection"        # bisection | subgradient
-    subgradient_step: float | None = None  # default 0.1 / budget
     max_price_iters: int = 10_000
     max_outer_iters: int = 1_000
 
     def __post_init__(self) -> None:
-        if self.price_method not in ("bisection", "subgradient"):
-            raise ValueError("price_method must be 'bisection' or 'subgradient'")
         for name in ("budget_tol", "psi_tol", "root_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
@@ -114,17 +115,18 @@ class OptimizationOutcome:
     warnings: tuple[str, ...]
 
 
-def marginal_divergence_gain(power, mu: float, coeffs: RocCoefficients,
-                             noise_var: float):
-    """d/dp of the per-sensor divergence at quantized gain mu; vectorized in power."""
+def marginal_divergence_gain(power, mu, coeffs: RocCoefficients, noise_var: float):
+    """d/dp of the per-sensor divergence at quantized gain mu.
+
+    Vectorized: power and mu may be arrays that broadcast.
+    """
     p = np.asarray(power, dtype=float)
     s = noise_var
-    slope1 = coeffs.num1 - coeffs.den1
-    slope2 = coeffs.num2 - coeffs.den2
+    slope1, slope2 = coeffs.slopes
     d1 = s + coeffs.den1 * mu * p
     d2 = s + coeffs.den2 * mu * p
     out = slope1 * s * mu / (d1 * d1) + slope2 * s * mu / (d2 * d2)
-    return float(out) if np.isscalar(power) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def outage_cap(state: int, sensor: SensorParams, network: NetworkParams) -> float:
@@ -145,45 +147,53 @@ def outage_cap(state: int, sensor: SensorParams, network: NetworkParams) -> floa
     return joules / network.slot_seconds
 
 
-def stationarity_root(lam: float, mu: float, coeffs: RocCoefficients,
-                      noise_var: float, root_tol: float = 1e-9) -> float:
+def stationarity_root(lam: float, mu, coeffs: RocCoefficients,
+                      noise_var: float, root_tol: float = 1e-9):
     """Power where the marginal divergence gain equals the price lam.
 
-    Returns 0.0 on the dead level (mu == 0) and +inf when lam <= 0 (the gain
-    stays positive, so nothing stops the power short of the clamps). When even
-    the zero-power gain is at or below the price there is no positive root and
-    the sentinel -1.0 is returned for the positive-part clamp to absorb.
+    Vectorized over mu: an array of gains gives an array of roots. Returns 0.0
+    on a dead level (mu == 0) and +inf when lam <= 0 (the gain stays positive,
+    so nothing stops the power short of the clamps). When even the zero-power
+    gain is at or below the price there is no positive root and the sentinel
+    -1.0 is returned for the positive-part clamp to absorb.
 
     Inside the concavity band the gain is strictly decreasing and a doubling
     bracket plus bisection suffices; outside it the gain may be non-monotone,
     in which case the smallest crossing on a dense scan is bracketed instead
-    and a RuntimeWarning is emitted.
+    and a RuntimeWarning is emitted. The bisection runs until every level
+    meets the relative residual root_tol at the same step.
     """
-    if mu < 0.0:
+    m = np.asarray(mu, dtype=float)
+    if np.any(m < 0.0):
         raise ValueError("mu must be >= 0")
     if noise_var <= 0.0:
         raise ValueError("noise_var must be > 0")
-    if mu == 0.0:
-        return 0.0
+    out = np.zeros(m.shape)
+    live = m > 0.0
     if lam <= 0.0:
-        return math.inf
+        out[live] = math.inf
+    elif np.any(live):
+        out[live] = _live_roots(lam, m[live], coeffs, noise_var, root_tol)
+    return float(out) if out.ndim == 0 else out
 
-    slope1 = coeffs.num1 - coeffs.den1
-    slope2 = coeffs.num2 - coeffs.den2
 
-    def f(p: float) -> float:
+def _live_roots(lam, mu, coeffs, noise_var, root_tol):
+    """stationarity_root on a 1-D array of positive gains and a positive price."""
+    def f(p):
         return marginal_divergence_gain(p, mu, coeffs, noise_var) - lam
 
-    monotone = slope1 >= 0.0 and slope2 >= 0.0
-    if monotone:
-        if f(0.0) <= 0.0:
-            return -1.0
-        lo, hi = 0.0, 1.0
-        while f(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e300:
-                return math.inf
-            lo = hi / 2.0
+    slope1, slope2 = coeffs.slopes
+    out = np.full(mu.size, -1.0)
+    if slope1 >= 0.0 and slope2 >= 0.0:
+        solve = f(0.0) > 0.0
+        hi = np.ones(mu.size)
+        growing = solve.copy()
+        while np.any(growing):
+            hi[growing] *= 2.0
+            growing &= (hi <= 1e300) & (f(hi) > 0.0)
+        out[solve & (hi > 1e300)] = math.inf
+        solve &= hi <= 1e300
+        lo = np.zeros(mu.size)
     else:
         warnings.warn(
             "operating point outside the concavity band: marginal gain may be "
@@ -191,60 +201,59 @@ def stationarity_root(lam: float, mu: float, coeffs: RocCoefficients,
             RuntimeWarning,
         )
         # beyond p_big both terms are within lam/2 of zero, so f < 0 for sure
-        p_big = 1.0
+        p_big = np.ones(mu.size)
         for slope, den in ((slope1, coeffs.den1), (slope2, coeffs.den2)):
-            need = math.sqrt(max(abs(slope) * noise_var * mu / (0.5 * lam), 1e-30))
-            p_big = max(p_big, (need + noise_var) / (den * mu))
-        grid = np.concatenate(([0.0], np.geomspace(1e-12 * p_big, p_big, 8192)))
-        vals = marginal_divergence_gain(grid, mu, coeffs, noise_var) - lam
-        sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-        if sign_change.size == 0:
-            return -1.0 if vals[0] <= 0.0 else math.inf
-        i = int(sign_change[0])
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        if vals[i] < 0.0:  # orient so f(lo) > 0 > f(hi)
-            lo, hi = hi, lo
-
-    mid = 0.5 * (lo + hi)
-    for _ in range(300):
+            need = np.sqrt(np.maximum(abs(slope) * noise_var * mu / (0.5 * lam), 1e-30))
+            p_big = np.maximum(p_big, (need + noise_var) / (den * mu))
+        grid = p_big[:, None] * _SCAN
+        vals = f(grid.T).T
+        change = np.diff(np.sign(vals), axis=1) != 0
+        solve = change.any(axis=1)
+        out[~solve & (vals[:, 0] > 0.0)] = math.inf
+        rows = np.arange(mu.size)
+        i = np.argmax(change, axis=1)
+        lo, hi = grid[rows, i], grid[rows, i + 1]
+        flip = vals[rows, i] < 0.0  # orient so f(lo) > 0 > f(hi)
+        lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    if not np.any(solve):
+        return out
+    mu_s, lo, hi = mu[solve], lo[solve], hi[solve]
+    for _ in range(220):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= root_tol * lam:
-            return mid
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) <= 1e-17 * max(1.0, abs(mid)):
+        fm = marginal_divergence_gain(mid, mu_s, coeffs, noise_var) - lam
+        above = fm > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+        if np.max(np.abs(fm)) <= root_tol * lam:
             break
-    return mid
+    out[solve] = mid
+    return out
 
 
-def clamp_power(p_prime: float, state: int, phi: float,
-                network: NetworkParams) -> float:
+def clamp_power(p_prime, state, phi, network: NetworkParams):
     """Project a stationarity candidate onto the feasible slot-power interval.
 
     Feasible slot power is capped by the stored energy (state units over one
-    slot), by the outage cap phi, and below by zero. min() keeps the first of
-    exact ties, which fixes the documented clamp precedence: causality, then
-    outage, then the positive part.
+    slot), by the outage cap phi, and below by zero. The caps are taken in the
+    order causality, outage, positive part, which is the documented clamp
+    precedence for exact ties. Vectorized: the arguments broadcast.
     """
-    causality = state * network.unit_energy / network.slot_seconds
-    return min(causality, phi, max(p_prime, 0.0))
+    caps = np.minimum(np.asarray(state) * network.unit_power, phi)
+    out = np.minimum(caps, np.maximum(p_prime, 0.0))
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def units_from_power(power: float, state: int, network: NetworkParams) -> int:
+def units_from_power(power, state, network: NetworkParams):
     """Whole battery units needed to fund a slot power, never beyond the state.
 
     Rounds up, since partial units cannot be drawn; a 1e-9 slack absorbs float
     dust when the power sits exactly on a unit boundary (as the causality and
     zero clamps produce). The re-clamp to the state keeps rounding from ever
-    violating causality.
+    violating causality. Vectorized: power and state broadcast.
     """
-    if power <= 0.0:
-        return 0
-    q = power * network.slot_seconds / network.unit_energy
-    return int(max(0, min(math.ceil(q - 1e-9), state)))
+    q = np.asarray(power, dtype=float) * (network.slot_seconds / network.unit_energy)
+    alpha = np.clip(np.ceil(q - 1e-9).astype(np.int64), 0, state)
+    return int(alpha) if alpha.ndim == 0 else alpha
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +268,8 @@ class _SensorCtx:
     transmit_prob: float
     noise_var: float
     mu: np.ndarray            # lower cell edges, shape (L+1,)
-    caps: np.ndarray          # min(causality, outage cap) per state, shape (K+1,)
-    phi: np.ndarray
+    phi: np.ndarray           # outage cap per state, shape (K+1,)
     causality: np.ndarray
-    monotone: bool
     lambda_ceiling: float     # price above which every root vanishes
 
 
@@ -272,10 +279,8 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     arr = arrival_unit_pmf(network.mean_harvest, network.unit_energy, network.capacity)
     states = np.arange(network.capacity + 1, dtype=float)
     phi = np.array([outage_cap(int(k), sensor, network) for k in range(network.capacity + 1)])
-    causality = states * network.unit_power
     mu = np.asarray(sensor.thresholds[:-1], dtype=float)
-    slope1 = coeffs.num1 - coeffs.den1
-    slope2 = coeffs.num2 - coeffs.den2
+    slope1, slope2 = coeffs.slopes
     ceiling = (max(slope1, 0.0) + max(slope2, 0.0)) * float(mu.max()) / sensor.noise_var
     return _SensorCtx(
         coeffs=coeffs,
@@ -284,76 +289,33 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
         transmit_prob=transmit_probability(network, sensor),
         noise_var=sensor.noise_var,
         mu=mu,
-        caps=np.minimum(causality, phi),
         phi=phi,
-        causality=causality,
-        monotone=bool(slope1 >= 0.0 and slope2 >= 0.0),
+        causality=states * network.unit_power,
         lambda_ceiling=ceiling,
     )
 
 
 def _roots_for(ctx: _SensorCtx, lam: float, root_tol: float) -> np.ndarray:
     """Stationarity roots for levels 0..L (index 0 is the dead level)."""
-    L1 = ctx.mu.size
-    roots = np.zeros(L1)
-    if L1 == 1:
-        return roots
-    if lam <= 0.0:
-        roots[1:] = math.inf
-        return roots
-    mu = ctx.mu[1:]
-    if not ctx.monotone:
-        for i, m in enumerate(mu):
-            roots[1 + i] = stationarity_root(lam, float(m), ctx.coeffs,
-                                             ctx.noise_var, root_tol)
-        return roots
-
-    c, s = ctx.coeffs, ctx.noise_var
-    slope1, slope2 = c.num1 - c.den1, c.num2 - c.den2
-
-    def gain(p: np.ndarray) -> np.ndarray:
-        d1 = s + c.den1 * mu * p
-        d2 = s + c.den2 * mu * p
-        return slope1 * s * mu / (d1 * d1) + slope2 * s * mu / (d2 * d2)
-
-    active = gain(np.zeros_like(mu)) > lam
-    out = np.full(mu.size, -1.0)
-    if np.any(active):
-        hi = np.ones_like(mu)
-        growing = active.copy()
-        for _ in range(2100):
-            if not np.any(growing):
-                break
-            hi[growing] *= 2.0
-            growing &= gain(hi) > lam
-        lo = np.zeros_like(mu)
-        mid = 0.5 * hi
-        for _ in range(220):
-            mid = 0.5 * (lo + hi)
-            above = gain(mid) - lam > 0.0
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-            if np.max(np.abs(gain(mid)[active] - lam)) <= root_tol * lam:
-                break
-        out[active] = mid[active]
-    roots[1:] = out
+    roots = np.zeros(ctx.mu.size)
+    roots[1:] = stationarity_root(lam, ctx.mu[1:], ctx.coeffs, ctx.noise_var, root_tol)
     return roots
 
 
-def _map_for_lambda(lam: float, ctxs, root_tol: float):
+def _map_for_lambda(lam: float, ctxs, network: NetworkParams, root_tol: float):
     """Clamped power tables and raw roots for every sensor at one price."""
     powers, roots = [], []
     for ctx in ctxs:
         r = _roots_for(ctx, lam, root_tol)
-        P = np.zeros((ctx.mu.size, ctx.caps.size))
-        with np.errstate(invalid="ignore"):
-            P[1:, :] = np.minimum(ctx.caps[None, :],
-                                  np.maximum(r[1:, None], 0.0))
-        # inf roots mean "ride the clamps"
-        P[1:, :] = np.where(np.isinf(r[1:, None]), ctx.caps[None, :], P[1:, :])
+        P = np.zeros((ctx.mu.size, ctx.phi.size))
+        P[1:, :] = clamp_power(r[1:, None], np.arange(ctx.phi.size), ctx.phi, network)
         powers.append(P)
         roots.append(r)
     return powers, roots
+
+
+def _units(powers, network: NetworkParams) -> list[np.ndarray]:
+    return [units_from_power(P, np.arange(P.shape[1]), network) for P in powers]
 
 
 def _expected_power(powers, psi_arrays, ctxs) -> float:
@@ -366,18 +328,9 @@ def _expected_power(powers, psi_arrays, ctxs) -> float:
 def _objective(powers, psi_arrays, ctxs) -> float:
     total = 0.0
     for P, psi, ctx in zip(powers, psi_arrays, ctxs):
-        c, s = ctx.coeffs, ctx.noise_var
-        x = ctx.mu[:, None] * P
-        J = (s + c.num1 * x) / (s + c.den1 * x) + (s + c.num2 * x) / (s + c.den2 * x)
+        J = sensor_j_divergence(ctx.mu[:, None], P, ctx.coeffs, ctx.noise_var)
         total += float(np.einsum("l,lk,k->", ctx.gain_probs.pi, J, psi))
     return total
-
-
-def _units_table(P: np.ndarray, network: NetworkParams) -> np.ndarray:
-    q = P * (network.slot_seconds / network.unit_energy)
-    alpha = np.ceil(q - 1e-9).astype(np.int64)
-    states = np.arange(P.shape[1], dtype=np.int64)
-    return np.clip(alpha, 0, states[None, :])
 
 
 def _lambda_search(psi_arrays, ctxs, network: NetworkParams,
@@ -388,7 +341,7 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams,
     lam_max = max(ctx.lambda_ceiling for ctx in ctxs)
 
     def ep_at(lam: float):
-        powers, roots = _map_for_lambda(lam, ctxs, settings.root_tol)
+        powers, roots = _map_for_lambda(lam, ctxs, network, settings.root_tol)
         return powers, roots, _expected_power(powers, psi_arrays, ctxs)
 
     if B <= 0.0:
@@ -401,36 +354,22 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams,
     if ep0 <= B + tol_abs:
         return 0.0, powers0, roots0, ep0, flags
 
-    if settings.price_method == "subgradient":
-        step = settings.subgradient_step if settings.subgradient_step is not None \
-            else 0.1 / B
-        lam = 1e-6 * lam_max
-        powers, roots, ep = ep_at(lam)
-        for _ in range(settings.max_price_iters):
-            if lam * (ep - B) <= tol_abs:
-                break
-            lam = max(lam + step * (ep - B), 0.0)
-            powers, roots, ep = ep_at(lam)
-        if abs(lam * (ep - B)) > tol_abs:
-            flags.append("subgradient price loop stopped beyond the slackness tolerance")
-        return lam, powers, roots, ep, flags
-
+    # lam_max prices every level out, so hi is always the feasible end
     lo, hi = 0.0, lam_max
-    lam = lam_max
-    powers, roots, ep = ep_at(lam)
+    at_hi = ep_at(hi)
     for _ in range(settings.max_price_iters):
         lam = 0.5 * (lo + hi)
-        powers, roots, ep = ep_at(lam)
+        if not lo < lam < hi:
+            break
+        powers, roots, ep = at = ep_at(lam)
         if abs(ep - B) <= tol_abs / max(1.0, lam):
             return lam, powers, roots, ep, flags
         if ep > B:
             lo = lam
         else:
-            hi = lam
-        if hi - lo <= 1e-18 * lam_max:
-            break
+            hi, at_hi = lam, at
     flags.append("price bracket collapsed before meeting the budget tolerance")
-    return lam, powers, roots, ep, flags
+    return (hi, *at_hi, flags)
 
 
 def lambda_search(psis, scenario: Scenario, settings: OptimizerSettings | None = None,
@@ -447,7 +386,7 @@ def lambda_search(psis, scenario: Scenario, settings: OptimizerSettings | None =
     psi_arrays = [p.psi for p in psis]
     lam, powers, _roots, ep, _flags = _lambda_search(psi_arrays, ctxs, net,
                                                      settings, budget)
-    units = [_units_table(P, net) for P in powers]
+    units = _units(powers, net)
     pmap = PowerMap(powers=tuple(powers), units=tuple(units),
                     unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
     return lam, pmap, ep
@@ -518,7 +457,7 @@ def optimize_power_map(scenario: Scenario,
         arrays = [p.psi for p in psis]
         _lam, powers, _roots, _ep, _fl = _lambda_search(arrays, ctxs, net,
                                                         settings, None)
-        return [_units_table(P, net) for P in powers]
+        return _units(powers, net)
 
     converged = True
     try:
@@ -534,7 +473,7 @@ def optimize_power_map(scenario: Scenario,
     lam, powers, roots, ep, flags = _lambda_search(psi_arrays, ctxs, net,
                                                    settings, None)
     notes.extend(flags)
-    units = [_units_table(P, net) for P in powers]
+    units = _units(powers, net)
     pmap = PowerMap(powers=tuple(powers), units=tuple(units),
                     unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
     kkt = _kkt_report(lam, powers, roots, psi_arrays, ctxs, net, ep)
@@ -573,18 +512,13 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
     """
     net = scenario.network
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
-    total_j, total_ep, psis = 0.0, 0.0, []
-    for ctx, alpha in zip(ctxs, units):
-        alpha = np.asarray(alpha, dtype=np.int64)
-        psi = stationary_oracle(alpha, ctx.gain_probs, ctx.arrivals, ctx.transmit_prob)
-        P = alpha * net.unit_power
-        c, s = ctx.coeffs, ctx.noise_var
-        x = ctx.mu[:, None] * P
-        J = (s + c.num1 * x) / (s + c.den1 * x) + (s + c.num2 * x) / (s + c.den2 * x)
-        total_j += float(np.einsum("l,lk,k->", ctx.gain_probs.pi, J, psi.psi))
-        total_ep += float(np.einsum("l,lk,k->", ctx.gain_probs.pi, P, psi.psi))
-        psis.append(psi)
-    return total_j, total_ep, tuple(psis)
+    alphas = [np.asarray(alpha, dtype=np.int64) for alpha in units]
+    psis = tuple(stationary_oracle(alpha, ctx.gain_probs, ctx.arrivals, ctx.transmit_prob)
+                 for ctx, alpha in zip(ctxs, alphas))
+    powers = [alpha * net.unit_power for alpha in alphas]
+    psi_arrays = [p.psi for p in psis]
+    return (_objective(powers, psi_arrays, ctxs),
+            _expected_power(powers, psi_arrays, ctxs), psis)
 
 
 def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
@@ -633,14 +567,8 @@ def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
              for l in range(L1 - 1)]
     idle_weighted = ctx.transmit_prob * pi[0] * idle  # dead level never drains
 
-    c, s = ctx.coeffs, ctx.noise_var
-    powers_axis = states * unit_power
-    x = ctx.mu[:, None] * powers_axis[None, :]
-    j_table = (s + c.num1 * x) / (s + c.den1 * x) + (s + c.num2 * x) / (s + c.den2 * x)
-
-    eye = np.eye(K + 1)
-    ones_rhs = np.zeros(K + 1)
-    ones_rhs[K] = 1.0
+    j_table = sensor_j_divergence(ctx.mu[:, None], (states * unit_power)[None, :],
+                                  ctx.coeffs, ctx.noise_var)
     budget = net.power_budget * (1.0 + 1e-12) + 1e-15
 
     best_j = -math.inf
@@ -662,21 +590,7 @@ def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
             sel = per_level[l][level_idx[l]]
             alphas.append(sel)
             M += spend[l][level_idx[l]]
-        A = np.transpose(M, (0, 2, 1)) - eye[None, :, :]
-        A[:, K, :] = 1.0
-        try:
-            rhs = np.broadcast_to(ones_rhs[:, None], (idx.size, K + 1, 1))
-            psi = np.linalg.solve(A, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            psi = np.stack([
-                stationary_oracle(
-                    np.vstack([np.zeros(K + 1, dtype=np.int64)] +
-                              [per_level[l][level_idx[l]][i] for l in range(L1 - 1)]),
-                    ctx.gain_probs, ctx.arrivals, ctx.transmit_prob).psi
-                for i in range(idx.size)
-            ])
-        psi = np.maximum(psi, 0.0)
-        psi /= psi.sum(axis=1, keepdims=True)
+        psi = stationary_solve(M)
 
         ep = np.zeros(idx.size)
         jval = np.full(idx.size, pi[0] * 2.0)  # dead level scores the floor

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .battery import quantize_gain
 from .config import (
     FC_KNOWLEDGE_MODES,
     TRANSMIT_PROB_MODELS,
@@ -123,12 +124,6 @@ def _resolve_transmit_model(scenario: Scenario, override: str | None) -> str:
     return model
 
 
-def _quantize_batch(gains: np.ndarray, thresholds) -> np.ndarray:
-    edges = np.asarray(thresholds, dtype=float)
-    idx = np.searchsorted(edges, gains, side="right") - 1
-    return np.clip(idx, 0, edges.size - 2).astype(np.int64)
-
-
 def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
                    streams: Streams, batteries=None,
                    transmit_prob_model: str | None = None) -> SimBatch:
@@ -160,7 +155,7 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         w = st.noise.normal(0.0, math.sqrt(sensor.noise_var), slots)
         en = st.energy.exponential(net.mean_harvest, slots)
 
-        lv = _quantize_batch(g, sensor.thresholds)
+        lv = quantize_gain(g, sensor.thresholds)
         if model == "prior":
             u = hyp.astype(np.int8)
         else:

@@ -16,6 +16,7 @@ from ehdetect import (
     gain_level_probs,
     quantize_gain,
     stationary_oracle,
+    stationary_solve,
     steady_state_psi,
     transition_matrix,
     transmit_probability,
@@ -32,6 +33,9 @@ def test_quantize_gain_edges():
     assert quantize_gain(1.19, EDGES) == 3
     assert quantize_gain(1.2, EDGES) == 4
     assert quantize_gain(1e12, EDGES) == 4
+    cells = quantize_gain(np.array([0.0, 0.05, 0.1, 0.3, 1.19, 1.2, 1e12]), EDGES)
+    assert cells.dtype == np.int64
+    assert cells.tolist() == [0, 0, 1, 2, 3, 4, 4]
 
 
 def test_gain_level_probs_reference_values():
@@ -159,6 +163,22 @@ def test_stationary_oracle_survives_singular_solver(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", boom)
     fallback = stationary_oracle(alpha, gp, arr, 0.5)
     np.testing.assert_allclose(fallback.psi, direct.psi, atol=1e-10)
+
+
+def test_stationary_solve_stack_matches_single_solves():
+    # a singular matrix in the stack falls back on its own: its neighbours
+    # keep their direct solves, bit for bit
+    gp, arr, _ = _single_level_chain(3, [0.0, 0.5, 0.3, 0.2], 0.6)
+    chains = [transition_matrix(np.array([[0, 0, 0, 0], [0, a, min(a, 2), min(a, 3)]]),
+                                gp, arr, 0.6) for a in (0, 1)]
+    stack = np.stack([chains[0], np.eye(4), chains[1]])
+    laws = stationary_solve(stack)
+    assert laws.shape == (3, 4)
+    for law, M in zip(laws[[0, 2]], chains):
+        np.testing.assert_array_equal(law, stationary_solve(M))
+        np.testing.assert_allclose(law @ M, law, atol=1e-12)
+    # every law is stationary under the identity; the fallback starts uniform
+    np.testing.assert_allclose(laws[1], 0.25)
 
 
 def test_steady_state_matches_oracle():

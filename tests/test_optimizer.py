@@ -1,14 +1,14 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehdetect import (
     BatteryDistribution,
-    OptimizerSettings,
     clamp_power,
     evaluate_unit_map,
     exhaustive_best_map,
@@ -20,6 +20,7 @@ from ehdetect import (
     stationarity_root,
     units_from_power,
 )
+import ehdetect.optimizer
 from ehdetect.optimizer import (
     CLAMP_CAUSALITY,
     CLAMP_OUTAGE,
@@ -133,6 +134,43 @@ def test_root_outside_band_warns_and_still_solves():
     assert abs(gain - 0.01) <= 1e-8 * 0.01
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    p_f=st.floats(0.02, 0.9),
+    spread=st.floats(0.05, 1.0),
+    lam=st.one_of(st.floats(-1.0, 0.0), st.floats(1e-4, 2.0)),
+    mus=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)), min_size=1, max_size=5),
+    noise_var=st.floats(0.5, 2.0),
+)
+def test_array_roots_match_scalar_roots(p_f, spread, lam, mus, noise_var):
+    # positive and negative ROC slopes (p_d < 1/2 or p_f > 1/2), dead levels
+    # and free prices all go through the same vectorized kernel
+    coeffs = roc_coefficients(p_f, p_f + spread * (0.98 - p_f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        batch = stationarity_root(lam, np.array(mus), coeffs, noise_var)
+        scalar = [stationarity_root(lam, m, coeffs, noise_var) for m in mus]
+        single = [stationarity_root(lam, np.array([m]), coeffs, noise_var)[0]
+                  for m in mus]
+    assert batch.shape == (len(mus),)
+    for mu, b, s, one in zip(mus, batch, scalar, single):
+        assert isinstance(s, float)
+        assert one == s  # a one-level array is the scalar call
+        if mu == 0.0:
+            assert b == s == 0.0
+        elif lam <= 0.0:
+            assert b == s == math.inf
+        else:
+            # the batch bisects every level until all meet the tolerance, so
+            # finite roots agree through the residual, not bit for bit
+            assert (b == -1.0) == (s == -1.0)
+            assert math.isinf(b) == math.isinf(s)
+            for root in (b, s):
+                if root > 0.0 and math.isfinite(root):
+                    gain = marginal_divergence_gain(root, mu, coeffs, noise_var)
+                    assert abs(gain - lam) <= 1e-8 * lam
+
+
 def test_root_rejects_bad_inputs():
     coeffs = roc_coefficients(0.2, 0.9)
     with pytest.raises(ValueError, match="mu"):
@@ -153,7 +191,7 @@ def test_root_rejects_bad_inputs():
 def test_clamp_power_projection(two_sensor_scenario, p_prime, state, phi):
     net = two_sensor_scenario.network
     out = clamp_power(p_prime, state, phi, net)
-    causality = state * net.unit_energy / net.slot_seconds
+    causality = state * net.unit_power
     assert 0.0 <= out <= causality
     assert out <= phi
     if 0.0 <= p_prime <= min(causality, phi):
@@ -164,6 +202,10 @@ def test_units_exact_on_boundaries(toy_scenario):
     net = toy_scenario.network
     for j in range(0, net.capacity + 1):
         assert units_from_power(j * net.unit_power, net.capacity, net) == j
+    # the vectorized form, as the optimizer rounds a whole table
+    states = np.arange(net.capacity + 1)
+    table = units_from_power(states * net.unit_power, states, net)
+    assert table.tolist() == states.tolist()
 
 
 def test_units_absorb_dust_but_charge_real_excess(two_sensor_scenario):
@@ -214,18 +256,35 @@ def test_price_search_reproduces_the_certificate(two_sensor_scenario,
         np.testing.assert_array_equal(mine, theirs)
 
 
-def test_subgradient_price_agrees_with_bisection(toy_scenario, toy_outcome):
+def test_binding_budget_price_meets_the_budget(toy_scenario, toy_outcome):
     budget = 0.1  # binding: the unconstrained spend is ~0.53
     lam_bis, _, ep_bis = lambda_search(toy_outcome.psi_star, toy_scenario,
                                        budget=budget)
     assert lam_bis > 0.0
     assert abs(ep_bis - budget) <= 1e-6 * budget / max(1.0, lam_bis) + 1e-12
-    sub = OptimizerSettings(price_method="subgradient", subgradient_step=0.1,
-                            max_price_iters=100_000)
-    lam_sub, _, ep_sub = lambda_search(toy_outcome.psi_star, toy_scenario,
-                                       settings=sub, budget=budget)
-    assert lam_sub > 0.0
-    assert abs(lam_sub - lam_bis) <= max(0.05 * lam_bis, 5e-3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_price_bisection_stops_when_spend_jumps_across_the_budget(toy_scenario,
+                                                                 monkeypatch):
+    # negative ROC slope: the spend jumps over the budget at one price, so
+    # the tolerance is never met and the bracket closes onto adjacent floats
+    net = replace(toy_scenario.network, power_budget=0.291, mean_harvest=3.78)
+    sensor = replace(toy_scenario.sensors[0], p_f=0.073, p_d=0.26)
+    scenario = replace(toy_scenario, network=net, sensors=(sensor,))
+    calls = []
+    root = ehdetect.optimizer.stationarity_root
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return root(*args, **kwargs)
+
+    monkeypatch.setattr(ehdetect.optimizer, "stationarity_root", counted)
+    out = optimize_power_map(scenario)
+    # one root call per price evaluation; the stalled loop made 50,010
+    assert len(calls) <= 2_000
+    assert out.expected_power <= net.power_budget
+    assert "price bracket collapsed before meeting the budget tolerance" in out.warnings
 
 
 # ---------------------------------------------------------------------------
