@@ -267,18 +267,20 @@ def stationary_oracle(alpha, gain_probs: GainLevelProbs, arrivals: ArrivalUnitPm
     return BatteryDistribution(psi=stationary_solve(M))
 
 
-def steady_state_psi(chains, alpha_update, eps2: float = 1e-6,
-                     max_iters: int = 100_000):
-    """Alternate unit-map updates with chain steps until the batteries settle.
+def steady_state_psi(chains, alpha_update, max_iters: int = 100_000):
+    """Policy iteration on the unit maps until they repeat.
 
     chains is one ChainSpec per sensor; alpha_update maps the current list of
     BatteryDistribution to the list of per-sensor unit maps for this round.
-    Starts from full batteries. Stops when the sup-norm change of every
-    sensor's distribution falls to eps2 or below; raises ConvergenceError on
-    the iteration cap or on an exact short cycle (period 2..4), which signals
-    an oscillating update rather than slow mixing.
+    Starts from full batteries; each round replaces every distribution with
+    the exact stationary law of its chain under the round's unit map. Stops
+    when a round returns the previous round's maps, whose stationary laws it
+    was given, so they are a fixed point. A repeat of any older round raises
+    ConvergenceError naming the period, as does the iteration cap; the
+    residual is the sup-norm change of the last law update.
 
-    Returns (distributions, iterations).
+    Every exit returns, or attaches to the error, the distributions the last
+    alpha_update call saw. Returns (distributions, iterations).
     """
     psis = []
     for chain in chains:
@@ -287,27 +289,21 @@ def steady_state_psi(chains, alpha_update, eps2: float = 1e-6,
         start[K] = 1.0
         psis.append(BatteryDistribution(psi=start))
 
-    history: list[np.ndarray] = []
+    seen: dict[bytes, int] = {}
     residual = math.inf
     for it in range(1, max_iters + 1):
         alphas = alpha_update(psis)
-        nxt = [
-            battery_transition(p, a, c.gain_probs, c.arrivals, c.transmit_prob)
-            for p, a, c in zip(psis, alphas, chains)
-        ]
-        residual = max(
-            float(np.max(np.abs(n.psi - p.psi))) for n, p in zip(nxt, psis)
-        )
-        if residual <= eps2:
-            return nxt, it
-        flat = np.concatenate([n.psi for n in nxt])
-        for lag in (2, 3, 4):
-            if len(history) >= lag and np.max(np.abs(flat - history[-lag])) < 1e-13:
-                raise ConvergenceError(
-                    f"update oscillates with period {lag}", it, residual, psis=nxt,
-                )
-        history.append(flat)
-        if len(history) > 4:
-            history.pop(0)
+        key = b"".join(np.asarray(a, dtype=np.int64).tobytes() for a in alphas)
+        first = seen.setdefault(key, it)
+        if first == it - 1:
+            return psis, it
+        if first < it:
+            raise ConvergenceError(f"unit maps oscillate with period {it - first}",
+                                   it, residual, psis=psis)
+        if it == max_iters:
+            break
+        nxt = [stationary_oracle(a, c.gain_probs, c.arrivals, c.transmit_prob)
+               for a, c in zip(alphas, chains)]
+        residual = max(float(np.max(np.abs(n.psi - p.psi))) for n, p in zip(nxt, psis))
         psis = nxt
     raise ConvergenceError("iteration cap exceeded", max_iters, residual, psis=psis)

@@ -382,15 +382,16 @@ def cmd_validate(args) -> int:
     if not outcome.converged:
         convergence_failed = True
         results.append(_check("fixed-point", False,
-                              "battery/price alternation did not converge"))
+                              "policy iteration on the unit map did not converge"))
     else:
         solved = evaluate_unit_map(scenario, outcome.power_map.units)[2]
         worst = max(
             0.5 * float(np.abs(psi.psi - exact_psi.psi).sum())
             for psi, exact_psi in zip(outcome.psi_star, solved)
         )
-        results.append(_check("fixed-point", worst <= 1e-3,
-                              f"max TV(iterated, solved) = {worst:.3e} (tol 1e-3)"))
+        # the fixed point returns the exact stationary laws of its own map
+        results.append(_check("fixed-point", worst == 0.0,
+                              f"max TV(fixed point, solved) = {worst:.3e} (must be 0)"))
         lam = outcome.lambda_star
         res_ok = outcome.kkt.max_interior_residual <= 1e-6 * max(lam, 1e-12)
         slack_ok = abs(outcome.kkt.slackness) <= 1e-6 * net.power_budget

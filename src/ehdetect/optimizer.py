@@ -6,8 +6,9 @@ battery holds), and a per-state outage cap. For a fixed battery distribution
 the problem separates: each (sensor, level) pair has a stationarity power
 where the marginal divergence gain equals the budget price, clamped into the
 feasible interval. The price is found by bisection on the monotone expected
-power, and the battery distribution is re-settled under the resulting integer
-unit map until the two fixed points agree.
+power. The battery distributions are then replaced by the exact stationary
+laws of the resulting integer unit map, and the two steps repeat (policy
+iteration) until the unit map comes back unchanged.
 """
 
 from __future__ import annotations
@@ -70,20 +71,23 @@ class OptimizerSettings:
     """Tolerances and caps for the two nested searches.
 
     budget_tol is relative to the budget and bounds both the budget miss and
-    the complementary-slackness product; psi_tol is the sup-norm stop of the
-    battery fixed point; root_tol is relative on the stationarity residual.
+    the complementary-slackness product; root_tol is relative on the
+    stationarity residual. The battery fixed point has no tolerance: it stops
+    exactly when the unit map repeats, or at max_outer_iters rounds.
     """
 
     budget_tol: float = 1e-6
-    psi_tol: float = 1e-6
     root_tol: float = 1e-9
     max_price_iters: int = 10_000
     max_outer_iters: int = 1_000
 
     def __post_init__(self) -> None:
-        for name in ("budget_tol", "psi_tol", "root_tol"):
+        for name in ("budget_tol", "root_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
+        # the certificate is the last round's price search, so one must run
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -431,13 +435,14 @@ def optimize_power_map(scenario: Scenario,
                        settings: OptimizerSettings | None = None) -> OptimizationOutcome:
     """Joint price search and battery fixed point for a whole scenario.
 
-    Alternates: given the current battery distributions, price the budget and
-    derive the clamped map; given the map's unit counts, push each battery
-    chain one slot. On convergence the certificate (price, expected power,
-    stationarity residuals, activity codes) is recomputed at the settled
-    distributions. Non-convergence is reported through the converged flag and
-    the warnings list instead of raising, so callers can still inspect the
-    last iterate.
+    Policy iteration: given the current battery distributions, price the
+    budget and derive the clamped map; given the map's unit counts, solve
+    each battery chain for its exact stationary law. It stops when the unit
+    map repeats, so psi_star is the stationary law of the returned units. The
+    certificate (price, expected power, stationarity residuals, activity
+    codes) is the last price search's, made at psi_star. Non-convergence is
+    reported through the converged flag and the warnings list instead of
+    raising, so callers can still inspect the last iterate.
     """
     settings = settings or OptimizerSettings()
     net = scenario.network
@@ -453,15 +458,16 @@ def optimize_power_map(scenario: Scenario,
     chains = [ChainSpec(ctx.gain_probs, ctx.arrivals, ctx.transmit_prob)
               for ctx in ctxs]
 
+    last = None  # the price search of the final round, at the returned laws
+
     def update(psis):
-        arrays = [p.psi for p in psis]
-        _lam, powers, _roots, _ep, _fl = _lambda_search(arrays, ctxs, net,
-                                                        settings, None)
-        return _units(powers, net)
+        nonlocal last
+        last = _lambda_search([p.psi for p in psis], ctxs, net, settings, None)
+        return _units(last[1], net)
 
     converged = True
     try:
-        psis, iters = steady_state_psi(chains, update, eps2=settings.psi_tol,
+        psis, iters = steady_state_psi(chains, update,
                                        max_iters=settings.max_outer_iters)
     except ConvergenceError as exc:
         converged = False
@@ -470,8 +476,7 @@ def optimize_power_map(scenario: Scenario,
         notes.append(f"battery fixed point did not settle: {exc}")
 
     psi_arrays = [p.psi for p in psis]
-    lam, powers, roots, ep, flags = _lambda_search(psi_arrays, ctxs, net,
-                                                   settings, None)
+    lam, powers, roots, ep, flags = last
     notes.extend(flags)
     units = _units(powers, net)
     pmap = PowerMap(powers=tuple(powers), units=tuple(units),

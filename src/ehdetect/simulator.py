@@ -16,13 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .battery import quantize_gain
-from .config import (
-    FC_KNOWLEDGE_MODES,
-    TRANSMIT_PROB_MODELS,
-    MonteCarloReport,
-    PowerMap,
-    Scenario,
-)
+from .config import MonteCarloReport, PowerMap, Scenario
 
 __all__ = [
     "SensorStreams",
@@ -117,24 +111,15 @@ class SimBatch:
     batteries: tuple[int, ...]      # end-of-batch, feeds the next batch
 
 
-def _resolve_transmit_model(scenario: Scenario, override: str | None) -> str:
-    model = scenario.network.transmit_prob_model if override is None else override
-    if model not in TRANSMIT_PROB_MODELS:
-        raise ValueError(f"unknown transmit_prob_model: {model!r}")
-    return model
-
-
 def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
-                   streams: Streams, batteries=None,
-                   transmit_prob_model: str | None = None) -> SimBatch:
+                   streams: Streams, batteries=None) -> SimBatch:
     """Run `slots` consecutive slots and record the full sample path.
 
     The only sequential part is the battery recursion; draws, quantization,
     and channel outputs are vectorized. Batteries continue from `batteries`
-    (default: full).
+    (default: full). The network's transmit_prob_model decides who transmits.
     """
     net = scenario.network
-    model = _resolve_transmit_model(scenario, transmit_prob_model)
     N = scenario.num_sensors
     K = net.capacity
     if batteries is None:
@@ -156,7 +141,7 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         en = st.energy.exponential(net.mean_harvest, slots)
 
         lv = quantize_gain(g, sensor.thresholds)
-        if model == "prior":
+        if net.transmit_prob_model == "prior":
             u = hyp.astype(np.int8)
         else:
             u = np.where(hyp == 1, dec < sensor.p_d, dec < sensor.p_f).astype(np.int8)
@@ -199,16 +184,13 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
 
 
 def step_episode(scenario: Scenario, power_map: PowerMap, state: EpisodeState,
-                 streams: Streams,
-                 transmit_prob_model: str | None = None) -> tuple[SlotRecord, EpisodeState]:
+                 streams: Streams) -> tuple[SlotRecord, EpisodeState]:
     """Advance one slot; draw-for-draw identical to simulate_slots.
 
     Each substream is private to one variable, so consuming one value per
     stream here lines up exactly with the batched draws.
     """
-    batch = simulate_slots(scenario, power_map, 1, streams,
-                           batteries=state.batteries,
-                           transmit_prob_model=transmit_prob_model)
+    batch = simulate_slots(scenario, power_map, 1, streams, batteries=state.batteries)
     record = SlotRecord(
         hypothesis=int(batch.hypothesis[0]),
         gains=tuple(float(x) for x in batch.gains[:, 0]),
@@ -229,21 +211,17 @@ def _binary_llr(t_sig: np.ndarray, t0: np.ndarray, p_f: float, p_d: float) -> np
 
 
 def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None = None,
-               fc_knowledge: str | None = None, psis=None,
-               chunk: int = 65_536) -> np.ndarray:
+               psis=None, chunk: int = 65_536) -> np.ndarray:
     """Per-slot fusion statistic, summed over sensors.
 
-    genie: the center knows each sensor's would-use amplitude, battery state
-    included. map_marginal: the center knows the map and the gain but not the
-    battery, so the signal hypothesis is a mixture over the stationary
-    distributions `psis`.
+    The network's fc_knowledge picks the statistic. genie: the center knows
+    each sensor's would-use amplitude, battery state included. map_marginal:
+    the center knows the map and the gain but not the battery, so the signal
+    hypothesis is a mixture over the stationary distributions `psis`.
     """
-    mode = scenario.network.fc_knowledge if fc_knowledge is None else fc_knowledge
-    if mode not in FC_KNOWLEDGE_MODES:
-        raise ValueError(f"unknown fc_knowledge: {mode!r}")
     slots = batch.hypothesis.size
     total = np.zeros(slots)
-    if mode == "genie":
+    if scenario.network.fc_knowledge == "genie":
         for n, sensor in enumerate(scenario.sensors):
             y = batch.outputs[n]
             a = batch.amplitudes[n]
@@ -273,8 +251,7 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
 
 def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: float,
                         samples: int, seed: int, warmup: int | None = None,
-                        transmit_prob_model: str | None = None,
-                        fc_knowledge: str | None = None, psis=None) -> tuple[float, float]:
+                        psis=None) -> tuple[float, float]:
     """Pick the fusion threshold hitting a false-alarm target.
 
     Runs the normally mixed chain and collects the statistic on the slots
@@ -294,18 +271,15 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
     warmup = 10 * net.capacity if warmup is None else warmup
     batteries = None
     if warmup > 0:
-        batteries = simulate_slots(scenario, power_map, warmup, streams,
-                                   transmit_prob_model=transmit_prob_model).batteries
+        batteries = simulate_slots(scenario, power_map, warmup, streams).batteries
 
     collected: list[np.ndarray] = []
     have = 0
     block = int(samples / max(net.prior_h0, 1e-6) * 1.05) + 1024
     while have < samples:
-        batch = simulate_slots(scenario, power_map, block, streams,
-                               batteries=batteries,
-                               transmit_prob_model=transmit_prob_model)
+        batch = simulate_slots(scenario, power_map, block, streams, batteries=batteries)
         batteries = batch.batteries
-        llr = fusion_llr(batch, scenario, power_map, fc_knowledge, psis)
+        llr = fusion_llr(batch, scenario, power_map, psis=psis)
         null = llr[batch.hypothesis == 0]
         collected.append(null)
         have += null.size
@@ -318,8 +292,7 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
 
 def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
                     slots: int, seed: int, warmup: int | None = None,
-                    transmit_prob_model: str | None = None,
-                    fc_knowledge: str | None = None, psis=None) -> MonteCarloReport:
+                    psis=None) -> MonteCarloReport:
     """Measure fusion-level detection and false-alarm rates plus occupancy.
 
     Warm-up slots (default 10x capacity) burn in the batteries and are
@@ -333,12 +306,9 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
     warmup = 10 * net.capacity if warmup is None else warmup
     batteries = None
     if warmup > 0:
-        batteries = simulate_slots(scenario, power_map, warmup, streams,
-                                   transmit_prob_model=transmit_prob_model).batteries
-    batch = simulate_slots(scenario, power_map, slots, streams,
-                           batteries=batteries,
-                           transmit_prob_model=transmit_prob_model)
-    llr = fusion_llr(batch, scenario, power_map, fc_knowledge, psis)
+        batteries = simulate_slots(scenario, power_map, warmup, streams).batteries
+    batch = simulate_slots(scenario, power_map, slots, streams, batteries=batteries)
+    llr = fusion_llr(batch, scenario, power_map, psis=psis)
     decide = llr > threshold
 
     h1 = batch.hypothesis == 1

@@ -185,11 +185,11 @@ def test_steady_state_matches_oracle():
     gp, arr, chain = _single_level_chain(
         5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
     alpha = np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), 3)])
-    psis, iters = steady_state_psi([chain], lambda psis: [alpha], eps2=1e-12)
+    psis, iters = steady_state_psi([chain], lambda psis: [alpha])
     exact = stationary_oracle(alpha, gp, arr, 0.4)
-    tv = 0.5 * float(np.abs(psis[0].psi - exact.psi).sum())
-    assert tv <= 1e-8
-    assert iters >= 1
+    # the second round repeats the map, and its laws are the exact solve
+    np.testing.assert_array_equal(psis[0].psi, exact.psi)
+    assert iters == 2
 
 
 def test_steady_state_detects_oscillation():
@@ -203,18 +203,42 @@ def test_steady_state_detects_oscillation():
         calls.append(None)
         return [spend_all if len(calls) % 2 else idle]
 
-    # deterministic arrivals + alternating maps bounce between two exact
-    # distributions, which the short-cycle detector must catch
-    with pytest.raises(ConvergenceError, match="oscillat"):
-        steady_state_psi([chain], flip, eps2=1e-15, max_iters=10_000)
+    # alternating maps never repeat the previous round, so the third round's
+    # repeat of the first is a period-2 cycle
+    with pytest.raises(ConvergenceError, match="oscillat.*period 2") as err:
+        steady_state_psi([chain], flip, max_iters=10_000)
+    assert err.value.iterations == 3
+    assert len(calls) == 3
+
+
+def test_steady_state_names_the_exact_period():
+    gp, arr, chain = _single_level_chain(
+        5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
+    maps = [np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), c)])
+            for c in range(1, 6)]
+    seen = []
+
+    def cycle(psis):
+        seen.append(psis)
+        return [maps[(len(seen) - 1) % 5]]
+
+    with pytest.raises(ConvergenceError, match="period 5") as err:
+        steady_state_psi([chain], cycle, max_iters=1_000)
+    assert err.value.iterations == 6
+    # the error carries the laws the last update saw: the fifth map's
+    assert err.value.psis is seen[-1]
+    np.testing.assert_array_equal(err.value.psis[0].psi,
+                                  stationary_oracle(maps[4], gp, arr, 0.4).psi)
 
 
 def test_steady_state_iteration_cap():
     gp, arr, chain = _single_level_chain(
         5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
-    alpha = np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), 3)])
+    # a new unit map every round, so only the cap can stop the loop
+    maps = iter([np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), c)])
+                 for c in (1, 2, 3)])
     with pytest.raises(ConvergenceError, match="cap") as err:
-        steady_state_psi([chain], lambda psis: [alpha], eps2=1e-30, max_iters=3)
+        steady_state_psi([chain], lambda psis: [next(maps)], max_iters=3)
     assert err.value.iterations == 3
     assert err.value.psis is not None
     assert len(err.value.psis) == 1

@@ -104,6 +104,14 @@ def test_network_field_errors(mutation, fragment):
     assert fragment in str(err.value)
 
 
+def test_invalid_modes_rejected(toy_scenario):
+    net = toy_scenario.network
+    with pytest.raises(ScenarioError, match="transmit_prob_model"):
+        replace(net, transmit_prob_model="sometimes")
+    with pytest.raises(ScenarioError, match="fc_knowledge"):
+        replace(net, fc_knowledge="psychic")
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ScenarioError, match="unknown key"):
         loads_scenario(MINIMAL + "bogus = 1\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ehdetect import (
     BatteryDistribution,
+    OptimizerSettings,
     clamp_power,
     evaluate_unit_map,
     exhaustive_best_map,
@@ -384,6 +385,20 @@ def test_optimizer_matches_exact_rescoring_on_toy(toy_scenario, toy_outcome):
     j, ep, psis = evaluate_unit_map(toy_scenario, toy_outcome.power_map.units)
     assert j == pytest.approx(toy_outcome.objective_j, rel=1e-5)
     assert ep == pytest.approx(toy_outcome.expected_power, rel=1e-5)
-    # iterated fixed point sits on the exact stationary distribution
-    tv = 0.5 * float(np.abs(psis[0].psi - toy_outcome.psi_star[0].psi).sum())
-    assert tv <= 1e-4
+    # the fixed point returns the exact stationary law of its unit map
+    assert all(np.array_equal(a.psi, b.psi) for a, b in zip(psis, toy_outcome.psi_star))
+
+
+def test_outer_cap_keeps_the_last_rounds_certificate(toy_scenario):
+    with pytest.raises(ValueError, match="max_outer_iters"):
+        OptimizerSettings(max_outer_iters=0)
+    out = optimize_power_map(toy_scenario, OptimizerSettings(max_outer_iters=1))
+    assert not out.converged and out.outer_iterations == 1
+    assert any("did not settle" in w for w in out.warnings)
+    # the one round priced the full-battery start, and that is what comes back
+    K = toy_scenario.network.capacity
+    assert out.psi_star[0].psi[K] == 1.0
+    lam, pmap, ep = lambda_search(out.psi_star, toy_scenario)
+    assert lam == out.lambda_star and ep == out.expected_power
+    for mine, theirs in zip(out.power_map.units, pmap.units):
+        np.testing.assert_array_equal(mine, theirs)

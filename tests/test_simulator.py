@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ from ehdetect import (
     step_episode,
 )
 from ehdetect.simulator import SimBatch
+
+
+def _with_network(scenario, **changes):
+    return replace(scenario, network=replace(scenario.network, **changes))
 
 
 def _spend_one_map(scenario):
@@ -108,16 +113,16 @@ def test_battery_trajectory_respects_bounds(toy_scenario):
 
 
 def test_prior_transmit_model_follows_hypothesis(toy_scenario):
-    batch = simulate_slots(toy_scenario, _spend_one_map(toy_scenario), 500,
-                           make_streams(3, 1), transmit_prob_model="prior")
+    sc = _with_network(toy_scenario, transmit_prob_model="prior")
+    batch = simulate_slots(sc, _spend_one_map(sc), 500, make_streams(3, 1))
     np.testing.assert_array_equal(batch.transmit[0], batch.hypothesis)
 
 
 def test_decision_transmit_model_matches_local_rates(toy_scenario):
     sensor = toy_scenario.sensors[0]
     slots = 200_000
-    batch = simulate_slots(toy_scenario, _spend_one_map(toy_scenario), slots,
-                           make_streams(11, 1), transmit_prob_model="decision")
+    sc = _with_network(toy_scenario, transmit_prob_model="decision")
+    batch = simulate_slots(sc, _spend_one_map(sc), slots, make_streams(11, 1))
     h1 = batch.hypothesis == 1
     for mask, rate in ((h1, sensor.p_d), (~h1, sensor.p_f)):
         n = int(mask.sum())
@@ -181,16 +186,16 @@ def test_map_marginal_collapses_to_genie_on_flat_maps(toy_scenario):
     psi = np.zeros(K + 1)
     psi[1:] = 1.0 / K  # any support inside the charged states works
     psis = (BatteryDistribution(psi=psi),)
-    genie = fusion_llr(batch, toy_scenario, pmap, fc_knowledge="genie")
-    marginal = fusion_llr(batch, toy_scenario, pmap, fc_knowledge="map_marginal",
-                          psis=psis)
+    genie = fusion_llr(batch, _with_network(toy_scenario, fc_knowledge="genie"), pmap)
+    marginal = fusion_llr(batch, _with_network(toy_scenario, fc_knowledge="map_marginal"),
+                          pmap, psis=psis)
     np.testing.assert_allclose(marginal, genie, atol=1e-10)
 
 
 def test_map_marginal_requires_psis(toy_scenario):
     batch = _one_slot_batch(1.0, 1.0)
     with pytest.raises(ValueError, match="psis"):
-        fusion_llr(batch, toy_scenario, None, fc_knowledge="map_marginal")
+        fusion_llr(batch, _with_network(toy_scenario, fc_knowledge="map_marginal"))
 
 
 def test_zero_map_statistic_is_numerical_dust(toy_scenario):
@@ -238,15 +243,6 @@ def test_occupancy_matches_chain(toy_scenario):
                           seed=8, psis=out.psi_star)
     tv = 0.5 * float(np.abs(rep.empirical_psi[0] - out.psi_star[0].psi).sum())
     assert tv <= 0.01
-
-
-def test_invalid_modes_rejected(toy_scenario):
-    with pytest.raises(ValueError, match="transmit_prob_model"):
-        simulate_slots(toy_scenario, _zero_map(toy_scenario), 1,
-                       make_streams(1, 1), transmit_prob_model="sometimes")
-    with pytest.raises(ValueError, match="fc_knowledge"):
-        fusion_llr(_one_slot_batch(1.0, 1.0), toy_scenario,
-                   fc_knowledge="psychic")
 
 
 def test_warmup_advances_the_stream(toy_scenario):
