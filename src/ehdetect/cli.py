@@ -183,6 +183,7 @@ def _write_outcome(outdir, scenario: Scenario, outcome: OptimizationOutcome) -> 
         ("objective_j", outcome.objective_j),
         ("expected_power", outcome.expected_power),
         ("outer_iterations", outcome.outer_iterations),
+        ("price_evaluations", outcome.price_evaluations),
         ("converged", outcome.converged),
         ("max_interior_residual", outcome.kkt.max_interior_residual),
         ("slackness", outcome.kkt.slackness),

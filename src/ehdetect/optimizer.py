@@ -5,10 +5,11 @@ average-power budget, per-state causality (a slot cannot drain more than the
 battery holds), and a per-state outage cap. For a fixed battery distribution
 the problem separates: each (sensor, level) pair has a stationarity power
 where the marginal divergence gain equals the budget price, clamped into the
-feasible interval. The price is found by bisection on the monotone expected
-power. The battery distributions are then replaced by the exact stationary
-laws of the resulting integer unit map, and the two steps repeat (policy
-iteration) until the unit map comes back unchanged.
+feasible interval; each root is a safeguarded Newton iteration. The price
+is found on the monotone expected power by regula falsi (Illinois variant)
+with a bisection fallback. The battery distributions are then replaced by the
+exact stationary laws of the resulting integer unit map, and the two steps
+repeat (policy iteration) until the unit map comes back unchanged.
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ class OptimizationOutcome:
     expected_power: float
     kkt: KktReport
     outer_iterations: int
+    price_evaluations: int    # expected-power evaluations over all rounds
     converged: bool
     warnings: tuple[str, ...]
 
@@ -124,13 +126,23 @@ def marginal_divergence_gain(power, mu, coeffs: RocCoefficients, noise_var: floa
 
     Vectorized: power and mu may be arrays that broadcast.
     """
-    p = np.asarray(power, dtype=float)
+    out, _ = _gain_and_derivative(np.asarray(power, dtype=float), mu, coeffs,
+                                  noise_var, derivative=False)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _gain_and_derivative(p, mu, coeffs: RocCoefficients, noise_var: float,
+                         derivative=True):
+    """The marginal divergence gain and its power derivative (None if not asked)."""
     s = noise_var
     slope1, slope2 = coeffs.slopes
     d1 = s + coeffs.den1 * mu * p
     d2 = s + coeffs.den2 * mu * p
-    out = slope1 * s * mu / (d1 * d1) + slope2 * s * mu / (d2 * d2)
-    return float(out) if np.ndim(out) == 0 else out
+    t1 = slope1 * s * mu / (d1 * d1)
+    t2 = slope2 * s * mu / (d2 * d2)
+    if not derivative:
+        return t1 + t2, None
+    return t1 + t2, -2.0 * mu * (coeffs.den1 * t1 / d1 + coeffs.den2 * t2 / d2)
 
 
 def outage_cap(state: int, sensor: SensorParams, network: NetworkParams) -> float:
@@ -161,11 +173,16 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients,
     gain is at or below the price there is no positive root and the sentinel
     -1.0 is returned for the positive-part clamp to absorb.
 
-    Inside the concavity band the gain is strictly decreasing and a doubling
-    bracket plus bisection suffices; outside it the gain may be non-monotone,
-    in which case the smallest crossing on a dense scan is bracketed instead
-    and a RuntimeWarning is emitted. The bisection runs until every level
-    meets the relative residual root_tol at the same step.
+    Every term of the gain is below lam/2 beyond a closed-form power p_big.
+    Inside the concavity band the gain is strictly decreasing, so [0, p_big]
+    brackets the only crossing; outside it the gain may be non-monotone, in
+    which case the smallest crossing on a dense scan of [0, p_big] is
+    bracketed instead and a RuntimeWarning is emitted. Both brackets feed one
+    safeguarded Newton iteration (rtsafe, Press et al., Numerical Recipes
+    9.4) on gain**-0.5 = lam**-0.5, which is linear in power when one term of
+    the gain is live; a step that leaves the bracket bisects instead. Each
+    level stops at its first iterate whose residual is within root_tol * lam,
+    so a level's root does not depend on the other levels in the call.
     """
     m = np.asarray(mu, dtype=float)
     if np.any(m < 0.0):
@@ -183,34 +200,26 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients,
 
 def _live_roots(lam, mu, coeffs, noise_var, root_tol):
     """stationarity_root on a 1-D array of positive gains and a positive price."""
-    def f(p):
-        return marginal_divergence_gain(p, mu, coeffs, noise_var) - lam
-
     slope1, slope2 = coeffs.slopes
     out = np.full(mu.size, -1.0)
+    # beyond p_big both terms are within lam/2 of zero, so f < 0 for sure
+    p_big = np.ones(mu.size)
+    for slope, den in ((slope1, coeffs.den1), (slope2, coeffs.den2)):
+        need = np.sqrt(np.maximum(abs(slope) * noise_var * mu / (0.5 * lam), 1e-30))
+        p_big = np.maximum(p_big, (need + noise_var) / (den * mu))
     if slope1 >= 0.0 and slope2 >= 0.0:
-        solve = f(0.0) > 0.0
-        hi = np.ones(mu.size)
-        growing = solve.copy()
-        while np.any(growing):
-            hi[growing] *= 2.0
-            growing &= (hi <= 1e300) & (f(hi) > 0.0)
-        out[solve & (hi > 1e300)] = math.inf
-        solve &= hi <= 1e300
-        lo = np.zeros(mu.size)
+        # the gain decreases, so [0, p_big] holds the only crossing
+        lo, hi = np.zeros(mu.size), p_big
+        g, dg = _gain_and_derivative(lo, mu, coeffs, noise_var)
+        solve = g > lam
     else:
         warnings.warn(
             "operating point outside the concavity band: marginal gain may be "
             "non-monotone; returning the smallest stationary power",
             RuntimeWarning,
         )
-        # beyond p_big both terms are within lam/2 of zero, so f < 0 for sure
-        p_big = np.ones(mu.size)
-        for slope, den in ((slope1, coeffs.den1), (slope2, coeffs.den2)):
-            need = np.sqrt(np.maximum(abs(slope) * noise_var * mu / (0.5 * lam), 1e-30))
-            p_big = np.maximum(p_big, (need + noise_var) / (den * mu))
         grid = p_big[:, None] * _SCAN
-        vals = f(grid.T).T
+        vals = marginal_divergence_gain(grid.T, mu, coeffs, noise_var).T - lam
         change = np.diff(np.sign(vals), axis=1) != 0
         solve = change.any(axis=1)
         out[~solve & (vals[:, 0] > 0.0)] = math.inf
@@ -219,18 +228,27 @@ def _live_roots(lam, mu, coeffs, noise_var, root_tol):
         lo, hi = grid[rows, i], grid[rows, i + 1]
         flip = vals[rows, i] < 0.0  # orient so f(lo) > 0 > f(hi)
         lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        g, dg = _gain_and_derivative(lo, mu, coeffs, noise_var)
     if not np.any(solve):
         return out
-    mu_s, lo, hi = mu[solve], lo[solve], hi[solve]
+    # start at the f > 0 end; a level freezes at its first iterate within root_tol
+    p, lo, hi, mu_s = lo[solve], lo[solve], hi[solve], mu[solve]
+    g, dg = g[solve], dg[solve]
+    done = np.zeros(p.size, dtype=bool)
     for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        fm = marginal_divergence_gain(mid, mu_s, coeffs, noise_var) - lam
-        above = fm > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        if np.max(np.abs(fm)) <= root_tol * lam:
+        # Newton on g**-0.5 = lam**-0.5, exact when one term of the gain is live
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p + 2.0 * g * (1.0 - np.sqrt(g / lam)) / dg
+        inside = (step - lo) * (step - hi) < 0.0
+        p = np.where(done, p, np.where(inside, step, 0.5 * (lo + hi)))
+        g, dg = _gain_and_derivative(p, mu_s, coeffs, noise_var)
+        above = g > lam
+        lo = np.where(above, p, lo)
+        hi = np.where(above, hi, p)
+        done |= np.abs(g - lam) <= root_tol * lam
+        if done.all():
             break
-    out[solve] = mid
+    out[solve] = p
     return out
 
 
@@ -339,41 +357,56 @@ def _objective(powers, psi_arrays, ctxs) -> float:
 
 def _lambda_search(psi_arrays, ctxs, network: NetworkParams,
                    settings: OptimizerSettings, budget: float | None):
-    """Price, power tables, roots, expected power, and any flags."""
+    """Price, power tables, roots, expected power, flags, and price evaluations."""
     B = network.power_budget if budget is None else float(budget)
     flags: list[str] = []
     lam_max = max(ctx.lambda_ceiling for ctx in ctxs)
+    evaluations = 0
 
     def ep_at(lam: float):
+        nonlocal evaluations
+        evaluations += 1
         powers, roots = _map_for_lambda(lam, ctxs, network, settings.root_tol)
         return powers, roots, _expected_power(powers, psi_arrays, ctxs)
 
     if B <= 0.0:
         powers, roots, ep = ep_at(lam_max)
         flags.append("nonpositive budget: every level priced out")
-        return lam_max, powers, roots, ep, flags
+        return lam_max, powers, roots, ep, flags, evaluations
 
     tol_abs = settings.budget_tol * B
     powers0, roots0, ep0 = ep_at(0.0)
     if ep0 <= B + tol_abs:
-        return 0.0, powers0, roots0, ep0, flags
+        return 0.0, powers0, roots0, ep0, flags, evaluations
 
-    # lam_max prices every level out, so hi is always the feasible end
+    # regula falsi with the Illinois modification on ep(lam) - B, bisecting
+    # when the secant point is not strictly inside the bracket; lam_max prices
+    # every level out, so hi is always the feasible end
     lo, hi = 0.0, lam_max
     at_hi = ep_at(hi)
+    f_lo, f_hi = ep0 - B, at_hi[2] - B
+    moved = None  # the end the previous step replaced
     for _ in range(settings.max_price_iters):
-        lam = 0.5 * (lo + hi)
+        lam = lo + (hi - lo) * f_lo / (f_lo - f_hi)
         if not lo < lam < hi:
-            break
+            lam = 0.5 * (lo + hi)
+            if not lo < lam < hi:
+                break
         powers, roots, ep = at = ep_at(lam)
         if abs(ep - B) <= tol_abs / max(1.0, lam):
-            return lam, powers, roots, ep, flags
+            return lam, powers, roots, ep, flags, evaluations
         if ep > B:
-            lo = lam
+            lo, f_lo = lam, ep - B
+            if moved == "lo":
+                f_hi *= 0.5  # hi kept twice in a row
+            moved = "lo"
         else:
-            hi, at_hi = lam, at
+            hi, f_hi, at_hi = lam, ep - B, at
+            if moved == "hi":
+                f_lo *= 0.5
+            moved = "hi"
     flags.append("price bracket collapsed before meeting the budget tolerance")
-    return (hi, *at_hi, flags)
+    return (hi, *at_hi, flags, evaluations)
 
 
 def lambda_search(psis, scenario: Scenario, settings: OptimizerSettings | None = None,
@@ -388,8 +421,8 @@ def lambda_search(psis, scenario: Scenario, settings: OptimizerSettings | None =
     net = scenario.network
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     psi_arrays = [p.psi for p in psis]
-    lam, powers, _roots, ep, _flags = _lambda_search(psi_arrays, ctxs, net,
-                                                     settings, budget)
+    lam, powers, _roots, ep, _flags, _evals = _lambda_search(psi_arrays, ctxs, net,
+                                                             settings, budget)
     units = _units(powers, net)
     pmap = PowerMap(powers=tuple(powers), units=tuple(units),
                     unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
@@ -459,10 +492,12 @@ def optimize_power_map(scenario: Scenario,
               for ctx in ctxs]
 
     last = None  # the price search of the final round, at the returned laws
+    price_evaluations = 0
 
     def update(psis):
-        nonlocal last
+        nonlocal last, price_evaluations
         last = _lambda_search([p.psi for p in psis], ctxs, net, settings, None)
+        price_evaluations += last[-1]
         return _units(last[1], net)
 
     converged = True
@@ -476,7 +511,7 @@ def optimize_power_map(scenario: Scenario,
         notes.append(f"battery fixed point did not settle: {exc}")
 
     psi_arrays = [p.psi for p in psis]
-    lam, powers, roots, ep, flags = last
+    lam, powers, roots, ep, flags, _evals = last
     notes.extend(flags)
     units = _units(powers, net)
     pmap = PowerMap(powers=tuple(powers), units=tuple(units),
@@ -490,6 +525,7 @@ def optimize_power_map(scenario: Scenario,
         expected_power=ep,
         kkt=kkt,
         outer_iterations=iters,
+        price_evaluations=price_evaluations,
         converged=converged,
         warnings=tuple(notes),
     )

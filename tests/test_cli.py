@@ -82,6 +82,10 @@ def test_powermap_writes_deterministic_tables(tmp_path, scenario_dir):
     assert metrics["converged"] == "true"
     assert float(metrics["lambda_star"]) == 0.0
     assert int(metrics["warning_count"]) == 0
+    names = list(metrics)
+    assert names.index("price_evaluations") == names.index("outer_iterations") + 1
+    # the loose budget is met at price 0: one evaluation per round
+    assert int(metrics["price_evaluations"]) == int(metrics["outer_iterations"])
 
 
 def test_powermap_row_order_and_scaling(tmp_path):
