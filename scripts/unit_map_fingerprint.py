@@ -16,10 +16,14 @@ one part in 10^6 can still flip its last printed digit, so judge a
 difference there by the size of the move. Run from the repository root,
 pointing PYTHONPATH at the library under test:
 
-    PYTHONPATH=src python3 scripts/unit_map_fingerprint.py
+    PYTHONPATH=src python3 scripts/unit_map_fingerprint.py [--smoke]
+
+--smoke solves only the first scenario of each kind (bundled, grid, oracle).
 """
 
+import argparse
 import hashlib
+import itertools
 import sys
 import warnings
 from dataclasses import replace
@@ -29,27 +33,38 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from ehdetect import load_scenario, optimize_power_map  # noqa: E402
+from tracing import NullTracer  # noqa: E402
 from workloads import GRID_BUDGETS, GRID_CONFIGS, OracleCheck  # noqa: E402
 
 ORACLE_SEEDS = range(1, 21)
 
 
-def scenarios():
-    """(label, scenario) pairs in a fixed order."""
+def bundled():
     for name in ("toy.scn", "two_sensor.scn"):
         yield name, load_scenario(ROOT / "scenarios" / name)
+
+
+def grid():
     base = load_scenario(ROOT / "scenarios" / "two_sensor.scn")
     for harvest, cap in GRID_CONFIGS:
         for budget in GRID_BUDGETS:
             net = replace(base.network, mean_harvest=harvest, capacity=cap,
                           power_budget=budget)
             yield f"grid h={harvest:g} K={cap} B={budget:g}", replace(base, network=net)
-    toy = load_scenario(ROOT / "scenarios" / "toy.scn")
+
+
+def oracle():
     for seed in ORACLE_SEEDS:
-        oracle = OracleCheck(ROOT, workdir=None, seed=seed, quick=False, tr=None)
-        oracle.template = toy
-        for i in range(oracle.cycle):
-            yield f"oracle seed={seed} item={i}", oracle.scenario(i)[0]
+        check = OracleCheck(ROOT, workdir=None, seed=seed, quick=False, tr=NullTracer())
+        check.setup()
+        for i in range(check.cycle):
+            yield f"oracle seed={seed} item={i}", check.scenario(i)[0]
+
+
+def scenarios(smoke=False):
+    """(label, scenario) pairs in a fixed order."""
+    for kind in (bundled, grid, oracle):
+        yield from itertools.islice(kind(), 1 if smoke else None)
 
 
 def fingerprint(outcome) -> str:
@@ -60,11 +75,15 @@ def fingerprint(outcome) -> str:
     return digest.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true",
+                        help="solve only the first scenario of each kind")
+    args = parser.parse_args(argv)
     with warnings.catch_warnings():
         # out-of-band operating points warn once per root call
         warnings.simplefilter("ignore", RuntimeWarning)
-        for label, scenario in scenarios():
+        for label, scenario in scenarios(args.smoke):
             out = optimize_power_map(scenario)
             print(f"{fingerprint(out)}  {out.outer_iterations}  "
                   f"{out.objective_j:.6g}  {label}")

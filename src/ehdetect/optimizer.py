@@ -180,9 +180,10 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients,
     bracketed instead and a RuntimeWarning is emitted. Both brackets feed one
     safeguarded Newton iteration (rtsafe, Press et al., Numerical Recipes
     9.4) on gain**-0.5 = lam**-0.5, which is linear in power when one term of
-    the gain is live; a step that leaves the bracket bisects instead. Each
-    level stops at its first iterate whose residual is within root_tol * lam,
-    so a level's root does not depend on the other levels in the call.
+    the gain is live. As in rtsafe, a step that leaves the bracket, or that
+    is over half the step before last, bisects instead. Each level stops at
+    its first iterate whose residual is within root_tol * lam, so a level's
+    root does not depend on the other levels in the call.
     """
     m = np.asarray(mu, dtype=float)
     if np.any(m < 0.0):
@@ -235,19 +236,26 @@ def _live_roots(lam, mu, coeffs, noise_var, root_tol):
     p, lo, hi, mu_s = lo[solve], lo[solve], hi[solve], mu[solve]
     g, dg = g[solve], dg[solve]
     done = np.zeros(p.size, dtype=bool)
-    for _ in range(220):
-        # Newton on g**-0.5 = lam**-0.5, exact when one term of the gain is live
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p + 2.0 * g * (1.0 - np.sqrt(g / lam)) / dg
-        inside = (step - lo) * (step - hi) < 0.0
-        p = np.where(done, p, np.where(inside, step, 0.5 * (lo + hi)))
-        g, dg = _gain_and_derivative(p, mu_s, coeffs, noise_var)
-        above = g > lam
-        lo = np.where(above, p, lo)
-        hi = np.where(above, hi, p)
-        done |= np.abs(g - lam) <= root_tol * lam
-        if done.all():
-            break
+    # the last step and the one before it; rtsafe starts mid-bracket with
+    # both at the bracket width, this loop starts at an end, so twice that
+    dx = dx_old = 2.0 * np.abs(hi - lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(220):
+            # Newton on g**-0.5 = lam**-0.5, exact when one term of the gain is live
+            newton = 2.0 * g * (1.0 - np.sqrt(g / lam)) / dg
+            step, size, mid = p + newton, np.abs(newton), 0.5 * (lo + hi)
+            # bisect when the step leaves the bracket or is over half the step
+            # before last, so a crawling Newton sequence still halves the bracket
+            ok = ((step - lo) * (step - hi) < 0.0) & (size + size <= dx_old)
+            dx_old, dx = dx, np.where(ok, size, np.abs(hi - mid))
+            p = np.where(done, p, np.where(ok, step, mid))
+            g, dg = _gain_and_derivative(p, mu_s, coeffs, noise_var)
+            above = g > lam
+            lo = np.where(above, p, lo)
+            hi = np.where(above, hi, p)
+            done |= np.abs(g - lam) <= root_tol * lam
+            if done.all():
+                break
     out[solve] = p
     return out
 
