@@ -2,10 +2,11 @@
 
 The state is the number of stored energy units (0..K). Each slot the sensor
 may drain a level- and state-dependent number of units and then banks a random
-number of harvested units; both ends saturate, so the chain lives on a finite
-ladder. Harvested energy is exponential and is banked in whole units, which
-makes the per-slot unit arrival count geometric-like with its tail folded into
-the capacity state.
+number of harvested units. A drain never exceeds the stored units, so only the
+capacity end saturates and the chain lives on a finite ladder. Harvested
+energy is exponential and is banked in whole units, which makes the per-slot
+unit arrival count geometric-like with its tail folded into the capacity
+state.
 """
 
 from __future__ import annotations
@@ -158,27 +159,24 @@ def transmit_probability(network, sensor) -> float:
     return network.prior_h0 * sensor.p_f + network.prior_h1 * sensor.p_d
 
 
-def _shift_rows(pmf: np.ndarray) -> np.ndarray:
-    """rows[s + K, j] = Pr(clip(s + beta, 0, K) = j) for net drift s in -K..K.
+def _drain_rows(alpha, arrivals: ArrivalUnitPmf) -> np.ndarray:
+    """out[..., k, j] = Pr(min(k - alpha[..., k] + beta, K) = j): drain, then bank.
 
-    beta is treated as the folded arrival law itself, so every row is a proper
-    distribution no matter how aggressive the drain is.
+    beta is the folded arrival count, so the post-drain state s climbs to
+    s + j with pmf[j] and the whole tail Pr(beta >= K - s) lands on K. The
+    rows come from one (K+1)x(K+1) table gathered at s = k - alpha[..., k],
+    for any leading batch shape of alpha. A drain must lie in [0, k].
     """
-    K = pmf.size - 1
-    head = np.cumsum(pmf)                      # head[m] = Pr(beta <= m)
-    tail = np.cumsum(pmf[::-1])[::-1]          # tail[m] = Pr(beta >= m)
-    rows = np.zeros((2 * K + 1, K + 1))
-    js = np.arange(1, K)
-    for s in range(-K, K + 1):
-        row = rows[s + K]
-        if -s >= 0:
-            row[0] = head[min(-s, K)]
-        idx = js - s
-        ok = (idx >= 0) & (idx <= K)
-        row[1:K][ok] = pmf[idx[ok]]
-        m = K - s
-        row[K] = 1.0 if m <= 0 else tail[min(m, K)]
-    return rows
+    alpha = np.asarray(alpha, dtype=np.int64)
+    pmf = arrivals.pmf
+    K = arrivals.capacity
+    states = np.arange(K + 1)
+    if np.any((alpha < 0) | (alpha > states)):
+        raise ValueError("every drain alpha[..., k] must lie in [0, k]")
+    table = np.triu(pmf[np.abs(states[None, :] - states[:, None])])
+    table[:, K] = np.cumsum(pmf[::-1])  # Pr(beta >= K - s)
+    table[K, K] = 1.0
+    return table[states - alpha]
 
 
 def transition_matrix(alpha, gain_probs: GainLevelProbs, arrivals: ArrivalUnitPmf,
@@ -186,20 +184,17 @@ def transition_matrix(alpha, gain_probs: GainLevelProbs, arrivals: ArrivalUnitPm
     """One-slot transition matrix of the battery ladder under a unit map.
 
     alpha[l, k] is the units drained when transmitting at level l from state
-    k. The no-spend branch (weight 1 - transmit_prob) climbs by the arrivals
-    alone; the spend branch mixes the level-conditional drains with the cell
-    probabilities.
+    k; it must lie in [0, k]. The no-spend branch (weight 1 - transmit_prob)
+    climbs by the arrivals alone; the spend branch mixes the level-conditional
+    drains with the cell probabilities.
     """
     alpha = np.asarray(alpha, dtype=np.int64)
     K = arrivals.capacity
     L1 = gain_probs.level_count
     if alpha.shape != (L1, K + 1):
         raise ValueError(f"alpha must have shape ({L1}, {K + 1}), got {alpha.shape}")
-    rows = _shift_rows(arrivals.pmf)
-    ks = np.arange(K + 1)
-    idle = rows[ks + K]
-    idx = ks[None, :] - alpha + K
-    spend = np.tensordot(gain_probs.pi, rows[idx], axes=(0, 0))
+    idle = _drain_rows(np.zeros(K + 1, dtype=np.int64), arrivals)
+    spend = np.tensordot(gain_probs.pi, _drain_rows(alpha, arrivals), axes=(0, 0))
     return (1.0 - transmit_prob) * idle + transmit_prob * spend
 
 

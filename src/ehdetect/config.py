@@ -476,7 +476,7 @@ def dumps_scenario(scenario: Scenario) -> str:
     out.write("# energy-harvesting detection network scenario\n")
     out.write("[network]\n")
     for key in _NETWORK_REQUIRED + _NETWORK_OPTIONAL:
-        out.write(f"{key} = {_fmt(getattr(net, _NET_FIELD[key]))}\n")
+        out.write(f"{key} = {_fmt(getattr(net, key))}\n")
     for i, sensor in enumerate(scenario.sensors, start=1):
         out.write(f"\n[sensor.{i}]\n")
         out.write(f"mean_gain = {_fmt(sensor.mean_gain)}\n")
@@ -492,19 +492,6 @@ def dumps_scenario(scenario: Scenario) -> str:
         edges = ", ".join(_fmt(t) for t in sensor.thresholds)
         out.write(f"thresholds = {edges}\n")
     return out.getvalue()
-
-
-_NET_FIELD = {
-    "prior_h0": "prior_h0",
-    "capacity": "capacity",
-    "unit_energy": "unit_energy",
-    "slot_seconds": "slot_seconds",
-    "mean_harvest": "mean_harvest",
-    "drop_fraction": "drop_fraction",
-    "power_budget": "power_budget",
-    "transmit_prob_model": "transmit_prob_model",
-    "fc_knowledge": "fc_knowledge",
-}
 
 
 def emit_scenario(scenario: Scenario, path) -> None:

@@ -26,6 +26,7 @@ from .battery import (
     ChainSpec,
     ConvergenceError,
     GainLevelProbs,
+    _drain_rows,
     arrival_unit_pmf,
     gain_level_probs,
     stationary_oracle,
@@ -437,9 +438,7 @@ def lambda_search(psis, scenario: Scenario, settings: OptimizerSettings | None =
     return lam, pmap, ep
 
 
-def _kkt_report(lam, powers, roots, psi_arrays, ctxs, network, ep,
-                budget=None) -> KktReport:
-    B = network.power_budget if budget is None else float(budget)
+def _kkt_report(lam, powers, roots, ctxs, network, ep) -> KktReport:
     residuals, actives = [], []
     worst = 0.0
     for P, r, ctx in zip(powers, roots, ctxs):
@@ -468,7 +467,7 @@ def _kkt_report(lam, powers, roots, psi_arrays, ctxs, network, ep,
         residuals=tuple(residuals),
         active=tuple(actives),
         max_interior_residual=worst,
-        slackness=lam * (ep - B),
+        slackness=lam * (ep - network.power_budget),
     )
 
 
@@ -524,7 +523,7 @@ def optimize_power_map(scenario: Scenario,
     units = _units(powers, net)
     pmap = PowerMap(powers=tuple(powers), units=tuple(units),
                     unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
-    kkt = _kkt_report(lam, powers, roots, psi_arrays, ctxs, net, ep)
+    kkt = _kkt_report(lam, powers, roots, ctxs, net, ep)
     return OptimizationOutcome(
         power_map=pmap,
         psi_star=tuple(psis),
@@ -597,24 +596,24 @@ def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
     # hard per-state unit cap from causality and the outage cap
     amax = np.minimum(states, np.floor(ctx.phi / unit_power + 1e-9).astype(np.int64))
 
-    per_level = [np.array(list(itertools.product(*[range(a + 1) for a in amax])),
-                          dtype=np.int64) for _ in range(L1 - 1)]
-    counts = [c.shape[0] for c in per_level]
-    total = int(np.prod(counts)) if counts else 1
+    # every live level picks its row from the same per-state unit choices;
+    # a candidate map is one mixed-radix number with a digit per live level
+    choices = np.array(list(itertools.product(*[range(a + 1) for a in amax])),
+                       dtype=np.int64)
+    counts = (choices.shape[0],) * (L1 - 1)
+    total = choices.shape[0] ** (L1 - 1)
     if total > max_candidates:
         raise ValueError(f"{total} candidate maps exceed the {max_candidates} cap")
 
-    from .battery import _shift_rows  # row table shared with the chain builder
-
-    rows = _shift_rows(ctx.arrivals.pmf)
-    idle = rows[states + K]
+    rows = _drain_rows(np.vstack([np.zeros(K + 1, dtype=np.int64), choices]),
+                       ctx.arrivals)
+    idle = rows[0]
     base = (1.0 - ctx.transmit_prob) * idle
     pi = ctx.gain_probs.pi
     # per-level gathered spend kernels, weighted by cell probability
-    spend = [ctx.transmit_prob * pi[1 + l]
-             * rows[states[None, :] - per_level[l] + K]
-             for l in range(L1 - 1)]
+    spend = [ctx.transmit_prob * pi[1 + l] * rows[1:] for l in range(L1 - 1)]
     idle_weighted = ctx.transmit_prob * pi[0] * idle  # dead level never drains
+    del rows, idle  # held through the batch loop, they raise its peak RSS by ~1 MB
 
     j_table = sensor_j_divergence(ctx.mu[:, None], (states * unit_power)[None, :],
                                   ctx.coeffs, ctx.noise_var)
@@ -627,16 +626,12 @@ def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
     feasible = 0
     for start in range(0, total, batch):
         idx = np.arange(start, min(start + batch, total))
-        sub = idx.copy()
-        level_idx = []
-        for cnt in reversed(counts):
-            level_idx.append(sub % cnt)
-            sub //= cnt
-        level_idx.reverse()
+        # a lone dead level leaves no digit to decode
+        level_idx = np.unravel_index(idx, counts) if counts else ()
         M = np.broadcast_to(base + idle_weighted, (idx.size, K + 1, K + 1)).copy()
         alphas = []
         for l in range(L1 - 1):
-            sel = per_level[l][level_idx[l]]
+            sel = choices[level_idx[l]]
             alphas.append(sel)
             M += spend[l][level_idx[l]]
         psi = stationary_solve(M)
@@ -660,14 +655,8 @@ def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
 
     if best_idx < 0:
         raise ValueError("no feasible unit map under the budget")
-    sub = best_idx
-    chosen = []
-    for cnt in reversed(counts):
-        chosen.append(sub % cnt)
-        sub //= cnt
-    chosen.reverse()
-    units = np.vstack([np.zeros(K + 1, dtype=np.int64)] +
-                      [per_level[l][chosen[l]] for l in range(L1 - 1)])
+    chosen = np.unravel_index(best_idx, counts)
+    units = np.vstack([np.zeros(K + 1, dtype=np.int64)] + [choices[c] for c in chosen])
     return ExhaustiveResult(
         objective_j=best_j,
         units=units,

@@ -125,6 +125,34 @@ def test_transition_matrix_rejects_bad_shape():
         transition_matrix(np.zeros((2, 3), dtype=int), gp, arr, 0.5)
 
 
+def test_transition_matrix_rejects_drains_outside_the_state():
+    gp, arr, _ = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
+    for bad in ([0, -1, 0, 0], [0, 2, 2, 3]):
+        with pytest.raises(ValueError, match=r"\[0, k\]"):
+            transition_matrix(np.array([[0, 0, 0, 0], bad]), gp, arr, 0.5)
+
+
+@given(st.integers(1, 12), st.integers(0, 3), st.floats(0.0, 1.0),
+       st.integers(0, 10 ** 9))
+@settings(max_examples=100, deadline=None)
+def test_transition_matrix_matches_brute_force(capacity, live_levels, tp, seed):
+    rng = np.random.default_rng(seed)
+    pmf = np.concatenate(([0.0], rng.dirichlet(np.ones(capacity))))
+    pi = rng.dirichlet(np.ones(live_levels + 1))
+    gp = GainLevelProbs(pi=pi, thresholds=(0.0, *range(1, live_levels + 1), math.inf))
+    alpha = rng.integers(0, np.arange(1, capacity + 2),
+                         size=(live_levels + 1, capacity + 1))
+    # every level, both branches, every arrival count: drain, bank, cap at K
+    expected = np.zeros((capacity + 1, capacity + 1))
+    for l in range(live_levels + 1):
+        for k in range(capacity + 1):
+            for weight, a in ((tp * pi[l], alpha[l, k]), ((1.0 - tp) * pi[l], 0)):
+                for j in range(capacity + 1):
+                    expected[k, min(k - a + j, capacity)] += weight * pmf[j]
+    M = transition_matrix(alpha, gp, ArrivalUnitPmf(pmf=pmf), tp)
+    np.testing.assert_allclose(M, expected, rtol=0.0, atol=1e-13)
+
+
 @given(st.integers(2, 10), st.floats(0.1, 3.0), st.floats(0.0, 1.0),
        st.integers(0, 10 ** 9))
 @settings(max_examples=100, deadline=None)

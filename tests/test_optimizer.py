@@ -432,6 +432,17 @@ def test_exhaustive_toy_is_self_consistent(toy_scenario):
     assert ep == pytest.approx(res.expected_power, rel=1e-10)
 
 
+def test_exhaustive_with_only_the_dead_level(toy_scenario):
+    # no live level, so the one candidate map never drains
+    sensor = replace(toy_scenario.sensors[0], thresholds=(0.0, math.inf))
+    res = exhaustive_best_map(replace(toy_scenario, sensors=(sensor,)))
+    K = toy_scenario.network.capacity
+    assert (res.candidates, res.feasible) == (1, 1)
+    np.testing.assert_array_equal(res.units, np.zeros((1, K + 1), dtype=np.int64))
+    assert res.expected_power == 0.0
+    assert res.psi.psi[K] == 1.0
+
+
 def test_optimizer_matches_exact_rescoring_on_toy(toy_scenario, toy_outcome):
     j, ep, psis = evaluate_unit_map(toy_scenario, toy_outcome.power_map.units)
     assert j == pytest.approx(toy_outcome.objective_j, rel=1e-5)
