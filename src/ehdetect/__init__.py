@@ -52,7 +52,6 @@ from .optimizer import (
     ExhaustiveResult,
     KktReport,
     OptimizationOutcome,
-    OptimizerSettings,
     clamp_power,
     evaluate_unit_map,
     exhaustive_best_map,

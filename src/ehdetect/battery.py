@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+# Policy-iteration rounds of the battery fixed point. It has no tolerance: it
+# stops exactly when the unit map repeats, or raises after this many rounds.
+MAX_ROUNDS = 1_000
+
+
 class ConvergenceError(RuntimeError):
     """A fixed-point iteration failed to settle."""
 
@@ -262,7 +267,7 @@ def stationary_oracle(alpha, gain_probs: GainLevelProbs, arrivals: ArrivalUnitPm
     return BatteryDistribution(psi=stationary_solve(M))
 
 
-def steady_state_psi(chains, alpha_update, max_iters: int = 100_000):
+def steady_state_psi(chains, alpha_update):
     """Policy iteration on the unit maps until they repeat.
 
     chains is one ChainSpec per sensor; alpha_update maps the current list of
@@ -271,7 +276,7 @@ def steady_state_psi(chains, alpha_update, max_iters: int = 100_000):
     the exact stationary law of its chain under the round's unit map. Stops
     when a round returns the previous round's maps, whose stationary laws it
     was given, so they are a fixed point. A repeat of any older round raises
-    ConvergenceError naming the period, as does the iteration cap; the
+    ConvergenceError naming the period, as does the MAX_ROUNDS cap; the
     residual is the sup-norm change of the last law update.
 
     Every exit returns, or attaches to the error, the distributions the last
@@ -286,7 +291,7 @@ def steady_state_psi(chains, alpha_update, max_iters: int = 100_000):
 
     seen: dict[bytes, int] = {}
     residual = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ROUNDS + 1):
         alphas = alpha_update(psis)
         key = b"".join(np.asarray(a, dtype=np.int64).tobytes() for a in alphas)
         first = seen.setdefault(key, it)
@@ -295,10 +300,10 @@ def steady_state_psi(chains, alpha_update, max_iters: int = 100_000):
         if first < it:
             raise ConvergenceError(f"unit maps oscillate with period {it - first}",
                                    it, residual, psis=psis)
-        if it == max_iters:
+        if it == MAX_ROUNDS:
             break
         nxt = [stationary_oracle(a, c.gain_probs, c.arrivals, c.transmit_prob)
                for a, c in zip(alphas, chains)]
         residual = max(float(np.max(np.abs(n.psi - p.psi))) for n, p in zip(nxt, psis))
         psis = nxt
-    raise ConvergenceError("iteration cap exceeded", max_iters, residual, psis=psis)
+    raise ConvergenceError("iteration cap exceeded", MAX_ROUNDS, residual, psis=psis)

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# absolute and relative tolerance of the adaptive quadrature yardstick
+_QUAD_TOL = 1e-10
 
 
 def q_function(x: float) -> float:
@@ -159,7 +161,7 @@ def local_lrt_probabilities(amplitude: float, noise_sigma: float,
 
 
 def mixture_j_quadrature(p_f: float, p_d: float, power: float, gain: float,
-                         noise_var: float, tol: float = 1e-10) -> float:
+                         noise_var: float) -> float:
     """Numeric symmetric KL divergence between the exact received mixtures.
 
     Slow and only meant as an independent yardstick in tests: the closed-form
@@ -185,5 +187,5 @@ def mixture_j_quadrature(p_f: float, p_d: float, power: float, gain: float,
     lo = -40.0 * sigma
     hi = amp + 40.0 * sigma
     value, _ = integrate.quad(integrand, lo, hi, points=[0.0, amp],
-                              limit=400, epsabs=tol, epsrel=tol)
+                              limit=400, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
     return value

@@ -45,7 +45,6 @@ from .config import (
 from .detection import RocCoefficients, roc_coefficients, sensor_j_divergence
 
 __all__ = [
-    "OptimizerSettings",
     "KktReport",
     "OptimizationOutcome",
     "ExhaustiveResult",
@@ -63,33 +62,23 @@ __all__ = [
 # activity codes used in KktReport.active
 INTERIOR, CLAMP_CAUSALITY, CLAMP_OUTAGE, CLAMP_ZERO, LEVEL_ZERO = 0, 1, 2, 3, 4
 
+# Relative to the budget: bounds the price search's budget miss and the
+# complementary-slackness product of its certificate.
+BUDGET_TOL = 1e-6
+# Relative to the price: a root stops at its first iterate whose gain is
+# within ROOT_TOL * price of the price.
+ROOT_TOL = 1e-9
+MAX_PRICE_ITERS = 10_000  # evaluations before the price bracket counts as collapsed
+# Guard rails of the exhaustive oracle, whose candidate count is the product
+# of the per-state unit choices raised to the number of live levels.
+EXHAUSTIVE_MAX_CAPACITY = 8
+EXHAUSTIVE_MAX_LEVELS = 3
+EXHAUSTIVE_MAX_CANDIDATES = 2_000_000
+EXHAUSTIVE_BATCH = 20_000  # candidate maps per stacked linear solve
+
 # non-monotone root scan, scaled per level by the power beyond which the gain
 # is surely below the price
 _SCAN = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 8192)))
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Tolerances and caps for the two nested searches.
-
-    budget_tol is relative to the budget and bounds both the budget miss and
-    the complementary-slackness product; root_tol is relative on the
-    stationarity residual. The battery fixed point has no tolerance: it stops
-    exactly when the unit map repeats, or at max_outer_iters rounds.
-    """
-
-    budget_tol: float = 1e-6
-    root_tol: float = 1e-9
-    max_price_iters: int = 10_000
-    max_outer_iters: int = 1_000
-
-    def __post_init__(self) -> None:
-        for name in ("budget_tol", "root_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        # the certificate is the last round's price search, so one must run
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -164,8 +153,7 @@ def outage_cap(state: int, sensor: SensorParams, network: NetworkParams) -> floa
     return joules / network.slot_seconds
 
 
-def stationarity_root(lam: float, mu, coeffs: RocCoefficients,
-                      noise_var: float, root_tol: float = 1e-9):
+def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float):
     """Power where the marginal divergence gain equals the price lam.
 
     Vectorized over mu: an array of gains gives an array of roots. Returns 0.0
@@ -183,7 +171,7 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients,
     9.4) on gain**-0.5 = lam**-0.5, which is linear in power when one term of
     the gain is live. As in rtsafe, a step that leaves the bracket, or that
     is over half the step before last, bisects instead. Each level stops at
-    its first iterate whose residual is within root_tol * lam, so a level's
+    its first iterate whose residual is within ROOT_TOL * lam, so a level's
     root does not depend on the other levels in the call.
     """
     m = np.asarray(mu, dtype=float)
@@ -196,11 +184,11 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients,
     if lam <= 0.0:
         out[live] = math.inf
     elif np.any(live):
-        out[live] = _live_roots(lam, m[live], coeffs, noise_var, root_tol)
+        out[live] = _live_roots(lam, m[live], coeffs, noise_var)
     return float(out) if out.ndim == 0 else out
 
 
-def _live_roots(lam, mu, coeffs, noise_var, root_tol):
+def _live_roots(lam, mu, coeffs, noise_var):
     """stationarity_root on a 1-D array of positive gains and a positive price."""
     slope1, slope2 = coeffs.slopes
     out = np.full(mu.size, -1.0)
@@ -233,7 +221,7 @@ def _live_roots(lam, mu, coeffs, noise_var, root_tol):
         g, dg = _gain_and_derivative(lo, mu, coeffs, noise_var)
     if not np.any(solve):
         return out
-    # start at the f > 0 end; a level freezes at its first iterate within root_tol
+    # start at the f > 0 end; a level freezes at its first iterate within ROOT_TOL
     p, lo, hi, mu_s = lo[solve], lo[solve], hi[solve], mu[solve]
     g, dg = g[solve], dg[solve]
     done = np.zeros(p.size, dtype=bool)
@@ -254,7 +242,7 @@ def _live_roots(lam, mu, coeffs, noise_var, root_tol):
             above = g > lam
             lo = np.where(above, p, lo)
             hi = np.where(above, hi, p)
-            done |= np.abs(g - lam) <= root_tol * lam
+            done |= np.abs(g - lam) <= ROOT_TOL * lam
             if done.all():
                 break
     out[solve] = p
@@ -326,18 +314,12 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     )
 
 
-def _roots_for(ctx: _SensorCtx, lam: float, root_tol: float) -> np.ndarray:
-    """Stationarity roots for levels 0..L (index 0 is the dead level)."""
-    roots = np.zeros(ctx.mu.size)
-    roots[1:] = stationarity_root(lam, ctx.mu[1:], ctx.coeffs, ctx.noise_var, root_tol)
-    return roots
-
-
-def _map_for_lambda(lam: float, ctxs, network: NetworkParams, root_tol: float):
+def _map_for_lambda(lam: float, ctxs, network: NetworkParams):
     """Clamped power tables and raw roots for every sensor at one price."""
     powers, roots = [], []
     for ctx in ctxs:
-        r = _roots_for(ctx, lam, root_tol)
+        r = np.zeros(ctx.mu.size)  # index 0 is the dead level
+        r[1:] = stationarity_root(lam, ctx.mu[1:], ctx.coeffs, ctx.noise_var)
         P = np.zeros((ctx.mu.size, ctx.phi.size))
         P[1:, :] = clamp_power(r[1:, None], np.arange(ctx.phi.size), ctx.phi, network)
         powers.append(P)
@@ -364,10 +346,9 @@ def _objective(powers, psi_arrays, ctxs) -> float:
     return total
 
 
-def _lambda_search(psi_arrays, ctxs, network: NetworkParams,
-                   settings: OptimizerSettings, budget: float | None):
+def _lambda_search(psi_arrays, ctxs, network: NetworkParams):
     """Price, power tables, roots, expected power, flags, and price evaluations."""
-    B = network.power_budget if budget is None else float(budget)
+    B = network.power_budget
     flags: list[str] = []
     lam_max = max(ctx.lambda_ceiling for ctx in ctxs)
     evaluations = 0
@@ -375,15 +356,10 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams,
     def ep_at(lam: float):
         nonlocal evaluations
         evaluations += 1
-        powers, roots = _map_for_lambda(lam, ctxs, network, settings.root_tol)
+        powers, roots = _map_for_lambda(lam, ctxs, network)
         return powers, roots, _expected_power(powers, psi_arrays, ctxs)
 
-    if B <= 0.0:
-        powers, roots, ep = ep_at(lam_max)
-        flags.append("nonpositive budget: every level priced out")
-        return lam_max, powers, roots, ep, flags, evaluations
-
-    tol_abs = settings.budget_tol * B
+    tol_abs = BUDGET_TOL * B
     powers0, roots0, ep0 = ep_at(0.0)
     if ep0 <= B + tol_abs:
         return 0.0, powers0, roots0, ep0, flags, evaluations
@@ -395,7 +371,7 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams,
     at_hi = ep_at(hi)
     f_lo, f_hi = ep0 - B, at_hi[2] - B
     moved = None  # the end the previous step replaced
-    for _ in range(settings.max_price_iters):
+    for _ in range(MAX_PRICE_ITERS):
         lam = lo + (hi - lo) * f_lo / (f_lo - f_hi)
         if not lo < lam < hi:
             lam = 0.5 * (lo + hi)
@@ -418,20 +394,17 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams,
     return (hi, *at_hi, flags, evaluations)
 
 
-def lambda_search(psis, scenario: Scenario, settings: OptimizerSettings | None = None,
-                  budget: float | None = None):
+def lambda_search(psis, scenario: Scenario):
     """Find the budget price for fixed battery distributions.
 
     Returns (lambda_star, power_map, expected_power). The expected power is
     evaluated with the clamped continuous powers under the given
     distributions; the map also carries the rounded unit counts.
     """
-    settings = settings or OptimizerSettings()
     net = scenario.network
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     psi_arrays = [p.psi for p in psis]
-    lam, powers, _roots, ep, _flags, _evals = _lambda_search(psi_arrays, ctxs, net,
-                                                             settings, budget)
+    lam, powers, _roots, ep, _flags, _evals = _lambda_search(psi_arrays, ctxs, net)
     units = _units(powers, net)
     pmap = PowerMap(powers=tuple(powers), units=tuple(units),
                     unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
@@ -471,8 +444,7 @@ def _kkt_report(lam, powers, roots, ctxs, network, ep) -> KktReport:
     )
 
 
-def optimize_power_map(scenario: Scenario,
-                       settings: OptimizerSettings | None = None) -> OptimizationOutcome:
+def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
     """Joint price search and battery fixed point for a whole scenario.
 
     Policy iteration: given the current battery distributions, price the
@@ -484,7 +456,6 @@ def optimize_power_map(scenario: Scenario,
     reported through the converged flag and the warnings list instead of
     raising, so callers can still inspect the last iterate.
     """
-    settings = settings or OptimizerSettings()
     net = scenario.network
     notes: list[str] = []
     for i, ok in enumerate(validate_convex_region(scenario.sensors)):
@@ -503,14 +474,13 @@ def optimize_power_map(scenario: Scenario,
 
     def update(psis):
         nonlocal last, price_evaluations
-        last = _lambda_search([p.psi for p in psis], ctxs, net, settings, None)
+        last = _lambda_search([p.psi for p in psis], ctxs, net)
         price_evaluations += last[-1]
         return _units(last[1], net)
 
     converged = True
     try:
-        psis, iters = steady_state_psi(chains, update,
-                                       max_iters=settings.max_outer_iters)
+        psis, iters = steady_state_psi(chains, update)
     except ConvergenceError as exc:
         converged = False
         psis = exc.psis
@@ -569,9 +539,7 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
             _expected_power(powers, psi_arrays, ctxs), psis)
 
 
-def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
-                        max_levels: int = 3, max_candidates: int = 2_000_000,
-                        batch: int = 20_000) -> ExhaustiveResult:
+def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     """Enumerate every admissible integer unit map of a tiny single-sensor scenario.
 
     Admissible means the per-entry causality and outage caps hold; feasible
@@ -585,10 +553,10 @@ def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
     sensor = scenario.sensors[0]
     K = net.capacity
     L1 = sensor.level_count
-    if K > max_capacity or (L1 - 1) > max_levels:
+    if K > EXHAUSTIVE_MAX_CAPACITY or (L1 - 1) > EXHAUSTIVE_MAX_LEVELS:
         raise ValueError(
-            f"scenario too large for exhaustive search (capacity {K} > {max_capacity} "
-            f"or levels {L1 - 1} > {max_levels})"
+            f"scenario too large for exhaustive search (capacity {K} > "
+            f"{EXHAUSTIVE_MAX_CAPACITY} or levels {L1 - 1} > {EXHAUSTIVE_MAX_LEVELS})"
         )
     ctx = _sensor_context(net, sensor)
     unit_power = net.unit_power
@@ -598,12 +566,13 @@ def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
 
     # every live level picks its row from the same per-state unit choices;
     # a candidate map is one mixed-radix number with a digit per live level
+    counts = (int(np.prod(amax + 1)),) * (L1 - 1)
+    total = math.prod(counts)
+    if total > EXHAUSTIVE_MAX_CANDIDATES:
+        raise ValueError(
+            f"{total} candidate maps exceed the {EXHAUSTIVE_MAX_CANDIDATES} cap")
     choices = np.array(list(itertools.product(*[range(a + 1) for a in amax])),
                        dtype=np.int64)
-    counts = (choices.shape[0],) * (L1 - 1)
-    total = choices.shape[0] ** (L1 - 1)
-    if total > max_candidates:
-        raise ValueError(f"{total} candidate maps exceed the {max_candidates} cap")
 
     rows = _drain_rows(np.vstack([np.zeros(K + 1, dtype=np.int64), choices]),
                        ctx.arrivals)
@@ -624,8 +593,8 @@ def exhaustive_best_map(scenario: Scenario, max_capacity: int = 8,
     best_psi = None
     best_ep = math.nan
     feasible = 0
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total))
+    for start in range(0, total, EXHAUSTIVE_BATCH):
+        idx = np.arange(start, min(start + EXHAUSTIVE_BATCH, total))
         # a lone dead level leaves no digit to decode
         level_idx = np.unravel_index(idx, counts) if counts else ()
         M = np.broadcast_to(base + idle_weighted, (idx.size, K + 1, K + 1)).copy()

@@ -33,6 +33,10 @@ __all__ = [
     "run_monte_carlo",
 ]
 
+# map_marginal fusion evaluates this many slots per (slots x states) block,
+# which bounds the block's memory independently of the run length
+_FUSION_CHUNK = 65_536
+
 
 @dataclass(frozen=True)
 class SensorStreams:
@@ -211,7 +215,7 @@ def _binary_llr(t_sig: np.ndarray, t0: np.ndarray, p_f: float, p_d: float) -> np
 
 
 def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None = None,
-               psis=None, chunk: int = 65_536) -> np.ndarray:
+               psis=None) -> np.ndarray:
     """Per-slot fusion statistic, summed over sensors.
 
     The network's fc_knowledge picks the statistic. genie: the center knows
@@ -239,8 +243,8 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
         pos = psis[n].psi > 0.0
         log_psi[pos] = np.log(psis[n].psi[pos])
         inv = 1.0 / (2.0 * sensor.noise_var)
-        for start in range(0, slots, chunk):
-            sl = slice(start, min(start + chunk, slots))
+        for start in range(0, slots, _FUSION_CHUNK):
+            sl = slice(start, min(start + _FUSION_CHUNK, slots))
             y = batch.outputs[n][sl]
             amp = np.sqrt(batch.gains[n][sl, None] * table[batch.levels[n][sl]])
             t_sig = logsumexp(log_psi[None, :] - (y[:, None] - amp) ** 2 * inv, axis=1)

@@ -21,6 +21,7 @@ from ehdetect import (
     transition_matrix,
     transmit_probability,
 )
+import ehdetect.battery
 
 EDGES = (0.0, 0.1, 0.3, 0.6, 1.2, math.inf)
 
@@ -234,7 +235,7 @@ def test_steady_state_detects_oscillation():
     # alternating maps never repeat the previous round, so the third round's
     # repeat of the first is a period-2 cycle
     with pytest.raises(ConvergenceError, match="oscillat.*period 2") as err:
-        steady_state_psi([chain], flip, max_iters=10_000)
+        steady_state_psi([chain], flip)
     assert err.value.iterations == 3
     assert len(calls) == 3
 
@@ -251,7 +252,7 @@ def test_steady_state_names_the_exact_period():
         return [maps[(len(seen) - 1) % 5]]
 
     with pytest.raises(ConvergenceError, match="period 5") as err:
-        steady_state_psi([chain], cycle, max_iters=1_000)
+        steady_state_psi([chain], cycle)
     assert err.value.iterations == 6
     # the error carries the laws the last update saw: the fifth map's
     assert err.value.psis is seen[-1]
@@ -259,14 +260,15 @@ def test_steady_state_names_the_exact_period():
                                   stationary_oracle(maps[4], gp, arr, 0.4).psi)
 
 
-def test_steady_state_iteration_cap():
+def test_steady_state_iteration_cap(monkeypatch):
     gp, arr, chain = _single_level_chain(
         5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
     # a new unit map every round, so only the cap can stop the loop
     maps = iter([np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), c)])
                  for c in (1, 2, 3)])
+    monkeypatch.setattr(ehdetect.battery, "MAX_ROUNDS", 3)
     with pytest.raises(ConvergenceError, match="cap") as err:
-        steady_state_psi([chain], lambda psis: [next(maps)], max_iters=3)
+        steady_state_psi([chain], lambda psis: [next(maps)])
     assert err.value.iterations == 3
     assert err.value.psis is not None
     assert len(err.value.psis) == 1

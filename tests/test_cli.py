@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ehdetect import ConvergenceError, ScenarioError, optimize_power_map
+from ehdetect import ConvergenceError, ScenarioError, emit_scenario, optimize_power_map
 from ehdetect.cli import (
     CALIBRATION_SEED_OFFSET,
     EXIT_CONVERGENCE,
@@ -15,6 +15,7 @@ from ehdetect.cli import (
     read_table,
     write_table,
 )
+import ehdetect.battery
 
 WIDE_SCENARIO = """\
 [network]
@@ -204,6 +205,23 @@ def test_sweep_marks_partial_output(tmp_path, scenario_dir, monkeypatch):
     assert len(rows) == 1  # the completed prefix survives
 
 
+def test_sweep_reports_why_a_point_did_not_converge(tmp_path, scenario_dir,
+                                                    monkeypatch, capsys):
+    # one round prices the full-battery start, whose unit map cannot repeat yet
+    monkeypatch.setattr(ehdetect.battery, "MAX_ROUNDS", 1)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--scenario", _toy(scenario_dir), "--out", str(out),
+                 "--variable", "power_budget", "--values", "2,4",
+                 "--skip-simulation"])
+    assert code == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "warning: battery fixed point did not settle" in err
+    assert "residual=nan" not in err
+    meta, rows = read_table(out)
+    assert meta["incomplete"] == "true"
+    assert rows == []
+
+
 def test_sweep_spec_rejects_bad_requests():
     with pytest.raises(ScenarioError, match="variable"):
         SweepSpec(variable="noise_floor", values=(1.0,))
@@ -236,6 +254,36 @@ def test_validate_passes_on_bundled_scenarios(scenario_dir, capsys):
     text = capsys.readouterr().out
     assert "FAIL" not in text
     assert "SKIP exhaustive" in text  # capacity 100 exceeds the guard
+
+
+def test_validate_skips_the_oracle_when_its_guard_refuses(tmp_path, toy_scenario,
+                                                          capsys):
+    # capacity 6 passes the size limits but not the candidate cap
+    path = tmp_path / "toy6.scn"
+    emit_scenario(replace(toy_scenario,
+                          network=replace(toy_scenario.network, capacity=6)), path)
+    assert main(["validate", "--scenario", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "FAIL" not in text
+    assert "SKIP exhaustive: 25401600 candidate maps exceed the 2000000 cap" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--samples", "0"],
+    ["simulate", "--target-pf", "1.5"],
+    ["simulate", "--warmup", "-3"],
+    ["simulate", "--seed", "-1"],
+    ["sweep", "--variable", "power_budget", "--values", "1,x"],
+])
+def test_bad_numeric_arguments_exit_with_input_code(tmp_path, scenario_dir, argv,
+                                                    capsys):
+    argv = [argv[0], "--scenario", _toy(scenario_dir),
+            "--out", str(tmp_path / "out"), *argv[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "expected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_scenario_maps_to_io_exit(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ehdetect import (
     BatteryDistribution,
-    OptimizerSettings,
     clamp_power,
     evaluate_unit_map,
     exhaustive_best_map,
@@ -21,6 +20,7 @@ from ehdetect import (
     stationarity_root,
     units_from_power,
 )
+import ehdetect.battery
 import ehdetect.optimizer
 from ehdetect.optimizer import (
     CLAMP_CAUSALITY,
@@ -28,6 +28,7 @@ from ehdetect.optimizer import (
     CLAMP_ZERO,
     INTERIOR,
     LEVEL_ZERO,
+    ROOT_TOL,
 )
 
 
@@ -113,13 +114,13 @@ def test_root_residual_meets_tolerance():
             if root in (-1.0, math.inf):
                 continue
             gain = marginal_divergence_gain(root, mu, coeffs, 1.0)
-            assert abs(gain - lam) <= 1e-9 * lam
+            assert abs(gain - lam) <= ROOT_TOL * lam
 
 
 def test_crawling_newton_steps_still_meet_the_tolerance(monkeypatch):
     # a 50x too steep derivative makes every Newton step 1/50 of the right
     # one; 220 such steps still leave about 1% of the gap, so only the
-    # bisections forced by the slow-progress test can reach root_tol
+    # bisections forced by the slow-progress test can reach ROOT_TOL
     real = ehdetect.optimizer._gain_and_derivative
 
     def steep(p, mu, coeffs, noise_var, derivative=True):
@@ -133,7 +134,7 @@ def test_crawling_newton_steps_still_meet_the_tolerance(monkeypatch):
             root = stationarity_root(lam, mu, coeffs, 1.0)
             assert root > 0.0 and math.isfinite(root)
             gain = marginal_divergence_gain(root, mu, coeffs, 1.0)
-            assert abs(gain - lam) <= 1e-9 * lam
+            assert abs(gain - lam) <= ROOT_TOL * lam
 
 
 def test_root_decreases_in_price():
@@ -201,19 +202,18 @@ def test_roots_meet_the_tolerance_at_the_smallest_crossing(p_f, spread, lam, mus
                                                           noise_var):
     # inside the band (p_f <= 1/2 <= p_d) and outside it on either slope
     coeffs = roc_coefficients(p_f, p_f + spread * (0.98 - p_f))
-    root_tol = OptimizerSettings().root_tol
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        roots = stationarity_root(lam, np.array(mus), coeffs, noise_var, root_tol)
+        roots = stationarity_root(lam, np.array(mus), coeffs, noise_var)
     for mu, root in zip(mus, roots):
         if not (root > 0.0 and math.isfinite(root)):
             continue
         gain = marginal_divergence_gain(root, mu, coeffs, noise_var)
-        assert abs(gain - lam) <= root_tol * lam
+        assert abs(gain - lam) <= ROOT_TOL * lam
         # f = gain - lam keeps the sign of f(0) on [0, root): no earlier crossing
         grid = np.linspace(0.0, root, 4097)[:-1]
         f = marginal_divergence_gain(grid, mu, coeffs, noise_var) - lam
-        assert np.all(np.sign(f[0]) * f > -root_tol * lam)
+        assert np.all(np.sign(f[0]) * f > -ROOT_TOL * lam)
 
 
 def test_root_rejects_bad_inputs():
@@ -284,8 +284,9 @@ def test_units_fund_the_power(two_sensor_scenario, power, state):
 
 
 def test_price_is_zero_under_a_loose_budget(toy_scenario, toy_outcome):
-    lam, pmap, ep = lambda_search(toy_outcome.psi_star, toy_scenario,
-                                  budget=1e6)
+    loose = replace(toy_scenario,
+                    network=replace(toy_scenario.network, power_budget=1e6))
+    lam, pmap, ep = lambda_search(toy_outcome.psi_star, loose)
     assert lam == 0.0
     assert ep <= 1e6
 
@@ -308,8 +309,9 @@ def test_price_evaluations_are_counted(two_sensor_outcome):
 
 def test_binding_budget_price_meets_the_budget(toy_scenario, toy_outcome):
     budget = 0.1  # binding: the unconstrained spend is ~0.53
-    lam_bis, _, ep_bis = lambda_search(toy_outcome.psi_star, toy_scenario,
-                                       budget=budget)
+    binding = replace(toy_scenario,
+                      network=replace(toy_scenario.network, power_budget=budget))
+    lam_bis, _, ep_bis = lambda_search(toy_outcome.psi_star, binding)
     assert lam_bis > 0.0
     assert abs(ep_bis - budget) <= 1e-6 * budget / max(1.0, lam_bis) + 1e-12
 
@@ -451,10 +453,9 @@ def test_optimizer_matches_exact_rescoring_on_toy(toy_scenario, toy_outcome):
     assert all(np.array_equal(a.psi, b.psi) for a, b in zip(psis, toy_outcome.psi_star))
 
 
-def test_outer_cap_keeps_the_last_rounds_certificate(toy_scenario):
-    with pytest.raises(ValueError, match="max_outer_iters"):
-        OptimizerSettings(max_outer_iters=0)
-    out = optimize_power_map(toy_scenario, OptimizerSettings(max_outer_iters=1))
+def test_outer_cap_keeps_the_last_rounds_certificate(toy_scenario, monkeypatch):
+    monkeypatch.setattr(ehdetect.battery, "MAX_ROUNDS", 1)
+    out = optimize_power_map(toy_scenario)
     assert not out.converged and out.outer_iterations == 1
     assert any("did not settle" in w for w in out.warnings)
     # the one round priced the full-battery start, and that is what comes back

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -44,3 +46,17 @@ def test_csv_fingerprint_covers_every_table():
     assert [line.split("  ", 1)[1] for line in lines] == expected
     for line in lines:
         assert re.fullmatch(r"[0-9a-f]{64}", line.split("  ", 1)[0])
+
+
+def test_every_traced_name_resolves():
+    # a traced benchmark run patches these names by lookup, so deleting or
+    # renaming one breaks only the traced runs; loaded from its file, without
+    # registering the benchmark package
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for module_name, attr, _span in tracing.PATCHES:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
