@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from ehdetect import (
     BatteryDistribution,
@@ -16,7 +19,8 @@ from ehdetect import (
     simulate_slots,
     step_episode,
 )
-from ehdetect.simulator import SimBatch
+from ehdetect import simulator
+from ehdetect.simulator import SimBatch, _merged_components
 
 
 def _with_network(scenario, **changes):
@@ -196,6 +200,129 @@ def test_map_marginal_requires_psis(toy_scenario):
     batch = _one_slot_batch(1.0, 1.0)
     with pytest.raises(ValueError, match="psis"):
         fusion_llr(batch, _with_network(toy_scenario, fc_knowledge="map_marginal"))
+
+
+def _marginal_setup(scenario):
+    sc = _with_network(scenario, fc_knowledge="map_marginal")
+    pmap = _spend_one_map(sc)
+    batch = simulate_slots(sc, pmap, 8, make_streams(3, sc.num_sensors))
+    psi = np.full(sc.network.capacity + 1, 1.0 / (sc.network.capacity + 1))
+    return sc, pmap, batch, BatteryDistribution(psi=psi)
+
+
+@pytest.mark.parametrize("count, missing", [(1, "sensor 1 has none"),
+                                            (3, r"psis\[2\] matches no sensor")])
+def test_map_marginal_names_the_sensor_a_psi_count_misses(two_sensor_scenario, count, missing):
+    sc, pmap, batch, psi = _marginal_setup(two_sensor_scenario)
+    with pytest.raises(ValueError, match=missing):
+        fusion_llr(batch, sc, pmap, psis=(psi,) * count)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_map_marginal_names_the_sensor_whose_psi_has_the_wrong_length(
+        two_sensor_scenario, extra):
+    sc, pmap, batch, psi = _marginal_setup(two_sensor_scenario)
+    K = sc.network.capacity
+    wrong = BatteryDistribution(psi=np.full(K + 1 + extra, 1.0 / (K + 1 + extra)))
+    with pytest.raises(ValueError, match=f"sensor 1: psi covers {K + 1 + extra} battery states"):
+        fusion_llr(batch, sc, pmap, psis=(psi, wrong))
+
+
+def test_map_marginal_rejects_levels_outside_the_map(toy_scenario):
+    sc, pmap, batch, psi = _marginal_setup(toy_scenario)
+    levels = batch.levels.copy()
+    levels[0, -1] = toy_scenario.sensors[0].level_count
+    with pytest.raises(ValueError, match="sensor 0: batch levels must lie in 0..2"):
+        fusion_llr(replace(batch, levels=levels), sc, pmap, psis=(psi,))
+
+
+def test_merged_components_add_the_mass_of_equal_powers(toy_scenario):
+    K = toy_scenario.network.capacity
+    psi = np.linspace(0.5, 1.5, K + 1)
+    psi /= psi.sum()
+    # a flat map merges every level to one component carrying all the mass
+    for powers, masses in _merged_components(_zero_map(toy_scenario).powers[0], psi):
+        np.testing.assert_array_equal(powers, [0.0])
+        assert masses == pytest.approx([psi.sum()], abs=1e-15)
+    # spend-one is flat over the charged states only, so the empty state is
+    # a second component at each live level until its mass is zero
+    table = _spend_one_map(toy_scenario).powers[0]
+    assert [p.size for p, _ in _merged_components(table, psi)] == [1, 2, 2]
+    psi[0] = 0.0
+    assert [p.size for p, _ in _merged_components(table, psi / psi.sum())] == [1, 1, 1]
+    # any map: each level's merged masses sum to one
+    out = optimize_power_map(toy_scenario)
+    for powers, masses in _merged_components(out.power_map.powers[0], out.psi_star[0].psi):
+        assert np.unique(powers).size == powers.size
+        assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _per_state_llr(batch, scenario, power_map, psis):
+    # the mixture over all K+1 battery states, one log-sum-exp term per state
+    total = np.zeros(batch.hypothesis.size)
+    for n, sensor in enumerate(scenario.sensors):
+        with np.errstate(divide="ignore"):
+            log_psi = np.log(psis[n].psi)
+        inv = 1.0 / (2.0 * sensor.noise_var)
+        y = batch.outputs[n]
+        amp = np.sqrt(batch.gains[n][:, None] * power_map.powers[n][batch.levels[n]])
+        t_sig = logsumexp(log_psi[None, :] - (y[:, None] - amp) ** 2 * inv, axis=1)
+        t0 = -(y ** 2) * inv
+        num = np.logaddexp(math.log(sensor.p_d) + t_sig, math.log1p(-sensor.p_d) + t0)
+        den = np.logaddexp(math.log(sensor.p_f) + t_sig, math.log1p(-sensor.p_f) + t0)
+        total += num - den
+    return total
+
+
+@st.composite
+def _marginal_cases(draw, toy):
+    K = draw(st.integers(1, 6))
+    level_count = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sensors, powers, units, psis = [], [], [], []
+    for _ in range(draw(st.integers(1, 2))):
+        edges = (0.0,) + tuple(0.5 * i for i in range(1, level_count)) + (math.inf,)
+        sensors.append(replace(toy.sensors[0], thresholds=edges,
+                               noise_var=draw(st.sampled_from([0.25, 1.0, 4.0]))))
+        # at most two units per slot, so powers tie across states
+        u = np.zeros((level_count, K + 1), dtype=np.int64)
+        for level in range(1, level_count):
+            u[level] = [draw(st.integers(0, min(k, 2))) for k in range(K + 1)]
+        u[draw(st.integers(1, level_count - 1))] = 0  # one live level left dead
+        units.append(u)
+        powers.append(u * toy.network.unit_power)
+        weights = np.array([draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])) for _ in range(K + 1)])
+        weights[draw(st.integers(0, K))] = 1.0  # at least one state holds mass
+        psis.append(BatteryDistribution(psi=weights / weights.sum()))
+    scenario = replace(toy, sensors=tuple(sensors), network=replace(
+        toy.network, capacity=K, fc_knowledge="map_marginal"))
+    pmap = PowerMap(powers=tuple(powers), units=tuple(units),
+                    unit_energy=toy.network.unit_energy, slot_seconds=toy.network.slot_seconds)
+    slots = draw(st.integers(1, 40))
+    N = len(sensors)
+    scale = draw(st.sampled_from([1.0, 10.0]))  # 10 pushes every term far below zero
+    batch = SimBatch(
+        hypothesis=rng.integers(0, 2, slots).astype(np.int8),
+        gains=rng.exponential(1.0, (N, slots)),
+        levels=rng.integers(0, level_count, (N, slots)),
+        states=np.zeros((N, slots), dtype=np.int64),
+        transmit=np.ones((N, slots), dtype=np.int8),
+        amplitudes=np.zeros((N, slots)),
+        outputs=rng.normal(0.0, scale, (N, slots)),
+        batteries=(K,) * N,
+    )
+    return scenario, pmap, tuple(psis), batch
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_merged_mixture_matches_the_per_state_reference(toy_scenario, data):
+    scenario, pmap, psis, batch = data.draw(_marginal_cases(toy_scenario))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_FUSION_CHUNK", 3)  # several blocks per level
+        llr = fusion_llr(batch, scenario, pmap, psis=psis)
+    np.testing.assert_allclose(llr, _per_state_llr(batch, scenario, pmap, psis),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_zero_map_statistic_is_numerical_dust(toy_scenario):
