@@ -7,11 +7,13 @@ each) and the benchmark's oracle_check scenarios for seeds 1-20 (the eight
 toy-shaped points of one cycle per seed, 160 in all). For each solve it
 prints one line:
 
-    <sha256 of the unit maps>  <outer_iterations>  <objective_j, 6 digits>  <label>
+    <sha256 of the unit maps>  <outer_iterations>  <price_evaluations>  <objective_j, 6 digits>  <label>
 
 A numeric refactor whose CSVs move only in the last digits is checked by
-diffing this output before and after it: the first two columns must match
-on every line. The objective column is for orientation; a move far below
+diffing this output before and after it: the first three columns must match
+on every line. A change to the roots that moves the price search's path
+shows in the price_evaluations column even when the unit maps come out the
+same. The objective column is for orientation; a move far below
 one part in 10^6 can still flip its last printed digit, so judge a
 difference there by the size of the move. Run from the repository root,
 pointing PYTHONPATH at the library under test:
@@ -86,7 +88,7 @@ def main(argv=None) -> int:
         for label, scenario in scenarios(args.smoke):
             out = optimize_power_map(scenario)
             print(f"{fingerprint(out)}  {out.outer_iterations}  "
-                  f"{out.objective_j:.6g}  {label}")
+                  f"{out.price_evaluations}  {out.objective_j:.6g}  {label}")
     return 0
 
 

@@ -5,11 +5,14 @@ average-power budget, per-state causality (a slot cannot drain more than the
 battery holds), and a per-state outage cap. For a fixed battery distribution
 the problem separates: each (sensor, level) pair has a stationarity power
 where the marginal divergence gain equals the budget price, clamped into the
-feasible interval; each root is a safeguarded Newton iteration. The price
-is found on the monotone expected power by regula falsi (Illinois variant)
-with a bisection fallback. The battery distributions are then replaced by the
-exact stationary laws of the resulting integer unit map, and the two steps
-repeat (policy iteration) until the unit map comes back unchanged.
+feasible interval. Each level's root is its own safeguarded Newton iteration
+on Python floats: a call has only a handful of levels, and numpy's per-call
+overhead on such small arrays would outweigh the few dozen float operations
+of a step. The price is found on the monotone expected power by regula
+falsi (Illinois variant) with a bisection fallback. The battery
+distributions are then replaced by the exact stationary laws of the
+resulting integer unit map, and the two steps repeat (policy iteration)
+until the unit map comes back unchanged.
 """
 
 from __future__ import annotations
@@ -135,19 +138,19 @@ def _gain_and_derivative(p, mu, coeffs: RocCoefficients, noise_var: float,
     return t1 + t2, -2.0 * mu * (coeffs.den1 * t1 / d1 + coeffs.den2 * t2 / d2)
 
 
-def outage_cap(state: int, sensor: SensorParams, network: NetworkParams) -> float:
+def outage_cap(state, sensor: SensorParams, network: NetworkParams):
     """Largest slot power that keeps the battery-drop constraint satisfiable.
 
     The constraint demands the next battery stay above drop_fraction * state
     with probability outage_confidence. Only the spend branch can violate it,
     so the cap solves the exponential-tail inequality in closed form; when the
     transmit prior already absorbs the allowed failure mass the cap is vacuous
-    (+inf).
+    (+inf). Vectorized: an array of states gives an array of caps.
     """
     prior_h1 = network.prior_h1
     slack = prior_h1 - 1.0 + sensor.outage_confidence
     if slack <= 0.0:
-        return math.inf
+        return math.inf if np.ndim(state) == 0 else np.full(np.shape(state), math.inf)
     joules = (-network.mean_harvest * math.log(slack / prior_h1)
               - state * network.unit_energy * (network.drop_fraction - 1.0))
     return joules / network.slot_seconds
@@ -156,34 +159,39 @@ def outage_cap(state: int, sensor: SensorParams, network: NetworkParams) -> floa
 def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float):
     """Power where the marginal divergence gain equals the price lam.
 
-    Vectorized over mu: an array of gains gives an array of roots. Returns 0.0
+    Takes a scalar gain or an array of gains (one root per entry). Returns 0.0
     on a dead level (mu == 0) and +inf when lam <= 0 (the gain stays positive,
     so nothing stops the power short of the clamps). When even the zero-power
     gain is at or below the price there is no positive root and the sentinel
-    -1.0 is returned for the positive-part clamp to absorb.
+    -1.0 is returned for the positive-part clamp to absorb; lam = +inf prices
+    every level out this way. A NaN lam, a NaN, infinite or negative mu, and
+    a noise_var that is not finite and positive raise ValueError.
 
     Every term of the gain is below lam/2 beyond a closed-form power p_big.
     Inside the concavity band the gain is strictly decreasing, so [0, p_big]
     brackets the only crossing; outside it the gain may be non-monotone, in
-    which case the smallest crossing on a dense scan of [0, p_big] is
-    bracketed instead and a RuntimeWarning is emitted. Both brackets feed one
-    safeguarded Newton iteration (rtsafe, Press et al., Numerical Recipes
-    9.4) on gain**-0.5 = lam**-0.5, which is linear in power when one term of
-    the gain is live. As in rtsafe, a step that leaves the bracket, or that
-    is over half the step before last, bisects instead. Each level stops at
-    its first iterate whose residual is within ROOT_TOL * lam, so a level's
-    root does not depend on the other levels in the call.
+    which case the smallest crossing on a dense scan of [0, p_big] (all
+    levels at once) is bracketed instead and a RuntimeWarning is emitted.
+    Each level's bracket then feeds its own safeguarded Newton iteration
+    (rtsafe, Press et al., Numerical Recipes 9.4) on gain**-0.5 = lam**-0.5,
+    which is linear in power when one term of the gain is live. As in
+    rtsafe, a step that leaves the bracket, or that is over half the step
+    before last, bisects instead. A level stops at its first iterate whose
+    residual is within ROOT_TOL * lam, so its root does not depend on the
+    other levels in the call.
     """
     m = np.asarray(mu, dtype=float)
-    if np.any(m < 0.0):
-        raise ValueError("mu must be >= 0")
-    if noise_var <= 0.0:
-        raise ValueError("noise_var must be > 0")
+    if not ((m >= 0.0) & (m < math.inf)).all():
+        raise ValueError("mu must be finite and >= 0")
+    if not 0.0 < noise_var < math.inf:
+        raise ValueError("noise_var must be finite and > 0")
+    if math.isnan(lam):
+        raise ValueError("lam must not be NaN")
     out = np.zeros(m.shape)
     live = m > 0.0
     if lam <= 0.0:
         out[live] = math.inf
-    elif np.any(live):
+    elif live.any():
         out[live] = _live_roots(lam, m[live], coeffs, noise_var)
     return float(out) if out.ndim == 0 else out
 
@@ -191,62 +199,86 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float)
 def _live_roots(lam, mu, coeffs, noise_var):
     """stationarity_root on a 1-D array of positive gains and a positive price."""
     slope1, slope2 = coeffs.slopes
-    out = np.full(mu.size, -1.0)
-    # beyond p_big both terms are within lam/2 of zero, so f < 0 for sure
-    p_big = np.ones(mu.size)
-    for slope, den in ((slope1, coeffs.den1), (slope2, coeffs.den2)):
-        need = np.sqrt(np.maximum(abs(slope) * noise_var * mu / (0.5 * lam), 1e-30))
-        p_big = np.maximum(p_big, (need + noise_var) / (den * mu))
+    mus = mu.tolist()
     if slope1 >= 0.0 and slope2 >= 0.0:
         # the gain decreases, so [0, p_big] holds the only crossing
-        lo, hi = np.zeros(mu.size), p_big
-        g, dg = _gain_and_derivative(lo, mu, coeffs, noise_var)
-        solve = g > lam
-    else:
-        warnings.warn(
-            "operating point outside the concavity band: marginal gain may be "
-            "non-monotone; returning the smallest stationary power",
-            RuntimeWarning,
-        )
-        grid = p_big[:, None] * _SCAN
-        vals = marginal_divergence_gain(grid.T, mu, coeffs, noise_var).T - lam
-        change = np.diff(np.sign(vals), axis=1) != 0
-        solve = change.any(axis=1)
-        out[~solve & (vals[:, 0] > 0.0)] = math.inf
-        rows = np.arange(mu.size)
-        i = np.argmax(change, axis=1)
-        lo, hi = grid[rows, i], grid[rows, i + 1]
-        flip = vals[rows, i] < 0.0  # orient so f(lo) > 0 > f(hi)
-        lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
-        g, dg = _gain_and_derivative(lo, mu, coeffs, noise_var)
-    if not np.any(solve):
-        return out
-    # start at the f > 0 end; a level freezes at its first iterate within ROOT_TOL
-    p, lo, hi, mu_s = lo[solve], lo[solve], hi[solve], mu[solve]
-    g, dg = g[solve], dg[solve]
-    done = np.zeros(p.size, dtype=bool)
+        roots = []
+        for m in mus:
+            g, dg = _gain_and_derivative(0.0, m, coeffs, noise_var)
+            if g > lam:
+                hi = _p_big(lam, m, coeffs, noise_var)
+                roots.append(_rtsafe(lam, m, 0.0, hi, g, dg, coeffs, noise_var))
+            else:
+                roots.append(-1.0)
+        return roots
+    warnings.warn(
+        "operating point outside the concavity band: marginal gain may be "
+        "non-monotone; returning the smallest stationary power",
+        RuntimeWarning,
+    )
+    out = np.full(mu.size, -1.0)
+    grid = np.array([_p_big(lam, m, coeffs, noise_var) for m in mus])[:, None] * _SCAN
+    vals = marginal_divergence_gain(grid.T, mu, coeffs, noise_var).T - lam
+    change = np.diff(np.sign(vals), axis=1) != 0
+    solve = change.any(axis=1)
+    out[~solve & (vals[:, 0] > 0.0)] = math.inf
+    rows = np.flatnonzero(solve)
+    i = np.argmax(change[rows], axis=1)
+    lo, hi = grid[rows, i], grid[rows, i + 1]
+    flip = vals[rows, i] < 0.0  # orient so f(lo) > 0 > f(hi)
+    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    g, dg = _gain_and_derivative(lo, mu[rows], coeffs, noise_var)
+    for r, m, a, b, ga, dga in zip(rows, mu[rows].tolist(), lo.tolist(),
+                                   hi.tolist(), g.tolist(), dg.tolist()):
+        out[r] = _rtsafe(lam, m, a, b, ga, dga, coeffs, noise_var)
+    return out
+
+
+def _p_big(lam, mu, coeffs, noise_var):
+    """A power beyond which both terms of the gain are within lam/2 of zero."""
+    p_big = 1.0
+    try:
+        for slope, den in zip(coeffs.slopes, (coeffs.den1, coeffs.den2)):
+            need = math.sqrt(max(abs(slope) * noise_var * mu / (0.5 * lam), 1e-30))
+            p_big = max(p_big, (need + noise_var) / (den * mu))
+    except ZeroDivisionError:  # a price or gain so small that a divisor underflows
+        return math.inf
+    return p_big
+
+
+def _rtsafe(lam, mu, lo, hi, g, dg, coeffs, noise_var):
+    """One level's root in [lo, hi] on Python floats.
+
+    g > lam and dg are the gain and its slope at lo, the f > 0 end, where the
+    iteration starts. Returns the first iterate within ROOT_TOL * lam, or the
+    last of 220.
+    """
+    p = lo
     # the last step and the one before it; rtsafe starts mid-bracket with
     # both at the bracket width, this loop starts at an end, so twice that
-    dx = dx_old = 2.0 * np.abs(hi - lo)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(220):
+    dx = dx_old = 2.0 * abs(hi - lo)
+    for _ in range(220):
+        ok, ratio = False, g / lam
+        # a zero slope or a negative ratio makes the float64 Newton step
+        # infinite or NaN, which fails the tests below: bisect without it
+        if dg != 0.0 and ratio >= 0.0:
             # Newton on g**-0.5 = lam**-0.5, exact when one term of the gain is live
-            newton = 2.0 * g * (1.0 - np.sqrt(g / lam)) / dg
-            step, size, mid = p + newton, np.abs(newton), 0.5 * (lo + hi)
+            newton = 2.0 * g * (1.0 - math.sqrt(ratio)) / dg
+            step, size = p + newton, abs(newton)
             # bisect when the step leaves the bracket or is over half the step
             # before last, so a crawling Newton sequence still halves the bracket
-            ok = ((step - lo) * (step - hi) < 0.0) & (size + size <= dx_old)
-            dx_old, dx = dx, np.where(ok, size, np.abs(hi - mid))
-            p = np.where(done, p, np.where(ok, step, mid))
-            g, dg = _gain_and_derivative(p, mu_s, coeffs, noise_var)
-            above = g > lam
-            lo = np.where(above, p, lo)
-            hi = np.where(above, hi, p)
-            done |= np.abs(g - lam) <= ROOT_TOL * lam
-            if done.all():
-                break
-    out[solve] = p
-    return out
+            ok = (step - lo) * (step - hi) < 0.0 and size + size <= dx_old
+        mid = 0.5 * (lo + hi)
+        dx_old, dx = dx, (size if ok else abs(hi - mid))
+        p = step if ok else mid
+        g, dg = _gain_and_derivative(p, mu, coeffs, noise_var)
+        if g > lam:
+            lo = p
+        else:
+            hi = p
+        if abs(g - lam) <= ROOT_TOL * lam:
+            break
+    return p
 
 
 def clamp_power(p_prime, state, phi, network: NetworkParams):
@@ -297,7 +329,7 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     gp = gain_level_probs(sensor.mean_gain, sensor.thresholds)
     arr = arrival_unit_pmf(network.mean_harvest, network.unit_energy, network.capacity)
     states = np.arange(network.capacity + 1, dtype=float)
-    phi = np.array([outage_cap(int(k), sensor, network) for k in range(network.capacity + 1)])
+    phi = outage_cap(np.arange(network.capacity + 1), sensor, network)
     mu = np.asarray(sensor.thresholds[:-1], dtype=float)
     slope1, slope2 = coeffs.slopes
     ceiling = (max(slope1, 0.0) + max(slope2, 0.0)) * float(mu.max()) / sensor.noise_var

@@ -76,6 +76,21 @@ def test_outage_cap_vacuous_when_prior_absorbs_failures(two_sensor_scenario):
         assert outage_cap(50, sensor, net) == math.inf
 
 
+def test_outage_cap_over_a_state_array_equals_the_scalar_calls(two_sensor_scenario):
+    net = two_sensor_scenario.network
+    states = np.arange(net.capacity + 1)
+    for sensor in two_sensor_scenario.sensors:
+        caps = outage_cap(states, sensor, net)
+        scalar = np.array([outage_cap(int(k), sensor, net) for k in states])
+        assert caps.shape == states.shape
+        assert caps.tobytes() == scalar.tobytes()
+    # the vacuous cap takes the shape of the states it is asked for
+    vacuous = replace(two_sensor_scenario.sensors[0], outage_confidence=0.4)
+    for shape in ((net.capacity + 1,), (2, 3)):
+        caps = outage_cap(np.zeros(shape, dtype=np.int64), vacuous, net)
+        assert caps.shape == shape and np.all(caps == math.inf)
+
+
 # ---------------------------------------------------------------------------
 # stationarity roots
 
@@ -94,6 +109,9 @@ def test_root_dead_level_and_free_price():
     assert stationarity_root(0.3, 0.0, coeffs, 1.0) == 0.0
     assert stationarity_root(0.0, 0.6, coeffs, 1.0) == math.inf
     assert stationarity_root(-1.0, 0.6, coeffs, 1.0) == math.inf
+    # a positive price so small that lam / 2 underflows leaves the bracket
+    # end unbounded, also where a zero ROC slope (p_d = 1/2) makes it 0 / 0
+    assert stationarity_root(5e-324, 1.0, roc_coefficients(0.2, 0.5), 1.0) == math.inf
 
 
 def test_root_critical_price():
@@ -222,6 +240,149 @@ def test_root_rejects_bad_inputs():
         stationarity_root(0.1, -0.5, coeffs, 1.0)
     with pytest.raises(ValueError, match="noise_var"):
         stationarity_root(0.1, 0.5, coeffs, 0.0)
+
+
+def test_root_rejects_non_finite_inputs():
+    coeffs = roc_coefficients(0.2, 0.9)
+    nan, inf = math.nan, math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no invalid-value warning gets through
+        for lam, mu, noise_var, name in (
+                (0.1, nan, 1.0, "mu"),
+                (0.1, np.array([0.5, nan]), 1.0, "mu"),
+                (0.1, inf, 1.0, "mu"),
+                (nan, 0.5, 1.0, "lam"),
+                (0.1, 0.5, nan, "noise_var"),
+                (0.1, 0.5, inf, "noise_var")):
+            with pytest.raises(ValueError, match=name):
+                stationarity_root(lam, mu, coeffs, noise_var)
+        # an infinite price prices every live level out
+        roots = stationarity_root(inf, np.array([0.0, 0.5, 2.0]), coeffs, 1.0)
+    assert roots.tolist() == [0.0, -1.0, -1.0]
+
+
+def _masked_newton_roots(lam, mu, coeffs, noise_var):
+    """The masked array Newton iteration that solved all levels of a call at
+    once, kept verbatim as the reference for the per-level kernel."""
+    opt = ehdetect.optimizer
+    m = np.asarray(mu, dtype=float)
+    out = np.zeros(m.shape)
+    live = m > 0.0
+    if lam <= 0.0:
+        out[live] = math.inf
+        return out
+    if not np.any(live):
+        return out
+    mu = m[live]
+    slope1, slope2 = coeffs.slopes
+    res = np.full(mu.size, -1.0)
+    # beyond p_big both terms are within lam/2 of zero, so f < 0 for sure
+    p_big = np.ones(mu.size)
+    for slope, den in ((slope1, coeffs.den1), (slope2, coeffs.den2)):
+        need = np.sqrt(np.maximum(abs(slope) * noise_var * mu / (0.5 * lam), 1e-30))
+        p_big = np.maximum(p_big, (need + noise_var) / (den * mu))
+    if slope1 >= 0.0 and slope2 >= 0.0:
+        # the gain decreases, so [0, p_big] holds the only crossing
+        lo, hi = np.zeros(mu.size), p_big
+        g, dg = opt._gain_and_derivative(lo, mu, coeffs, noise_var)
+        solve = g > lam
+    else:
+        grid = p_big[:, None] * opt._SCAN
+        vals = marginal_divergence_gain(grid.T, mu, coeffs, noise_var).T - lam
+        change = np.diff(np.sign(vals), axis=1) != 0
+        solve = change.any(axis=1)
+        res[~solve & (vals[:, 0] > 0.0)] = math.inf
+        rows = np.arange(mu.size)
+        i = np.argmax(change, axis=1)
+        lo, hi = grid[rows, i], grid[rows, i + 1]
+        flip = vals[rows, i] < 0.0  # orient so f(lo) > 0 > f(hi)
+        lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        g, dg = opt._gain_and_derivative(lo, mu, coeffs, noise_var)
+    if np.any(solve):
+        # start at the f > 0 end; a level freezes at its first iterate within ROOT_TOL
+        p, lo, hi, mu_s = lo[solve], lo[solve], hi[solve], mu[solve]
+        g, dg = g[solve], dg[solve]
+        done = np.zeros(p.size, dtype=bool)
+        # the last step and the one before it; rtsafe starts mid-bracket with
+        # both at the bracket width, this loop starts at an end, so twice that
+        dx = dx_old = 2.0 * np.abs(hi - lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(220):
+                # Newton on g**-0.5 = lam**-0.5, exact when one term of the gain is live
+                newton = 2.0 * g * (1.0 - np.sqrt(g / lam)) / dg
+                step, size, mid = p + newton, np.abs(newton), 0.5 * (lo + hi)
+                # bisect when the step leaves the bracket or is over half the step
+                # before last, so a crawling Newton sequence still halves the bracket
+                ok = ((step - lo) * (step - hi) < 0.0) & (size + size <= dx_old)
+                dx_old, dx = dx, np.where(ok, size, np.abs(hi - mid))
+                p = np.where(done, p, np.where(ok, step, mid))
+                g, dg = opt._gain_and_derivative(p, mu_s, coeffs, noise_var)
+                above = g > lam
+                lo = np.where(above, p, lo)
+                hi = np.where(above, hi, p)
+                done |= np.abs(g - lam) <= ROOT_TOL * lam
+                if done.all():
+                    break
+        res[solve] = p
+    out[live] = res
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p_f=st.floats(0.02, 0.9),
+    spread=st.floats(0.05, 1.0),
+    lam=st.one_of(st.floats(-1.0, 0.0), st.floats(1e-4, 2.0), st.just(math.inf)),
+    mus=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)), min_size=1, max_size=5),
+    noise_var=st.floats(0.5, 2.0),
+)
+@example(p_f=0.2, spread=0.9, lam=0.05, mus=[0.0, 0.3, 1.0, 2.5], noise_var=1.0)
+@example(p_f=0.6, spread=0.3, lam=0.01, mus=[0.5, 0.0, 1.0, 2.0], noise_var=1.0)
+@example(p_f=0.1, spread=0.3, lam=0.01, mus=[0.5, 1.0, 2.0], noise_var=1.0)
+@example(p_f=0.3, spread=0.5, lam=-0.5, mus=[0.0, 1.0], noise_var=1.0)
+# divisors of the bracket end that underflow to zero: den2 * mu, lam / 2
+@example(p_f=1e-300, spread=0.9, lam=1e-31, mus=[1e-30, 1.0], noise_var=1.0)
+@example(p_f=0.6, spread=0.3, lam=0.1, mus=[5e-324, 1.0], noise_var=1.0)
+@example(p_f=0.2, spread=0.9, lam=5e-324, mus=[1.0, 0.5], noise_var=1.0)
+def test_per_level_roots_equal_the_masked_array_iteration(p_f, spread, lam, mus,
+                                                          noise_var):
+    # inside the band and outside it on either slope (p_d < 1/2 or p_f > 1/2),
+    # dead levels, free and infinite prices: the same bits, not just close
+    coeffs = roc_coefficients(p_f, p_f + spread * (0.98 - p_f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        roots = stationarity_root(lam, np.array(mus), coeffs, noise_var)
+        reference = _masked_newton_roots(lam, mus, coeffs, noise_var)
+    # byte equality is == on every root that also tells -0.0 from 0.0 and
+    # matches NaN with NaN
+    assert roots.tobytes() == reference.tobytes(), (roots.tolist(), reference.tolist())
+
+
+@pytest.mark.parametrize("patch", [
+    # a zero slope: the float64 Newton step is infinite or NaN
+    lambda g, dg: (g, None if dg is None else 0.0 * dg),
+    # a gain that turns negative past the crossing: sqrt(g / lam) is NaN there
+    lambda g, dg: (g - 0.02, dg),
+], ids=["zero_slope", "negative_gain"])
+def test_invalid_newton_steps_bisect_like_the_masked_array_iteration(monkeypatch,
+                                                                    patch):
+    # where the array iteration's Newton step is NaN or infinite it bisects;
+    # the per-level kernel must bisect at the same iterates, without raising
+    real = ehdetect.optimizer._gain_and_derivative
+
+    def patched(p, mu, coeffs, noise_var, derivative=True):
+        return patch(*real(p, mu, coeffs, noise_var, derivative))
+
+    monkeypatch.setattr(ehdetect.optimizer, "_gain_and_derivative", patched)
+    for p_f, p_d in ((0.2, 0.9), (0.6, 0.7), (0.1, 0.3)):
+        coeffs = roc_coefficients(p_f, p_d)
+        mus = [0.3, 1.0, 2.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            roots = stationarity_root(0.001, np.array(mus), coeffs, 1.0)
+        reference = _masked_newton_roots(0.001, mus, coeffs, 1.0)
+        assert roots.tolist() == reference.tolist()
+        assert np.any(roots > 0.0)
 
 
 # ---------------------------------------------------------------------------

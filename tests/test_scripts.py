@@ -22,12 +22,14 @@ def test_unit_map_fingerprint_smoke():
     # the script builds its grid and oracle scenarios from perfbench; one
     # solve of each kind keeps that wiring honest
     lines = _run_script("unit_map_fingerprint.py", "--smoke")
-    labels = [line.split("  ", 3)[3] for line in lines]
+    labels = [line.split("  ", 4)[4] for line in lines]
     assert labels == ["toy.scn", "grid h=2 K=100 B=1", "oracle seed=1 item=0"]
     for line in lines:
-        digest, rounds, j, _label = line.split("  ", 3)
+        digest, rounds, evaluations, j, _label = line.split("  ", 4)
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
         assert int(rounds) >= 1
+        # at least one price evaluation per round
+        assert int(evaluations) >= int(rounds)
         assert float(j) > 0.0
 
 
