@@ -171,7 +171,10 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float)
     Inside the concavity band the gain is strictly decreasing, so [0, p_big]
     brackets the only crossing; outside it the gain may be non-monotone, in
     which case the smallest crossing on a dense scan of [0, p_big] (all
-    levels at once) is bracketed instead and a RuntimeWarning is emitted.
+    levels at once) is bracketed instead and a RuntimeWarning is emitted. A
+    level whose zero-power gain without its negative-slope term is at or
+    below lam cannot rise above the price at any power; it returns -1.0,
+    and its scan stays at zero power.
     Each level's bracket then feeds its own safeguarded Newton iteration
     (rtsafe, Press et al., Numerical Recipes 9.4) on gain**-0.5 = lam**-0.5,
     which is linear in power when one term of the gain is live. As in
@@ -217,7 +220,18 @@ def _live_roots(lam, mu, coeffs, noise_var):
         RuntimeWarning,
     )
     out = np.full(mu.size, -1.0)
-    grid = np.array([_p_big(lam, m, coeffs, noise_var) for m in mus])[:, None] * _SCAN
+    # A term of the gain is at most its zero-power value, and at most 0 where
+    # its slope is negative. So a level whose positive terms sum to lam or
+    # less at zero power never rises above the price: its scan stays at
+    # p = 0, where it finds no crossing and the level is priced out. This
+    # also keeps out a gain so small that p_big overflows, whose scan would
+    # start at inf * 0 = NaN. The bound repeats the operations of
+    # _gain_and_derivative at p = 0, so it bounds the computed gains too.
+    s = noise_var
+    pos1, pos2 = max(slope1, 0.0) * s, max(slope2, 0.0) * s
+    ends = [_p_big(lam, m, coeffs, noise_var) if pos1 * m / (s * s) + pos2 * m / (s * s) > lam
+            else 0.0 for m in mus]
+    grid = np.array(ends)[:, None] * _SCAN
     vals = marginal_divergence_gain(grid.T, mu, coeffs, noise_var).T - lam
     change = np.diff(np.sign(vals), axis=1) != 0
     solve = change.any(axis=1)

@@ -5,11 +5,17 @@ stream plus gain/decision/noise/energy per sensor), and every stream is drawn
 exactly once per slot whether or not the value ends up used. That discipline
 makes single-slot stepping and whole-batch simulation produce bit-identical
 sample paths, and keeps runs comparable across fusion or transmit variants.
+
+The battery recursion is the one sequential step. It runs as a speculative
+chunked walk: chunks of slots are guessed in numpy lockstep and then checked
+in order, and any chunk that started from a wrong guess is repaired slot by
+slot. The path is the same as a slot-by-slot loop would give.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,11 @@ __all__ = [
 # 3 MB and stays in cache across its in-place passes; 1 024 to 16 384 slots
 # time the same on the bundled maps.
 _FUSION_CHUNK = 4_096
+# The battery walk guesses chunks of about sqrt(slots) slots, at most this
+# many, in lockstep. sqrt balances the lockstep steps (one per slot of a
+# chunk) against the sequential check (one per chunk); past the cap longer
+# runs only widen each lockstep step, which costs less per slot.
+_WALK_CHUNK = 192
 
 
 @dataclass(frozen=True)
@@ -121,15 +132,40 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
                    streams: Streams, batteries=None) -> SimBatch:
     """Run `slots` consecutive slots and record the full sample path.
 
-    The only sequential part is the battery recursion; draws, quantization,
-    and channel outputs are vectorized. Batteries continue from `batteries`
-    (default: full). The network's transmit_prob_model decides who transmits.
+    Draws, quantization, and channel outputs are vectorized; each sensor's
+    battery recursion runs as a speculative chunked walk (`_walk`) with the
+    same result as stepping it slot by slot. Batteries continue from
+    `batteries`, one whole number of units in 0..capacity per sensor
+    (default: full). `slots` = 0 returns them unchanged. The network's
+    transmit_prob_model decides who transmits. Raises ValueError on a
+    negative or non-integer `slots`, on streams for another sensor count, on
+    a bad battery (naming the sensor), and on power tables whose shape does
+    not match the sensor.
     """
     net = scenario.network
     N = scenario.num_sensors
     K = net.capacity
-    if batteries is None:
-        batteries = tuple(K for _ in range(N))
+    if not isinstance(slots, numbers.Integral) or slots < 0:
+        raise ValueError(f"slots must be a whole number >= 0, got {slots!r}")
+    if len(streams.sensors) != N:
+        raise ValueError(f"streams cover {len(streams.sensors)} sensors, the scenario has {N}")
+    batteries = (K,) * N if batteries is None else tuple(batteries)
+    if len(batteries) != N:
+        why = (f"sensor {len(batteries)} has none" if len(batteries) < N
+               else f"batteries[{N}] matches no sensor")
+        raise ValueError(f"need one battery per sensor: got {len(batteries)} "
+                         f"for {N} sensors; {why}")
+    for n, (sensor, b) in enumerate(zip(scenario.sensors, batteries)):
+        if not isinstance(b, numbers.Integral) or not 0 <= b <= K:
+            raise ValueError(f"sensor {n}: battery must be a whole number of units "
+                             f"in 0..{K}, got {b!r}")
+        # with a table of another shape the walk's flat next-state table
+        # would read a neighbouring row instead of failing
+        shape = (sensor.level_count, K + 1)
+        if n >= len(power_map.units) or power_map.units[n].shape != shape:
+            raise ValueError(f"sensor {n}: the power map needs a {shape[0]} x {shape[1]} "
+                             "(levels x battery states) table")
+    batteries = tuple(int(b) for b in batteries)
 
     hyp = (streams.hypothesis.random(slots) < net.prior_h1).astype(np.int8)
     gains = np.empty((N, slots))
@@ -153,23 +189,9 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
             u = np.where(hyp == 1, dec < sensor.p_d, dec < sensor.p_f).astype(np.int8)
         beta = np.ceil(en / net.unit_energy).astype(np.int64)
 
-        # sequential battery walk over plain Python ints
-        alpha_rows = [row.tolist() for row in power_map.units[n]]
-        lv_list = lv.tolist()
-        u_list = u.tolist()
-        beta_list = beta.tolist()
-        b = int(batteries[n])
-        out_states = states[n]
-        for t in range(slots):
-            out_states[t] = b
-            if u_list[t]:
-                b -= alpha_rows[lv_list[t]][b]
-            b += beta_list[t]
-            if b > K:
-                b = K
-        end.append(b)
+        end.append(_walk(power_map.units[n], (lv + 1) * u, beta, batteries[n], states[n]))
 
-        p = power_map.powers[n][lv, out_states]
+        p = power_map.powers[n][lv, states[n]]
         a = np.sqrt(g * p)
         gains[n] = g
         levels[n] = lv
@@ -187,6 +209,115 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         outputs=outputs,
         batteries=tuple(end),
     )
+
+
+def _walk(units: np.ndarray, codes: np.ndarray, harvest: np.ndarray, start: int,
+          out: np.ndarray) -> int:
+    """One sensor's battery path: writes the start-of-slot states to `out`.
+
+    Slot t drains units[level][b] from battery b when it transmits, which
+    codes[t] = level + 1 says (0: silent), then banks harvest[t] units up to
+    the capacity K. Returns the battery after the last slot.
+
+    The path from a known state is fixed, and two paths that reach one state
+    agree from then on; paths from different states meet at the clamp or
+    after a drain (the coupling of Propp & Wilson 1996). So the slots are cut
+    into chunks and guessed in parallel, then checked in order:
+
+    1. Every chunk walks in numpy lockstep, chunk 0 from `start` and every
+       other chunk from a full battery.
+    2. The chunks whose guessed start missed the end step 1 gave the chunk
+       before them walk again from that end.
+    3. A Python loop over the chunk boundaries carries the true battery.
+       Where it differs from a chunk's start, the chunk is walked slot by slot
+       until it meets its guessed path, or to its end.
+
+    Correctness rests on step 3 alone. Steps 1 and 2 only make it rare that
+    it has to walk a slot, and if no paths meet it walks every slot once.
+    """
+    T = codes.size
+    if T == 0:
+        return start
+    K = units.shape[1] - 1
+    width = K + 1
+    S = min(_WALK_CHUNK, math.isqrt(T))
+    C = -(-T // S)
+    # table[c * width + b] is battery b after the drain of code c
+    table = np.concatenate((np.arange(width), (np.arange(width) - units).ravel()))
+    offsets = _slot_major(codes * width, S, C)
+    banked = _slot_major(harvest, S, C)
+    guess = np.full(C, K, dtype=np.int64)
+    guess[0] = start
+    path = _lockstep(table, offsets, banked, guess, K)
+    redo = np.flatnonzero(path[0, 1:] != path[S, :-1]) + 1
+    if redo.size:
+        path[:, redo] = _lockstep(table, offsets[:, redo], banked[:, redo],
+                                  path[S, redo - 1], K)
+    starts, ends = path[0].tolist(), path[S].tolist()
+    steps = table.tolist()
+    b = ends[0]
+    for c in range(1, C):
+        if b == starts[c]:
+            b = ends[c]
+        else:
+            b = _rejoin(steps, offsets[:, c].tolist(), banked[:, c].tolist(), path[:, c], b, K)
+    out[:] = path[:S].T.reshape(-1)[:T]
+    return b
+
+
+def _slot_major(values: np.ndarray, S: int, C: int) -> np.ndarray:
+    """`values` cut into C chunks of S slots, as an (S, C) array: row s holds
+    slot s of every chunk, so a lockstep step reads one contiguous row. The
+    last chunk is padded with zeros, a silent slot that banks nothing."""
+    out = np.zeros((S, C), dtype=np.int64)
+    full = values.size // S
+    out[:, :full] = values[:full * S].reshape(full, S).T
+    if full < C:
+        out[:values.size - full * S, full] = values[full * S:]
+    return out
+
+
+def _lockstep(table: np.ndarray, offsets: np.ndarray, banked: np.ndarray,
+              starts: np.ndarray, K: int) -> np.ndarray:
+    """Walk every column of the (S, C) slot arrays at once from `starts`.
+
+    Returns the (S + 1, C) states: row s is the state before slot s of each
+    chunk, row S the state after its last slot.
+    """
+    S = offsets.shape[0]
+    path = np.empty((S + 1, starts.size), dtype=np.int64)
+    path[0] = starts
+    index = np.empty(starts.size, dtype=np.intp)
+    for s in range(S):
+        np.add(offsets[s], path[s], out=index)
+        after = path[s + 1]
+        # every index is a code row plus a state in 0..K, so none is clipped
+        table.take(index, out=after, mode="clip")
+        after += banked[s]
+        np.minimum(after, K, out=after)
+    return path
+
+
+def _rejoin(steps: list, offsets: list, banked: list, path: np.ndarray, b: int, K: int) -> int:
+    """Walk one chunk from its true start `b` on Python ints.
+
+    Overwrites the chunk's guessed `path` (S + 1 states, the last its end)
+    until the true state meets it; from there the guess is the true path.
+    Returns the chunk's true end.
+    """
+    guess = path.tolist()
+    fixed = []
+    for s, (offset, bank) in enumerate(zip(offsets, banked)):
+        if b == guess[s]:
+            path[:s] = fixed
+            return guess[-1]
+        fixed.append(b)
+        b = steps[offset + b] + bank
+        if b > K:
+            b = K
+    fixed.append(b)
+    path[:] = fixed
+    return b
 
 
 def step_episode(scenario: Scenario, power_map: PowerMap, state: EpisodeState,

@@ -114,6 +114,25 @@ def test_root_dead_level_and_free_price():
     assert stationarity_root(5e-324, 1.0, roc_coefficients(0.2, 0.5), 1.0) == math.inf
 
 
+def test_out_of_band_gain_below_the_price_everywhere_is_priced_out(toy_scenario):
+    # outside the band, a gain so small that the scan's bracket end overflows
+    # used to scan from inf * 0 and return NaN, which failed the solve
+    coeffs = roc_coefficients(0.6, 0.71)
+    with pytest.warns(RuntimeWarning, match="concavity"):
+        roots = stationarity_root(0.5, [5e-324, 0.6], coeffs, 1.0)
+    assert roots.tolist() == [-1.0, -1.0]
+    sensor = replace(toy_scenario.sensors[0], p_f=0.6, p_d=0.71,
+                     thresholds=(0.0, 5e-324, 0.6, math.inf))
+    sc = replace(toy_scenario, sensors=(sensor,),
+                 network=replace(toy_scenario.network, power_budget=0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = optimize_power_map(sc)
+    assert out.converged
+    assert out.power_map.units[0][1].tolist() == [0] * (sc.network.capacity + 1)
+    assert out.expected_power == pytest.approx(0.1, rel=1e-6)
+
+
 def test_root_critical_price():
     # the zero-power gain at mu=0.6 prices the level out at 0.588
     coeffs = roc_coefficients(0.2, 0.9)
@@ -343,6 +362,7 @@ def _masked_newton_roots(lam, mu, coeffs, noise_var):
 # divisors of the bracket end that underflow to zero: den2 * mu, lam / 2
 @example(p_f=1e-300, spread=0.9, lam=1e-31, mus=[1e-30, 1.0], noise_var=1.0)
 @example(p_f=0.6, spread=0.3, lam=0.1, mus=[5e-324, 1.0], noise_var=1.0)
+@example(p_f=0.6, spread=0.11 / 0.38, lam=0.5, mus=[5e-324, 0.6], noise_var=1.0)
 @example(p_f=0.2, spread=0.9, lam=5e-324, mus=[1.0, 0.5], noise_var=1.0)
 def test_per_level_roots_equal_the_masked_array_iteration(p_f, spread, lam, mus,
                                                           noise_var):
@@ -353,9 +373,13 @@ def test_per_level_roots_equal_the_masked_array_iteration(p_f, spread, lam, mus,
         warnings.simplefilter("ignore", RuntimeWarning)
         roots = stationarity_root(lam, np.array(mus), coeffs, noise_var)
         reference = _masked_newton_roots(lam, mus, coeffs, noise_var)
-    # byte equality is == on every root that also tells -0.0 from 0.0 and
-    # matches NaN with NaN
-    assert roots.tobytes() == reference.tobytes(), (roots.tolist(), reference.tolist())
+    # The one intended departure: outside the band, a level whose gain can
+    # never exceed the price is priced out before the scan. The array
+    # iteration scanned it anyway and returned NaN where its bracket end
+    # overflowed (scan start inf * 0); that level's root is now -1.0.
+    expected = np.where(np.isnan(reference), -1.0, reference)
+    # byte equality is == on every root that also tells -0.0 from 0.0
+    assert roots.tobytes() == expected.tobytes(), (roots.tolist(), reference.tolist())
 
 
 @pytest.mark.parametrize("patch", [

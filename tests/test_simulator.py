@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from ehdetect import (
     BatteryDistribution,
+    EpisodeState,
     PowerMap,
     calibrate_threshold,
     fusion_llr,
@@ -27,15 +28,16 @@ def _with_network(scenario, **changes):
     return replace(scenario, network=replace(scenario.network, **changes))
 
 
-def _spend_one_map(scenario):
-    """One unit per transmission at every live level and charged state."""
+def _spend_one_map(scenario, most=1):
+    """`most` units (one by default) per transmission at every live level,
+    or the whole charge below that."""
     net = scenario.network
     K = net.capacity
     powers, units = [], []
     for sensor in scenario.sensors:
         L1 = sensor.level_count
         u = np.zeros((L1, K + 1), dtype=np.int64)
-        u[1:, 1:] = 1
+        u[1:] = np.minimum(np.arange(K + 1), most)
         powers.append(u * net.unit_power)
         units.append(u)
     return PowerMap(powers=tuple(powers), units=tuple(units),
@@ -52,25 +54,32 @@ def _zero_map(scenario):
                     slot_seconds=net.slot_seconds)
 
 
-def test_step_equals_batch(toy_scenario):
-    pmap = _spend_one_map(toy_scenario)
-    slots = 64
+def test_step_equals_batch(toy_scenario, two_sensor_scenario):
+    _assert_steps_equal_the_batch(toy_scenario, _spend_one_map(toy_scenario), 64)
+    # two sensors that drain up to 3 units a slot but bank about 1: the
+    # battery is rarely full, so the walk's full-battery guess is wrong for
+    # most of its 46 chunks
+    scenario = _with_network(two_sensor_scenario, mean_harvest=0.05)
+    batch = _assert_steps_equal_the_batch(scenario, _spend_one_map(scenario, 3), 2_000)
+    assert np.mean(batch.states == scenario.network.capacity) < 0.05
 
-    batch = simulate_slots(toy_scenario, pmap, slots,
-                           make_streams(123, toy_scenario.num_sensors))
 
-    streams = make_streams(123, toy_scenario.num_sensors)
-    state = initial_state(toy_scenario)
+def _assert_steps_equal_the_batch(scenario, pmap, slots):
+    N = scenario.num_sensors
+    batch = simulate_slots(scenario, pmap, slots, make_streams(123, N))
+    streams = make_streams(123, N)
+    state = initial_state(scenario)
     for t in range(slots):
-        record, state = step_episode(toy_scenario, pmap, state, streams)
+        record, state = step_episode(scenario, pmap, state, streams)
         assert record.hypothesis == batch.hypothesis[t]
-        assert record.levels[0] == batch.levels[0, t]
-        assert record.states[0] == batch.states[0, t]
-        assert record.transmit[0] == batch.transmit[0, t]
-        assert record.gains[0] == batch.gains[0, t]
-        assert record.outputs[0] == batch.outputs[0, t]
+        assert record.levels == tuple(batch.levels[:, t])
+        assert record.states == tuple(batch.states[:, t])
+        assert record.transmit == tuple(batch.transmit[:, t])
+        assert record.gains == tuple(batch.gains[:, t])
+        assert record.outputs == tuple(batch.outputs[:, t])
     assert state.batteries == batch.batteries
     assert state.slot == slots
+    return batch
 
 
 def test_environment_draws_do_not_depend_on_the_map(toy_scenario):
@@ -379,3 +388,136 @@ def test_warmup_advances_the_stream(toy_scenario):
     b = run_monte_carlo(toy_scenario, out.power_map, 0.0, slots=2_000, seed=4,
                         warmup=500, psis=out.psi_star)
     assert a.pd_fc != b.pd_fc  # different measured windows
+
+
+# ---------------------------------------------------------------------------
+# the chunked battery walk
+
+
+def _plain_int_walk(units, levels, transmit, harvest, start, K):
+    """The slot-by-slot loop the chunked walk replaced, kept verbatim as its
+    reference (only the loop's inputs are now arguments)."""
+    alpha_rows = [row.tolist() for row in units]
+    lv_list = levels.tolist()
+    u_list = transmit.tolist()
+    beta_list = harvest.tolist()
+    b = int(start)
+    out_states = np.empty(levels.size, dtype=np.int64)
+    for t in range(levels.size):
+        out_states[t] = b
+        if u_list[t]:
+            b -= alpha_rows[lv_list[t]][b]
+        b += beta_list[t]
+        if b > K:
+            b = K
+    return out_states, b
+
+
+@st.composite
+def _walk_cases(draw):
+    K = draw(st.integers(1, 30))
+    level_count = draw(st.integers(2, 4))  # 1-3 live levels
+    chunk = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    units = np.zeros((level_count, K + 1), dtype=np.int64)
+    slots = draw(st.one_of(
+        st.sampled_from([0, 1, 2]),
+        # a last chunk one slot short, exactly full, or one slot over
+        st.builds(lambda q, r: q * chunk + r, st.integers(1, 60), st.sampled_from([-1, 0, 1])),
+        st.integers(3, 1_500),
+    ))
+    if draw(st.booleans()):
+        # one-unit drains and one-unit harvests: two paths keep their distance
+        # until the clamp, so the guesses are wrong and the repair walks
+        units[1:, 1:] = 1
+        harvest = np.ones(slots, dtype=np.int64)
+    else:
+        # any causal map: each state drains at most its own charge
+        units[1:] = rng.integers(0, np.arange(K + 1) + 1, size=(level_count - 1, K + 1))
+        units[draw(st.integers(1, level_count - 1))] *= draw(st.sampled_from([0, 1]))
+        harvest = rng.integers(0, draw(st.sampled_from([1, 2, 3, K + 2])), slots)
+    levels = rng.integers(0, level_count, slots)
+    transmit = (rng.random(slots) < draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))).astype(np.int8)
+    start = draw(st.integers(0, K))
+    return units, levels, transmit, harvest, start, chunk
+
+
+@given(_walk_cases())
+@settings(max_examples=300, deadline=None)
+@example((np.array([[0, 0, 0], [0, 1, 1]]), np.ones(9, dtype=np.int64),
+          np.ones(9, dtype=np.int8), np.ones(9, dtype=np.int64), 0, 3))
+def test_chunked_walk_equals_the_plain_int_loop(case):
+    units, levels, transmit, harvest, start, chunk = case
+    K = units.shape[1] - 1
+    states = np.empty(levels.size, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_WALK_CHUNK", chunk)
+        end = simulator._walk(units, (levels + 1) * transmit, harvest, start, states)
+    ref_states, ref_end = _plain_int_walk(units, levels, transmit, harvest, start, K)
+    assert states.tobytes() == ref_states.tobytes()
+    assert type(end) is int and end == ref_end
+
+
+def test_second_pass_leaves_nothing_to_repair_once_paths_couple(monkeypatch):
+    # a drain of the whole charge every 10 slots, one unit banked per slot:
+    # the battery never refills, so every full-battery guess after chunk 0 is
+    # wrong, but each chunk's path couples at its first drain. The second
+    # pass restarts every chunk from its predecessor's true end.
+    K, slots = 50, 5_000
+    units = np.zeros((2, K + 1), dtype=np.int64)
+    units[1] = np.arange(K + 1)
+    codes = np.where(np.arange(slots) % 10 == 0, 2, 0)
+    harvest = np.ones(slots, dtype=np.int64)
+    repaired = []
+    rejoin = simulator._rejoin
+    monkeypatch.setattr(simulator, "_rejoin",
+                        lambda *args: repaired.append(args[-2]) or rejoin(*args))
+    states = np.empty(slots, dtype=np.int64)
+    end = simulator._walk(units, codes, harvest, K, states)
+    ref_states, ref_end = _plain_int_walk(units, codes // 2, codes // 2, harvest, K, K)
+    assert states.tobytes() == ref_states.tobytes() and end == ref_end
+    assert states[slots // 2:].max() < K  # the guesses really were wrong
+    assert repaired == []
+
+
+def test_zero_slots_return_the_start_batteries(two_sensor_scenario):
+    pmap = _spend_one_map(two_sensor_scenario)
+    batch = simulate_slots(two_sensor_scenario, pmap, 0, make_streams(1, 2), batteries=(0, 37))
+    assert batch.batteries == (0, 37)
+    assert batch.states.shape == (2, 0)
+
+
+@pytest.mark.parametrize("slots, batteries, match", [
+    (5, (-1, 100), r"sensor 0: battery must be a whole number of units in 0\.\.100, got -1"),
+    (5, (101, 100), r"sensor 0: battery .* got 101"),
+    (5, (100, 2.7), r"sensor 1: battery .* got 2\.7"),
+    (5, (100,), r"need one battery per sensor: got 1 for 2 sensors; sensor 1 has none"),
+    (5, (100, 100, 3), r"got 3 for 2 sensors; batteries\[2\] matches no sensor"),
+    (-1, None, r"slots must be a whole number >= 0, got -1"),
+    (2.0, None, r"slots must be a whole number >= 0, got 2\.0"),
+], ids=["negative", "over_capacity", "fraction", "too_few", "too_many", "negative_slots",
+        "float_slots"])
+def test_bad_batteries_and_slots_raise(two_sensor_scenario, slots, batteries, match):
+    pmap = _spend_one_map(two_sensor_scenario)
+    with pytest.raises(ValueError, match=match):
+        simulate_slots(two_sensor_scenario, pmap, slots, make_streams(1, 2), batteries=batteries)
+
+
+def test_step_episode_rejects_a_bad_battery(two_sensor_scenario):
+    pmap = _spend_one_map(two_sensor_scenario)
+    with pytest.raises(ValueError, match="sensor 1: battery"):
+        step_episode(two_sensor_scenario, pmap, EpisodeState(batteries=(100, -1)),
+                     make_streams(1, 2))
+
+
+def test_streams_for_another_sensor_count_are_rejected(two_sensor_scenario):
+    # the sensor without a stream used to keep np.empty rows and no end battery
+    with pytest.raises(ValueError, match="streams cover 1 sensors, the scenario has 2"):
+        simulate_slots(two_sensor_scenario, _spend_one_map(two_sensor_scenario), 5,
+                       make_streams(1, 1))
+
+
+def test_power_map_of_another_shape_is_rejected(toy_scenario, two_sensor_scenario):
+    # toy has 3 levels and 6 battery states, two_sensor 5 levels and 101
+    with pytest.raises(ValueError, match=r"sensor 0: the power map needs a 5 x 101"):
+        simulate_slots(two_sensor_scenario, _spend_one_map(toy_scenario), 5, make_streams(1, 2))
