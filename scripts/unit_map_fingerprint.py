@@ -27,7 +27,6 @@ import argparse
 import hashlib
 import itertools
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -82,13 +81,10 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="solve only the first scenario of each kind")
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        # out-of-band operating points warn once per root call
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for label, scenario in scenarios(args.smoke):
-            out = optimize_power_map(scenario)
-            print(f"{fingerprint(out)}  {out.outer_iterations}  "
-                  f"{out.price_evaluations}  {out.objective_j:.6g}  {label}")
+    for label, scenario in scenarios(args.smoke):
+        out = optimize_power_map(scenario)
+        print(f"{fingerprint(out)}  {out.outer_iterations}  "
+              f"{out.price_evaluations}  {out.objective_j:.6g}  {label}")
     return 0
 
 

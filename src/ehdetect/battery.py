@@ -19,7 +19,6 @@ import numpy as np
 from .config import BatteryDistribution
 
 __all__ = [
-    "ConvergenceError",
     "GainLevelProbs",
     "ArrivalUnitPmf",
     "ChainSpec",
@@ -36,18 +35,8 @@ __all__ = [
 
 
 # Policy-iteration rounds of the battery fixed point. It has no tolerance: it
-# stops exactly when the unit map repeats, or raises after this many rounds.
+# stops exactly when the unit map repeats, or gives up after this many rounds.
 MAX_ROUNDS = 1_000
-
-
-class ConvergenceError(RuntimeError):
-    """A fixed-point iteration failed to settle."""
-
-    def __init__(self, message: str, iterations: int, residual: float, psis=None):
-        super().__init__(f"{message} (iterations={iterations}, residual={residual:.3e})")
-        self.iterations = iterations
-        self.residual = residual
-        self.psis = psis
 
 
 @dataclass(frozen=True)
@@ -275,12 +264,13 @@ def steady_state_psi(chains, alpha_update):
     Starts from full batteries; each round replaces every distribution with
     the exact stationary law of its chain under the round's unit map. Stops
     when a round returns the previous round's maps, whose stationary laws it
-    was given, so they are a fixed point. A repeat of any older round raises
-    ConvergenceError naming the period, as does the MAX_ROUNDS cap; the
-    residual is the sup-norm change of the last law update.
+    was given, so they are a fixed point. It also stops on a repeat of any
+    older round, naming the period, and at the MAX_ROUNDS cap.
 
-    Every exit returns, or attaches to the error, the distributions the last
-    alpha_update call saw. Returns (distributions, iterations).
+    Returns (distributions, iterations, problem). The distributions are the
+    ones the last alpha_update call saw. problem is None at a fixed point;
+    otherwise it names the period or the cap, then the iterations and the
+    sup-norm change of the last law update (the residual).
     """
     psis = []
     for chain in chains:
@@ -296,14 +286,15 @@ def steady_state_psi(chains, alpha_update):
         key = b"".join(np.asarray(a, dtype=np.int64).tobytes() for a in alphas)
         first = seen.setdefault(key, it)
         if first == it - 1:
-            return psis, it
+            return psis, it, None
         if first < it:
-            raise ConvergenceError(f"unit maps oscillate with period {it - first}",
-                                   it, residual, psis=psis)
+            problem = f"unit maps oscillate with period {it - first}"
+            break
         if it == MAX_ROUNDS:
+            problem = "iteration cap exceeded"
             break
         nxt = [stationary_oracle(a, c.gain_probs, c.arrivals, c.transmit_prob)
                for a, c in zip(alphas, chains)]
         residual = max(float(np.max(np.abs(n.psi - p.psi))) for n, p in zip(nxt, psis))
         psis = nxt
-    raise ConvergenceError("iteration cap exceeded", MAX_ROUNDS, residual, psis=psis)
+    return psis, it, f"{problem} (iterations={it}, residual={residual:.3e})"

@@ -4,8 +4,13 @@ All CSV output is byte-deterministic for fixed inputs: floats are written
 with repr (round-trip exact), rows have a documented order, and the header
 comments carry parameters rather than timestamps.
 
-Exit codes: 0 success, 2 malformed scenario or argument or a failed check,
-3 a fixed point or price search did not converge, 4 file-system errors.
+Every command that solves a power map prints each note of the solve's
+outcome once to stderr as "warning: ...". Exit codes: 0 success, also when
+the solve noted a collapsed price bracket or an operating point outside the
+concavity band; 2 malformed scenario or argument or a failed check; 3 the
+battery fixed point did not settle (powermap still writes its tables
+flagged converged=false, sweep keeps the completed prefix, simulate writes
+nothing); 4 file-system errors.
 """
 
 from __future__ import annotations
@@ -20,14 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .battery import ConvergenceError, arrival_unit_pmf, gain_level_probs
+from .battery import arrival_unit_pmf, gain_level_probs
 from .config import (
     FC_KNOWLEDGE_MODES,
     TRANSMIT_PROB_MODELS,
     Scenario,
     ScenarioError,
     load_scenario,
-    validate_convex_region,
 )
 from .detection import (
     gaussian_j_divergence,
@@ -193,12 +197,18 @@ def _write_outcome(outdir, scenario: Scenario, outcome: OptimizationOutcome) -> 
                 ("metric", "value"), summary)
 
 
-def cmd_powermap(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+def _solve(scenario: Scenario) -> OptimizationOutcome:
+    """Optimize the power map and print each note of the outcome once to stderr."""
     outcome = optimize_power_map(scenario)
-    _write_outcome(args.out, scenario, outcome)
     for note in outcome.warnings:
         print(f"warning: {note}", file=sys.stderr)
+    return outcome
+
+
+def cmd_powermap(args) -> int:
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    outcome = _solve(scenario)
+    _write_outcome(args.out, scenario, outcome)
     print(f"power map for {scenario.num_sensors} sensor(s) written to {args.out} "
           f"(lambda_star={outcome.lambda_star:.6g}, "
           f"expected_power={outcome.expected_power:.6g} W, "
@@ -223,10 +233,8 @@ def _simulate_point(scenario: Scenario, outcome: OptimizationOutcome, args,
 
 def cmd_simulate(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    outcome = optimize_power_map(scenario)
+    outcome = _solve(scenario)
     if not outcome.converged:
-        for note in outcome.warnings:
-            print(f"warning: {note}", file=sys.stderr)
         print("power map did not converge; not simulating", file=sys.stderr)
         return EXIT_CONVERGENCE
     threshold, report = _simulate_point(
@@ -271,10 +279,8 @@ def cmd_sweep(args) -> int:
     for rank, value in enumerate(spec.values):
         point = spec.apply(scenario, value)
         try:
-            outcome = optimize_power_map(point)
+            outcome = _solve(point)
             if not outcome.converged:
-                for note in outcome.warnings:
-                    print(f"warning: {note}", file=sys.stderr)
                 print(f"sweep point {spec.variable}={value} failed: "
                       "power map did not converge", file=sys.stderr)
                 failure = EXIT_CONVERGENCE
@@ -288,11 +294,6 @@ def cmd_sweep(args) -> int:
                     args.seed + rank + CALIBRATION_SEED_OFFSET)
                 pd, pf = report.pd_fc, report.pf_fc
                 ci_pd, ci_pf = report.ci_pd, report.ci_pf
-        except ConvergenceError as exc:
-            print(f"sweep point {spec.variable}={value} failed: {exc}",
-                  file=sys.stderr)
-            failure = EXIT_CONVERGENCE
-            break
         except ScenarioError as exc:
             print(f"sweep point {spec.variable}={value} rejected: {exc}",
                   file=sys.stderr)
@@ -382,7 +383,7 @@ def cmd_validate(args) -> int:
                           f"surrogate {surrogate:.4f} >= 2, mixture KL sum {exact:.4f} >= 0"))
 
     # full optimization with certificate
-    outcome = optimize_power_map(scenario)
+    outcome = _solve(scenario)
     if not outcome.converged:
         results.append(_check("fixed-point", False,
                               "policy iteration on the unit map did not converge"))
@@ -412,11 +413,6 @@ def cmd_validate(args) -> int:
             results.append(_check(
                 "exhaustive", gap <= 1e-3,
                 f"relative gap to enumerated best {gap:.3e} (tol 1e-3)"))
-
-    for i, ok in enumerate(validate_convex_region(scenario.sensors)):
-        if not ok:
-            print(f"SKIP concavity-band sensor {i}: operating point outside the band; "
-                  "optimizer falls back to scanned roots")
 
     failed = [name for name, ok in results if not ok]
     if not outcome.converged:
@@ -515,9 +511,6 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

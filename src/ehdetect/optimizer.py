@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ import numpy as np
 from .battery import (
     ArrivalUnitPmf,
     ChainSpec,
-    ConvergenceError,
     GainLevelProbs,
     _drain_rows,
     arrival_unit_pmf,
@@ -171,10 +169,13 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float)
     Inside the concavity band the gain is strictly decreasing, so [0, p_big]
     brackets the only crossing; outside it the gain may be non-monotone, in
     which case the smallest crossing on a dense scan of [0, p_big] (all
-    levels at once) is bracketed instead and a RuntimeWarning is emitted. A
-    level whose zero-power gain without its negative-slope term is at or
-    below lam cannot rise above the price at any power; it returns -1.0,
-    and its scan stays at zero power.
+    levels at once) is bracketed instead. The call does not warn; a solve
+    reports an operating point outside the band once, as a note on its
+    OptimizationOutcome. A level whose zero-power gain without its
+    negative-slope term is at or below lam cannot rise above the price at
+    any power; it returns -1.0, and its scan stays at zero power. A level
+    that can rise above the price but whose p_big overflows (as when lam / 2
+    underflows) returns +inf on either path, as for lam <= 0.
     Each level's bracket then feeds its own safeguarded Newton iteration
     (rtsafe, Press et al., Numerical Recipes 9.4) on gain**-0.5 = lam**-0.5,
     which is linear in power when one term of the gain is live. As in
@@ -214,11 +215,6 @@ def _live_roots(lam, mu, coeffs, noise_var):
             else:
                 roots.append(-1.0)
         return roots
-    warnings.warn(
-        "operating point outside the concavity band: marginal gain may be "
-        "non-monotone; returning the smallest stationary power",
-        RuntimeWarning,
-    )
     out = np.full(mu.size, -1.0)
     # A term of the gain is at most its zero-power value, and at most 0 where
     # its slope is negative. So a level whose positive terms sum to lam or
@@ -229,13 +225,17 @@ def _live_roots(lam, mu, coeffs, noise_var):
     # _gain_and_derivative at p = 0, so it bounds the computed gains too.
     s = noise_var
     pos1, pos2 = max(slope1, 0.0) * s, max(slope2, 0.0) * s
-    ends = [_p_big(lam, m, coeffs, noise_var) if pos1 * m / (s * s) + pos2 * m / (s * s) > lam
-            else 0.0 for m in mus]
-    grid = np.array(ends)[:, None] * _SCAN
+    ends = np.array([_p_big(lam, m, coeffs, noise_var)
+                     if pos1 * m / (s * s) + pos2 * m / (s * s) > lam else 0.0
+                     for m in mus])
+    # A level that can rise above a price so small that its bracket end
+    # overflows is unbounded, as inside the band; its scan stays at p = 0.
+    unbounded = ends == math.inf
+    grid = np.where(unbounded, 0.0, ends)[:, None] * _SCAN
     vals = marginal_divergence_gain(grid.T, mu, coeffs, noise_var).T - lam
     change = np.diff(np.sign(vals), axis=1) != 0
     solve = change.any(axis=1)
-    out[~solve & (vals[:, 0] > 0.0)] = math.inf
+    out[(~solve & (vals[:, 0] > 0.0)) | unbounded] = math.inf
     rows = np.flatnonzero(solve)
     i = np.argmax(change[rows], axis=1)
     lo, hi = grid[rows, i], grid[rows, i + 1]
@@ -498,18 +498,20 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
     each battery chain for its exact stationary law. It stops when the unit
     map repeats, so psi_star is the stationary law of the returned units. The
     certificate (price, expected power, stationarity residuals, activity
-    codes) is the last price search's, made at psi_star. Non-convergence is
-    reported through the converged flag and the warnings list instead of
-    raising, so callers can still inspect the last iterate.
+    codes) is the last price search's, made at psi_star.
+
+    The outcome is the only channel for trouble: the solve neither raises
+    nor emits Python warnings over it. converged is False when the unit map
+    cycles or hits battery.MAX_ROUNDS, and the last iterate is returned for
+    inspection. warnings holds one note per condition: each sensor outside
+    the concavity band, a fixed point that did not settle, and a price
+    bracket that collapsed before meeting the budget tolerance (which leaves
+    converged True).
     """
     net = scenario.network
-    notes: list[str] = []
-    for i, ok in enumerate(validate_convex_region(scenario.sensors)):
-        if not ok:
-            msg = (f"sensor {i}: operating point outside the concavity band; "
-                   "the stationarity condition may have multiple roots")
-            notes.append(msg)
-            warnings.warn(msg, RuntimeWarning)
+    notes = [f"sensor {i}: operating point outside the concavity band; "
+             "the stationarity condition may have multiple roots"
+             for i, ok in enumerate(validate_convex_region(scenario.sensors)) if not ok]
 
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     chains = [ChainSpec(ctx.gain_probs, ctx.arrivals, ctx.transmit_prob)
@@ -524,14 +526,9 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
         price_evaluations += last[-1]
         return _units(last[1], net)
 
-    converged = True
-    try:
-        psis, iters = steady_state_psi(chains, update)
-    except ConvergenceError as exc:
-        converged = False
-        psis = exc.psis
-        iters = exc.iterations
-        notes.append(f"battery fixed point did not settle: {exc}")
+    psis, iters, problem = steady_state_psi(chains, update)
+    if problem is not None:
+        notes.append(f"battery fixed point did not settle: {problem}")
 
     psi_arrays = [p.psi for p in psis]
     lam, powers, roots, ep, flags, _evals = last
@@ -549,7 +546,7 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
         kkt=kkt,
         outer_iterations=iters,
         price_evaluations=price_evaluations,
-        converged=converged,
+        converged=problem is None,
         warnings=tuple(notes),
     )
 

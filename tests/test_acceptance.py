@@ -143,7 +143,8 @@ def test_03_fixed_point_matches_linear_solve():
         alpha = np.zeros((3, K + 1), dtype=np.int64)
         for k in range(K + 1):
             alpha[1:, k] = rng.integers(0, k + 1, size=2)
-        psis, _ = steady_state_psi([chain], lambda _ps: [alpha])
+        psis, _, problem = steady_state_psi([chain], lambda _ps: [alpha])
+        assert problem is None
         exact = stationary_oracle(alpha, gp, arr, 0.5)
         tv = 0.5 * float(np.abs(psis[0].psi - exact.psi).sum())
         worst = max(worst, tv)

@@ -9,7 +9,6 @@ from ehdetect import (
     ArrivalUnitPmf,
     BatteryDistribution,
     ChainSpec,
-    ConvergenceError,
     GainLevelProbs,
     arrival_unit_pmf,
     battery_transition,
@@ -214,11 +213,12 @@ def test_steady_state_matches_oracle():
     gp, arr, chain = _single_level_chain(
         5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
     alpha = np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), 3)])
-    psis, iters = steady_state_psi([chain], lambda psis: [alpha])
+    psis, iters, problem = steady_state_psi([chain], lambda psis: [alpha])
     exact = stationary_oracle(alpha, gp, arr, 0.4)
     # the second round repeats the map, and its laws are the exact solve
     np.testing.assert_array_equal(psis[0].psi, exact.psi)
     assert iters == 2
+    assert problem is None
 
 
 def test_steady_state_detects_oscillation():
@@ -234,10 +234,12 @@ def test_steady_state_detects_oscillation():
 
     # alternating maps never repeat the previous round, so the third round's
     # repeat of the first is a period-2 cycle
-    with pytest.raises(ConvergenceError, match="oscillat.*period 2") as err:
-        steady_state_psi([chain], flip)
-    assert err.value.iterations == 3
+    psis, iters, problem = steady_state_psi([chain], flip)
+    assert problem.startswith("unit maps oscillate with period 2 (iterations=3, residual=")
+    assert iters == 3
     assert len(calls) == 3
+    # the laws the third call saw: the stationary law of the idle map
+    np.testing.assert_array_equal(psis[0].psi, stationary_oracle(idle, gp, arr, 1.0).psi)
 
 
 def test_steady_state_names_the_exact_period():
@@ -251,12 +253,12 @@ def test_steady_state_names_the_exact_period():
         seen.append(psis)
         return [maps[(len(seen) - 1) % 5]]
 
-    with pytest.raises(ConvergenceError, match="period 5") as err:
-        steady_state_psi([chain], cycle)
-    assert err.value.iterations == 6
-    # the error carries the laws the last update saw: the fifth map's
-    assert err.value.psis is seen[-1]
-    np.testing.assert_array_equal(err.value.psis[0].psi,
+    psis, iters, problem = steady_state_psi([chain], cycle)
+    assert problem.startswith("unit maps oscillate with period 5 (iterations=6, residual=")
+    assert iters == 6
+    # the laws the last update saw come back: the fifth map's
+    assert psis is seen[-1]
+    np.testing.assert_array_equal(psis[0].psi,
                                   stationary_oracle(maps[4], gp, arr, 0.4).psi)
 
 
@@ -264,14 +266,18 @@ def test_steady_state_iteration_cap(monkeypatch):
     gp, arr, chain = _single_level_chain(
         5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
     # a new unit map every round, so only the cap can stop the loop
-    maps = iter([np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), c)])
-                 for c in (1, 2, 3)])
+    maps = [np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), c)])
+            for c in (1, 2, 3)]
+    rounds = iter(maps)
     monkeypatch.setattr(ehdetect.battery, "MAX_ROUNDS", 3)
-    with pytest.raises(ConvergenceError, match="cap") as err:
-        steady_state_psi([chain], lambda psis: [next(maps)])
-    assert err.value.iterations == 3
-    assert err.value.psis is not None
-    assert len(err.value.psis) == 1
+    psis, iters, problem = steady_state_psi([chain], lambda psis: [next(rounds)])
+    assert iters == 3
+    # the third call saw the second map's law; the residual is its change
+    # from the first map's law
+    laws = [stationary_oracle(a, gp, arr, 0.4).psi for a in maps[:2]]
+    np.testing.assert_array_equal(psis[0].psi, laws[1])
+    residual = float(np.max(np.abs(laws[1] - laws[0])))
+    assert problem == f"iteration cap exceeded (iterations=3, residual={residual:.3e})"
 
 
 def test_valid_maps_never_strand_probability_at_zero():

@@ -1,9 +1,10 @@
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from ehdetect import ConvergenceError, ScenarioError, emit_scenario, optimize_power_map
+from ehdetect import ScenarioError, emit_scenario, optimize_power_map
 from ehdetect.cli import (
     CALIBRATION_SEED_OFFSET,
     EXIT_CONVERGENCE,
@@ -39,6 +40,23 @@ thresholds = 0, 0.3, 0.7, 1.2, 1.8, 2.5, inf
 
 def _toy(scenario_dir) -> str:
     return str(scenario_dir / "toy.scn")
+
+
+# toy.scn at the former stall point: outside the concavity band, and the
+# spend jumps across the budget, so the price bracket collapses
+STALL_NOTES = [
+    "warning: sensor 0: operating point outside the concavity band; "
+    "the stationarity condition may have multiple roots",
+    "warning: price bracket collapsed before meeting the budget tolerance",
+]
+
+
+def _stall_point(tmp_path, toy_scenario) -> str:
+    net = replace(toy_scenario.network, power_budget=0.291, mean_harvest=3.78)
+    sensor = replace(toy_scenario.sensors[0], p_f=0.073, p_d=0.26)
+    path = tmp_path / "stall.scn"
+    emit_scenario(replace(toy_scenario, network=net, sensors=(sensor,)), path)
+    return str(path)
 
 
 def _read_bytes(*paths) -> bytes:
@@ -185,14 +203,16 @@ def test_sweep_skip_simulation(tmp_path, scenario_dir):
         assert float(row["objective_j"]) >= 2.0
 
 
-def test_sweep_marks_partial_output(tmp_path, scenario_dir, monkeypatch):
+def test_sweep_marks_partial_output(tmp_path, scenario_dir, monkeypatch, capsys):
     calls = {"n": 0}
 
     def flaky(scenario):
         calls["n"] += 1
+        outcome = optimize_power_map(scenario)
         if calls["n"] > 1:
-            raise ConvergenceError("instrumented failure", 1, 0.5)
-        return optimize_power_map(scenario)
+            outcome = replace(outcome, converged=False,
+                              warnings=("instrumented failure",))
+        return outcome
 
     monkeypatch.setattr("ehdetect.cli.optimize_power_map", flaky)
     out = tmp_path / "sweep.csv"
@@ -203,6 +223,9 @@ def test_sweep_marks_partial_output(tmp_path, scenario_dir, monkeypatch):
     meta, rows = read_table(out)
     assert meta["incomplete"] == "true"
     assert len(rows) == 1  # the completed prefix survives
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: instrumented failure",
+                   "sweep point power_budget=4.0 failed: power map did not converge"]
 
 
 def test_sweep_reports_why_a_point_did_not_converge(tmp_path, scenario_dir,
@@ -220,6 +243,25 @@ def test_sweep_reports_why_a_point_did_not_converge(tmp_path, scenario_dir,
     meta, rows = read_table(out)
     assert meta["incomplete"] == "true"
     assert rows == []
+
+
+@pytest.mark.parametrize("argv, solves, code", [
+    (["powermap", "--out", "{tmp}/map"], 1, EXIT_OK),
+    (["simulate", "--out", "{tmp}/sim", "--samples", "2000"], 1, EXIT_OK),
+    (["sweep", "--out", "{tmp}/sweep.csv", "--variable", "power_budget",
+      "--values", "0.1,0.2,0.3", "--skip-simulation"], 3, EXIT_OK),
+    # the collapsed bracket misses the budget, so the certificate check fails
+    (["validate"], 1, EXIT_INPUT),
+], ids=["powermap", "simulate", "sweep", "validate"])
+def test_every_command_prints_each_note_once_per_solve(tmp_path, toy_scenario,
+                                                       capsys, argv, solves, code):
+    args = [a.format(tmp=tmp_path) for a in argv[1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the solve's trouble is never a Python warning
+        assert main([argv[0], "--scenario", _stall_point(tmp_path, toy_scenario),
+                     *args]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err == STALL_NOTES * solves
 
 
 def test_sweep_spec_rejects_bad_requests():
@@ -307,14 +349,20 @@ def test_malformed_scenario_maps_to_input_exit(tmp_path):
                  "--out", str(tmp_path / "out2")]) == EXIT_INPUT
 
 
-def test_convergence_error_maps_to_exit_3(tmp_path, scenario_dir, monkeypatch):
-    def boom(scenario):
-        raise ConvergenceError("instrumented failure", 7, 1e-3)
-
-    monkeypatch.setattr("ehdetect.cli.optimize_power_map", boom)
-    code = main(["powermap", "--scenario", _toy(scenario_dir),
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_CONVERGENCE
+def test_convergence_error_maps_to_exit_3(tmp_path, scenario_dir, monkeypatch,
+                                          capsys):
+    # one round cannot repeat a unit map, so every solve ends unconverged
+    monkeypatch.setattr(ehdetect.battery, "MAX_ROUNDS", 1)
+    for argv in (["powermap", "--out", str(tmp_path / "map")],
+                 ["simulate", "--out", str(tmp_path / "sim")],
+                 ["validate"]):
+        assert main([argv[0], "--scenario", _toy(scenario_dir),
+                     *argv[1:]]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.count("warning: battery fixed point did not settle") == 1
+    meta, _ = read_table(tmp_path / "map" / "power_map.csv")
+    assert meta["converged"] == "false"
+    assert not (tmp_path / "sim").exists()  # simulate writes nothing
 
 
 def test_parser_requires_a_subcommand():

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ehdetect import (
     BatteryDistribution,
     clamp_power,
+    convex_region_bounds,
     evaluate_unit_map,
     exhaustive_best_map,
     lambda_search,
@@ -104,31 +105,72 @@ def test_marginal_gain_decreases_in_power():
         (coeffs.num1 - coeffs.den1 + coeffs.num2 - coeffs.den2) * 0.7)
 
 
+# powers 0 and 1e-8..1e8 on a log grid
+_BAND_POWERS = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 2001)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p_f=st.floats(0.01, 0.98),
+    p_d=st.floats(0.02, 0.99),
+    mu=st.floats(0.05, 3.0),
+    noise_var=st.floats(0.5, 2.0),
+)
+# in the band with a negative ROC slope, and the former stall point outside it
+@example(p_f=0.6, p_d=0.71, mu=1.0, noise_var=1.0)
+@example(p_f=0.073, p_d=0.26, mu=1.0, noise_var=1.0)
+# just inside and just over 1e-3 outside each end of the band
+@example(p_f=0.2, p_d=convex_region_bounds(0.2)[0] + 1e-9, mu=1.0, noise_var=1.0)
+@example(p_f=0.2, p_d=convex_region_bounds(0.2)[0] - 1.001e-3, mu=1.0, noise_var=1.0)
+@example(p_f=0.6, p_d=convex_region_bounds(0.6)[1] - 1e-9, mu=1.0, noise_var=1.0)
+@example(p_f=0.6, p_d=convex_region_bounds(0.6)[1] + 1.001e-3, mu=1.0, noise_var=1.0)
+def test_marginal_gain_never_rises_exactly_inside_the_concavity_band(p_f, p_d, mu,
+                                                                     noise_var):
+    # The band is what a solve's per-sensor note reports, so it must be the
+    # set where the gain is monotone, not the set where both slopes are >= 0.
+    # The slopes are differences of products of probabilities; p_d within
+    # 1e-2 of p_f would leave them mostly rounding error.
+    assume(p_d >= p_f + 0.01)
+    lo, hi = convex_region_bounds(p_f)
+    coeffs = roc_coefficients(p_f, p_d)
+    gain = marginal_divergence_gain(_BAND_POWERS, mu, coeffs, noise_var)
+    # rounding noise scales with the largest value a term of the gain takes
+    slope1, slope2 = coeffs.slopes
+    rises = np.diff(gain) > 1e-12 * (abs(slope1) + abs(slope2)) * mu / noise_var
+    if lo <= p_d <= hi:
+        assert not rises.any()
+    elif p_d < lo - 1e-3 or p_d > hi + 1e-3:
+        assert rises.any()
+
+
 def test_root_dead_level_and_free_price():
     coeffs = roc_coefficients(0.2, 0.9)
     assert stationarity_root(0.3, 0.0, coeffs, 1.0) == 0.0
     assert stationarity_root(0.0, 0.6, coeffs, 1.0) == math.inf
     assert stationarity_root(-1.0, 0.6, coeffs, 1.0) == math.inf
     # a positive price so small that lam / 2 underflows leaves the bracket
-    # end unbounded, also where a zero ROC slope (p_d = 1/2) makes it 0 / 0
+    # end unbounded, also where a zero ROC slope (p_d = 1/2) makes it 0 / 0,
+    # and outside the concavity band, where the scan would start at inf * 0
     assert stationarity_root(5e-324, 1.0, roc_coefficients(0.2, 0.5), 1.0) == math.inf
+    for p_f, p_d in ((0.2, 0.9), (0.6, 0.71)):
+        roots = stationarity_root(5e-324, [1.0, 0.6], roc_coefficients(p_f, p_d), 1.0)
+        assert roots.tolist() == [math.inf, math.inf]
 
 
 def test_out_of_band_gain_below_the_price_everywhere_is_priced_out(toy_scenario):
     # outside the band, a gain so small that the scan's bracket end overflows
     # used to scan from inf * 0 and return NaN, which failed the solve
     coeffs = roc_coefficients(0.6, 0.71)
-    with pytest.warns(RuntimeWarning, match="concavity"):
-        roots = stationarity_root(0.5, [5e-324, 0.6], coeffs, 1.0)
+    roots = stationarity_root(0.5, [5e-324, 0.6], coeffs, 1.0)
     assert roots.tolist() == [-1.0, -1.0]
     sensor = replace(toy_scenario.sensors[0], p_f=0.6, p_d=0.71,
                      thresholds=(0.0, 5e-324, 0.6, math.inf))
     sc = replace(toy_scenario, sensors=(sensor,),
                  network=replace(toy_scenario.network, power_budget=0.1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        out = optimize_power_map(sc)
+    out = optimize_power_map(sc)
     assert out.converged
+    # (0.6, 0.71) has a negative ROC slope but lies in the concavity band
+    assert out.warnings == ()
     assert out.power_map.units[0][1].tolist() == [0] * (sc.network.capacity + 1)
     assert out.expected_power == pytest.approx(0.1, rel=1e-6)
 
@@ -182,12 +224,12 @@ def test_root_decreases_in_price():
     assert all(a >= b for a, b in zip(finite, finite[1:]))
 
 
-def test_root_outside_band_warns_and_still_solves():
-    # p_f > 1/2 makes one slope negative, so the gain is not monotone
+def test_root_outside_band_still_solves():
+    # p_f > 1/2 makes one slope negative, so the gain is not monotone; the
+    # root call does not warn (pytest turns warnings into errors)
     coeffs = roc_coefficients(0.6, 0.7)
     assert coeffs.num2 - coeffs.den2 < 0.0
-    with pytest.warns(RuntimeWarning, match="concavity"):
-        root = stationarity_root(0.01, 1.0, coeffs, 1.0)
+    root = stationarity_root(0.01, 1.0, coeffs, 1.0)
     assert root > 0.0 and math.isfinite(root)
     gain = marginal_divergence_gain(root, 1.0, coeffs, 1.0)
     assert abs(gain - 0.01) <= 1e-9 * 0.01
@@ -205,12 +247,10 @@ def test_array_roots_match_scalar_roots(p_f, spread, lam, mus, noise_var):
     # positive and negative ROC slopes (p_d < 1/2 or p_f > 1/2), dead levels
     # and free prices all go through the same vectorized kernel
     coeffs = roc_coefficients(p_f, p_f + spread * (0.98 - p_f))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        batch = stationarity_root(lam, np.array(mus), coeffs, noise_var)
-        scalar = [stationarity_root(lam, m, coeffs, noise_var) for m in mus]
-        single = [stationarity_root(lam, np.array([m]), coeffs, noise_var)[0]
-                  for m in mus]
+    batch = stationarity_root(lam, np.array(mus), coeffs, noise_var)
+    scalar = [stationarity_root(lam, m, coeffs, noise_var) for m in mus]
+    single = [stationarity_root(lam, np.array([m]), coeffs, noise_var)[0]
+              for m in mus]
     assert batch.shape == (len(mus),)
     for mu, b, s, one in zip(mus, batch, scalar, single):
         assert isinstance(s, float)
@@ -239,9 +279,7 @@ def test_roots_meet_the_tolerance_at_the_smallest_crossing(p_f, spread, lam, mus
                                                           noise_var):
     # inside the band (p_f <= 1/2 <= p_d) and outside it on either slope
     coeffs = roc_coefficients(p_f, p_f + spread * (0.98 - p_f))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        roots = stationarity_root(lam, np.array(mus), coeffs, noise_var)
+    roots = stationarity_root(lam, np.array(mus), coeffs, noise_var)
     for mu, root in zip(mus, roots):
         if not (root > 0.0 and math.isfinite(root)):
             continue
@@ -364,20 +402,25 @@ def _masked_newton_roots(lam, mu, coeffs, noise_var):
 @example(p_f=0.6, spread=0.3, lam=0.1, mus=[5e-324, 1.0], noise_var=1.0)
 @example(p_f=0.6, spread=0.11 / 0.38, lam=0.5, mus=[5e-324, 0.6], noise_var=1.0)
 @example(p_f=0.2, spread=0.9, lam=5e-324, mus=[1.0, 0.5], noise_var=1.0)
+@example(p_f=0.6, spread=0.11 / 0.38, lam=5e-324, mus=[1.0, 0.6], noise_var=1.0)
 def test_per_level_roots_equal_the_masked_array_iteration(p_f, spread, lam, mus,
                                                           noise_var):
     # inside the band and outside it on either slope (p_d < 1/2 or p_f > 1/2),
     # dead levels, free and infinite prices: the same bits, not just close
     coeffs = roc_coefficients(p_f, p_f + spread * (0.98 - p_f))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        roots = stationarity_root(lam, np.array(mus), coeffs, noise_var)
+    roots = stationarity_root(lam, np.array(mus), coeffs, noise_var)
+    # the reference's float64 arrays divide by zero and overflow on the
+    # underflow examples; the per-level kernel must not warn there
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         reference = _masked_newton_roots(lam, mus, coeffs, noise_var)
-    # The one intended departure: outside the band, a level whose gain can
-    # never exceed the price is priced out before the scan. The array
-    # iteration scanned it anyway and returned NaN where its bracket end
-    # overflowed (scan start inf * 0); that level's root is now -1.0.
-    expected = np.where(np.isnan(reference), -1.0, reference)
+    # The intended departures are outside the band, where the array
+    # iteration scanned from its bracket end even when that end overflowed
+    # (scan start inf * 0) and returned NaN. A level whose gain can never
+    # exceed the price is now priced out before the scan (-1.0); a price so
+    # small that lam / 2 underflows leaves the power unbounded (+inf), as
+    # inside the band.
+    expected = np.where(np.isnan(reference), math.inf if 0.5 * lam == 0.0 else -1.0,
+                        reference)
     # byte equality is == on every root that also tells -0.0 from 0.0
     assert roots.tobytes() == expected.tobytes(), (roots.tolist(), reference.tolist())
 
@@ -401,9 +444,7 @@ def test_invalid_newton_steps_bisect_like_the_masked_array_iteration(monkeypatch
     for p_f, p_d in ((0.2, 0.9), (0.6, 0.7), (0.1, 0.3)):
         coeffs = roc_coefficients(p_f, p_d)
         mus = [0.3, 1.0, 2.5]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            roots = stationarity_root(0.001, np.array(mus), coeffs, 1.0)
+        roots = stationarity_root(0.001, np.array(mus), coeffs, 1.0)
         reference = _masked_newton_roots(0.001, mus, coeffs, 1.0)
         assert roots.tolist() == reference.tolist()
         assert np.any(roots > 0.0)
@@ -501,7 +542,6 @@ def test_binding_budget_price_meets_the_budget(toy_scenario, toy_outcome):
     assert abs(ep_bis - budget) <= 1e-6 * budget / max(1.0, lam_bis) + 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_price_bisection_stops_when_spend_jumps_across_the_budget(toy_scenario,
                                                                  monkeypatch):
     # negative ROC slope: the spend jumps over the budget at one price, so
