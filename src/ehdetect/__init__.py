@@ -62,17 +62,13 @@ from .optimizer import (
     units_from_power,
 )
 from .simulator import (
-    EpisodeState,
     SimBatch,
-    SlotRecord,
     Streams,
     calibrate_threshold,
     fusion_llr,
-    initial_state,
     make_streams,
     run_monte_carlo,
     simulate_slots,
-    step_episode,
 )
 
 __version__ = "0.1.0"

@@ -199,26 +199,14 @@ def battery_transition(psi: BatteryDistribution, alpha, gain_probs: GainLevelPro
     return BatteryDistribution(psi=psi.psi @ M)
 
 
-def _solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with A x = b for each matrix of the stack; NaN where A is singular."""
-    try:
-        return np.linalg.solve(A, np.broadcast_to(b, A.shape[:-1] + (1,)))[..., 0]
-    except np.linalg.LinAlgError:
-        if A.ndim == 2:
-            return np.full(A.shape[0], np.nan)
-        # one singular matrix fails the whole stack: retry one matrix at a time
-        return np.stack([_solve_stack(a, b) for a in A])
-
-
 def stationary_solve(M) -> np.ndarray:
     """Stationary laws of a stack of transition matrices, shape (..., K+1, K+1).
 
-    Solves psi (M - I) = 0 with the normalization row appended, one linear
-    solve for the whole stack. A solution is kept when it is finite, >= -1e-10
-    and has sup-norm residual |psi M - psi| <= 1e-10; any other matrix (for
-    instance a singular system from a reducible ladder, where any distribution
-    may be stationary) falls back to power iteration from the uniform law.
-    Returns the laws, clipped at zero and renormalized.
+    Solves psi (M - I) = 0 with the normalization row appended, one LAPACK
+    solve for the whole stack. Raises ValueError, naming the worst residual
+    and most negative entry, unless every law is finite, >= -1e-10 and has
+    sup-norm residual |psi M - psi| <= 1e-10, or when the system is singular
+    (a reducible ladder). Returns the laws, clipped at zero and renormalized.
     """
     M = np.asarray(M, dtype=float)
     K1 = M.shape[-1]
@@ -228,22 +216,19 @@ def stationary_solve(M) -> np.ndarray:
     B[..., :, K1 - 1] = 1.0
     b = np.zeros((K1, 1))
     b[K1 - 1] = 1.0
-    psi = _solve_stack(np.swapaxes(B, -1, -2), b)
+    try:
+        psi = np.linalg.solve(np.swapaxes(B, -1, -2),
+                              np.broadcast_to(b, B.shape[:-1] + (1,)))[..., 0]
+    except np.linalg.LinAlgError:
+        raise ValueError("no unique stationary law: the stationary system "
+                         "is singular") from None
     with np.errstate(invalid="ignore", over="ignore"):
         residual = np.abs(np.einsum("...k,...kj->...j", psi, M) - psi)
-        # NaN and inf fail one of the comparisons, so non-finite laws fall back too
-        good = (residual <= 1e-10) & (psi >= -1e-10)
-    bad = np.zeros(M.shape[:-2], dtype=bool) if good.all() else ~good.all(axis=-1)
-    for idx in map(tuple, np.argwhere(bad)):
-        P = M[idx]
-        cur = np.full(K1, 1.0 / K1)
-        for _ in range(1_000_000):
-            nxt = cur @ P
-            if np.max(np.abs(nxt - cur)) <= 1e-15:
-                cur = nxt
-                break
-            cur = nxt
-        psi[idx] = cur
+        # NaN and inf fail one of the comparisons, so non-finite laws fail too
+        if not np.all((residual <= 1e-10) & (psi >= -1e-10)):
+            raise ValueError("no numerically unique stationary law: worst residual "
+                             f"{np.max(residual):.3e} (tol 1e-10), most negative "
+                             f"entry {np.min(psi):.3e} (tol -1e-10)")
     psi = np.maximum(psi, 0.0)
     psi /= psi.sum(axis=-1, keepdims=True)
     return psi
@@ -265,12 +250,13 @@ def steady_state_psi(chains, alpha_update):
     the exact stationary law of its chain under the round's unit map. Stops
     when a round returns the previous round's maps, whose stationary laws it
     was given, so they are a fixed point. It also stops on a repeat of any
-    older round, naming the period, and at the MAX_ROUNDS cap.
+    older round, naming the period, at the MAX_ROUNDS cap, and on a
+    stationary_solve ValueError.
 
     Returns (distributions, iterations, problem). The distributions are the
     ones the last alpha_update call saw. problem is None at a fixed point;
-    otherwise it names the period or the cap, then the iterations and the
-    sup-norm change of the last law update (the residual).
+    otherwise it names the period, the cap or the solve's error, then the
+    iterations and the sup-norm change of the last law update (the residual).
     """
     psis = []
     for chain in chains:
@@ -293,8 +279,13 @@ def steady_state_psi(chains, alpha_update):
         if it == MAX_ROUNDS:
             problem = "iteration cap exceeded"
             break
-        nxt = [stationary_oracle(a, c.gain_probs, c.arrivals, c.transmit_prob)
-               for a, c in zip(alphas, chains)]
+        Ms = [transition_matrix(a, c.gain_probs, c.arrivals, c.transmit_prob)
+              for a, c in zip(alphas, chains)]
+        try:
+            nxt = [BatteryDistribution(psi=stationary_solve(M)) for M in Ms]
+        except ValueError as exc:
+            problem = str(exc)
+            break
         residual = max(float(np.max(np.abs(n.psi - p.psi))) for n, p in zip(nxt, psis))
         psis = nxt
     return psis, it, f"{problem} (iterations={it}, residual={residual:.3e})"

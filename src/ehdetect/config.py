@@ -183,12 +183,6 @@ class Scenario:
         return len(self.sensors)
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class BatteryDistribution:
     """Probability vector over battery states 0..K."""

@@ -502,11 +502,12 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
 
     The outcome is the only channel for trouble: the solve neither raises
     nor emits Python warnings over it. converged is False when the unit map
-    cycles or hits battery.MAX_ROUNDS, and the last iterate is returned for
-    inspection. warnings holds one note per condition: each sensor outside
-    the concavity band, a fixed point that did not settle, and a price
-    bracket that collapsed before meeting the budget tolerance (which leaves
-    converged True).
+    cycles, hits battery.MAX_ROUNDS, or gives a chain with no numerically
+    unique stationary law, and the last iterate is returned for inspection.
+    warnings holds one note per condition: each sensor outside the concavity
+    band, a fixed point that did not settle, and a price bracket that
+    collapsed before meeting the budget tolerance (which leaves converged
+    True).
     """
     net = scenario.network
     notes = [f"sensor {i}: operating point outside the concavity band; "
@@ -570,6 +571,7 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
 
     Each sensor's chain is solved for its exact stationary distribution and
     the divergence is scored at the unit powers alpha * unit_energy / slot.
+    Raises ValueError as stationary_solve does.
     """
     net = scenario.network
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
@@ -588,7 +590,8 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     Admissible means the per-entry causality and outage caps hold; feasible
     additionally means the exact stationary expected power fits the budget.
     Every candidate is scored with its own exact stationary distribution, so
-    this is a true global oracle (and why the guard rails are tight).
+    this is a true global oracle (and why the guard rails are tight). Raises
+    ValueError past the guard rails, with no feasible map, or as stationary_solve.
     """
     net = scenario.network
     if scenario.num_sensors != 1:

@@ -3,8 +3,9 @@
 Every random variable gets its own counter-seeded substream (one hypothesis
 stream plus gain/decision/noise/energy per sensor), and every stream is drawn
 exactly once per slot whether or not the value ends up used. That discipline
-makes single-slot stepping and whole-batch simulation produce bit-identical
-sample paths, and keeps runs comparable across fusion or transmit variants.
+makes a run cut into consecutive `simulate_slots` calls (each continuing from
+the last call's end batteries) produce the sample path of one whole-run call,
+bit for bit, and keeps runs comparable across fusion or transmit variants.
 
 The battery recursion is the one sequential step. It runs as a speculative
 chunked walk: chunks of slots are guessed in numpy lockstep and then checked
@@ -26,12 +27,8 @@ from .config import MonteCarloReport, PowerMap, Scenario
 __all__ = [
     "SensorStreams",
     "Streams",
-    "EpisodeState",
-    "SlotRecord",
     "SimBatch",
     "make_streams",
-    "initial_state",
-    "step_episode",
     "simulate_slots",
     "fusion_llr",
     "calibrate_threshold",
@@ -49,6 +46,9 @@ _FUSION_CHUNK = 4_096
 # chunk) against the sequential check (one per chunk); past the cap longer
 # runs only widen each lockstep step, which costs less per slot.
 _WALK_CHUNK = 192
+# calibrate_threshold simulates at most this many slots per call, so a rare
+# null (small prior_h0) costs more calls, not more memory.
+_CALIBRATION_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -84,34 +84,6 @@ def make_streams(seed: int, num_sensors: int) -> Streams:
         ))
     return Streams(hypothesis=np.random.default_rng(children[0]),
                    sensors=tuple(sensors))
-
-
-@dataclass(frozen=True)
-class EpisodeState:
-    """Start-of-slot batteries, in whole units."""
-
-    batteries: tuple[int, ...]
-    slot: int = 0
-
-
-def initial_state(scenario: Scenario) -> EpisodeState:
-    return EpisodeState(
-        batteries=tuple(scenario.network.capacity for _ in scenario.sensors),
-        slot=0,
-    )
-
-
-@dataclass(frozen=True)
-class SlotRecord:
-    """Everything observable about one slot, per sensor where applicable."""
-
-    hypothesis: int
-    gains: tuple[float, ...]
-    levels: tuple[int, ...]
-    states: tuple[int, ...]
-    transmit: tuple[int, ...]
-    amplitudes: tuple[float, ...]   # would-use amplitude sqrt(gain * power)
-    outputs: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -320,26 +292,6 @@ def _rejoin(steps: list, offsets: list, banked: list, path: np.ndarray, b: int, 
     return b
 
 
-def step_episode(scenario: Scenario, power_map: PowerMap, state: EpisodeState,
-                 streams: Streams) -> tuple[SlotRecord, EpisodeState]:
-    """Advance one slot; draw-for-draw identical to simulate_slots.
-
-    Each substream is private to one variable, so consuming one value per
-    stream here lines up exactly with the batched draws.
-    """
-    batch = simulate_slots(scenario, power_map, 1, streams, batteries=state.batteries)
-    record = SlotRecord(
-        hypothesis=int(batch.hypothesis[0]),
-        gains=tuple(float(x) for x in batch.gains[:, 0]),
-        levels=tuple(int(x) for x in batch.levels[:, 0]),
-        states=tuple(int(x) for x in batch.states[:, 0]),
-        transmit=tuple(int(x) for x in batch.transmit[:, 0]),
-        amplitudes=tuple(float(x) for x in batch.amplitudes[:, 0]),
-        outputs=tuple(float(x) for x in batch.outputs[:, 0]),
-    )
-    return record, EpisodeState(batteries=batch.batteries, slot=state.slot + 1)
-
-
 def _binary_llr(t_sig: np.ndarray, t0: np.ndarray, p_f: float, p_d: float) -> np.ndarray:
     # log-likelihood ratio of a two-point mixture over "spoke" vs "stayed silent"
     num = np.logaddexp(math.log(p_d) + t_sig, math.log1p(-p_d) + t0)
@@ -461,15 +413,15 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
 
     collected: list[np.ndarray] = []
     have = 0
-    block = int(samples / max(net.prior_h0, 1e-6) * 1.05) + 1024
     while have < samples:
+        block = min(_CALIBRATION_BLOCK,
+                    int((samples - have) / max(net.prior_h0, 1e-6) * 1.05) + 1024)
         batch = simulate_slots(scenario, power_map, block, streams, batteries=batteries)
         batteries = batch.batteries
         llr = fusion_llr(batch, scenario, power_map, psis=psis)
         null = llr[batch.hypothesis == 0]
         collected.append(null)
         have += null.size
-        block = max(4096, int((samples - have) / max(net.prior_h0, 1e-6) * 1.1) + 256)
     null_llr = np.concatenate(collected)[:samples]
     threshold = float(np.quantile(null_llr, 1.0 - target_pf, method="higher"))
     achieved = float(np.mean(null_llr > threshold))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehdetect import (
@@ -21,6 +21,7 @@ from ehdetect import (
     transmit_probability,
 )
 import ehdetect.battery
+from ehdetect.cli import EXIT_CONVERGENCE, main, read_table
 
 EDGES = (0.0, 0.1, 0.3, 0.6, 1.2, math.inf)
 
@@ -180,33 +181,106 @@ def test_stationary_oracle_is_a_fixed_point():
     np.testing.assert_allclose(psi.psi @ M, psi.psi, atol=1e-12)
 
 
-def test_stationary_oracle_survives_singular_solver(monkeypatch):
+def test_stationary_oracle_survives_singular_solver(monkeypatch, tmp_path, scenario_dir,
+                                                   capsys):
     gp, arr, _ = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
     alpha = np.array([[0, 0, 0, 0], [0, 1, 2, 3]])
-    direct = stationary_oracle(alpha, gp, arr, 0.5)
 
     def boom(*a, **k):
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(np.linalg, "solve", boom)
-    fallback = stationary_oracle(alpha, gp, arr, 0.5)
-    np.testing.assert_allclose(fallback.psi, direct.psi, atol=1e-10)
+    with pytest.raises(ValueError, match="singular"):
+        stationary_oracle(alpha, gp, arr, 0.5)
+    # the solve reports it through its outcome: one note, exit 3, flagged tables
+    argv = ["powermap", "--scenario", str(scenario_dir / "toy.scn"), "--out", str(tmp_path)]
+    assert main(argv) == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.count("did not settle") == 1
+    assert "warning: battery fixed point did not settle: no unique stationary law" in err
+    meta, _ = read_table(tmp_path / "power_map.csv")
+    assert meta["converged"] == "false"
+    _, rows = read_table(tmp_path / "summary.csv")
+    assert {"metric": "converged", "value": "false"} in rows
 
 
 def test_stationary_solve_stack_matches_single_solves():
-    # a singular matrix in the stack falls back on its own: its neighbours
-    # keep their direct solves, bit for bit
+    # the stack is one LAPACK call, and each law equals its own solve bit for bit
     gp, arr, _ = _single_level_chain(3, [0.0, 0.5, 0.3, 0.2], 0.6)
     chains = [transition_matrix(np.array([[0, 0, 0, 0], [0, a, min(a, 2), min(a, 3)]]),
                                 gp, arr, 0.6) for a in (0, 1)]
-    stack = np.stack([chains[0], np.eye(4), chains[1]])
-    laws = stationary_solve(stack)
-    assert laws.shape == (3, 4)
-    for law, M in zip(laws[[0, 2]], chains):
+    laws = stationary_solve(np.stack(chains))
+    assert laws.shape == (2, 4)
+    for law, M in zip(laws, chains):
         np.testing.assert_array_equal(law, stationary_solve(M))
         np.testing.assert_allclose(law @ M, law, atol=1e-12)
-    # every law is stationary under the identity; the fallback starts uniform
-    np.testing.assert_allclose(laws[1], 0.25)
+    # every law is stationary under the identity, so one such chain fails the stack
+    with pytest.raises(ValueError, match="no unique stationary law"):
+        stationary_solve(np.stack([chains[0], np.eye(4), chains[1]]))
+
+
+def _drawn_chain(capacity, ratio, transmit_prob, pi, map_seed):
+    """A chain with arrival_unit_pmf(1, ratio, K) and a random causal unit map:
+    the dead level never drains and each live level drains 0..k at state k."""
+    gp = GainLevelProbs(pi=pi, thresholds=(0.0, *range(1, len(pi)), math.inf))
+    arr = arrival_unit_pmf(1.0, ratio, capacity)
+    live = np.random.default_rng(map_seed).integers(
+        0, np.arange(capacity + 1) + 1, size=(len(pi) - 1, capacity + 1))
+    alpha = np.vstack([np.zeros(capacity + 1, dtype=np.int64), live])
+    return alpha, gp, arr
+
+
+# a nearly deterministic walk (one unit banked each slot, transmitting
+# with probability 1 - 1e-9): LAPACK's law has an entry of -1
+SEED_17_CHAIN = dict(capacity=100, ratio=1682.0, transmit_prob=1 - 1e-9,
+                     pi=np.array([0.0, 1.0]), map_seed=17)
+
+
+def test_ill_conditioned_chain_is_reported_not_iterated():
+    alpha, gp, arr = _drawn_chain(**SEED_17_CHAIN)
+    M = transition_matrix(alpha, gp, arr, SEED_17_CHAIN["transmit_prob"])
+    with pytest.raises(ValueError, match=r"most negative entry -1\.000e\+00") as err:
+        stationary_solve(M)
+    chain = ChainSpec(gain_probs=gp, arrivals=arr,
+                      transmit_prob=SEED_17_CHAIN["transmit_prob"])
+    psis, iters, problem = steady_state_psi([chain], lambda psis: [alpha])
+    assert problem == f"{err.value} (iterations=1, residual=inf)"
+    assert iters == 1
+    # the laws the only update saw: the full-battery start
+    assert psis[0].psi[-1] == 1.0
+
+
+@st.composite
+def _extreme_chains(draw):
+    capacity = draw(st.integers(1, 200))
+    ratio = 10.0 ** draw(st.floats(-4.0, math.log10(3e3)))
+    transmit_prob = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 15.0).map(lambda e: 1.0 - 10.0 ** -e)))
+    live = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4))
+    dead = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+    pi = np.array([dead, *(np.array(live) / sum(live) * (1.0 - dead))])
+    pi[-1] = 1.0 - pi[:-1].sum()
+    return dict(capacity=capacity, ratio=ratio, transmit_prob=transmit_prob, pi=pi,
+                map_seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(SEED_17_CHAIN)
+@given(_extreme_chains())
+def test_stationary_solve_is_exact_or_raises(chain):
+    # admissible chains at the harvest, transmit and capacity extremes: a law
+    # comes back stationary and nonnegative, or the solve says it has none
+    alpha, gp, arr = _drawn_chain(**chain)
+    M = transition_matrix(alpha, gp, arr, chain["transmit_prob"])
+    try:
+        psi = stationary_solve(M)
+    except ValueError as exc:
+        assert "stationary law" in str(exc)
+        return
+    assert np.all(psi >= 0.0)
+    assert abs(psi.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(psi @ M - psi)) <= 1e-10
 
 
 def test_steady_state_matches_oracle():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -62,3 +63,23 @@ def test_every_traced_name_resolves():
     for module_name, attr, _span in tracing.PATCHES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_every_export_resolves():
+    # a deleted name left in __all__ breaks `from ehdetect.<module> import *`,
+    # and one the package imports but its module does not list is a stale export
+    package = ROOT / "src" / "ehdetect"
+    modules = sorted(p.stem for p in package.glob("*.py")
+                     if p.stem not in ("__init__", "__main__"))
+    for name in modules:
+        module = importlib.import_module(f"ehdetect.{name}")
+        for attr in module.__all__:
+            assert hasattr(module, attr), f"ehdetect.{name}.__all__ names {attr}"
+    imported = [(node.module, alias.name)
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert imported
+    for module, attr in imported:
+        assert attr in importlib.import_module(f"ehdetect.{module}").__all__, \
+            f"ehdetect imports {attr}, which ehdetect.{module}.__all__ does not list"

@@ -9,16 +9,13 @@ from scipy.special import logsumexp
 
 from ehdetect import (
     BatteryDistribution,
-    EpisodeState,
     PowerMap,
     calibrate_threshold,
     fusion_llr,
-    initial_state,
     make_streams,
     optimize_power_map,
     run_monte_carlo,
     simulate_slots,
-    step_episode,
 )
 from ehdetect import simulator
 from ehdetect.simulator import SimBatch, _merged_components
@@ -65,20 +62,19 @@ def test_step_equals_batch(toy_scenario, two_sensor_scenario):
 
 
 def _assert_steps_equal_the_batch(scenario, pmap, slots):
+    # one slot per simulate_slots call, each carrying the batteries forward
     N = scenario.num_sensors
     batch = simulate_slots(scenario, pmap, slots, make_streams(123, N))
     streams = make_streams(123, N)
-    state = initial_state(scenario)
+    batteries = None
     for t in range(slots):
-        record, state = step_episode(scenario, pmap, state, streams)
-        assert record.hypothesis == batch.hypothesis[t]
-        assert record.levels == tuple(batch.levels[:, t])
-        assert record.states == tuple(batch.states[:, t])
-        assert record.transmit == tuple(batch.transmit[:, t])
-        assert record.gains == tuple(batch.gains[:, t])
-        assert record.outputs == tuple(batch.outputs[:, t])
-    assert state.batteries == batch.batteries
-    assert state.slot == slots
+        step = simulate_slots(scenario, pmap, 1, streams, batteries=batteries)
+        batteries = step.batteries
+        assert step.hypothesis[0] == batch.hypothesis[t]
+        for field in ("gains", "levels", "states", "transmit", "amplitudes", "outputs"):
+            np.testing.assert_array_equal(getattr(step, field)[:, 0],
+                                          getattr(batch, field)[:, t], err_msg=field)
+    assert batteries == batch.batteries
     return batch
 
 
@@ -350,6 +346,34 @@ def test_calibration_hits_target_in_sample(toy_scenario):
     assert achieved >= 0.1 - 0.01
 
 
+@pytest.mark.parametrize("fc_knowledge", ["genie", "map_marginal"])
+def test_calibration_blocks_are_capped_without_moving_a_sample(toy_scenario, monkeypatch,
+                                                               fc_knowledge):
+    # a rare null needs about samples / prior_h0 slots; cutting them into
+    # capped blocks draws the same slots, so nothing may move
+    scenario = _with_network(toy_scenario, prior_h0=0.05, fc_knowledge=fc_knowledge)
+    out = optimize_power_map(toy_scenario)
+
+    def calibrate():
+        return calibrate_threshold(scenario, out.power_map, 0.1, samples=2_000, seed=9,
+                                   psis=out.psi_star)
+
+    whole = calibrate()
+    calls = []
+    walk = simulator.simulate_slots
+
+    def spy(scenario, power_map, slots, *args, **kwargs):
+        calls.append(slots)
+        return walk(scenario, power_map, slots, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
+    monkeypatch.setattr(simulator, "simulate_slots", spy)
+    assert calibrate() == whole
+    # warm-up, then at least ten capped blocks for the 2 000 / 0.05 slots
+    assert len(calls) > 10
+    assert max(calls) <= 4_096
+
+
 def test_calibration_holds_out_of_sample(toy_scenario):
     out = optimize_power_map(toy_scenario)
     tau, _ = calibrate_threshold(toy_scenario, out.power_map, 0.1,
@@ -491,23 +515,17 @@ def test_zero_slots_return_the_start_batteries(two_sensor_scenario):
     (5, (-1, 100), r"sensor 0: battery must be a whole number of units in 0\.\.100, got -1"),
     (5, (101, 100), r"sensor 0: battery .* got 101"),
     (5, (100, 2.7), r"sensor 1: battery .* got 2\.7"),
+    (1, (100, -1), r"sensor 1: battery .* got -1"),
     (5, (100,), r"need one battery per sensor: got 1 for 2 sensors; sensor 1 has none"),
     (5, (100, 100, 3), r"got 3 for 2 sensors; batteries\[2\] matches no sensor"),
     (-1, None, r"slots must be a whole number >= 0, got -1"),
     (2.0, None, r"slots must be a whole number >= 0, got 2\.0"),
-], ids=["negative", "over_capacity", "fraction", "too_few", "too_many", "negative_slots",
-        "float_slots"])
+], ids=["negative", "over_capacity", "fraction", "second_negative", "too_few", "too_many",
+        "negative_slots", "float_slots"])
 def test_bad_batteries_and_slots_raise(two_sensor_scenario, slots, batteries, match):
     pmap = _spend_one_map(two_sensor_scenario)
     with pytest.raises(ValueError, match=match):
         simulate_slots(two_sensor_scenario, pmap, slots, make_streams(1, 2), batteries=batteries)
-
-
-def test_step_episode_rejects_a_bad_battery(two_sensor_scenario):
-    pmap = _spend_one_map(two_sensor_scenario)
-    with pytest.raises(ValueError, match="sensor 1: battery"):
-        step_episode(two_sensor_scenario, pmap, EpisodeState(batteries=(100, -1)),
-                     make_streams(1, 2))
 
 
 def test_streams_for_another_sensor_count_are_rejected(two_sensor_scenario):
