@@ -117,10 +117,10 @@ class SensorParams:
         _require(len(edges) >= 2, "thresholds", "need at least two edges (one quantizer level)")
         _require(edges[0] == 0.0, "thresholds", "first edge must be 0")
         _require(edges[-1] == math.inf, "thresholds", "last edge must be inf so levels cover all gains")
-        for a, b in zip(edges, edges[1:]):
-            _require(a < b, "thresholds", "edges must be strictly increasing")
         _require(all(math.isfinite(t) for t in edges[:-1]), "thresholds",
                  "inf is only allowed as the last edge")
+        for a, b in zip(edges, edges[1:]):
+            _require(a < b, "thresholds", "edges must be strictly increasing")
 
     @property
     def level_count(self) -> int:
@@ -274,8 +274,8 @@ class MonteCarloReport:
 
     pd_fc: float
     pf_fc: float
-    ci_pd: float                     # 95% binomial half-width of pd_fc
-    ci_pf: float                     # 95% binomial half-width of pf_fc
+    ci_pd: float                     # 95% binomial half-width of pd_fc, inf with no H1 slot
+    ci_pf: float                     # 95% binomial half-width of pf_fc, inf with no H0 slot
     empirical_psi: tuple[np.ndarray, ...]
     threshold: float
     samples: int
@@ -287,7 +287,7 @@ class MonteCarloReport:
             _require(0.0 <= v <= 1.0, name, "must lie in [0, 1]")
         for name in ("ci_pd", "ci_pf"):
             v = getattr(self, name)
-            _require(math.isfinite(v) and v >= 0.0, name, "must be finite and >= 0")
+            _require(v >= 0.0, name, "must be >= 0 (inf for an empty class), not nan")
         hists = []
         for n, h in enumerate(self.empirical_psi):
             arr = np.array(h, dtype=float)
@@ -303,47 +303,89 @@ class MonteCarloReport:
 
 # ---------------------------------------------------------------------------
 # scenario file round trip
-
-_NETWORK_REQUIRED = (
-    "prior_h0", "capacity", "unit_energy", "slot_seconds",
-    "mean_harvest", "drop_fraction", "power_budget",
-)
-_NETWORK_OPTIONAL = ("transmit_prob_model", "fc_knowledge")
-_SENSOR_REQUIRED = ("mean_gain", "noise_var", "outage_confidence", "thresholds")
-_SENSOR_RATES = ("p_f", "p_d")
-_SENSOR_LOCAL = ("local_amplitude", "local_noise_sigma", "local_lrt_threshold")
+#
+# One table per section maps each key, in file order, to the converter that
+# turns its text into a value. A converter only parses: the dataclasses rule
+# on every range, and _section names the section in any error exactly once.
 
 
-def _parse_float(section: str, key: str, raw: str, allow_inf: bool = False) -> float:
+def _number(key: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ScenarioError(f"[{section}] {key}: not a number: {raw!r}") from None
-    if math.isnan(value):
-        raise ScenarioError(f"[{section}] {key}: nan is not allowed")
-    if not allow_inf and math.isinf(value):
-        raise ScenarioError(f"[{section}] {key}: must be finite")
+        raise ScenarioError(f"{key}: not a number: {raw!r}") from None
+    _require(not math.isnan(value), key, "nan is not allowed")
     return value
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def _integer(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ScenarioError(f"[{section}] {key}: not an integer: {raw!r}") from None
+        raise ScenarioError(f"{key}: not an integer: {raw!r}") from None
 
 
-def _parse_thresholds(section: str, raw: str) -> tuple[float, ...]:
+def _edges(key: str, raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",")]
-    if any(not p for p in parts):
-        raise ScenarioError(f"[{section}] thresholds: empty entry in list")
-    values = []
-    for i, part in enumerate(parts):
-        v = _parse_float(section, "thresholds", part, allow_inf=True)
-        if math.isinf(v) and i != len(parts) - 1:
-            raise ScenarioError(f"[{section}] thresholds: inf is only allowed as the last edge")
-        values.append(v)
-    return tuple(values)
+    _require(all(parts), key, "empty entry in list")
+    return tuple(_number(key, p) for p in parts)
+
+
+def _text(key: str, raw: str) -> str:
+    return raw
+
+
+# the keys are NetworkParams' fields
+_NETWORK_KEYS = {
+    "prior_h0": _number, "capacity": _integer, "unit_energy": _number,
+    "slot_seconds": _number, "mean_harvest": _number, "drop_fraction": _number,
+    "power_budget": _number, "transmit_prob_model": _text, "fc_knowledge": _text,
+}
+_NETWORK_OPTIONAL = ("transmit_prob_model", "fc_knowledge")
+# SensorParams' fields, with the local_* model as the alternative to p_f/p_d
+_SENSOR_KEYS = {
+    "mean_gain": _number, "noise_var": _number, "p_f": _number, "p_d": _number,
+    "local_amplitude": _number, "local_noise_sigma": _number,
+    "local_lrt_threshold": _number, "outage_confidence": _number, "thresholds": _edges,
+}
+_SENSOR_RATES = ("p_f", "p_d")
+# the LocalObservationModel field behind each local_* key
+_SENSOR_LOCAL = {"local_amplitude": "amplitude", "local_noise_sigma": "noise_sigma",
+                 "local_lrt_threshold": "threshold"}
+_SENSOR_OPTIONAL = _SENSOR_RATES + tuple(_SENSOR_LOCAL)
+
+
+def _section(parser: configparser.ConfigParser, name: str, table: dict,
+             optional: tuple[str, ...], build):
+    """`build` applied to the section's values as `table` converts them. Any
+    error, the dataclasses' included, comes out as "[name] key: reason"."""
+    try:
+        raw = dict(parser.items(name))
+        for key in table:
+            if key not in optional and key not in raw:
+                raise ScenarioError(f"missing required key {key!r}")
+        for key in raw:
+            if key not in table:
+                raise ScenarioError(f"unknown key {key!r}")
+        return build({key: table[key](key, text) for key, text in raw.items()})
+    except ScenarioError as exc:
+        raise ScenarioError(f"[{name}] {exc}") from None
+
+
+def _sensor(values: dict) -> SensorParams:
+    local = {attr: values.pop(key) for key, attr in _SENSOR_LOCAL.items() if key in values}
+    rates = [k for k in _SENSOR_RATES if k in values]
+    if local and rates:
+        raise ScenarioError("give either p_f/p_d or the local_* observation model, not both")
+    if local and len(local) != len(_SENSOR_LOCAL):
+        missing = sorted(k for k, attr in _SENSOR_LOCAL.items() if attr not in local)
+        raise ScenarioError(f"incomplete local observation model; missing {missing}")
+    if not local and len(rates) != len(_SENSOR_RATES):
+        raise ScenarioError("need both p_f and p_d (or a local_* model)")
+    if local:
+        values["local_obs"] = LocalObservationModel(**local)
+        values["p_f"], values["p_d"] = values["local_obs"].operating_point()
+    return SensorParams(**values)
 
 
 def loads_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -372,78 +414,10 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
             f"got {sensor_sections or 'none'}"
         )
 
-    net_raw = dict(parser.items("network"))
-    for key in _NETWORK_REQUIRED:
-        if key not in net_raw:
-            raise ScenarioError(f"[network] missing required key {key!r}")
-    for key in net_raw:
-        if key not in _NETWORK_REQUIRED + _NETWORK_OPTIONAL:
-            raise ScenarioError(f"[network] unknown key {key!r}")
-    try:
-        network = NetworkParams(
-            prior_h0=_parse_float("network", "prior_h0", net_raw["prior_h0"]),
-            capacity=_parse_int("network", "capacity", net_raw["capacity"]),
-            unit_energy=_parse_float("network", "unit_energy", net_raw["unit_energy"]),
-            slot_seconds=_parse_float("network", "slot_seconds", net_raw["slot_seconds"]),
-            mean_harvest=_parse_float("network", "mean_harvest", net_raw["mean_harvest"]),
-            drop_fraction=_parse_float("network", "drop_fraction", net_raw["drop_fraction"]),
-            power_budget=_parse_float("network", "power_budget", net_raw["power_budget"]),
-            transmit_prob_model=net_raw.get("transmit_prob_model", "prior").strip(),
-            fc_knowledge=net_raw.get("fc_knowledge", "genie").strip(),
-        )
-    except ScenarioError as exc:
-        raise ScenarioError(f"[network] {exc}") from None
-
-    sensors = []
-    for name in expected:
-        raw = dict(parser.items(name))
-        for key in _SENSOR_REQUIRED:
-            if key not in raw:
-                raise ScenarioError(f"[{name}] missing required key {key!r}")
-        for key in raw:
-            if key not in _SENSOR_REQUIRED + _SENSOR_RATES + _SENSOR_LOCAL:
-                raise ScenarioError(f"[{name}] unknown key {key!r}")
-
-        has_rates = [k for k in _SENSOR_RATES if k in raw]
-        has_local = [k for k in _SENSOR_LOCAL if k in raw]
-        if has_local and has_rates:
-            raise ScenarioError(
-                f"[{name}] give either p_f/p_d or the local_* observation model, not both"
-            )
-        if has_local and len(has_local) != len(_SENSOR_LOCAL):
-            missing = sorted(set(_SENSOR_LOCAL) - set(has_local))
-            raise ScenarioError(f"[{name}] incomplete local observation model; missing {missing}")
-        if not has_local and len(has_rates) != len(_SENSOR_RATES):
-            raise ScenarioError(f"[{name}] need both p_f and p_d (or a local_* model)")
-
-        local_obs = None
-        if has_local:
-            try:
-                local_obs = LocalObservationModel(
-                    amplitude=_parse_float(name, "local_amplitude", raw["local_amplitude"]),
-                    noise_sigma=_parse_float(name, "local_noise_sigma", raw["local_noise_sigma"]),
-                    threshold=_parse_float(name, "local_lrt_threshold", raw["local_lrt_threshold"]),
-                )
-            except ScenarioError as exc:
-                raise ScenarioError(f"[{name}] {exc}") from None
-            p_f, p_d = local_obs.operating_point()
-        else:
-            p_f = _parse_float(name, "p_f", raw["p_f"])
-            p_d = _parse_float(name, "p_d", raw["p_d"])
-
-        try:
-            sensors.append(SensorParams(
-                mean_gain=_parse_float(name, "mean_gain", raw["mean_gain"]),
-                noise_var=_parse_float(name, "noise_var", raw["noise_var"]),
-                p_f=p_f,
-                p_d=p_d,
-                outage_confidence=_parse_float(name, "outage_confidence", raw["outage_confidence"]),
-                thresholds=_parse_thresholds(name, raw["thresholds"]),
-                local_obs=local_obs,
-            ))
-        except ScenarioError as exc:
-            raise ScenarioError(f"[{name}] {exc}") from None
-
+    network = _section(parser, "network", _NETWORK_KEYS, _NETWORK_OPTIONAL,
+                       lambda values: NetworkParams(**values))
+    sensors = [_section(parser, name, _SENSOR_KEYS, _SENSOR_OPTIONAL, _sensor)
+               for name in expected]
     return Scenario(network=network, sensors=tuple(sensors))
 
 
@@ -459,32 +433,32 @@ def load_scenario(path) -> Scenario:
 
 def _fmt(value) -> str:
     # repr round-trips doubles exactly, which is what reload tests rely on
+    if isinstance(value, tuple):
+        return ", ".join(_fmt(v) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
+def _write_section(out: io.StringIO, table: dict, values: dict) -> None:
+    for key in table:
+        if key in values:
+            out.write(f"{key} = {_fmt(values[key])}\n")
+
+
 def dumps_scenario(scenario: Scenario) -> str:
-    net = scenario.network
     out = io.StringIO()
     out.write("# energy-harvesting detection network scenario\n")
     out.write("[network]\n")
-    for key in _NETWORK_REQUIRED + _NETWORK_OPTIONAL:
-        out.write(f"{key} = {_fmt(getattr(net, key))}\n")
+    _write_section(out, _NETWORK_KEYS, vars(scenario.network))
     for i, sensor in enumerate(scenario.sensors, start=1):
         out.write(f"\n[sensor.{i}]\n")
-        out.write(f"mean_gain = {_fmt(sensor.mean_gain)}\n")
-        out.write(f"noise_var = {_fmt(sensor.noise_var)}\n")
-        if sensor.local_obs is not None:
-            out.write(f"local_amplitude = {_fmt(sensor.local_obs.amplitude)}\n")
-            out.write(f"local_noise_sigma = {_fmt(sensor.local_obs.noise_sigma)}\n")
-            out.write(f"local_lrt_threshold = {_fmt(sensor.local_obs.threshold)}\n")
-        else:
-            out.write(f"p_f = {_fmt(sensor.p_f)}\n")
-            out.write(f"p_d = {_fmt(sensor.p_d)}\n")
-        out.write(f"outage_confidence = {_fmt(sensor.outage_confidence)}\n")
-        edges = ", ".join(_fmt(t) for t in sensor.thresholds)
-        out.write(f"thresholds = {edges}\n")
+        values = dict(vars(sensor))
+        if sensor.local_obs is not None:  # derived rates stay derived
+            del values["p_f"], values["p_d"]
+            values.update((key, getattr(sensor.local_obs, attr))
+                          for key, attr in _SENSOR_LOCAL.items())
+        _write_section(out, _SENSOR_KEYS, values)
     return out.getvalue()
 
 

@@ -46,8 +46,9 @@ _FUSION_CHUNK = 4_096
 # chunk) against the sequential check (one per chunk); past the cap longer
 # runs only widen each lockstep step, which costs less per slot.
 _WALK_CHUNK = 192
-# calibrate_threshold simulates at most this many slots per call, so a rare
-# null (small prior_h0) costs more calls, not more memory.
+# calibrate_threshold and run_monte_carlo simulate at most this many slots per
+# call, so a long run or a rare null (small prior_h0) costs more calls, not
+# more memory.
 _CALIBRATION_BLOCK = 1 << 18
 
 
@@ -435,7 +436,10 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
 
     Warm-up slots (default 10x capacity) burn in the batteries and are
     excluded from every estimate. Confidence intervals are 95% binomial
-    half-widths on the respective conditional sample counts.
+    half-widths on the respective conditional sample counts; a hypothesis
+    that held in no measured slot gets rate 0 and half-width inf. The run is
+    simulated in blocks of at most `_CALIBRATION_BLOCK` slots and only counts
+    are kept, so memory does not grow with `slots`.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
@@ -445,22 +449,26 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
     batteries = None
     if warmup > 0:
         batteries = simulate_slots(scenario, power_map, warmup, streams).batteries
-    batch = simulate_slots(scenario, power_map, slots, streams, batteries=batteries)
-    llr = fusion_llr(batch, scenario, power_map, psis=psis)
-    decide = llr > threshold
+    n1 = hits1 = hits0 = 0
+    counts = np.zeros((scenario.num_sensors, net.capacity + 1), dtype=np.int64)
+    for start in range(0, slots, _CALIBRATION_BLOCK):
+        block = min(_CALIBRATION_BLOCK, slots - start)
+        batch = simulate_slots(scenario, power_map, block, streams, batteries=batteries)
+        batteries = batch.batteries
+        decide = fusion_llr(batch, scenario, power_map, psis=psis) > threshold
+        h1 = batch.hypothesis == 1
+        n1 += int(np.count_nonzero(h1))
+        hits1 += int(np.count_nonzero(decide & h1))
+        hits0 += int(np.count_nonzero(decide & ~h1))
+        for n, states in enumerate(batch.states):
+            counts[n] += np.bincount(states, minlength=net.capacity + 1)
 
-    h1 = batch.hypothesis == 1
-    n1 = int(np.count_nonzero(h1))
     n0 = slots - n1
-    pd = float(np.mean(decide[h1])) if n1 else 0.0
-    pf = float(np.mean(decide[~h1])) if n0 else 0.0
+    pd = hits1 / n1 if n1 else 0.0
+    pf = hits0 / n0 if n0 else 0.0
     ci_pd = 1.96 * math.sqrt(pd * (1.0 - pd) / n1) if n1 else math.inf
     ci_pf = 1.96 * math.sqrt(pf * (1.0 - pf) / n0) if n0 else math.inf
-    psi_hat = tuple(
-        np.bincount(batch.states[n], minlength=net.capacity + 1) / slots
-        for n in range(scenario.num_sensors)
-    )
     return MonteCarloReport(
         pd_fc=pd, pf_fc=pf, ci_pd=ci_pd, ci_pf=ci_pf,
-        empirical_psi=psi_hat, threshold=threshold, samples=slots, seed=seed,
+        empirical_psi=tuple(counts / slots), threshold=threshold, samples=slots, seed=seed,
     )

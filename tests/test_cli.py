@@ -164,6 +164,23 @@ def test_simulate_writes_report_and_occupancy(tmp_path, scenario_dir):
     assert ana == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("prior_h0,empty", [(0.999, "pd_fc"), (0.001, "pf_fc")])
+def test_simulate_reports_an_unseen_hypothesis_as_infinite_width(tmp_path, toy_scenario,
+                                                                  prior_h0, empty):
+    # 200 slots at these priors hold no slot of the rare hypothesis: its rate
+    # has no estimate, which is a property of the run, not a bad input
+    scn = tmp_path / "rare.scn"
+    emit_scenario(replace(toy_scenario,
+                          network=replace(toy_scenario.network, prior_h0=prior_h0)), scn)
+    out = tmp_path / "sim"
+    code = main(["simulate", "--scenario", str(scn), "--out", str(out), "--samples", "200",
+                 "--calibration-samples", "200", "--seed", "1"])
+    assert code == EXIT_OK
+    _, rows = read_table(out / "report.csv")
+    row = {r["metric"]: r for r in rows}[empty]
+    assert (row["ci_low"], row["ci_high"]) == ("-inf", "inf")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

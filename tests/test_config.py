@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from ehdetect import (
     loads_scenario,
     validate_convex_region,
 )
+from ehdetect import config
+
+FORMAT_MD = Path(__file__).resolve().parent.parent / "scenarios" / "FORMAT.md"
 
 MINIMAL = """\
 [network]
@@ -102,6 +107,47 @@ def test_network_field_errors(mutation, fragment):
     with pytest.raises(ScenarioError) as err:
         loads_scenario("\n".join(lines))
     assert fragment in str(err.value)
+
+
+LOCAL_MINIMAL = MINIMAL.replace(
+    "p_f = 0.2\np_d = 0.9\n",
+    "local_amplitude = 2.0\nlocal_noise_sigma = 1.0\nlocal_lrt_threshold = 1.0\n",
+)
+NUMERIC_KEYS = [
+    *(("network", key, MINIMAL) for key in (
+        "prior_h0", "capacity", "unit_energy", "slot_seconds",
+        "mean_harvest", "drop_fraction", "power_budget")),
+    *(("sensor.1", key, MINIMAL) for key in (
+        "mean_gain", "noise_var", "p_f", "p_d", "outage_confidence", "thresholds")),
+    *(("sensor.1", key, LOCAL_MINIMAL) for key in (
+        "local_amplitude", "local_noise_sigma", "local_lrt_threshold")),
+]
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "abc"])
+@pytest.mark.parametrize("section,key,text", NUMERIC_KEYS,
+                         ids=[key for _, key, _ in NUMERIC_KEYS])
+def test_non_numbers_name_section_and_key_once(section, key, text, bad):
+    # for thresholds the bad value is the one interior edge
+    value = f"0, {bad}, inf" if key == "thresholds" else bad
+    lines = [f"{key} = {value}" if line.startswith(key + " ") else line
+             for line in text.splitlines()]
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario("\n".join(lines))
+    message = str(err.value)
+    assert message.startswith(f"[{section}] {key}: ")
+    assert message.count(f"[{section}]") == 1
+
+
+def test_format_doc_lists_the_keys_the_loader_accepts():
+    # the first column of each key table in FORMAT.md, against the loader's table
+    doc = FORMAT_MD.read_text(encoding="utf-8")
+    tables = {"[network]": config._NETWORK_KEYS, "[sensor.i]": config._SENSOR_KEYS}
+    for heading, table in tables.items():
+        body = doc.split(f"## `{heading}` keys", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in body.splitlines() if line.startswith("| `")]
+        documented = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
+        assert sorted(documented) == sorted(table), heading
 
 
 def test_invalid_modes_rejected(toy_scenario):

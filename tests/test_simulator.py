@@ -346,19 +346,29 @@ def test_calibration_hits_target_in_sample(toy_scenario):
     assert achieved >= 0.1 - 0.01
 
 
-@pytest.mark.parametrize("fc_knowledge", ["genie", "map_marginal"])
+@pytest.mark.parametrize("fc_knowledge,measure", [
+    pytest.param("genie", False, id="genie"),
+    pytest.param("map_marginal", False, id="map_marginal"),
+    pytest.param("map_marginal", True, id="run_monte_carlo"),
+])
 def test_calibration_blocks_are_capped_without_moving_a_sample(toy_scenario, monkeypatch,
-                                                               fc_knowledge):
-    # a rare null needs about samples / prior_h0 slots; cutting them into
-    # capped blocks draws the same slots, so nothing may move
+                                                               fc_knowledge, measure):
+    # a rare null needs about samples / prior_h0 slots, and a long measured run
+    # is as long as it asks; cutting either into capped blocks draws the same
+    # slots, so nothing may move
     scenario = _with_network(toy_scenario, prior_h0=0.05, fc_knowledge=fc_knowledge)
     out = optimize_power_map(toy_scenario)
 
-    def calibrate():
-        return calibrate_threshold(scenario, out.power_map, 0.1, samples=2_000, seed=9,
-                                   psis=out.psi_star)
+    def run():
+        if not measure:
+            return calibrate_threshold(scenario, out.power_map, 0.1, samples=2_000, seed=9,
+                                       psis=out.psi_star)
+        rep = run_monte_carlo(scenario, out.power_map, 0.0, slots=45_000, seed=9,
+                              psis=out.psi_star)
+        return (rep.pd_fc, rep.pf_fc, rep.ci_pd, rep.ci_pf,
+                [psi.tolist() for psi in rep.empirical_psi])
 
-    whole = calibrate()
+    whole = run()
     calls = []
     walk = simulator.simulate_slots
 
@@ -368,8 +378,9 @@ def test_calibration_blocks_are_capped_without_moving_a_sample(toy_scenario, mon
 
     monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
     monkeypatch.setattr(simulator, "simulate_slots", spy)
-    assert calibrate() == whole
-    # warm-up, then at least ten capped blocks for the 2 000 / 0.05 slots
+    assert run() == whole
+    # warm-up, then at least ten capped blocks for the 2 000 / 0.05 calibration
+    # slots or the 45 000 measured ones
     assert len(calls) > 10
     assert max(calls) <= 4_096
 
@@ -395,6 +406,12 @@ def test_monte_carlo_report_contract(toy_scenario):
     assert float(rep.empirical_psi[0].sum()) == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= rep.pf_fc <= rep.pd_fc <= 1.0
     assert rep.ci_pd > 0.0 and rep.ci_pf > 0.0
+    # inf is the width of a class the run never saw; nan and negatives are faults
+    for name in ("ci_pd", "ci_pf"):
+        assert getattr(replace(rep, **{name: math.inf}), name) == math.inf
+        for bad in (math.nan, -0.5, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                replace(rep, **{name: bad})
 
 
 def test_occupancy_matches_chain(toy_scenario):
