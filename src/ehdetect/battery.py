@@ -247,11 +247,12 @@ def steady_state_psi(chains, alpha_update):
     chains is one ChainSpec per sensor; alpha_update maps the current list of
     BatteryDistribution to the list of per-sensor unit maps for this round.
     Starts from full batteries; each round replaces every distribution with
-    the exact stationary law of its chain under the round's unit map. Stops
+    stationary_oracle's law of its chain under the round's unit map. Stops
     when a round returns the previous round's maps, whose stationary laws it
-    was given, so they are a fixed point. It also stops on a repeat of any
-    older round, naming the period, at the MAX_ROUNDS cap, and on a
-    stationary_solve ValueError.
+    was given, so they are a fixed point whose laws are exactly
+    stationary_oracle's. It also stops on a repeat of any older round,
+    naming the period, at the MAX_ROUNDS cap, and on a stationary_oracle
+    ValueError (a drain outside [0, k], or no numerically unique law).
 
     Returns (distributions, iterations, problem). The distributions are the
     ones the last alpha_update call saw. problem is None at a fixed point;
@@ -279,10 +280,9 @@ def steady_state_psi(chains, alpha_update):
         if it == MAX_ROUNDS:
             problem = "iteration cap exceeded"
             break
-        Ms = [transition_matrix(a, c.gain_probs, c.arrivals, c.transmit_prob)
-              for a, c in zip(alphas, chains)]
         try:
-            nxt = [BatteryDistribution(psi=stationary_solve(M)) for M in Ms]
+            nxt = [stationary_oracle(a, c.gain_probs, c.arrivals, c.transmit_prob)
+                   for a, c in zip(alphas, chains)]
         except ValueError as exc:
             problem = str(exc)
             break

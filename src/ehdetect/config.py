@@ -15,7 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

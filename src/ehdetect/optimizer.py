@@ -88,8 +88,10 @@ class KktReport:
 
     residuals[n][l, k] is |marginal gain - price| where the entry is interior
     and NaN elsewhere; active[n][l, k] holds the activity codes 0=interior,
-    1=causality clamp, 2=outage clamp, 3=zero power, 4=dead level. Exact ties
-    resolve to the smallest code, matching the clamp order.
+    1=causality clamp, 2=outage clamp, 3=zero power, 4=dead level. The codes
+    are read off the stored powers in clamp_power's order: the first cap a
+    power equals (causality, outage, zero) names the clamp, and a live entry
+    equal to none of them is interior.
     """
 
     residuals: tuple[np.ndarray, ...]
@@ -334,7 +336,6 @@ class _SensorCtx:
     noise_var: float
     mu: np.ndarray            # lower cell edges, shape (L+1,)
     phi: np.ndarray           # outage cap per state, shape (K+1,)
-    causality: np.ndarray
     lambda_ceiling: float     # price above which every root vanishes
 
 
@@ -342,7 +343,6 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     coeffs = roc_coefficients(sensor.p_f, sensor.p_d)
     gp = gain_level_probs(sensor.mean_gain, sensor.thresholds)
     arr = arrival_unit_pmf(network.mean_harvest, network.unit_energy, network.capacity)
-    states = np.arange(network.capacity + 1, dtype=float)
     phi = outage_cap(np.arange(network.capacity + 1), sensor, network)
     mu = np.asarray(sensor.thresholds[:-1], dtype=float)
     slope1, slope2 = coeffs.slopes
@@ -355,45 +355,42 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
         noise_var=sensor.noise_var,
         mu=mu,
         phi=phi,
-        causality=states * network.unit_power,
         lambda_ceiling=ceiling,
     )
 
 
 def _map_for_lambda(lam: float, ctxs, network: NetworkParams):
-    """Clamped power tables and raw roots for every sensor at one price."""
-    powers, roots = [], []
-    for ctx in ctxs:
-        r = np.zeros(ctx.mu.size)  # index 0 is the dead level
-        r[1:] = stationarity_root(lam, ctx.mu[1:], ctx.coeffs, ctx.noise_var)
-        P = np.zeros((ctx.mu.size, ctx.phi.size))
-        P[1:, :] = clamp_power(r[1:, None], np.arange(ctx.phi.size), ctx.phi, network)
-        powers.append(P)
-        roots.append(r)
-    return powers, roots
+    """Clamped power tables for every sensor at one price.
+
+    The dead level's root is 0, which clamps to 0. Only the clamped powers
+    are returned: _kkt_report reads each entry's active clamp off them, in
+    clamp_power's order.
+    """
+    return [clamp_power(stationarity_root(lam, ctx.mu, ctx.coeffs, ctx.noise_var)[:, None],
+                        np.arange(ctx.phi.size), ctx.phi, network)
+            for ctx in ctxs]
 
 
 def _units(powers, network: NetworkParams) -> list[np.ndarray]:
     return [units_from_power(P, np.arange(P.shape[1]), network) for P in powers]
 
 
-def _expected_power(powers, psi_arrays, ctxs) -> float:
+def _expected_power(tables, psi_arrays, ctxs) -> float:
+    """Sum over sensors of the pi-weighted, psi-weighted average of a table."""
     total = 0.0
-    for P, psi, ctx in zip(powers, psi_arrays, ctxs):
-        total += float(np.einsum("l,lk,k->", ctx.gain_probs.pi, P, psi))
+    for T, psi, ctx in zip(tables, psi_arrays, ctxs):
+        total += float(np.einsum("l,lk,k->", ctx.gain_probs.pi, T, psi))
     return total
 
 
 def _objective(powers, psi_arrays, ctxs) -> float:
-    total = 0.0
-    for P, psi, ctx in zip(powers, psi_arrays, ctxs):
-        J = sensor_j_divergence(ctx.mu[:, None], P, ctx.coeffs, ctx.noise_var)
-        total += float(np.einsum("l,lk,k->", ctx.gain_probs.pi, J, psi))
-    return total
+    divergences = [sensor_j_divergence(ctx.mu[:, None], P, ctx.coeffs, ctx.noise_var)
+                   for P, ctx in zip(powers, ctxs)]
+    return _expected_power(divergences, psi_arrays, ctxs)
 
 
 def _lambda_search(psi_arrays, ctxs, network: NetworkParams):
-    """Price, power tables, roots, expected power, flags, and price evaluations."""
+    """Price, power tables, expected power, flags, and price evaluations."""
     B = network.power_budget
     flags: list[str] = []
     lam_max = max(ctx.lambda_ceiling for ctx in ctxs)
@@ -402,20 +399,20 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams):
     def ep_at(lam: float):
         nonlocal evaluations
         evaluations += 1
-        powers, roots = _map_for_lambda(lam, ctxs, network)
-        return powers, roots, _expected_power(powers, psi_arrays, ctxs)
+        powers = _map_for_lambda(lam, ctxs, network)
+        return powers, _expected_power(powers, psi_arrays, ctxs)
 
     tol_abs = BUDGET_TOL * B
-    powers0, roots0, ep0 = ep_at(0.0)
+    powers0, ep0 = ep_at(0.0)
     if ep0 <= B + tol_abs:
-        return 0.0, powers0, roots0, ep0, flags, evaluations
+        return 0.0, powers0, ep0, flags, evaluations
 
     # regula falsi with the Illinois modification on ep(lam) - B, bisecting
     # when the secant point is not strictly inside the bracket; lam_max prices
     # every level out, so hi is always the feasible end
     lo, hi = 0.0, lam_max
     at_hi = ep_at(hi)
-    f_lo, f_hi = ep0 - B, at_hi[2] - B
+    f_lo, f_hi = ep0 - B, at_hi[1] - B
     moved = None  # the end the previous step replaced
     for _ in range(MAX_PRICE_ITERS):
         lam = lo + (hi - lo) * f_lo / (f_lo - f_hi)
@@ -423,9 +420,9 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams):
             lam = 0.5 * (lo + hi)
             if not lo < lam < hi:
                 break
-        powers, roots, ep = at = ep_at(lam)
+        powers, ep = at = ep_at(lam)
         if abs(ep - B) <= tol_abs / max(1.0, lam):
-            return lam, powers, roots, ep, flags, evaluations
+            return lam, powers, ep, flags, evaluations
         if ep > B:
             lo, f_lo = lam, ep - B
             if moved == "lo":
@@ -450,36 +447,25 @@ def lambda_search(psis, scenario: Scenario):
     net = scenario.network
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     psi_arrays = [p.psi for p in psis]
-    lam, powers, _roots, ep, _flags, _evals = _lambda_search(psi_arrays, ctxs, net)
+    lam, powers, ep, _flags, _evals = _lambda_search(psi_arrays, ctxs, net)
     units = _units(powers, net)
     pmap = PowerMap(powers=tuple(powers), units=tuple(units),
                     unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
     return lam, pmap, ep
 
 
-def _kkt_report(lam, powers, roots, ctxs, network, ep) -> KktReport:
+def _kkt_report(lam, powers, ctxs, network, ep) -> KktReport:
     residuals, actives = [], []
     worst = 0.0
-    for P, r, ctx in zip(powers, roots, ctxs):
-        L1, K1 = P.shape
-        res = np.full((L1, K1), np.nan)
-        act = np.full((L1, K1), LEVEL_ZERO, dtype=np.int64)
-        for l in range(1, L1):
-            cand = np.vstack([
-                ctx.causality,
-                ctx.phi,
-                np.full(K1, max(r[l], 0.0) if math.isfinite(r[l]) else math.inf),
-            ])
-            low = cand.min(axis=0)
-            code = np.argmax(cand <= low[None, :], axis=0) + 1  # first of ties
-            interior = (code == 3) & (r[l] > 0.0) & np.isfinite(r[l]) \
-                & (cand[2] < cand[0]) & (cand[2] < cand[1])
-            act[l] = np.where(interior, INTERIOR, code)
-            if np.any(interior):
-                gain = marginal_divergence_gain(P[l][interior], float(ctx.mu[l]),
-                                                ctx.coeffs, ctx.noise_var)
-                res[l][interior] = np.abs(gain - lam)
-                worst = max(worst, float(np.max(res[l][interior])))
+    for P, ctx in zip(powers, ctxs):
+        # the caps exactly as clamp_power takes them, tested in its order
+        causality = np.arange(P.shape[1]) * network.unit_power
+        act = np.select([ctx.mu[:, None] == 0.0, P == causality, P == ctx.phi, P == 0.0],
+                        [LEVEL_ZERO, CLAMP_CAUSALITY, CLAMP_OUTAGE, CLAMP_ZERO], INTERIOR)
+        interior = act == INTERIOR
+        gain = marginal_divergence_gain(P, ctx.mu[:, None], ctx.coeffs, ctx.noise_var)
+        res = np.where(interior, np.abs(gain - lam), np.nan)
+        worst = max(worst, float(np.max(res, initial=0.0, where=interior)))
         residuals.append(res)
         actives.append(act)
     return KktReport(
@@ -532,12 +518,12 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
         notes.append(f"battery fixed point did not settle: {problem}")
 
     psi_arrays = [p.psi for p in psis]
-    lam, powers, roots, ep, flags, _evals = last
+    lam, powers, ep, flags, _evals = last
     notes.extend(flags)
     units = _units(powers, net)
     pmap = PowerMap(powers=tuple(powers), units=tuple(units),
                     unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
-    kkt = _kkt_report(lam, powers, roots, ctxs, net, ep)
+    kkt = _kkt_report(lam, powers, ctxs, net, ep)
     return OptimizationOutcome(
         power_map=pmap,
         psi_star=tuple(psis),

@@ -281,6 +281,53 @@ def test_every_command_prints_each_note_once_per_solve(tmp_path, toy_scenario,
     assert err == STALL_NOTES * solves
 
 
+OVERRIDE_FLAGS = ["--transmit-prob-model", "decision", "--fc-knowledge", "map_marginal"]
+SMALL_RUN = ["--samples", "2000", "--calibration-samples", "2000", "--seed", "7"]
+
+
+def _outputs(path) -> dict:
+    """The bytes of one CSV, or of every file in a directory by name."""
+    path = Path(path)
+    if path.is_dir():
+        return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+    return {"": path.read_bytes()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["powermap", "--out", "{out}"],
+    ["simulate", "--out", "{out}", *SMALL_RUN],
+    ["sweep", "--out", "{out}.csv", "--variable", "power_budget",
+     "--values", "0.5,1", *SMALL_RUN],
+    ["validate"],
+], ids=["powermap", "simulate", "sweep", "validate"])
+def test_override_flags_equal_a_scenario_that_sets_the_keys(tmp_path, scenario_dir,
+                                                            toy_scenario, capsys, argv):
+    # every command takes both flags, and they act as the scenario keys would
+    keyed = tmp_path / "keyed.scn"
+    emit_scenario(replace(toy_scenario, network=replace(
+        toy_scenario.network, transmit_prob_model="decision",
+        fc_knowledge="map_marginal")), keyed)
+    runs = {
+        "flags": [_toy(scenario_dir), *OVERRIDE_FLAGS],
+        "keys": [str(keyed)],
+        "plain": [_toy(scenario_dir)],
+    }
+    written, printed = {}, {}
+    for name, scenario in runs.items():
+        out = str(tmp_path / name)
+        args = [a.format(out=out) for a in argv[1:]]
+        assert main([argv[0], "--scenario", *scenario, *args]) == EXIT_OK
+        printed[name] = capsys.readouterr().out
+        if "--out" in args:
+            written[name] = _outputs(args[args.index("--out") + 1])
+    if argv[0] == "validate":
+        assert printed["flags"] == printed["keys"]
+        assert printed["flags"] != printed["plain"]  # the keys change the checks
+    else:
+        assert written["flags"] and written["flags"] == written["keys"]
+        assert written["flags"] != written["plain"]  # the keys change the tables
+
+
 def test_sweep_spec_rejects_bad_requests():
     with pytest.raises(ScenarioError, match="variable"):
         SweepSpec(variable="noise_floor", values=(1.0,))

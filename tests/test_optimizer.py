@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from ehdetect import (
     BatteryDistribution,
+    NetworkParams,
+    SensorParams,
     clamp_power,
     convex_region_bounds,
     evaluate_unit_map,
@@ -30,6 +32,10 @@ from ehdetect.optimizer import (
     INTERIOR,
     LEVEL_ZERO,
     ROOT_TOL,
+    KktReport,
+    _kkt_report,
+    _map_for_lambda,
+    _sensor_context,
 )
 
 
@@ -632,6 +638,120 @@ def test_activity_codes_match_the_stored_powers(two_sensor_scenario,
             interior = act[l] == INTERIOR
             assert np.all(np.isfinite(res[l][interior]))
             assert np.all(np.isnan(res[l][~interior]))
+
+
+def _candidate_stack_report(lam, powers, ctxs, network, ep):
+    """The activity rule that read the raw roots, kept as the reference.
+
+    Each live level stacks the causality cap, the outage cap and the root's
+    positive part; the first smallest candidate names the clamp, and a
+    positive finite root strictly below both caps is interior.
+    """
+    residuals, actives = [], []
+    worst = 0.0
+    for P, ctx in zip(powers, ctxs):
+        r = stationarity_root(lam, ctx.mu, ctx.coeffs, ctx.noise_var)
+        causality = np.arange(P.shape[1], dtype=float) * network.unit_power
+        L1, K1 = P.shape
+        res = np.full((L1, K1), np.nan)
+        act = np.full((L1, K1), LEVEL_ZERO, dtype=np.int64)
+        for l in range(1, L1):
+            cand = np.vstack([
+                causality,
+                ctx.phi,
+                np.full(K1, max(r[l], 0.0) if math.isfinite(r[l]) else math.inf),
+            ])
+            low = cand.min(axis=0)
+            code = np.argmax(cand <= low[None, :], axis=0) + 1  # first of ties
+            interior = (code == 3) & (r[l] > 0.0) & np.isfinite(r[l]) \
+                & (cand[2] < cand[0]) & (cand[2] < cand[1])
+            act[l] = np.where(interior, INTERIOR, code)
+            if np.any(interior):
+                gain = marginal_divergence_gain(P[l][interior], float(ctx.mu[l]),
+                                                ctx.coeffs, ctx.noise_var)
+                res[l][interior] = np.abs(gain - lam)
+                worst = max(worst, float(np.max(res[l][interior])))
+        residuals.append(res)
+        actives.append(act)
+    return KktReport(residuals=tuple(residuals), active=tuple(actives),
+                     max_interior_residual=worst,
+                     slackness=lam * (ep - network.power_budget))
+
+
+_TOY_SHAPE = dict(capacity=5, unit_energy=0.2, mean_harvest=3.0, prior_h0=0.5,
+                  drop_fraction=0.2, outage_confidence=0.9, p_f=0.2, spread=0.9,
+                  mus=[0.6, 1.6], noise_var=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(1, 8),
+    unit_energy=st.floats(0.05, 2.0),
+    mean_harvest=st.floats(0.01, 3.0),
+    prior_h0=st.floats(0.1, 0.9),
+    drop_fraction=st.floats(0.05, 0.9),
+    # at or below prior_h0 the outage cap is vacuous; near 1 it binds
+    outage_confidence=st.floats(0.01, 0.999999),
+    p_f=st.floats(0.02, 0.9),
+    spread=st.floats(0.05, 1.0),
+    mus=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3, unique=True),
+    noise_var=st.floats(0.5, 2.0),
+    price=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    tie=st.sampled_from(["none", "root_on_phi", "phi_on_causality"]),
+    at=st.integers(0, 8),
+)
+# the root equal to phi at one state, phi equal to the causality cap at one
+# state, and every level priced out to the -1 sentinel at state 0
+@example(**_TOY_SHAPE, price=0.3, tie="root_on_phi", at=3)
+@example(**_TOY_SHAPE, price=0.3, tie="phi_on_causality", at=2)
+@example(**{**_TOY_SHAPE, "outage_confidence": 0.3}, price=0.3,
+         tie="phi_on_causality", at=4)
+@example(**_TOY_SHAPE, price=1.0, tie="none", at=0)
+@example(**{**_TOY_SHAPE, "p_f": 0.073, "spread": 0.26}, price=0.5, tie="root_on_phi",
+         at=5)
+def test_activity_codes_read_off_the_powers_equal_the_candidate_stack(
+        capacity, unit_energy, mean_harvest, prior_h0, drop_fraction,
+        outage_confidence, p_f, spread, mus, noise_var, price, tie, at):
+    # positive and negative ROC slopes, binding and vacuous outage caps,
+    # prices from free to the ceiling that prices every level out
+    net = NetworkParams(prior_h0=prior_h0, capacity=capacity, unit_energy=unit_energy,
+                        slot_seconds=1.0, mean_harvest=mean_harvest,
+                        drop_fraction=drop_fraction, power_budget=1.0)
+    sensor = SensorParams(mean_gain=1.0, noise_var=noise_var, p_f=p_f,
+                          p_d=p_f + spread * (0.98 - p_f),
+                          outage_confidence=outage_confidence,
+                          thresholds=(0.0, *sorted(mus), math.inf))
+    ctx = _sensor_context(net, sensor)
+    lam = price * ctx.lambda_ceiling
+    k = at % (capacity + 1)
+    roots = stationarity_root(lam, ctx.mu, ctx.coeffs, ctx.noise_var)
+    phi = ctx.phi.copy()
+    tied = None
+    if tie == "root_on_phi":
+        live = [l for l in range(1, roots.size) if 0.0 < roots[l] < math.inf]
+        if live:
+            tied = live[-1]
+            phi[k] = roots[tied]
+    elif tie == "phi_on_causality":
+        phi[k] = k * net.unit_power
+    ctx = replace(ctx, phi=phi)
+    powers = _map_for_lambda(lam, [ctx], net)
+    ep = float(np.einsum("l,lk,k->", ctx.gain_probs.pi, powers[0],
+                         np.full(capacity + 1, 1.0 / (capacity + 1))))
+    mine = _kkt_report(lam, powers, [ctx], net, ep)
+    ref = _candidate_stack_report(lam, powers, [ctx], net, ep)
+    assert mine.active[0].dtype == ref.active[0].dtype
+    assert mine.active[0].tobytes() == ref.active[0].tobytes()
+    assert mine.residuals[0].tobytes() == ref.residuals[0].tobytes()
+    assert mine.max_interior_residual == ref.max_interior_residual
+    assert mine.slackness == ref.slackness
+    act = mine.active[0]
+    # an empty battery funds nothing: causality wins every tie at state 0
+    assert np.all(act[1:, 0] == CLAMP_CAUSALITY)
+    if tied is not None and roots[tied] < k * net.unit_power:
+        assert act[tied, k] == CLAMP_OUTAGE
+    if tie == "phi_on_causality":
+        assert np.all(act[1:, k] != CLAMP_OUTAGE)
 
 
 # ---------------------------------------------------------------------------
