@@ -102,12 +102,19 @@ class ChainSpec:
 def quantize_gain(gain, thresholds):
     """Quantizer cell index of a gain draw: the l with mu_l <= gain < mu_{l+1}.
 
-    Vectorized: an array of gains gives an int64 array of cell indices.
+    Vectorized: an array of gains gives an int64 array of cell indices, each
+    the number of inner edges mu_1..mu_L-1 the gain reaches.
     """
     edges = np.asarray(thresholds, dtype=float)
-    idx = np.searchsorted(edges, gain, side="right") - 1
-    idx = np.clip(idx, 0, edges.size - 2).astype(np.int64)
-    return int(idx) if idx.ndim == 0 else idx
+    if np.ndim(gain) == 0:
+        idx = np.searchsorted(edges, gain, side="right") - 1
+        return int(np.clip(idx, 0, edges.size - 2))
+    gain = np.asarray(gain)
+    idx = np.zeros(gain.shape, dtype=np.int64)
+    # a few comparisons per gain beat a binary search over so few edges
+    for edge in edges[1:-1]:
+        idx += gain >= edge
+    return idx
 
 
 def gain_level_probs(mean_gain: float, thresholds) -> GainLevelProbs:

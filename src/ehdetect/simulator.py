@@ -101,6 +101,11 @@ class SimBatch:
     batteries: tuple[int, ...]      # end-of-batch, feeds the next batch
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
 def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
                    streams: Streams, batteries=None) -> SimBatch:
     """Run `slots` consecutive slots and record the full sample path.
@@ -118,8 +123,7 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     net = scenario.network
     N = scenario.num_sensors
     K = net.capacity
-    if not isinstance(slots, numbers.Integral) or slots < 0:
-        raise ValueError(f"slots must be a whole number >= 0, got {slots!r}")
+    _check_count("slots", slots, 0)
     if len(streams.sensors) != N:
         raise ValueError(f"streams cover {len(streams.sensors)} sensors, the scenario has {N}")
     batteries = (K,) * N if batteries is None else tuple(batteries)
@@ -388,29 +392,57 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
     return total
 
 
+def _take_slots(batch: SimBatch, idx: np.ndarray) -> SimBatch:
+    """The slots `idx` of `batch`, in that order; the end batteries stay the
+    whole batch's."""
+    return SimBatch(
+        hypothesis=batch.hypothesis.take(idx),
+        gains=batch.gains.take(idx, axis=1),
+        levels=batch.levels.take(idx, axis=1),
+        states=batch.states.take(idx, axis=1),
+        transmit=batch.transmit.take(idx, axis=1),
+        amplitudes=batch.amplitudes.take(idx, axis=1),
+        outputs=batch.outputs.take(idx, axis=1),
+        batteries=batch.batteries,
+    )
+
+
+def _warm_up(scenario: Scenario, power_map: PowerMap, seed: int, warmup: int | None):
+    """The batteries after `warmup` slots (default 10x capacity) from full,
+    None when there are none, and the streams that go on from there."""
+    warmup = 10 * scenario.network.capacity if warmup is None else warmup
+    _check_count("warmup", warmup, 0)
+    streams = make_streams(seed, scenario.num_sensors)
+    batteries = None
+    if warmup > 0:
+        batteries = simulate_slots(scenario, power_map, warmup, streams).batteries
+    return batteries, streams
+
+
 def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: float,
                         samples: int, seed: int, warmup: int | None = None,
                         psis=None) -> tuple[float, float]:
     """Pick the fusion threshold hitting a false-alarm target.
 
-    Runs the normally mixed chain and collects the statistic on the slots
-    where the null actually held (the hypothesis draw is independent of the
-    battery past, so those slots sample the unbiased battery state). The
-    threshold is the conservative empirical quantile: deciding on strictly
-    greater keeps the false-alarm estimate at or below target_pf.
+    Runs the normally mixed chain and collects the statistic on the first
+    `samples` slots where the null actually held (the hypothesis draw is
+    independent of the battery past, so those slots sample the unbiased
+    battery state). Only those slots are scored: the H1 slots and the
+    overshoot of the last block are simulated, to keep the sample path, but
+    never fused. The threshold is the conservative empirical quantile:
+    deciding on strictly greater keeps the false-alarm estimate at or below
+    target_pf.
 
     Returns (threshold, in-sample false-alarm rate at that threshold).
+    Raises ValueError, before simulating anything, on a `target_pf` outside
+    (0, 1), a `samples` that is not a whole number >= 1, or a `warmup` that
+    is not a whole number >= 0.
     """
     if not 0.0 < target_pf < 1.0:
         raise ValueError("target_pf must lie in (0, 1)")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("samples", samples, 1)
     net = scenario.network
-    streams = make_streams(seed, scenario.num_sensors)
-    warmup = 10 * net.capacity if warmup is None else warmup
-    batteries = None
-    if warmup > 0:
-        batteries = simulate_slots(scenario, power_map, warmup, streams).batteries
+    batteries, streams = _warm_up(scenario, power_map, seed, warmup)
 
     collected: list[np.ndarray] = []
     have = 0
@@ -419,11 +451,12 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
                     int((samples - have) / max(net.prior_h0, 1e-6) * 1.05) + 1024)
         batch = simulate_slots(scenario, power_map, block, streams, batteries=batteries)
         batteries = batch.batteries
-        llr = fusion_llr(batch, scenario, power_map, psis=psis)
-        null = llr[batch.hypothesis == 0]
-        collected.append(null)
-        have += null.size
-    null_llr = np.concatenate(collected)[:samples]
+        # a slot's statistic reads only its own columns, so fusing the kept
+        # nulls alone gives the numbers fusing the whole block would
+        keep = np.flatnonzero(batch.hypothesis == 0)[:samples - have]
+        collected.append(fusion_llr(_take_slots(batch, keep), scenario, power_map, psis=psis))
+        have += keep.size
+    null_llr = np.concatenate(collected)
     threshold = float(np.quantile(null_llr, 1.0 - target_pf, method="higher"))
     achieved = float(np.mean(null_llr > threshold))
     return threshold, achieved
@@ -439,16 +472,13 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
     half-widths on the respective conditional sample counts; a hypothesis
     that held in no measured slot gets rate 0 and half-width inf. The run is
     simulated in blocks of at most `_CALIBRATION_BLOCK` slots and only counts
-    are kept, so memory does not grow with `slots`.
+    are kept, so memory does not grow with `slots`. Raises ValueError, before
+    simulating anything, on a `slots` that is not a whole number >= 1 or a
+    `warmup` that is not a whole number >= 0.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    _check_count("slots", slots, 1)
     net = scenario.network
-    streams = make_streams(seed, scenario.num_sensors)
-    warmup = 10 * net.capacity if warmup is None else warmup
-    batteries = None
-    if warmup > 0:
-        batteries = simulate_slots(scenario, power_map, warmup, streams).batteries
+    batteries, streams = _warm_up(scenario, power_map, seed, warmup)
     n1 = hits1 = hits0 = 0
     counts = np.zeros((scenario.num_sensors, net.capacity + 1), dtype=np.int64)
     for start in range(0, slots, _CALIBRATION_BLOCK):

@@ -39,6 +39,33 @@ def test_quantize_gain_edges():
     assert cells.tolist() == [0, 0, 1, 2, 3, 4, 4]
 
 
+def _searchsorted_cells(gains, thresholds):
+    """quantize_gain's array path before it counted edges, kept as its reference."""
+    edges = np.asarray(thresholds, dtype=float)
+    idx = np.searchsorted(edges, gains, side="right") - 1
+    return np.clip(idx, 0, edges.size - 2).astype(np.int64)
+
+
+@st.composite
+def _edges_and_gains(draw):
+    inner = sorted(draw(st.lists(st.floats(1e-9, 1e3), max_size=6, unique=True)))
+    edges = (0.0, *inner, math.inf)
+    # every edge (0 and +inf among them), the float just below each finite
+    # one, a gain past the last finite edge, and random gains on and off the edges
+    pinned = [*edges, *np.nextafter(edges[1:-1], -math.inf), 2.0 * edges[-2] + 1.0]
+    drawn = draw(st.lists(st.floats(0.0, 2e3) | st.sampled_from(edges), max_size=40))
+    return edges, np.array(pinned + drawn)
+
+
+@given(_edges_and_gains())
+def test_quantize_gain_counts_the_edges_searchsorted_finds(case):
+    edges, gains = case
+    cells = quantize_gain(gains, edges)
+    assert cells.dtype == np.int64
+    np.testing.assert_array_equal(cells, _searchsorted_cells(gains, edges))
+    assert [quantize_gain(float(g), edges) for g in gains] == cells.tolist()
+
+
 def test_gain_level_probs_reference_values():
     gp = gain_level_probs(1.1, EDGES)
     # survival-function differences of the exponential gain law

@@ -385,6 +385,82 @@ def test_calibration_blocks_are_capped_without_moving_a_sample(toy_scenario, mon
     assert max(calls) <= 4_096
 
 
+def _calibrate_by_fusing_every_slot(scenario, power_map, target_pf, samples, seed, psis):
+    """Calibration as it was before it scored only the kept nulls, kept as its
+    reference: every simulated slot is fused and the H1 slots and the
+    overshoot past `samples` are dropped afterwards."""
+    net = scenario.network
+    streams = make_streams(seed, scenario.num_sensors)
+    batteries = simulate_slots(scenario, power_map, 10 * net.capacity, streams).batteries
+    collected = []
+    have = 0
+    while have < samples:
+        block = min(simulator._CALIBRATION_BLOCK,
+                    int((samples - have) / max(net.prior_h0, 1e-6) * 1.05) + 1024)
+        batch = simulate_slots(scenario, power_map, block, streams, batteries=batteries)
+        batteries = batch.batteries
+        null = fusion_llr(batch, scenario, power_map, psis=psis)[batch.hypothesis == 0]
+        collected.append(null)
+        have += null.size
+    null_llr = np.concatenate(collected)[:samples]
+    threshold = float(np.quantile(null_llr, 1.0 - target_pf, method="higher"))
+    return threshold, float(np.mean(null_llr > threshold))
+
+
+@pytest.mark.parametrize("fc_knowledge", ["genie", "map_marginal"])
+def test_calibration_fuses_only_the_kept_nulls(toy_scenario, monkeypatch, fc_knowledge):
+    # a rare null makes most of each block H1 slots and the capped blocks make
+    # several calls; the result must still be the reference's bit for bit
+    scenario = _with_network(toy_scenario, prior_h0=0.05, fc_knowledge=fc_knowledge)
+    out = optimize_power_map(toy_scenario)
+    monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
+    expected = _calibrate_by_fusing_every_slot(scenario, out.power_map, 0.1, 2_000, 9,
+                                               out.psi_star)
+
+    fused = []
+    fuse = simulator.fusion_llr
+
+    def spy(batch, *args, **kwargs):
+        assert not batch.hypothesis.any()
+        fused.append(batch.hypothesis.size)
+        return fuse(batch, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "fusion_llr", spy)
+    got = calibrate_threshold(scenario, out.power_map, 0.1, samples=2_000, seed=9,
+                              psis=out.psi_star)
+    assert got == expected
+    assert len(fused) > 1
+    assert sum(fused) == 2_000
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda sc, m: calibrate_threshold(sc, m, 0.1, samples=500.5, seed=1),
+     r"samples must be a whole number >= 1, got 500\.5"),
+    (lambda sc, m: calibrate_threshold(sc, m, 0.1, samples=0, seed=1),
+     r"samples must be a whole number >= 1, got 0"),
+    (lambda sc, m: calibrate_threshold(sc, m, 0.1, samples=500, seed=1, warmup=-3),
+     r"warmup must be a whole number >= 0, got -3"),
+    (lambda sc, m: calibrate_threshold(sc, m, 0.1, samples=500, seed=1, warmup=2.5),
+     r"warmup must be a whole number >= 0, got 2\.5"),
+    (lambda sc, m: run_monte_carlo(sc, m, 0.0, slots=1000.0, seed=1),
+     r"slots must be a whole number >= 1, got 1000\.0"),
+    (lambda sc, m: run_monte_carlo(sc, m, 0.0, slots=0, seed=1),
+     r"slots must be a whole number >= 1, got 0"),
+    (lambda sc, m: run_monte_carlo(sc, m, 0.0, slots=1000, seed=1, warmup=-3),
+     r"warmup must be a whole number >= 0, got -3"),
+    (lambda sc, m: run_monte_carlo(sc, m, 0.0, slots=1000, seed=1, warmup=2.5),
+     r"warmup must be a whole number >= 0, got 2\.5"),
+], ids=["calibrate_float_samples", "calibrate_zero_samples", "calibrate_negative_warmup",
+        "calibrate_float_warmup", "measure_float_slots", "measure_zero_slots",
+        "measure_negative_warmup", "measure_float_warmup"])
+def test_bad_counts_raise_before_anything_is_simulated(toy_scenario, monkeypatch, call, match):
+    calls = []
+    monkeypatch.setattr(simulator, "simulate_slots", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=match):
+        call(toy_scenario, _spend_one_map(toy_scenario))
+    assert calls == []
+
+
 def test_calibration_holds_out_of_sample(toy_scenario):
     out = optimize_power_map(toy_scenario)
     tau, _ = calibrate_threshold(toy_scenario, out.power_map, 0.1,
