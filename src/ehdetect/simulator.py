@@ -393,8 +393,11 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
 
 
 def _take_slots(batch: SimBatch, idx: np.ndarray) -> SimBatch:
-    """The slots `idx` of `batch`, in that order; the end batteries stay the
-    whole batch's."""
+    """The slots `idx` of `batch`, in that order, as input for fusion_llr.
+
+    The end batteries stay the whole batch's, so the result is no sample
+    path: never pass its batteries on to simulate_slots.
+    """
     return SimBatch(
         hypothesis=batch.hypothesis.take(idx),
         gains=batch.gains.take(idx, axis=1),
