@@ -470,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=_POSITIVE, default=100_000,
                        help="measured slots (default 100000)")
         p.add_argument("--calibration-samples", type=_POSITIVE, default=None,
-                       help="null samples for threshold calibration (default: --samples)")
+                       help="slots simulated for threshold calibration, each one a null "
+                            "sample whatever the prior (default: --samples)")
         p.add_argument("--warmup", type=_NONNEGATIVE, default=None,
                        help="burn-in slots (default: 10x capacity)")
         p.add_argument("--target-pf", type=_PROBABILITY, default=0.1,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,8 +47,7 @@ _FUSION_CHUNK = 4_096
 # runs only widen each lockstep step, which costs less per slot.
 _WALK_CHUNK = 192
 # calibrate_threshold and run_monte_carlo simulate at most this many slots per
-# call, so a long run or a rare null (small prior_h0) costs more calls, not
-# more memory.
+# call, so a long run costs more calls, not more memory.
 _CALIBRATION_BLOCK = 1 << 18
 
 
@@ -89,7 +88,13 @@ def make_streams(seed: int, num_sensors: int) -> Streams:
 
 @dataclass(frozen=True)
 class SimBatch:
-    """Column-major record of many slots (sensor-major 2-D arrays)."""
+    """Column-major record of many slots (sensor-major 2-D arrays).
+
+    `null_outputs` is what each slot's outputs would have been under H0, from
+    the same battery state, gain, decision uniform and noise: none of those
+    depends on the slot's hypothesis, so every slot is a null sample. On the
+    H0 slots it equals `outputs` bit for bit.
+    """
 
     hypothesis: np.ndarray
     gains: np.ndarray
@@ -98,6 +103,7 @@ class SimBatch:
     transmit: np.ndarray
     amplitudes: np.ndarray
     outputs: np.ndarray
+    null_outputs: np.ndarray
     batteries: tuple[int, ...]      # end-of-batch, feeds the next batch
 
 
@@ -151,19 +157,26 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     transmit = np.empty((N, slots), dtype=np.int8)
     amplitudes = np.empty((N, slots))
     outputs = np.empty((N, slots))
+    null_outputs = np.empty((N, slots))
     end = []
 
     for n, (sensor, st) in enumerate(zip(scenario.sensors, streams.sensors)):
         g = st.gain.exponential(sensor.mean_gain, slots)
         dec = st.decision.random(slots)
-        w = st.noise.normal(0.0, math.sqrt(sensor.noise_var), slots)
+        # normal(0, sigma) draws standard normals and scales them; doing the
+        # scaling in place gives the same numbers bit for bit, with one array
+        w = st.noise.standard_normal(slots)
+        w *= math.sqrt(sensor.noise_var)
         en = st.energy.exponential(net.mean_harvest, slots)
 
         lv = quantize_gain(g, sensor.thresholds)
+        # u0: whether the slot would transmit under H0
         if net.transmit_prob_model == "prior":
+            u0 = 0
             u = hyp.astype(np.int8)
         else:
-            u = np.where(hyp == 1, dec < sensor.p_d, dec < sensor.p_f).astype(np.int8)
+            u0 = dec < sensor.p_f
+            u = np.where(hyp == 1, dec < sensor.p_d, u0).astype(np.int8)
         beta = np.ceil(en / net.unit_energy).astype(np.int64)
 
         end.append(_walk(power_map.units[n], (lv + 1) * u, beta, batteries[n], states[n]))
@@ -175,6 +188,7 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         transmit[n] = u
         amplitudes[n] = a
         outputs[n] = a * u + w
+        null_outputs[n] = a * u0 + w
 
     return SimBatch(
         hypothesis=hyp,
@@ -184,6 +198,7 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         transmit=transmit,
         amplitudes=amplitudes,
         outputs=outputs,
+        null_outputs=null_outputs,
         batteries=tuple(end),
     )
 
@@ -297,11 +312,21 @@ def _rejoin(steps: list, offsets: list, banked: list, path: np.ndarray, b: int, 
     return b
 
 
-def _binary_llr(t_sig: np.ndarray, t0: np.ndarray, p_f: float, p_d: float) -> np.ndarray:
-    # log-likelihood ratio of a two-point mixture over "spoke" vs "stayed silent"
-    num = np.logaddexp(math.log(p_d) + t_sig, math.log1p(-p_d) + t0)
-    den = np.logaddexp(math.log(p_f) + t_sig, math.log1p(-p_f) + t0)
-    return num - den
+def _binary_llr(d: np.ndarray, p_f: float, p_d: float) -> np.ndarray:
+    """Log-likelihood ratio of the two-point mixtures over "spoke" vs "stayed
+    silent", log((p_d e^d + 1 - p_d) / (p_f e^d + 1 - p_f)), where d is the
+    log-likelihood ratio of an output that was sent against silence.
+
+    Numerator and denominator are both divided by e^max(d, 0), so each is a
+    sum of two nonnegative terms that cannot overflow or cancel, whatever d
+    and however close p_f and p_d lie to 0 or 1. At d = 0 both are
+    p + (1 - p), which rounds to exactly 1, so the statistic is exactly 0.
+    """
+    u = np.exp(np.minimum(d, 0.0))
+    v = np.exp(-np.maximum(d, 0.0))
+    ratio = p_d * u + (1.0 - p_d) * v
+    ratio /= p_f * u + (1.0 - p_f) * v
+    return np.log(ratio, out=ratio)
 
 
 def _merged_components(table: np.ndarray, psi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -341,10 +366,9 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
         for n, sensor in enumerate(scenario.sensors):
             y = batch.outputs[n]
             a = batch.amplitudes[n]
-            inv = 1.0 / (2.0 * sensor.noise_var)
-            t_sig = -(y - a) ** 2 * inv
-            t0 = -(y ** 2) * inv
-            total += _binary_llr(t_sig, t0, sensor.p_f, sensor.p_d)
+            # (y^2 - (y - a)^2) / (2 sigma^2), exactly 0 where a is
+            d = (2.0 * y - a) * a * (1.0 / (2.0 * sensor.noise_var))
+            total += _binary_llr(d, sensor.p_f, sensor.p_d)
         return total
 
     if power_map is None or psis is None:
@@ -388,38 +412,25 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
                 np.exp(z, out=z)
                 t_sig[idx] = np.log(z.sum(axis=1)) + peak
         t0 = -(y_all ** 2) * inv
-        total += _binary_llr(t_sig, t0, sensor.p_f, sensor.p_d)
+        total += _binary_llr(t_sig - t0, sensor.p_f, sensor.p_d)
     return total
 
 
-def _take_slots(batch: SimBatch, idx: np.ndarray) -> SimBatch:
-    """The slots `idx` of `batch`, in that order, as input for fusion_llr.
-
-    The end batteries stay the whole batch's, so the result is no sample
-    path: never pass its batteries on to simulate_slots.
-    """
-    return SimBatch(
-        hypothesis=batch.hypothesis.take(idx),
-        gains=batch.gains.take(idx, axis=1),
-        levels=batch.levels.take(idx, axis=1),
-        states=batch.states.take(idx, axis=1),
-        transmit=batch.transmit.take(idx, axis=1),
-        amplitudes=batch.amplitudes.take(idx, axis=1),
-        outputs=batch.outputs.take(idx, axis=1),
-        batteries=batch.batteries,
-    )
-
-
-def _warm_up(scenario: Scenario, power_map: PowerMap, seed: int, warmup: int | None):
-    """The batteries after `warmup` slots (default 10x capacity) from full,
-    None when there are none, and the streams that go on from there."""
+def _blocks(scenario: Scenario, power_map: PowerMap, slots: int, seed: int,
+            warmup: int | None):
+    """The `slots` slots after `warmup` slots (default 10x capacity) from full
+    batteries, as consecutive batches of at most `_CALIBRATION_BLOCK` slots."""
     warmup = 10 * scenario.network.capacity if warmup is None else warmup
     _check_count("warmup", warmup, 0)
     streams = make_streams(seed, scenario.num_sensors)
     batteries = None
     if warmup > 0:
         batteries = simulate_slots(scenario, power_map, warmup, streams).batteries
-    return batteries, streams
+    for start in range(0, slots, _CALIBRATION_BLOCK):
+        batch = simulate_slots(scenario, power_map, min(_CALIBRATION_BLOCK, slots - start),
+                               streams, batteries=batteries)
+        batteries = batch.batteries
+        yield batch
 
 
 def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: float,
@@ -427,14 +438,21 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
                         psis=None) -> tuple[float, float]:
     """Pick the fusion threshold hitting a false-alarm target.
 
-    Runs the normally mixed chain and collects the statistic on the first
-    `samples` slots where the null actually held (the hypothesis draw is
-    independent of the battery past, so those slots sample the unbiased
-    battery state). Only those slots are scored: the H1 slots and the
-    overshoot of the last block are simulated, to keep the sample path, but
-    never fused. The threshold is the conservative empirical quantile:
-    deciding on strictly greater keeps the false-alarm estimate at or below
-    target_pf.
+    Simulates `samples` slots of the normally mixed chain after the warm-up
+    and scores every one of them as a null sample: the fusion statistic of
+    the slot's `null_outputs`, the output it would have had under H0. The
+    battery state, gain, decision uniform and noise of a slot do not depend
+    on its hypothesis, so each slot samples the null law at the stationary
+    battery state whichever hypothesis held (conditional Monte Carlo), and
+    the cost does not depend on prior_h0. Adjacent slots share a battery
+    state, so the samples are correlated, not independent.
+
+    The threshold is the conservative empirical quantile: deciding on
+    strictly greater keeps the false-alarm estimate at or below target_pf.
+    Where the statistic has an atom (the genie statistic is exactly 0 on
+    every slot where no sensor would spend power) and the quantile falls on
+    it, the whole atom stays below the threshold, so the achieved rate can
+    fall well below target_pf.
 
     Returns (threshold, in-sample false-alarm rate at that threshold).
     Raises ValueError, before simulating anything, on a `target_pf` outside
@@ -444,22 +462,9 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
     if not 0.0 < target_pf < 1.0:
         raise ValueError("target_pf must lie in (0, 1)")
     _check_count("samples", samples, 1)
-    net = scenario.network
-    batteries, streams = _warm_up(scenario, power_map, seed, warmup)
-
-    collected: list[np.ndarray] = []
-    have = 0
-    while have < samples:
-        block = min(_CALIBRATION_BLOCK,
-                    int((samples - have) / max(net.prior_h0, 1e-6) * 1.05) + 1024)
-        batch = simulate_slots(scenario, power_map, block, streams, batteries=batteries)
-        batteries = batch.batteries
-        # a slot's statistic reads only its own columns, so fusing the kept
-        # nulls alone gives the numbers fusing the whole block would
-        keep = np.flatnonzero(batch.hypothesis == 0)[:samples - have]
-        collected.append(fusion_llr(_take_slots(batch, keep), scenario, power_map, psis=psis))
-        have += keep.size
-    null_llr = np.concatenate(collected)
+    null_llr = np.concatenate([
+        fusion_llr(replace(batch, outputs=batch.null_outputs), scenario, power_map, psis=psis)
+        for batch in _blocks(scenario, power_map, samples, seed, warmup)])
     threshold = float(np.quantile(null_llr, 1.0 - target_pf, method="higher"))
     achieved = float(np.mean(null_llr > threshold))
     return threshold, achieved
@@ -481,13 +486,9 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
     """
     _check_count("slots", slots, 1)
     net = scenario.network
-    batteries, streams = _warm_up(scenario, power_map, seed, warmup)
     n1 = hits1 = hits0 = 0
     counts = np.zeros((scenario.num_sensors, net.capacity + 1), dtype=np.int64)
-    for start in range(0, slots, _CALIBRATION_BLOCK):
-        block = min(_CALIBRATION_BLOCK, slots - start)
-        batch = simulate_slots(scenario, power_map, block, streams, batteries=batteries)
-        batteries = batch.batteries
+    for batch in _blocks(scenario, power_map, slots, seed, warmup):
         decide = fusion_llr(batch, scenario, power_map, psis=psis) > threshold
         h1 = batch.hypothesis == 1
         n1 += int(np.count_nonzero(h1))

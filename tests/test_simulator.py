@@ -71,7 +71,8 @@ def _assert_steps_equal_the_batch(scenario, pmap, slots):
         step = simulate_slots(scenario, pmap, 1, streams, batteries=batteries)
         batteries = step.batteries
         assert step.hypothesis[0] == batch.hypothesis[t]
-        for field in ("gains", "levels", "states", "transmit", "amplitudes", "outputs"):
+        for field in ("gains", "levels", "states", "transmit", "amplitudes", "outputs",
+                      "null_outputs"):
             np.testing.assert_array_equal(getattr(step, field)[:, 0],
                                           getattr(batch, field)[:, t], err_msg=field)
     assert batteries == batch.batteries
@@ -165,6 +166,7 @@ def _one_slot_batch(y, amp, hypothesis=1):
         transmit=np.array([[1]], dtype=np.int8),
         amplitudes=np.array([[amp]]),
         outputs=np.array([[y]]),
+        null_outputs=np.array([[y]]),
         batteries=(1,),
     )
 
@@ -175,7 +177,7 @@ def test_genie_llr_reference_value(toy_scenario):
     assert llr[0] == pytest.approx(0.33786676791032366, rel=1e-14)
     # zero amplitude carries no evidence
     llr = fusion_llr(_one_slot_batch(1.0, 0.0), toy_scenario)
-    assert llr[0] == pytest.approx(0.0, abs=1e-15)
+    assert llr[0] == 0.0
 
 
 def test_genie_llr_sign_tracks_output(toy_scenario):
@@ -306,6 +308,7 @@ def _marginal_cases(draw, toy):
     slots = draw(st.integers(1, 40))
     N = len(sensors)
     scale = draw(st.sampled_from([1.0, 10.0]))  # 10 pushes every term far below zero
+    outputs = rng.normal(0.0, scale, (N, slots))
     batch = SimBatch(
         hypothesis=rng.integers(0, 2, slots).astype(np.int8),
         gains=rng.exponential(1.0, (N, slots)),
@@ -313,7 +316,8 @@ def _marginal_cases(draw, toy):
         states=np.zeros((N, slots), dtype=np.int64),
         transmit=np.ones((N, slots), dtype=np.int8),
         amplitudes=np.zeros((N, slots)),
-        outputs=rng.normal(0.0, scale, (N, slots)),
+        outputs=outputs,
+        null_outputs=outputs,
         batteries=(K,) * N,
     )
     return scenario, pmap, tuple(psis), batch
@@ -331,10 +335,84 @@ def test_merged_mixture_matches_the_per_state_reference(toy_scenario, data):
 
 
 def test_zero_map_statistic_is_numerical_dust(toy_scenario):
+    # every amplitude is 0, so both hypotheses give one output law and the
+    # genie statistic is exactly 0, with no rounding dust around it
     batch = simulate_slots(toy_scenario, _zero_map(toy_scenario), 1000,
                            make_streams(5, 1))
     llr = fusion_llr(batch, toy_scenario)
-    assert float(np.max(np.abs(llr))) <= 1e-12
+    assert np.all(llr == 0.0)
+
+
+def _logaddexp_binary_llr(d, p_f, p_d):
+    """The statistic as a difference of two logaddexp terms, the form the
+    scaled ratio replaced, kept as its reference."""
+    num = np.logaddexp(math.log(p_d) + d, math.log1p(-p_d))
+    den = np.logaddexp(math.log(p_f) + d, math.log1p(-p_f))
+    return num - den
+
+
+# probabilities anywhere in (0, 1), and within 1e-15..1e-3 of either end
+_PROBABILITIES = st.one_of(
+    st.floats(1e-6, 1.0 - 1e-6),
+    st.floats(1e-15, 1e-3),
+    st.floats(1e-15, 1e-3).map(lambda p: 1.0 - p),
+)
+
+
+@given(d=st.floats(-700.0, 700.0), p_f=_PROBABILITIES, p_d=_PROBABILITIES)
+@settings(max_examples=400, deadline=None)
+@example(d=-30.0, p_f=0.5, p_d=1.0 - 1e-12)     # 1 + (p_d - p_f)(e^d - 1) cancels
+@example(d=494.0, p_f=1.0 - 1e-12, p_d=1e-12)   # and so does 1 + p_f (e^d - 1)
+@example(d=700.0, p_f=1e-15, p_d=0.5)
+@example(d=-700.0, p_f=0.2, p_d=0.9)
+def test_binary_llr_matches_the_logaddexp_form(d, p_f, p_d):
+    # both slope signs: p_d may lie above or below p_f
+    got = simulator._binary_llr(np.array([d]), p_f, p_d)[0]
+    assert got == pytest.approx(_logaddexp_binary_llr(d, p_f, p_d), rel=0.0, abs=1e-12)
+
+
+@given(d=st.floats(-1e6, 1e6), p_f=_PROBABILITIES, p_d=_PROBABILITIES)
+@example(d=1e6, p_f=1e-15, p_d=1.0 - 1e-15)
+@example(d=-1e6, p_f=1.0 - 1e-15, p_d=1e-15)
+def test_binary_llr_is_finite_far_out_and_exactly_zero_at_zero(d, p_f, p_d):
+    llr = simulator._binary_llr(np.array([d, 0.0, -0.0]), p_f, p_d)
+    assert np.isfinite(llr[0])
+    assert llr[1] == 0.0 and llr[2] == 0.0
+
+
+@given(y=st.floats(-50.0, 50.0), rates=st.lists(_PROBABILITIES, min_size=2, max_size=2,
+                                                unique=True).map(sorted))
+def test_genie_statistic_is_exactly_zero_at_zero_amplitude(toy_scenario, y, rates):
+    p_f, p_d = rates
+    sc = replace(toy_scenario, sensors=(replace(toy_scenario.sensors[0], p_f=p_f, p_d=p_d),))
+    assert fusion_llr(_one_slot_batch(y, 0.0), sc)[0] == 0.0
+
+
+@pytest.mark.parametrize("model", ["prior", "decision"])
+def test_null_outputs_equal_the_outputs_on_h0_slots(two_sensor_scenario, model):
+    sc = _with_network(two_sensor_scenario, transmit_prob_model=model)
+    batch = simulate_slots(sc, _spend_one_map(sc), 5_000, make_streams(13, 2))
+    h0 = batch.hypothesis == 0
+    assert 0 < h0.sum() < h0.size
+    np.testing.assert_array_equal(batch.null_outputs[:, h0], batch.outputs[:, h0])
+    # under H1 a slot that spends power sends a different output
+    assert np.any(batch.null_outputs[:, ~h0] != batch.outputs[:, ~h0])
+
+
+@pytest.mark.parametrize("model", ["prior", "decision"])
+def test_null_outputs_replay_the_noise_and_decision_streams(two_sensor_scenario, model):
+    # a slot's null output is a * u0 + w: u0 is the local decision under H0
+    # (never under the prior model) and w the noise, both from the slot's own
+    # draws, so replaying the streams in their documented order gives it
+    sc = _with_network(two_sensor_scenario, transmit_prob_model=model)
+    slots = 3_000
+    batch = simulate_slots(sc, _spend_one_map(sc), slots, make_streams(29, 2))
+    replay = make_streams(29, 2)
+    for n, (sensor, st_n) in enumerate(zip(sc.sensors, replay.sensors)):
+        dec = st_n.decision.random(slots)
+        w = st_n.noise.normal(0.0, math.sqrt(sensor.noise_var), slots)
+        u0 = dec < sensor.p_f if model == "decision" else 0
+        np.testing.assert_array_equal(batch.null_outputs[n], batch.amplitudes[n] * u0 + w)
 
 
 def test_calibration_hits_target_in_sample(toy_scenario):
@@ -346,29 +424,7 @@ def test_calibration_hits_target_in_sample(toy_scenario):
     assert achieved >= 0.1 - 0.01
 
 
-@pytest.mark.parametrize("fc_knowledge,measure", [
-    pytest.param("genie", False, id="genie"),
-    pytest.param("map_marginal", False, id="map_marginal"),
-    pytest.param("map_marginal", True, id="run_monte_carlo"),
-])
-def test_calibration_blocks_are_capped_without_moving_a_sample(toy_scenario, monkeypatch,
-                                                               fc_knowledge, measure):
-    # a rare null needs about samples / prior_h0 slots, and a long measured run
-    # is as long as it asks; cutting either into capped blocks draws the same
-    # slots, so nothing may move
-    scenario = _with_network(toy_scenario, prior_h0=0.05, fc_knowledge=fc_knowledge)
-    out = optimize_power_map(toy_scenario)
-
-    def run():
-        if not measure:
-            return calibrate_threshold(scenario, out.power_map, 0.1, samples=2_000, seed=9,
-                                       psis=out.psi_star)
-        rep = run_monte_carlo(scenario, out.power_map, 0.0, slots=45_000, seed=9,
-                              psis=out.psi_star)
-        return (rep.pd_fc, rep.pf_fc, rep.ci_pd, rep.ci_pf,
-                [psi.tolist() for psi in rep.empirical_psi])
-
-    whole = run()
+def _spy_on_simulate_slots(monkeypatch):
     calls = []
     walk = simulator.simulate_slots
 
@@ -376,61 +432,91 @@ def test_calibration_blocks_are_capped_without_moving_a_sample(toy_scenario, mon
         calls.append(slots)
         return walk(scenario, power_map, slots, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
     monkeypatch.setattr(simulator, "simulate_slots", spy)
+    return calls
+
+
+@pytest.mark.parametrize("prior_h0", [0.5, 0.05])
+def test_calibration_simulates_exactly_the_warmup_and_the_samples(toy_scenario, monkeypatch,
+                                                                  prior_h0):
+    # every slot is a null sample, so a rare null costs no extra slots
+    scenario = _with_network(toy_scenario, prior_h0=prior_h0)
+    out = optimize_power_map(toy_scenario)
+    calls = _spy_on_simulate_slots(monkeypatch)
+    calibrate_threshold(scenario, out.power_map, 0.1, samples=3_000, seed=9)
+    assert calls == [10 * scenario.network.capacity, 3_000]
+
+
+@pytest.mark.parametrize("fc_knowledge,measure", [
+    pytest.param("genie", False, id="genie"),
+    pytest.param("map_marginal", False, id="map_marginal"),
+    pytest.param("map_marginal", True, id="run_monte_carlo"),
+])
+def test_calibration_blocks_are_capped_without_moving_a_sample(toy_scenario, monkeypatch,
+                                                               fc_knowledge, measure):
+    # a long calibration or measured run is cut into capped blocks that draw
+    # the same slots, so nothing may move
+    scenario = _with_network(toy_scenario, prior_h0=0.05, fc_knowledge=fc_knowledge)
+    out = optimize_power_map(toy_scenario)
+
+    def run():
+        if not measure:
+            return calibrate_threshold(scenario, out.power_map, 0.1, samples=45_000, seed=9,
+                                       psis=out.psi_star)
+        rep = run_monte_carlo(scenario, out.power_map, 0.0, slots=45_000, seed=9,
+                              psis=out.psi_star)
+        return (rep.pd_fc, rep.pf_fc, rep.ci_pd, rep.ci_pf,
+                [psi.tolist() for psi in rep.empirical_psi])
+
+    whole = run()
+    monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
+    calls = _spy_on_simulate_slots(monkeypatch)
     assert run() == whole
-    # warm-up, then at least ten capped blocks for the 2 000 / 0.05 calibration
-    # slots or the 45 000 measured ones
+    # warm-up, then eleven capped blocks for the 45 000 slots
     assert len(calls) > 10
     assert max(calls) <= 4_096
+    assert sum(calls) == 10 * scenario.network.capacity + 45_000
 
 
-def _calibrate_by_fusing_every_slot(scenario, power_map, target_pf, samples, seed, psis):
-    """Calibration as it was before it scored only the kept nulls, kept as its
-    reference: every simulated slot is fused and the H1 slots and the
-    overshoot past `samples` are dropped afterwards."""
-    net = scenario.network
+def _calibrate_on_one_batch(scenario, power_map, target_pf, samples, seed, psis):
+    """Calibration as one whole-run batch, kept as its reference: warm up,
+    simulate `samples` slots in one call, fuse every slot's null output and
+    take the conservative quantile."""
     streams = make_streams(seed, scenario.num_sensors)
-    batteries = simulate_slots(scenario, power_map, 10 * net.capacity, streams).batteries
-    collected = []
-    have = 0
-    while have < samples:
-        block = min(simulator._CALIBRATION_BLOCK,
-                    int((samples - have) / max(net.prior_h0, 1e-6) * 1.05) + 1024)
-        batch = simulate_slots(scenario, power_map, block, streams, batteries=batteries)
-        batteries = batch.batteries
-        null = fusion_llr(batch, scenario, power_map, psis=psis)[batch.hypothesis == 0]
-        collected.append(null)
-        have += null.size
-    null_llr = np.concatenate(collected)[:samples]
+    batteries = simulate_slots(scenario, power_map, 10 * scenario.network.capacity,
+                               streams).batteries
+    batch = simulate_slots(scenario, power_map, samples, streams, batteries=batteries)
+    null = replace(batch, outputs=batch.null_outputs)
+    null_llr = fusion_llr(null, scenario, power_map, psis=psis)
     threshold = float(np.quantile(null_llr, 1.0 - target_pf, method="higher"))
     return threshold, float(np.mean(null_llr > threshold))
 
 
+@pytest.mark.parametrize("model", ["prior", "decision"])
 @pytest.mark.parametrize("fc_knowledge", ["genie", "map_marginal"])
-def test_calibration_fuses_only_the_kept_nulls(toy_scenario, monkeypatch, fc_knowledge):
-    # a rare null makes most of each block H1 slots and the capped blocks make
-    # several calls; the result must still be the reference's bit for bit
-    scenario = _with_network(toy_scenario, prior_h0=0.05, fc_knowledge=fc_knowledge)
+def test_calibration_fuses_the_null_output_of_every_slot(toy_scenario, monkeypatch,
+                                                         fc_knowledge, model):
+    # capped blocks make several calls; the result must still be the whole
+    # batch's bit for bit, and every fused slot must carry its null output
+    scenario = _with_network(toy_scenario, prior_h0=0.05, fc_knowledge=fc_knowledge,
+                             transmit_prob_model=model)
     out = optimize_power_map(toy_scenario)
-    monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
-    expected = _calibrate_by_fusing_every_slot(scenario, out.power_map, 0.1, 2_000, 9,
-                                               out.psi_star)
+    expected = _calibrate_on_one_batch(scenario, out.power_map, 0.1, 10_000, 9, out.psi_star)
 
     fused = []
     fuse = simulator.fusion_llr
 
     def spy(batch, *args, **kwargs):
-        assert not batch.hypothesis.any()
+        np.testing.assert_array_equal(batch.outputs, batch.null_outputs)
         fused.append(batch.hypothesis.size)
         return fuse(batch, *args, **kwargs)
 
+    monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
     monkeypatch.setattr(simulator, "fusion_llr", spy)
-    got = calibrate_threshold(scenario, out.power_map, 0.1, samples=2_000, seed=9,
+    got = calibrate_threshold(scenario, out.power_map, 0.1, samples=10_000, seed=9,
                               psis=out.psi_star)
     assert got == expected
-    assert len(fused) > 1
-    assert sum(fused) == 2_000
+    assert fused == [4_096, 4_096, 1_808]
 
 
 @pytest.mark.parametrize("call, match", [
@@ -470,6 +556,19 @@ def test_calibration_holds_out_of_sample(toy_scenario):
     se = math.sqrt(0.1 * 0.9 / (0.5 * 50_000))
     assert abs(rep.pf_fc - 0.1) <= 5 * se
     assert rep.pd_fc > rep.pf_fc
+
+
+def test_calibration_holds_out_of_sample_with_a_rare_null(toy_scenario):
+    # one slot in twenty is a true null, but calibration scores the null
+    # output of every slot, so the held-out rate must still hit the target
+    scenario = _with_network(toy_scenario, prior_h0=0.05)
+    out = optimize_power_map(scenario)
+    tau, _ = calibrate_threshold(scenario, out.power_map, 0.1,
+                                 samples=50_000, seed=41, psis=out.psi_star)
+    rep = run_monte_carlo(scenario, out.power_map, tau, slots=400_000,
+                          seed=43, psis=out.psi_star)
+    se = math.sqrt(0.1 * 0.9 / (0.05 * 400_000))
+    assert abs(rep.pf_fc - 0.1) <= 5 * se
 
 
 def test_monte_carlo_report_contract(toy_scenario):
