@@ -41,7 +41,6 @@ from .detection import (
     RocCoefficients,
     gaussian_j_divergence,
     local_lrt_probabilities,
-    mixture_j_quadrature,
     moment_match,
     q_function,
     roc_coefficients,

@@ -25,20 +25,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .battery import arrival_unit_pmf, gain_level_probs
 from .config import (
     FC_KNOWLEDGE_MODES,
     TRANSMIT_PROB_MODELS,
     Scenario,
     ScenarioError,
     load_scenario,
-)
-from .detection import (
-    gaussian_j_divergence,
-    mixture_j_quadrature,
-    moment_match,
-    roc_coefficients,
-    sensor_j_divergence,
 )
 from .optimizer import (
     OptimizationOutcome,
@@ -334,53 +326,6 @@ def cmd_validate(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     net = scenario.network
     results: list[tuple[str, bool]] = []
-    rng = np.random.default_rng(args.seed)
-
-    # closed-form divergence against the two-Gaussian construction
-    worst = 0.0
-    for sensor in scenario.sensors:
-        coeffs = roc_coefficients(sensor.p_f, sensor.p_d)
-        for _ in range(200):
-            g = float(rng.uniform(0.0, 10.0))
-            p = float(rng.uniform(0.0, 50.0))
-            direct = sensor_j_divergence(g, p, coeffs, sensor.noise_var)
-            built = gaussian_j_divergence(
-                moment_match(sensor.p_f, sensor.p_d, p, g, sensor.noise_var))
-            worst = max(worst, abs(direct - built) / max(1.0, abs(direct)))
-    results.append(_check("divergence-identity", worst <= 1e-12,
-                          f"max relative gap {worst:.3e} (tol 1e-12)"))
-
-    # quantizer cell probabilities telescope to one
-    worst = 0.0
-    for sensor in scenario.sensors:
-        pi = gain_level_probs(sensor.mean_gain, sensor.thresholds).pi
-        worst = max(worst, abs(float(pi.sum()) - 1.0))
-    results.append(_check("gain-cells", worst <= 1e-12,
-                          f"max |sum - 1| = {worst:.3e} (tol 1e-12)"))
-
-    # banked-unit pmf: geometric ratio between interior entries, folded tail
-    worst = 0.0
-    r = net.unit_energy / net.mean_harvest
-    pmf = arrival_unit_pmf(net.mean_harvest, net.unit_energy, net.capacity).pmf
-    if net.capacity >= 3:
-        ratios = pmf[2:-1] / pmf[1:-2]
-        if ratios.size:
-            worst = float(np.max(np.abs(ratios - math.exp(-r))))
-    worst = max(worst, abs(float(pmf.sum()) - 1.0), float(pmf[0]))
-    results.append(_check("arrival-pmf", worst <= 1e-12,
-                          f"max defect {worst:.3e} (tol 1e-12)"))
-
-    # mixture quadrature against the matched-moment surrogate (loose: the
-    # surrogate is an approximation, so only sanity-bound the ratio)
-    sensor = scenario.sensors[0]
-    exact = mixture_j_quadrature(sensor.p_f, sensor.p_d, 1.0, sensor.mean_gain,
-                                 sensor.noise_var)
-    surrogate = sensor_j_divergence(
-        sensor.mean_gain, 1.0, roc_coefficients(sensor.p_f, sensor.p_d),
-        sensor.noise_var)
-    ratio_ok = surrogate >= 2.0 and exact >= 0.0
-    results.append(_check("divergence-floor", ratio_ok,
-                          f"surrogate {surrogate:.4f} >= 2, mixture KL sum {exact:.4f} >= 0"))
 
     # full optimization with certificate
     outcome = _solve(scenario)
@@ -498,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run self-consistency checks on a scenario")
     common(p, out_required=False)
-    p.add_argument("--seed", type=_NONNEGATIVE, default=42)
     p.set_defaults(func=cmd_validate)
 
     return parser

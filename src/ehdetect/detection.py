@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
 __all__ = [
     "q_function",
     "RocCoefficients",
@@ -24,12 +22,9 @@ __all__ = [
     "gaussian_j_divergence",
     "sensor_j_divergence",
     "local_lrt_probabilities",
-    "mixture_j_quadrature",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# absolute and relative tolerance of the adaptive quadrature yardstick
-_QUAD_TOL = 1e-10
 
 
 def q_function(x: float) -> float:
@@ -158,34 +153,3 @@ def local_lrt_probabilities(amplitude: float, noise_sigma: float,
         raise ValueError("noise_sigma must be > 0")
     return (q_function(threshold / noise_sigma),
             q_function((threshold - amplitude) / noise_sigma))
-
-
-def mixture_j_quadrature(p_f: float, p_d: float, power: float, gain: float,
-                         noise_var: float) -> float:
-    """Numeric symmetric KL divergence between the exact received mixtures.
-
-    Slow and only meant as an independent yardstick in tests: the closed-form
-    score above approximates 2 * (this + 1). Integrates
-    (f1 - f0) * log(f1 / f0) over the real line by adaptive quadrature.
-    """
-    amp = math.sqrt(power * gain)
-    sigma = math.sqrt(noise_var)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * noise_var)
-
-    def pdf(y: float, w: float) -> float:
-        bump = math.exp(-((y - amp) ** 2) / (2.0 * noise_var))
-        base = math.exp(-(y * y) / (2.0 * noise_var))
-        return norm * (w * bump + (1.0 - w) * base)
-
-    def integrand(y: float) -> float:
-        f1 = pdf(y, p_d)
-        f0 = pdf(y, p_f)
-        if f1 <= 0.0 or f0 <= 0.0:  # both tails underflow together
-            return 0.0
-        return (f1 - f0) * math.log(f1 / f0)
-
-    lo = -40.0 * sigma
-    hi = amp + 40.0 * sigma
-    value, _ = integrate.quad(integrand, lo, hi, points=[0.0, amp],
-                              limit=400, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
-    return value

@@ -394,7 +394,9 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
         g_all = batch.gains[n]
         t_sig = np.empty(slots)
         for level, (powers, masses) in enumerate(_merged_components(table, psi)):
-            log_mass = np.log(masses)
+            # normalised per level, so a lone component has log-mass exactly 0
+            # even where psi's float sum is not exactly 1
+            log_mass = np.log(masses / masses.sum())
             where = np.flatnonzero(levels == level)
             for start in range(0, where.size, _FUSION_CHUNK):
                 idx = where[start:start + _FUSION_CHUNK]

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -351,15 +354,48 @@ def test_validate_passes_on_bundled_scenarios(scenario_dir, capsys):
     assert main(["validate", "--scenario", _toy(scenario_dir)]) == EXIT_OK
     text = capsys.readouterr().out
     assert "FAIL" not in text
-    assert "PASS divergence-identity" in text
+    assert "PASS fixed-point" in text
     assert "PASS certificate" in text
     assert "PASS exhaustive" in text  # toy is small enough to enumerate
+    printed = text
 
     assert main(["validate", "--scenario",
                  str(scenario_dir / "two_sensor.scn")]) == EXIT_OK
     text = capsys.readouterr().out
     assert "FAIL" not in text
     assert "SKIP exhaustive" in text  # capacity 100 exceeds the guard
+    printed += text
+    # formula identities that hold on every scenario that loads are tier-1
+    # tests, not checks of a scenario
+    for gone in ("divergence-identity", "gain-cells", "arrival-pmf", "divergence-floor"):
+        assert gone not in printed
+
+
+# every command, run in one fresh interpreter, then the list of scipy modules
+# it loaded: the program needs numpy only, and scipy is a test dependency
+_EVERY_COMMAND_WITHOUT_SCIPY = """\
+import sys
+from ehdetect.cli import main
+toy, out = sys.argv[1:]
+for argv in (["powermap", "--out", out + "/map"],
+             ["simulate", "--out", out + "/sim", "--samples", "500"],
+             ["sweep", "--out", out + "/sweep.csv", "--variable", "power_budget",
+              "--values", "1,2", "--skip-simulation"],
+             ["validate"]):
+    assert main([argv[0], "--scenario", toy, *argv[1:]]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path, scenario_dir):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ehdetect.__file__).parent.parent), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", _EVERY_COMMAND_WITHOUT_SCIPY,
+                          _toy(scenario_dir), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_validate_skips_the_oracle_when_its_guard_refuses(tmp_path, toy_scenario,

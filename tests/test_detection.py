@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from ehdetect import (
     GaussianPair,
     RocCoefficients,
     gaussian_j_divergence,
     local_lrt_probabilities,
-    mixture_j_quadrature,
     moment_match,
     q_function,
     roc_coefficients,
@@ -131,6 +131,41 @@ def test_local_lrt_probabilities():
     # symmetric threshold: midpoint gives p_d = 1 - p_f
     p_f, p_d = local_lrt_probabilities(amplitude=3.0, noise_sigma=0.7, threshold=1.5)
     assert p_d == pytest.approx(1.0 - p_f, abs=1e-12)
+
+
+# absolute and relative tolerance of the adaptive quadrature yardstick
+_QUAD_TOL = 1e-10
+
+
+def mixture_j_quadrature(p_f: float, p_d: float, power: float, gain: float,
+                         noise_var: float) -> float:
+    """Numeric symmetric KL divergence between the exact received mixtures.
+
+    Slow and only meant as an independent yardstick: the closed-form score
+    approximates 2 * (this + 1). Integrates (f1 - f0) * log(f1 / f0) over the
+    real line by adaptive quadrature.
+    """
+    amp = math.sqrt(power * gain)
+    sigma = math.sqrt(noise_var)
+    norm = 1.0 / math.sqrt(2.0 * math.pi * noise_var)
+
+    def pdf(y: float, w: float) -> float:
+        bump = math.exp(-((y - amp) ** 2) / (2.0 * noise_var))
+        base = math.exp(-(y * y) / (2.0 * noise_var))
+        return norm * (w * bump + (1.0 - w) * base)
+
+    def integrand(y: float) -> float:
+        f1 = pdf(y, p_d)
+        f0 = pdf(y, p_f)
+        if f1 <= 0.0 or f0 <= 0.0:  # both tails underflow together
+            return 0.0
+        return (f1 - f0) * math.log(f1 / f0)
+
+    lo = -40.0 * sigma
+    hi = amp + 40.0 * sigma
+    value, _ = integrate.quad(integrand, lo, hi, points=[0.0, amp],
+                              limit=400, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
+    return value
 
 
 def test_mixture_quadrature_zero_power_is_blind():

@@ -334,12 +334,18 @@ def test_merged_mixture_matches_the_per_state_reference(toy_scenario, data):
                                rtol=0.0, atol=1e-12)
 
 
-def test_zero_map_statistic_is_numerical_dust(toy_scenario):
+@pytest.mark.parametrize("fc_knowledge", ["genie", "map_marginal"])
+def test_zero_map_statistic_is_numerical_dust(toy_scenario, fc_knowledge):
     # every amplitude is 0, so both hypotheses give one output law and the
-    # genie statistic is exactly 0, with no rounding dust around it
-    batch = simulate_slots(toy_scenario, _zero_map(toy_scenario), 1000,
-                           make_streams(5, 1))
-    llr = fusion_llr(batch, toy_scenario)
+    # statistic is exactly 0, with no rounding dust around it; map_marginal
+    # mixes over a uniform psi whose float sum is not exactly 1
+    scenario = _with_network(toy_scenario, fc_knowledge=fc_knowledge)
+    zero = _zero_map(scenario)
+    states = scenario.network.capacity + 1
+    psi = BatteryDistribution(np.full(states, 1.0 / states))
+    assert psi.psi.sum() != 1.0
+    batch = simulate_slots(scenario, zero, 2000, make_streams(5, 1))
+    llr = fusion_llr(batch, scenario, zero, (psi,))
     assert np.all(llr == 0.0)
 
 
