@@ -35,12 +35,16 @@ __all__ = [
     "run_monte_carlo",
 ]
 
-# map_marginal fusion evaluates at most this many slots of one level per
-# (slots x merged components) block, so the block bounds the fusion's working
-# memory independently of the run length. At 100 components a block is about
-# 3 MB and stays in cache across its in-place passes; 1 024 to 16 384 slots
-# time the same on the bundled maps.
-_FUSION_CHUNK = 4_096
+# map_marginal fusion evaluates at most about this many elements per
+# (merged components x slots) block of one level, so the block bounds the
+# fusion's working memory independently of the run length. At 2^16 elements
+# a block is 0.5 MB and stays in cache across its in-place passes. A block
+# has at least two slots, because NumPy sums a one-column block along the
+# components pairwise but a wider one row by row, and a slot's statistic
+# must not depend on how the slots were blocked. For the same reason the
+# block is built by einsum and not by `@`: BLAS may round an element
+# differently depending on the block's width.
+_FUSION_CHUNK = 1 << 16
 # The battery walk guesses chunks of about sqrt(slots) slots, at most this
 # many, in lockstep. sqrt balances the lockstep steps (one per slot of a
 # chunk) against the sequential check (one per chunk); past the cap longer
@@ -346,6 +350,25 @@ def _merged_components(table: np.ndarray, psi: np.ndarray) -> list[tuple[np.ndar
     return components
 
 
+def _check_marginal_inputs(scenario: Scenario, power_map: PowerMap | None, psis) -> None:
+    """Raise ValueError unless map_marginal fusion has a power map and one
+    psi per sensor that covers the map's battery states; a no-op for genie
+    fusion, which needs neither."""
+    if scenario.network.fc_knowledge != "map_marginal":
+        return
+    if power_map is None or psis is None:
+        raise ValueError("map_marginal fusion needs power_map and psis")
+    N = scenario.num_sensors
+    if len(psis) != N:
+        why = f"sensor {len(psis)} has none" if len(psis) < N else f"psis[{N}] matches no sensor"
+        raise ValueError(f"map_marginal fusion needs one psi per sensor: got {len(psis)} "
+                         f"for {N} sensors; {why}")
+    for n, (table, dist) in enumerate(zip(power_map.powers, psis)):
+        if dist.psi.size != table.shape[1]:
+            raise ValueError(f"sensor {n}: psi covers {dist.psi.size} battery states, "
+                             f"but the power map has {table.shape[1]} (K+1)")
+
+
 def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None = None,
                psis=None) -> np.ndarray:
     """Per-slot fusion statistic, summed over sensors.
@@ -356,9 +379,21 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
     hypothesis is a mixture over the stationary distributions `psis`, one per
     sensor. Battery states that spend the same power at a level form one
     component of that mixture, so the cost grows with the number of distinct
-    powers per level, not with the capacity. The mixture is evaluated over
-    blocks of at most `_FUSION_CHUNK` slots of one level by its merged
-    components, which bounds the working memory.
+    powers per level, not with the capacity.
+
+    Against silence, component c (power p_c, normalised mass m_c) of a slot
+    with output y and gain g has the log-likelihood
+    log m_c - inv (y - sqrt(g p_c))^2 + inv y^2, inv = 1 / (2 sigma^2). The
+    y^2 terms cancel exactly, leaving the linear form
+    c0_c + c1_c (y sqrt(g)) + c2_c g with c0 = log m_c,
+    c1 = 2 inv sqrt(p_c) and c2 = -inv p_c, so the sent-vs-silent
+    log-likelihood ratio d is a log-sum-exp of it over the components, with
+    no large terms to cancel. A level's (components x slots) block of linear
+    forms is one einsum over at most about `_FUSION_CHUNK` elements; max,
+    subtract, exp and sum then run in place. The cost is about five passes
+    per (slot, component) element plus a few per slot. It is einsum and not
+    `@`, and a block never has one slot, so that a slot's statistic does not
+    depend on how the slots were blocked (see `_FUSION_CHUNK`).
     """
     slots = batch.hypothesis.size
     total = np.zeros(slots)
@@ -371,50 +406,41 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
             total += _binary_llr(d, sensor.p_f, sensor.p_d)
         return total
 
-    if power_map is None or psis is None:
-        raise ValueError("map_marginal fusion needs power_map and psis")
-    N = scenario.num_sensors
-    if len(psis) != N:
-        why = f"sensor {len(psis)} has none" if len(psis) < N else f"psis[{N}] matches no sensor"
-        raise ValueError(f"map_marginal fusion needs one psi per sensor: got {len(psis)} "
-                         f"for {N} sensors; {why}")
+    _check_marginal_inputs(scenario, power_map, psis)
     for n, sensor in enumerate(scenario.sensors):
         table = power_map.powers[n]
-        psi = psis[n].psi
-        if psi.size != table.shape[1]:
-            raise ValueError(f"sensor {n}: psi covers {psi.size} battery states, "
-                             f"but the power map has {table.shape[1]} (K+1)")
         levels = batch.levels[n]
         # every slot must fall in one level's group below, or its statistic is never set
         if slots and not 0 <= levels.min() <= levels.max() < table.shape[0]:
             raise ValueError(f"sensor {n}: batch levels must lie in 0..{table.shape[0] - 1}, "
                              "the power map's levels")
         inv = 1.0 / (2.0 * sensor.noise_var)
-        y_all = batch.outputs[n]
-        g_all = batch.gains[n]
-        t_sig = np.empty(slots)
-        for level, (powers, masses) in enumerate(_merged_components(table, psi)):
+        # each slot's inputs to the linear forms: 1, y sqrt(g), g
+        x = np.empty((3, slots))
+        x[0] = 1.0
+        np.sqrt(batch.gains[n], out=x[1])
+        x[1] *= batch.outputs[n]
+        x[2] = batch.gains[n]
+        d = np.empty(slots)
+        for level, (powers, masses) in enumerate(_merged_components(table, psis[n].psi)):
             # normalised per level, so a lone component has log-mass exactly 0
             # even where psi's float sum is not exactly 1
-            log_mass = np.log(masses / masses.sum())
+            coef = np.stack([np.log(masses / masses.sum()), 2.0 * inv * np.sqrt(powers),
+                             -inv * powers], axis=1)
+            width = max(2, _FUSION_CHUNK // powers.size)
             where = np.flatnonzero(levels == level)
-            for start in range(0, where.size, _FUSION_CHUNK):
-                idx = where[start:start + _FUSION_CHUNK]
-                y = y_all[idx]
-                # log_mass - (y - sqrt(g p))^2 / (2 sigma^2), then a log-sum-exp
-                # over the components, all in one slots x components buffer
-                z = np.multiply.outer(g_all[idx], powers)
-                np.sqrt(z, out=z)
-                np.subtract(y[:, None], z, out=z)
-                np.square(z, out=z)
-                z *= -inv
-                z += log_mass
-                peak = z.max(axis=1)
-                z -= peak[:, None]
+            for start in range(0, where.size, width):
+                idx = where[start:start + width]
+                if idx.size == 1:
+                    idx = idx.repeat(2)  # never a one-column block, see _FUSION_CHUNK
+                # take, not x[:, idx]: that gather comes out column-major, and
+                # einsum over it runs about five times slower
+                z = np.einsum("ck,kn->cn", coef, x.take(idx, axis=1))
+                peak = z.max(axis=0)
+                z -= peak
                 np.exp(z, out=z)
-                t_sig[idx] = np.log(z.sum(axis=1)) + peak
-        t0 = -(y_all ** 2) * inv
-        total += _binary_llr(t_sig - t0, sensor.p_f, sensor.p_d)
+                d[idx] = np.log(z.sum(axis=0)) + peak
+        total += _binary_llr(d, sensor.p_f, sensor.p_d)
     return total
 
 
@@ -458,12 +484,14 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
 
     Returns (threshold, in-sample false-alarm rate at that threshold).
     Raises ValueError, before simulating anything, on a `target_pf` outside
-    (0, 1), a `samples` that is not a whole number >= 1, or a `warmup` that
-    is not a whole number >= 0.
+    (0, 1), a `samples` that is not a whole number >= 1, a `warmup` that is
+    not a whole number >= 0, or map_marginal fusion without one fitting psi
+    per sensor.
     """
     if not 0.0 < target_pf < 1.0:
         raise ValueError("target_pf must lie in (0, 1)")
     _check_count("samples", samples, 1)
+    _check_marginal_inputs(scenario, power_map, psis)
     null_llr = np.concatenate([
         fusion_llr(replace(batch, outputs=batch.null_outputs), scenario, power_map, psis=psis)
         for batch in _blocks(scenario, power_map, samples, seed, warmup)])
@@ -483,10 +511,12 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
     that held in no measured slot gets rate 0 and half-width inf. The run is
     simulated in blocks of at most `_CALIBRATION_BLOCK` slots and only counts
     are kept, so memory does not grow with `slots`. Raises ValueError, before
-    simulating anything, on a `slots` that is not a whole number >= 1 or a
-    `warmup` that is not a whole number >= 0.
+    simulating anything, on a `slots` that is not a whole number >= 1, a
+    `warmup` that is not a whole number >= 0, or map_marginal fusion without
+    one fitting psi per sensor.
     """
     _check_count("slots", slots, 1)
+    _check_marginal_inputs(scenario, power_map, psis)
     net = scenario.network
     n1 = hits1 = hits0 = 0
     counts = np.zeros((scenario.num_sensors, net.capacity + 1), dtype=np.int64)

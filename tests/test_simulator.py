@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,7 +284,10 @@ def _per_state_llr(batch, scenario, power_map, psis):
 
 @st.composite
 def _marginal_cases(draw, toy):
-    K = draw(st.integers(1, 6))
+    # either few components that tie across states, or 8 to 13 distinct
+    # powers at every live level, the regime of a many-component map
+    many = draw(st.booleans())
+    K = draw(st.integers(7, 12) if many else st.integers(1, 6))
     level_count = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sensors, powers, units, psis = [], [], [], []
@@ -291,14 +295,20 @@ def _marginal_cases(draw, toy):
         edges = (0.0,) + tuple(0.5 * i for i in range(1, level_count)) + (math.inf,)
         sensors.append(replace(toy.sensors[0], thresholds=edges,
                                noise_var=draw(st.sampled_from([0.25, 1.0, 4.0]))))
-        # at most two units per slot, so powers tie across states
         u = np.zeros((level_count, K + 1), dtype=np.int64)
         for level in range(1, level_count):
-            u[level] = [draw(st.integers(0, min(k, 2))) for k in range(K + 1)]
+            if many:
+                # every state spends its whole charge, and every state keeps
+                # mass below, so the level mixes K + 1 distinct powers
+                u[level] = np.arange(K + 1)
+            else:
+                # at most two units per slot, so powers tie across states
+                u[level] = [draw(st.integers(0, min(k, 2))) for k in range(K + 1)]
         u[draw(st.integers(1, level_count - 1))] = 0  # one live level left dead
         units.append(u)
         powers.append(u * toy.network.unit_power)
-        weights = np.array([draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])) for _ in range(K + 1)])
+        masses = [0.1, 0.5, 1.0] if many else [0.0, 0.1, 0.5, 1.0]
+        weights = np.array([draw(st.sampled_from(masses)) for _ in range(K + 1)])
         weights[draw(st.integers(0, K))] = 1.0  # at least one state holds mass
         psis.append(BatteryDistribution(psi=weights / weights.sum()))
     scenario = replace(toy, sensors=tuple(sensors), network=replace(
@@ -347,6 +357,95 @@ def test_zero_map_statistic_is_numerical_dust(toy_scenario, fc_knowledge):
     batch = simulate_slots(scenario, zero, 2000, make_streams(5, 1))
     llr = fusion_llr(batch, scenario, zero, (psi,))
     assert np.all(llr == 0.0)
+
+
+def _slot_range(batch, start, stop):
+    """Slots start..stop-1 of `batch` as a batch of their own."""
+    return replace(batch, **{f.name: getattr(batch, f.name)[..., start:stop]
+                             for f in fields(SimBatch) if f.name != "batteries"})
+
+
+@pytest.mark.parametrize("many", [True, False], ids=["many_components", "lone_component"])
+def test_a_slots_statistic_does_not_depend_on_how_slots_are_blocked(two_sensor_scenario,
+                                                                    monkeypatch, many):
+    # capped calibration blocks equal the whole batch bit for bit only if no
+    # slot's statistic depends on its neighbours or on the block bound. Many:
+    # every live level mixes about 50 distinct powers, as on a many-component
+    # map. Lone: spend-one with an empty battery never occupied, so every
+    # live level is one component of nonzero power.
+    sc = _with_network(two_sensor_scenario, fc_knowledge="map_marginal")
+    K = sc.network.capacity
+    rng = np.random.default_rng(8)
+    if many:
+        pmap = _spend_all_map(sc)
+        weights = rng.random((sc.num_sensors, K + 1))
+        weights[rng.random(weights.shape) < 0.5] = 0.0
+    else:
+        pmap = _spend_one_map(sc)
+        weights = np.ones((sc.num_sensors, K + 1))
+        weights[:, 0] = 0.0
+    psis = tuple(BatteryDistribution(psi=w / w.sum()) for w in weights)
+    for table, dist in zip(pmap.powers, psis):
+        live = [p.size for p, _ in _merged_components(table, dist.psi)[1:]]
+        assert min(live) >= 8 if many else max(live) == 1
+    slots = 3_000
+    batch = simulate_slots(sc, pmap, slots, make_streams(17, 2))
+    whole = fusion_llr(batch, sc, pmap, psis=psis)
+    # one-slot pieces leave one slot at a level, which fills a block alone
+    cuts = [0, 1, 2, 5, 700, slots - 1, slots]
+    pieces = [fusion_llr(_slot_range(batch, a, b), sc, pmap, psis=psis)
+              for a, b in zip(cuts, cuts[1:])]
+    np.testing.assert_array_equal(np.concatenate(pieces), whole)
+    for bound in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_FUSION_CHUNK", bound)
+        np.testing.assert_array_equal(fusion_llr(batch, sc, pmap, psis=psis), whole)
+
+
+def _fraction_sqrt(q, bits=200):
+    """sqrt(q) for a Fraction q, to within 2^-bits."""
+    return Fraction(math.isqrt(q.numerator * 4**bits // q.denominator), 2**bits)
+
+
+def test_lone_component_log_likelihood_does_not_cancel_at_large_outputs(toy_scenario,
+                                                                        monkeypatch):
+    # spend-one on charged states only: every live level is one component, so
+    # d = inv (2 y sqrt(g p) - g p) exactly; the y^2 / (2 sigma^2) of the
+    # signal and noise hypotheses, up to 1e12 here, must cancel before rounding
+    sc = _with_network(toy_scenario, fc_knowledge="map_marginal")
+    pmap = _spend_one_map(sc)
+    K = sc.network.capacity
+    psi = np.zeros(K + 1)
+    psi[1:] = 1.0 / K
+    slots = 2_000
+    rng = np.random.default_rng(11)
+    y = rng.uniform(-1e6, 1e6, slots)
+    gains = rng.exponential(1.0, slots)
+    levels = rng.integers(1, sc.sensors[0].level_count, slots)
+    batch = SimBatch(
+        hypothesis=np.ones(slots, dtype=np.int8),
+        gains=gains[None, :],
+        levels=levels[None, :],
+        states=np.ones((1, slots), dtype=np.int64),
+        transmit=np.ones((1, slots), dtype=np.int8),
+        amplitudes=np.zeros((1, slots)),
+        outputs=y[None, :],
+        null_outputs=y[None, :],
+        batteries=(K,),
+    )
+    captured = []
+
+    def capture(d, p_f, p_d):
+        captured.append(d.copy())
+        return np.zeros_like(d)
+
+    monkeypatch.setattr(simulator, "_binary_llr", capture)
+    fusion_llr(batch, sc, pmap, psis=(BatteryDistribution(psi=psi),))
+    inv = 1 / (2 * Fraction(sc.sensors[0].noise_var))
+    exact = []
+    for y_s, g_s, level in zip(y, gains, levels):
+        gp = Fraction(g_s) * Fraction(pmap.powers[0][level, 1])
+        exact.append(float(inv * (2 * Fraction(y_s) * _fraction_sqrt(gp) - gp)))
+    np.testing.assert_allclose(captured[0], exact, rtol=1e-13, atol=0.0)
 
 
 def _logaddexp_binary_llr(d, p_f, p_d):
@@ -550,6 +649,27 @@ def test_bad_counts_raise_before_anything_is_simulated(toy_scenario, monkeypatch
     monkeypatch.setattr(simulator, "simulate_slots", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match=match):
         call(toy_scenario, _spend_one_map(toy_scenario))
+    assert calls == []
+
+
+@pytest.mark.parametrize("measure", [False, True], ids=["calibrate", "measure"])
+@pytest.mark.parametrize("psi_sizes, match", [
+    (None, "map_marginal fusion needs power_map and psis"),
+    ((101,), "sensor 1 has none"),
+    ((101, 100), "sensor 1: psi covers 100 battery states"),
+], ids=["no_psis", "one_psi", "short_psi"])
+def test_bad_map_marginal_inputs_raise_before_anything_is_simulated(
+        two_sensor_scenario, monkeypatch, measure, psi_sizes, match):
+    sc = _with_network(two_sensor_scenario, fc_knowledge="map_marginal")
+    pmap = _spend_one_map(sc)
+    psis = psi_sizes and tuple(BatteryDistribution(psi=np.full(m, 1.0 / m)) for m in psi_sizes)
+    calls = []
+    monkeypatch.setattr(simulator, "simulate_slots", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=match):
+        if measure:
+            run_monte_carlo(sc, pmap, 0.0, slots=1000, seed=1, psis=psis)
+        else:
+            calibrate_threshold(sc, pmap, 0.1, samples=1000, seed=1, psis=psis)
     assert calls == []
 
 
