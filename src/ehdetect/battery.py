@@ -12,7 +12,7 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,9 +66,12 @@ class ArrivalUnitPmf:
     """Distribution of whole energy units banked per slot, tail folded at K.
 
     pmf[0] is exactly 0: any positive harvest banks at least one unit.
+    drain_table[s, j] = Pr(min(s + beta, K) = j) is the bank step from the
+    post-drain state s; it is built once, and like pmf it is read-only.
     """
 
     pmf: np.ndarray
+    drain_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.pmf, dtype=float)
@@ -80,6 +83,15 @@ class ArrivalUnitPmf:
             raise ValueError("pmf must be >= 0 and sum to 1 within 1e-12")
         arr.flags.writeable = False
         object.__setattr__(self, "pmf", arr)
+        # s climbs to s + j with pmf[j], and the whole tail Pr(beta >= K - s)
+        # lands on K
+        K = arr.size - 1
+        states = np.arange(K + 1)
+        table = np.triu(arr[np.abs(states[None, :] - states[:, None])])
+        table[:, K] = np.cumsum(arr[::-1])
+        table[K, K] = 1.0
+        table.flags.writeable = False
+        object.__setattr__(self, "drain_table", table)
 
     @property
     def capacity(self) -> int:
@@ -163,21 +175,15 @@ def transmit_probability(network, sensor) -> float:
 def _drain_rows(alpha, arrivals: ArrivalUnitPmf) -> np.ndarray:
     """out[..., k, j] = Pr(min(k - alpha[..., k] + beta, K) = j): drain, then bank.
 
-    beta is the folded arrival count, so the post-drain state s climbs to
-    s + j with pmf[j] and the whole tail Pr(beta >= K - s) lands on K. The
-    rows come from one (K+1)x(K+1) table gathered at s = k - alpha[..., k],
-    for any leading batch shape of alpha. A drain must lie in [0, k].
+    beta is the folded arrival count. The rows are arrivals.drain_table
+    gathered at the post-drain states s = k - alpha[..., k], for any leading
+    batch shape of alpha. A drain must lie in [0, k].
     """
     alpha = np.asarray(alpha, dtype=np.int64)
-    pmf = arrivals.pmf
-    K = arrivals.capacity
-    states = np.arange(K + 1)
+    states = np.arange(arrivals.capacity + 1)
     if np.any((alpha < 0) | (alpha > states)):
         raise ValueError("every drain alpha[..., k] must lie in [0, k]")
-    table = np.triu(pmf[np.abs(states[None, :] - states[:, None])])
-    table[:, K] = np.cumsum(pmf[::-1])  # Pr(beta >= K - s)
-    table[K, K] = 1.0
-    return table[states - alpha]
+    return arrivals.drain_table[states - alpha]
 
 
 def transition_matrix(alpha, gain_probs: GainLevelProbs, arrivals: ArrivalUnitPmf,
@@ -194,9 +200,8 @@ def transition_matrix(alpha, gain_probs: GainLevelProbs, arrivals: ArrivalUnitPm
     L1 = gain_probs.level_count
     if alpha.shape != (L1, K + 1):
         raise ValueError(f"alpha must have shape ({L1}, {K + 1}), got {alpha.shape}")
-    idle = _drain_rows(np.zeros(K + 1, dtype=np.int64), arrivals)
     spend = np.tensordot(gain_probs.pi, _drain_rows(alpha, arrivals), axes=(0, 0))
-    return (1.0 - transmit_prob) * idle + transmit_prob * spend
+    return (1.0 - transmit_prob) * arrivals.drain_table + transmit_prob * spend
 
 
 def battery_transition(psi: BatteryDistribution, alpha, gain_probs: GainLevelProbs,
@@ -248,24 +253,43 @@ def stationary_oracle(alpha, gain_probs: GainLevelProbs, arrivals: ArrivalUnitPm
     return BatteryDistribution(psi=stationary_solve(M))
 
 
+def _stationary_laws(alphas, chains) -> list[BatteryDistribution]:
+    """stationary_oracle's law of every chain, from one stacked stationary_solve.
+
+    The chains must share one capacity. The laws equal per-chain
+    stationary_oracle calls bit for bit; a drain outside [0, k] or a chain
+    with no numerically unique law raises ValueError as there.
+    """
+    M = np.stack([transition_matrix(a, c.gain_probs, c.arrivals, c.transmit_prob)
+                  for a, c in zip(alphas, chains)])
+    return [BatteryDistribution(psi=psi) for psi in stationary_solve(M)]
+
+
 def steady_state_psi(chains, alpha_update):
     """Policy iteration on the unit maps until they repeat.
 
     chains is one ChainSpec per sensor; alpha_update maps the current list of
     BatteryDistribution to the list of per-sensor unit maps for this round.
-    Starts from full batteries; each round replaces every distribution with
-    stationary_oracle's law of its chain under the round's unit map. Stops
+    The chains must share one capacity, or ValueError names the capacities
+    before the first round. Starts from full batteries; each round replaces
+    every distribution with stationary_oracle's law of its chain under the
+    round's unit map, all chains in one stacked solve. Stops
     when a round returns the previous round's maps, whose stationary laws it
     was given, so they are a fixed point whose laws are exactly
     stationary_oracle's. It also stops on a repeat of any older round,
-    naming the period, at the MAX_ROUNDS cap, and on a stationary_oracle
-    ValueError (a drain outside [0, k], or no numerically unique law).
+    naming the period, at the MAX_ROUNDS cap, and on the ValueError
+    stationary_oracle would raise (a drain outside [0, k], or no numerically
+    unique law).
 
     Returns (distributions, iterations, problem). The distributions are the
     ones the last alpha_update call saw. problem is None at a fixed point;
     otherwise it names the period, the cap or the solve's error, then the
     iterations and the sup-norm change of the last law update (the residual).
     """
+    capacities = sorted({chain.arrivals.capacity for chain in chains})
+    if len(capacities) > 1:
+        raise ValueError("chains must share one battery capacity, got capacities "
+                         + ", ".join(map(str, capacities)))
     psis = []
     for chain in chains:
         K = chain.arrivals.capacity
@@ -288,8 +312,7 @@ def steady_state_psi(chains, alpha_update):
             problem = "iteration cap exceeded"
             break
         try:
-            nxt = [stationary_oracle(a, c.gain_probs, c.arrivals, c.transmit_prob)
-                   for a, c in zip(alphas, chains)]
+            nxt = _stationary_laws(alphas, chains)
         except ValueError as exc:
             problem = str(exc)
             break

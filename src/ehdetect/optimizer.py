@@ -8,10 +8,13 @@ where the marginal divergence gain equals the budget price, clamped into the
 feasible interval. Each level's root is its own safeguarded Newton iteration
 on Python floats: a call has only a handful of levels, and numpy's per-call
 overhead on such small arrays would outweigh the few dozen float operations
-of a step. The price is found on the monotone expected power by regula
-falsi (Illinois variant) with a bisection fallback. The battery
-distributions are then replaced by the exact stationary laws of the
-resulting integer unit map, and the two steps repeat (policy iteration)
+of a step. A solve builds each live level's gain constants once, as Python
+floats, so a price evaluation runs the iterations and one clamp per sensor
+and nothing else; its roots equal stationarity_root's bit for bit. The price
+is found on the monotone expected power by regula falsi (Illinois variant)
+with a bisection fallback. The battery distributions are then replaced by
+the exact stationary laws of the resulting integer unit map, all sensors'
+chains in one stacked solve, and the two steps repeat (policy iteration)
 until the unit map comes back unchanged.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +32,10 @@ from .battery import (
     ChainSpec,
     GainLevelProbs,
     _drain_rows,
+    _stationary_laws,
     arrival_unit_pmf,
     gain_level_probs,
-    stationary_oracle,
+    stationary_oracle,  # no caller here: perfbench's tracer patches this name
     stationary_solve,
     steady_state_psi,
     transmit_probability,
@@ -184,7 +189,8 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float)
     rtsafe, a step that leaves the bracket, or that is over half the step
     before last, bisects instead. A level stops at its first iterate whose
     residual is within ROOT_TOL * lam, so its root does not depend on the
-    other levels in the call.
+    other levels in the call. A solve runs the same code on level constants
+    it builds once (_SensorCtx.levels), so its roots equal this call's.
     """
     m = np.asarray(mu, dtype=float)
     if not ((m >= 0.0) & (m < math.inf)).all():
@@ -193,46 +199,84 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float)
         raise ValueError("noise_var must be finite and > 0")
     if math.isnan(lam):
         raise ValueError("lam must not be NaN")
-    out = np.zeros(m.shape)
     live = m > 0.0
-    if lam <= 0.0:
-        out[live] = math.inf
-    elif live.any():
-        out[live] = _live_roots(lam, m[live], coeffs, noise_var)
+    levels = [_level_constants(x, coeffs, noise_var) for x in m[live].tolist()]
+    out = _roots(lam, live, levels, coeffs)
     return float(out) if out.ndim == 0 else out
 
 
-def _live_roots(lam, mu, coeffs, noise_var):
-    """stationarity_root on a 1-D array of positive gains and a positive price."""
+class _Level(NamedTuple):
+    """Python-float constants of one live level's marginal divergence gain.
+
+    With d_i = s + b_i * p and t_i = a_i / d_i**2, the gain at power p is
+    t1 + t2 and its slope is m2 * (den1 * t1 / d1 + den2 * t2 / d2). Each
+    constant is computed with the operations, in the order, of
+    _gain_and_derivative and _p_big, so the gains, slopes and bracket ends
+    built from them equal theirs bit for bit.
+    """
+
+    mu: float
+    s: float            # noise variance
+    a1: float           # slope_i * s * mu
+    a2: float
+    b1: float           # den_i * mu
+    b2: float
+    den1: float
+    den2: float
+    m2: float           # -2 * mu
+    g0: float           # gain at zero power
+    dg0: float          # its slope
+    c1: float           # |slope_i| * s * mu, for _p_big
+    c2: float
+    g0_pos: float       # zero-power gain of the positive-slope terms alone
+
+
+def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _Level:
+    """The _Level of a live gain mu, a Python float."""
+    s = noise_var
     slope1, slope2 = coeffs.slopes
-    mus = mu.tolist()
+    g0, dg0 = _gain_and_derivative(0.0, mu, coeffs, s)
+    pos1, pos2 = max(slope1, 0.0) * s, max(slope2, 0.0) * s
+    return _Level(mu=mu, s=s, a1=slope1 * s * mu, a2=slope2 * s * mu,
+                  b1=coeffs.den1 * mu, b2=coeffs.den2 * mu,
+                  den1=coeffs.den1, den2=coeffs.den2, m2=-2.0 * mu,
+                  g0=g0, dg0=dg0,
+                  c1=abs(slope1) * s * mu, c2=abs(slope2) * s * mu,
+                  g0_pos=pos1 * mu / (s * s) + pos2 * mu / (s * s))
+
+
+def _roots(lam, live, levels, coeffs) -> np.ndarray:
+    """Every level's root at a price that is not NaN: 0.0 where live is False,
+    and levels[i] the constants of the i-th live level."""
+    out = np.zeros(live.shape)
+    if lam <= 0.0:
+        out[live] = math.inf
+    elif levels:
+        out[live] = _live_roots(lam, levels, coeffs)
+    return out
+
+
+def _live_roots(lam, levels, coeffs):
+    """The roots of the live levels at a positive price."""
+    slope1, slope2 = coeffs.slopes
     if slope1 >= 0.0 and slope2 >= 0.0:
         # the gain decreases, so [0, p_big] holds the only crossing
-        roots = []
-        for m in mus:
-            g, dg = _gain_and_derivative(0.0, m, coeffs, noise_var)
-            if g > lam:
-                hi = _p_big(lam, m, coeffs, noise_var)
-                roots.append(_rtsafe(lam, m, 0.0, hi, g, dg, coeffs, noise_var))
-            else:
-                roots.append(-1.0)
-        return roots
-    out = np.full(mu.size, -1.0)
+        return [_rtsafe(lam, lv, 0.0, _p_big(lam, lv), lv.g0, lv.dg0)
+                if lv.g0 > lam else -1.0 for lv in levels]
+    out = np.full(len(levels), -1.0)
     # A term of the gain is at most its zero-power value, and at most 0 where
     # its slope is negative. So a level whose positive terms sum to lam or
-    # less at zero power never rises above the price: its scan stays at
-    # p = 0, where it finds no crossing and the level is priced out. This
+    # less at zero power (g0_pos) never rises above the price: its scan stays
+    # at p = 0, where it finds no crossing and the level is priced out. This
     # also keeps out a gain so small that p_big overflows, whose scan would
-    # start at inf * 0 = NaN. The bound repeats the operations of
+    # start at inf * 0 = NaN. g0_pos repeats the operations of
     # _gain_and_derivative at p = 0, so it bounds the computed gains too.
-    s = noise_var
-    pos1, pos2 = max(slope1, 0.0) * s, max(slope2, 0.0) * s
-    ends = np.array([_p_big(lam, m, coeffs, noise_var)
-                     if pos1 * m / (s * s) + pos2 * m / (s * s) > lam else 0.0
-                     for m in mus])
+    ends = np.array([_p_big(lam, lv) if lv.g0_pos > lam else 0.0 for lv in levels])
     # A level that can rise above a price so small that its bracket end
     # overflows is unbounded, as inside the band; its scan stays at p = 0.
     unbounded = ends == math.inf
+    mu = np.array([lv.mu for lv in levels])
+    noise_var = levels[0].s
     grid = np.where(unbounded, 0.0, ends)[:, None] * _SCAN
     vals = marginal_divergence_gain(grid.T, mu, coeffs, noise_var).T - lam
     change = np.diff(np.sign(vals), axis=1) != 0
@@ -244,31 +288,32 @@ def _live_roots(lam, mu, coeffs, noise_var):
     flip = vals[rows, i] < 0.0  # orient so f(lo) > 0 > f(hi)
     lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
     g, dg = _gain_and_derivative(lo, mu[rows], coeffs, noise_var)
-    for r, m, a, b, ga, dga in zip(rows, mu[rows].tolist(), lo.tolist(),
-                                   hi.tolist(), g.tolist(), dg.tolist()):
-        out[r] = _rtsafe(lam, m, a, b, ga, dga, coeffs, noise_var)
+    for r, a, b, ga, dga in zip(rows.tolist(), lo.tolist(), hi.tolist(),
+                                g.tolist(), dg.tolist()):
+        out[r] = _rtsafe(lam, levels[r], a, b, ga, dga)
     return out
 
 
-def _p_big(lam, mu, coeffs, noise_var):
+def _p_big(lam, level: _Level):
     """A power beyond which both terms of the gain are within lam/2 of zero."""
     p_big = 1.0
     try:
-        for slope, den in zip(coeffs.slopes, (coeffs.den1, coeffs.den2)):
-            need = math.sqrt(max(abs(slope) * noise_var * mu / (0.5 * lam), 1e-30))
-            p_big = max(p_big, (need + noise_var) / (den * mu))
+        for c, b in ((level.c1, level.b1), (level.c2, level.b2)):
+            need = math.sqrt(max(c / (0.5 * lam), 1e-30))
+            p_big = max(p_big, (need + level.s) / b)
     except ZeroDivisionError:  # a price or gain so small that a divisor underflows
         return math.inf
     return p_big
 
 
-def _rtsafe(lam, mu, lo, hi, g, dg, coeffs, noise_var):
+def _rtsafe(lam, level: _Level, lo, hi, g, dg):
     """One level's root in [lo, hi] on Python floats.
 
     g > lam and dg are the gain and its slope at lo, the f > 0 end, where the
     iteration starts. Returns the first iterate within ROOT_TOL * lam, or the
     last of 220.
     """
+    _, s, a1, a2, b1, b2, den1, den2, m2, *_ = level
     p = lo
     # the last step and the one before it; rtsafe starts mid-bracket with
     # both at the bracket width, this loop starts at an end, so twice that
@@ -287,7 +332,13 @@ def _rtsafe(lam, mu, lo, hi, g, dg, coeffs, noise_var):
         mid = 0.5 * (lo + hi)
         dx_old, dx = dx, (size if ok else abs(hi - mid))
         p = step if ok else mid
-        g, dg = _gain_and_derivative(p, mu, coeffs, noise_var)
+        # the gain and its slope at p, as _gain_and_derivative computes them
+        d1 = s + b1 * p
+        d2 = s + b2 * p
+        t1 = a1 / (d1 * d1)
+        t2 = a2 / (d2 * d2)
+        g = t1 + t2
+        dg = m2 * (den1 * t1 / d1 + den2 * t2 / d2)
         if g > lam:
             lo = p
         else:
@@ -336,7 +387,10 @@ class _SensorCtx:
     noise_var: float
     mu: np.ndarray            # lower cell edges, shape (L+1,)
     phi: np.ndarray           # outage cap per state, shape (K+1,)
+    causality: np.ndarray     # stored power per state, state * unit_power
     lambda_ceiling: float     # price above which every root vanishes
+    live: np.ndarray          # mu > 0
+    levels: tuple[_Level, ...]  # root constants of the live levels, in order
 
 
 def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
@@ -345,6 +399,7 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     arr = arrival_unit_pmf(network.mean_harvest, network.unit_energy, network.capacity)
     phi = outage_cap(np.arange(network.capacity + 1), sensor, network)
     mu = np.asarray(sensor.thresholds[:-1], dtype=float)
+    live = mu > 0.0
     slope1, slope2 = coeffs.slopes
     ceiling = (max(slope1, 0.0) + max(slope2, 0.0)) * float(mu.max()) / sensor.noise_var
     return _SensorCtx(
@@ -355,20 +410,33 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
         noise_var=sensor.noise_var,
         mu=mu,
         phi=phi,
+        causality=np.arange(network.capacity + 1) * network.unit_power,
         lambda_ceiling=ceiling,
+        live=live,
+        levels=tuple(_level_constants(m, coeffs, sensor.noise_var)
+                     for m in mu[live].tolist()),
     )
+
+
+def _chains(ctxs) -> list[ChainSpec]:
+    return [ChainSpec(ctx.gain_probs, ctx.arrivals, ctx.transmit_prob) for ctx in ctxs]
 
 
 def _map_for_lambda(lam: float, ctxs, network: NetworkParams):
     """Clamped power tables for every sensor at one price.
 
-    The dead level's root is 0, which clamps to 0. Only the clamped powers
-    are returned: _kkt_report reads each entry's active clamp off them, in
-    clamp_power's order.
+    Equals clamp_power of stationarity_root's roots bit for bit, on the
+    level constants each context holds. The dead level's root is 0, which
+    clamps to 0. Only the clamped powers are returned: _kkt_report reads
+    each entry's active clamp off them, in clamp_power's order.
     """
-    return [clamp_power(stationarity_root(lam, ctx.mu, ctx.coeffs, ctx.noise_var)[:, None],
-                        np.arange(ctx.phi.size), ctx.phi, network)
-            for ctx in ctxs]
+    out = []
+    for ctx in ctxs:
+        roots = _roots(lam, ctx.live, ctx.levels, ctx.coeffs)
+        # from phi at every call, so a context with another phi clamps to it
+        caps = np.minimum(ctx.causality, ctx.phi)
+        out.append(np.minimum(caps, np.maximum(roots[:, None], 0.0)))
+    return out
 
 
 def _units(powers, network: NetworkParams) -> list[np.ndarray]:
@@ -459,8 +527,7 @@ def _kkt_report(lam, powers, ctxs, network, ep) -> KktReport:
     worst = 0.0
     for P, ctx in zip(powers, ctxs):
         # the caps exactly as clamp_power takes them, tested in its order
-        causality = np.arange(P.shape[1]) * network.unit_power
-        act = np.select([ctx.mu[:, None] == 0.0, P == causality, P == ctx.phi, P == 0.0],
+        act = np.select([ctx.mu[:, None] == 0.0, P == ctx.causality, P == ctx.phi, P == 0.0],
                         [LEVEL_ZERO, CLAMP_CAUSALITY, CLAMP_OUTAGE, CLAMP_ZERO], INTERIOR)
         interior = act == INTERIOR
         gain = marginal_divergence_gain(P, ctx.mu[:, None], ctx.coeffs, ctx.noise_var)
@@ -501,8 +568,7 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
              for i, ok in enumerate(validate_convex_region(scenario.sensors)) if not ok]
 
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
-    chains = [ChainSpec(ctx.gain_probs, ctx.arrivals, ctx.transmit_prob)
-              for ctx in ctxs]
+    chains = _chains(ctxs)
 
     last = None  # the price search of the final round, at the returned laws
     price_evaluations = 0
@@ -555,15 +621,15 @@ class ExhaustiveResult:
 def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[BatteryDistribution, ...]]:
     """Exact objective and expected power of an integer unit map.
 
-    Each sensor's chain is solved for its exact stationary distribution and
-    the divergence is scored at the unit powers alpha * unit_energy / slot.
-    Raises ValueError as stationary_solve does.
+    Each sensor's chain is solved for its exact stationary distribution, in
+    the battery fixed point's stacked solve, so a fixed point's psi_star
+    comes back bit for bit; the divergence is scored at the unit powers
+    alpha * unit_energy / slot. Raises ValueError as stationary_solve does.
     """
     net = scenario.network
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     alphas = [np.asarray(alpha, dtype=np.int64) for alpha in units]
-    psis = tuple(stationary_oracle(alpha, ctx.gain_probs, ctx.arrivals, ctx.transmit_prob)
-                 for ctx, alpha in zip(ctxs, alphas))
+    psis = tuple(_stationary_laws(alphas, _chains(ctxs)))
     powers = [alpha * net.unit_power for alpha in alphas]
     psi_arrays = [p.psi for p in psis]
     return (_objective(powers, psi_arrays, ctxs),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from ehdetect import (
     transmit_probability,
 )
 import ehdetect.battery
+from ehdetect.battery import _drain_rows
 from ehdetect.cli import EXIT_CONVERGENCE, main, read_table
 
 EDGES = (0.0, 0.1, 0.3, 0.6, 1.2, math.inf)
@@ -311,6 +313,120 @@ def test_stationary_solve_is_exact_or_raises(chain):
     assert np.all(psi >= 0.0)
     assert abs(psi.sum() - 1.0) <= 1e-12
     assert np.max(np.abs(psi @ M - psi)) <= 1e-10
+
+
+def _old_drain_table(pmf):
+    """The bank-step table as _drain_rows rebuilt it on every call, kept as
+    the reference for ArrivalUnitPmf.drain_table."""
+    K = pmf.size - 1
+    states = np.arange(K + 1)
+    table = np.triu(pmf[np.abs(states[None, :] - states[:, None])])
+    table[:, K] = np.cumsum(pmf[::-1])  # Pr(beta >= K - s)
+    table[K, K] = 1.0
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(capacity=st.integers(1, 12), mean_harvest=st.floats(0.02, 5.0),
+       unit_energy=st.floats(0.02, 2.0))
+def test_drain_table_is_the_old_construction_and_read_only(capacity, mean_harvest,
+                                                           unit_energy):
+    arr = arrival_unit_pmf(mean_harvest, unit_energy, capacity)
+    assert arr.drain_table.tobytes() == _old_drain_table(arr.pmf).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        arr.drain_table[0, capacity] = 0.5
+
+
+def test_drain_rows_and_transition_matrices_are_unchanged_on_toy(toy_scenario):
+    net = toy_scenario.network
+    sensor = toy_scenario.sensors[0]
+    K = net.capacity
+    states = np.arange(K + 1)
+    arr = arrival_unit_pmf(net.mean_harvest, net.unit_energy, K)
+    gp = gain_level_probs(sensor.mean_gain, sensor.thresholds)
+    table = _old_drain_table(arr.pmf)
+    # every causal per-state unit choice, a superset of the rows
+    # exhaustive_best_map gathers
+    choices = np.array(list(itertools.product(*[range(k + 1) for k in states])))
+    assert _drain_rows(choices, arr).tobytes() == table[states - choices].tobytes()
+    rng = np.random.default_rng(5)
+    for tp in (0.0, 0.3, transmit_probability(net, sensor), 1.0):
+        for alpha in choices[rng.integers(0, len(choices), size=(8, gp.level_count))]:
+            alpha[0] = 0
+            old = ((1.0 - tp) * table[states]
+                   + tp * np.tensordot(gp.pi, table[states - alpha], axes=(0, 0)))
+            assert transition_matrix(alpha, gp, arr, tp).tobytes() == old.tobytes()
+
+
+@st.composite
+def _chains_of_one_capacity(draw):
+    capacity = draw(st.integers(1, 12))
+    chains = []
+    for _ in range(draw(st.integers(1, 3))):
+        live = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+        dead = draw(st.floats(0.0, 0.5))
+        pi = np.array([dead, *(np.array(live) / sum(live) * (1.0 - dead))])
+        pi[-1] = 1.0 - pi[:-1].sum()
+        gp = GainLevelProbs(pi=pi, thresholds=(0.0, *range(1, len(pi)), math.inf))
+        arr = arrival_unit_pmf(draw(st.floats(0.2, 5.0)), 1.0, capacity)
+        chains.append(ChainSpec(gain_probs=gp, arrivals=arr,
+                                transmit_prob=draw(st.floats(0.0, 1.0))))
+    return chains, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains_of_one_capacity())
+def test_each_rounds_laws_equal_the_per_chain_oracle(case):
+    # one stacked solve per round gives every chain stationary_oracle's law
+    chains, seed, rounds = case
+    rng = np.random.default_rng(seed)
+    K = chains[0].arrivals.capacity
+    states = np.arange(K + 1)
+    plans = [[np.vstack([np.zeros(K + 1, dtype=np.int64),
+                         rng.integers(0, states + 1,
+                                      size=(c.gain_probs.level_count - 1, K + 1))])
+              for c in chains] for _ in range(rounds)]
+    seen, returned = [], []
+
+    def update(psis):
+        seen.append(psis)
+        returned.append(plans[min(len(seen), rounds) - 1])
+        return returned[-1]
+
+    _psis, iters, problem = steady_state_psi(chains, update)
+    assert problem is None or "oscillate" in problem
+    assert len(seen) == iters >= 2
+    for psis, alphas in zip(seen[1:], returned):
+        for psi, alpha, c in zip(psis, alphas, chains):
+            exact = stationary_oracle(alpha, c.gain_probs, c.arrivals, c.transmit_prob)
+            assert psi.psi.tobytes() == exact.psi.tobytes()
+
+
+def test_chains_of_different_capacities_are_refused_before_the_first_round():
+    gp = GainLevelProbs(pi=np.array([0.0, 1.0]), thresholds=(0.0, 0.05, math.inf))
+    chains = [ChainSpec(gain_probs=gp, arrivals=arrival_unit_pmf(1.0, 1.0, k),
+                        transmit_prob=0.5) for k in (5, 4, 5)]
+    calls = []
+
+    def update(psis):
+        calls.append(psis)
+        return [np.zeros((2, c.arrivals.capacity + 1), dtype=np.int64) for c in chains]
+
+    with pytest.raises(ValueError, match="capacity, got capacities 4, 5$"):
+        steady_state_psi(chains, update)
+    assert calls == []
+
+
+def test_a_bad_drain_in_the_second_chain_is_the_loops_problem():
+    gp, arr, chain = _single_level_chain(3, [0.0, 0.5, 0.3, 0.2], 0.6)
+    good = np.array([[0, 0, 0, 0], [0, 1, 1, 1]])
+    bad = np.array([[0, 0, 0, 0], [0, 2, 0, 0]])  # two units out of state 1
+    with pytest.raises(ValueError, match=r"must lie in \[0, k\]") as err:
+        transition_matrix(bad, gp, arr, 0.6)
+    psis, iters, problem = steady_state_psi([chain, chain], lambda psis: [good, bad])
+    assert problem == f"{err.value} (iterations=1, residual=inf)"
+    assert iters == 1
+    assert [p.psi[-1] for p in psis] == [1.0, 1.0]
 
 
 def test_steady_state_matches_oracle():

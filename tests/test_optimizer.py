@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ehdetect import (
     BatteryDistribution,
     NetworkParams,
+    RocCoefficients,
     SensorParams,
     clamp_power,
     convex_region_bounds,
@@ -205,21 +206,25 @@ def test_root_residual_meets_tolerance():
 def test_crawling_newton_steps_still_meet_the_tolerance(monkeypatch):
     # a 50x too steep derivative makes every Newton step 1/50 of the right
     # one; 220 such steps still leave about 1% of the gap, so only the
-    # bisections forced by the slow-progress test can reach ROOT_TOL
-    real = ehdetect.optimizer._gain_and_derivative
+    # bisections forced by the slow-progress test can reach ROOT_TOL. The
+    # iteration's slopes all come from a level's constants: dg0 at the start
+    # and m2 times a positive sum at every step
+    real = ehdetect.optimizer._level_constants
 
-    def steep(p, mu, coeffs, noise_var, derivative=True):
-        g, dg = real(p, mu, coeffs, noise_var, derivative)
-        return g, None if dg is None else 50.0 * dg
+    def steep(mu, coeffs, noise_var):
+        level = real(mu, coeffs, noise_var)
+        return level._replace(m2=50.0 * level.m2, dg0=50.0 * level.dg0)
 
-    monkeypatch.setattr(ehdetect.optimizer, "_gain_and_derivative", steep)
     coeffs = roc_coefficients(0.2, 0.9)
-    for mu in (0.3, 1.0, 2.5):
-        for lam in (0.01, 0.05, 0.1):
-            root = stationarity_root(lam, mu, coeffs, 1.0)
-            assert root > 0.0 and math.isfinite(root)
-            gain = marginal_divergence_gain(root, mu, coeffs, 1.0)
-            assert abs(gain - lam) <= ROOT_TOL * lam
+    cases = [(mu, lam) for mu in (0.3, 1.0, 2.5) for lam in (0.01, 0.05, 0.1)]
+    plain = [stationarity_root(lam, mu, coeffs, 1.0) for mu, lam in cases]
+    monkeypatch.setattr(ehdetect.optimizer, "_level_constants", steep)
+    crawled = [stationarity_root(lam, mu, coeffs, 1.0) for mu, lam in cases]
+    assert crawled != plain  # the patch reaches the iteration
+    for (mu, lam), root in zip(cases, crawled):
+        assert root > 0.0 and math.isfinite(root)
+        gain = marginal_divergence_gain(root, mu, coeffs, 1.0)
+        assert abs(gain - lam) <= ROOT_TOL * lam
 
 
 def test_root_decreases_in_price():
@@ -431,29 +436,97 @@ def test_per_level_roots_equal_the_masked_array_iteration(p_f, spread, lam, mus,
     assert roots.tobytes() == expected.tobytes(), (roots.tolist(), reference.tolist())
 
 
-@pytest.mark.parametrize("patch", [
-    # a zero slope: the float64 Newton step is infinite or NaN
-    lambda g, dg: (g, None if dg is None else 0.0 * dg),
-    # a gain that turns negative past the crossing: sqrt(g / lam) is NaN there
-    lambda g, dg: (g - 0.02, dg),
-], ids=["zero_slope", "negative_gain"])
+def _zero_slopes(monkeypatch):
+    """Every slope the kernel and the reference compute is 0: the float64
+    Newton step is infinite or NaN."""
+    opt = ehdetect.optimizer
+    real_gain, real_level = opt._gain_and_derivative, opt._level_constants
+
+    def gain(p, mu, coeffs, noise_var, derivative=True):
+        g, dg = real_gain(p, mu, coeffs, noise_var, derivative)
+        return g, None if dg is None else 0.0 * dg
+
+    def level(mu, coeffs, noise_var):
+        # dg0 comes from the patched gain; m2 scales every step's slope
+        return real_level(mu, coeffs, noise_var)._replace(m2=0.0)
+
+    monkeypatch.setattr(opt, "_gain_and_derivative", gain)
+    monkeypatch.setattr(opt, "_level_constants", level)
+    return [(roc_coefficients(p_f, p_d), 0.001)
+            for p_f, p_d in ((0.2, 0.9), (0.6, 0.7), (0.1, 0.3))]
+
+
+def _negative_gains(monkeypatch):
+    """Slopes of no ROC point, with slope1 / den1**2 + slope2 / den2**2 < 0:
+    the gain turns negative past the crossing, where sqrt(g / lam) is NaN.
+    At these prices the crossing sits so close to the gain's own zero that
+    the scan's bracket reaches past it and the iteration lands there."""
+    coeffs = RocCoefficients(num1=0.5, den1=0.25, num2=0.0, den2=0.05)
+    return [(coeffs, 1e-6), (coeffs, 1e-9)]
+
+
+@pytest.mark.parametrize("setup", [_zero_slopes, _negative_gains],
+                         ids=["zero_slope", "negative_gain"])
 def test_invalid_newton_steps_bisect_like_the_masked_array_iteration(monkeypatch,
-                                                                    patch):
+                                                                    setup):
     # where the array iteration's Newton step is NaN or infinite it bisects;
     # the per-level kernel must bisect at the same iterates, without raising
-    real = ehdetect.optimizer._gain_and_derivative
-
-    def patched(p, mu, coeffs, noise_var, derivative=True):
-        return patch(*real(p, mu, coeffs, noise_var, derivative))
-
-    monkeypatch.setattr(ehdetect.optimizer, "_gain_and_derivative", patched)
-    for p_f, p_d in ((0.2, 0.9), (0.6, 0.7), (0.1, 0.3)):
-        coeffs = roc_coefficients(p_f, p_d)
+    for coeffs, lam in setup(monkeypatch):
         mus = [0.3, 1.0, 2.5]
-        roots = stationarity_root(0.001, np.array(mus), coeffs, 1.0)
-        reference = _masked_newton_roots(0.001, mus, coeffs, 1.0)
+        roots = stationarity_root(lam, np.array(mus), coeffs, 1.0)
+        reference = _masked_newton_roots(lam, mus, coeffs, 1.0)
         assert roots.tolist() == reference.tolist()
         assert np.any(roots > 0.0)
+
+
+def _reference_map(lam, ctx, net):
+    """The clamped table of one sensor as the solver built it from the public
+    root call, kept as the reference for _map_for_lambda."""
+    K = net.capacity
+    return clamp_power(stationarity_root(lam, ctx.mu, ctx.coeffs, ctx.noise_var)[:, None],
+                       np.arange(K + 1), ctx.phi, net)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 12),
+    unit_energy=st.floats(0.05, 2.0),
+    outage_confidence=st.floats(0.01, 0.999999),
+    p_f=st.floats(0.02, 0.9),
+    spread=st.floats(0.05, 1.0),
+    mus=st.lists(st.one_of(st.just(5e-324), st.floats(1e-300, 1e-6), st.floats(0.05, 3.0)),
+                 min_size=1, max_size=4, unique=True),
+    noise_var=st.floats(0.5, 2.0),
+    fraction=st.floats(0.0, 1.0),
+)
+@example(capacity=5, unit_energy=0.2, outage_confidence=0.9, p_f=0.2, spread=0.9,
+         mus=[0.6, 1.6], noise_var=1.0, fraction=0.5)
+@example(capacity=5, unit_energy=0.2, outage_confidence=0.9, p_f=0.6, spread=0.3,
+         mus=[5e-324, 0.6, 1.6], noise_var=1.0, fraction=0.01)
+@example(capacity=5, unit_energy=0.2, outage_confidence=0.9, p_f=0.073, spread=0.2,
+         mus=[5e-324, 1.6], noise_var=1.0, fraction=0.3)
+def test_a_price_evaluation_equals_the_clamped_public_roots(capacity, unit_energy,
+                                                             outage_confidence, p_f,
+                                                             spread, mus, noise_var,
+                                                             fraction):
+    # both ROC-slope signs, the dead level, gains down to 5e-324; free, tiny,
+    # random and infinite prices, the ceiling, and every level's zero-power
+    # gain and its neighbouring floats, where a level is priced in or out
+    net = NetworkParams(prior_h0=0.5, capacity=capacity, unit_energy=unit_energy,
+                        slot_seconds=1.0, mean_harvest=1.0, drop_fraction=0.2,
+                        power_budget=1.0)
+    sensor = SensorParams(mean_gain=1.0, noise_var=noise_var, p_f=p_f,
+                          p_d=p_f + spread * (0.98 - p_f),
+                          outage_confidence=outage_confidence,
+                          thresholds=(0.0, *sorted(mus), math.inf))
+    ctx = _sensor_context(net, sensor)
+    prices = [0.0, 5e-324, fraction * ctx.lambda_ceiling, ctx.lambda_ceiling, math.inf]
+    for mu in mus:
+        g0 = marginal_divergence_gain(0.0, mu, ctx.coeffs, noise_var)
+        prices += [np.nextafter(g0, -math.inf), g0, np.nextafter(g0, math.inf)]
+    for lam in prices:
+        mine = _map_for_lambda(float(lam), [ctx], net)[0]
+        assert mine.tobytes() == _reference_map(float(lam), ctx, net).tobytes(), lam
 
 
 # ---------------------------------------------------------------------------
@@ -557,15 +630,15 @@ def test_price_bisection_stops_when_spend_jumps_across_the_budget(toy_scenario,
     sensor = replace(toy_scenario.sensors[0], p_f=0.073, p_d=0.26)
     scenario = replace(toy_scenario, network=net, sensors=(sensor,))
     calls = []
-    root = ehdetect.optimizer.stationarity_root
+    price_map = ehdetect.optimizer._map_for_lambda
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return root(*args, **kwargs)
+        return price_map(*args, **kwargs)
 
-    monkeypatch.setattr(ehdetect.optimizer, "stationarity_root", counted)
+    monkeypatch.setattr(ehdetect.optimizer, "_map_for_lambda", counted)
     out = optimize_power_map(scenario)
-    # one root call per price evaluation; the search makes 132 here
+    # one map per price evaluation; the search makes 132 here
     assert len(calls) <= 300
     assert len(calls) == out.price_evaluations
     assert out.expected_power <= net.power_budget
