@@ -248,17 +248,18 @@ def stationary_solve(M) -> np.ndarray:
 
 def stationary_oracle(alpha, gain_probs: GainLevelProbs, arrivals: ArrivalUnitPmf,
                       transmit_prob: float) -> BatteryDistribution:
-    """Stationary distribution of the chain under a unit map (see stationary_solve)."""
-    M = transition_matrix(alpha, gain_probs, arrivals, transmit_prob)
-    return BatteryDistribution(psi=stationary_solve(M))
+    """Stationary distribution of one chain under a unit map (see _stationary_laws).
+
+    Raises ValueError as ChainSpec does, e.g. for transmit_prob outside [0, 1].
+    """
+    return _stationary_laws([alpha], [ChainSpec(gain_probs, arrivals, transmit_prob)])[0]
 
 
 def _stationary_laws(alphas, chains) -> list[BatteryDistribution]:
-    """stationary_oracle's law of every chain, from one stacked stationary_solve.
+    """Stationary law of every chain under its unit map, from one stacked stationary_solve.
 
-    The chains must share one capacity. The laws equal per-chain
-    stationary_oracle calls bit for bit; a drain outside [0, k] or a chain
-    with no numerically unique law raises ValueError as there.
+    The chains must share one capacity. A drain outside [0, k] or a chain
+    with no numerically unique law raises ValueError (see stationary_solve).
     """
     M = np.stack([transition_matrix(a, c.gain_probs, c.arrivals, c.transmit_prob)
                   for a, c in zip(alphas, chains)])

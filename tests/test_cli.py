@@ -20,6 +20,7 @@ from ehdetect.cli import (
     write_table,
 )
 import ehdetect.battery
+import ehdetect.cli
 
 WIDE_SCENARIO = """\
 [network]
@@ -304,7 +305,8 @@ def _outputs(path) -> dict:
     ["validate"],
 ], ids=["powermap", "simulate", "sweep", "validate"])
 def test_override_flags_equal_a_scenario_that_sets_the_keys(tmp_path, scenario_dir,
-                                                            toy_scenario, capsys, argv):
+                                                            toy_scenario, capsys,
+                                                            monkeypatch, argv):
     # every command takes both flags, and they act as the scenario keys would
     keyed = tmp_path / "keyed.scn"
     emit_scenario(replace(toy_scenario, network=replace(
@@ -315,17 +317,32 @@ def test_override_flags_equal_a_scenario_that_sets_the_keys(tmp_path, scenario_d
         "keys": [str(keyed)],
         "plain": [_toy(scenario_dir)],
     }
-    written, printed = {}, {}
+    solved = []  # the two keys of every scenario the command solves
+
+    def recording_solve(scenario):
+        net = scenario.network
+        solved.append((net.transmit_prob_model, net.fc_knowledge))
+        return optimize_power_map(scenario)
+
+    monkeypatch.setattr(ehdetect.cli, "optimize_power_map", recording_solve)
+    written, printed, solves = {}, {}, {}
     for name, scenario in runs.items():
         out = str(tmp_path / name)
         args = [a.format(out=out) for a in argv[1:]]
+        solved.clear()
         assert main([argv[0], "--scenario", *scenario, *args]) == EXIT_OK
         printed[name] = capsys.readouterr().out
+        solves[name] = list(solved)
         if "--out" in args:
             written[name] = _outputs(args[args.index("--out") + 1])
+    # the flags reach every solve, and the plain run keeps toy's own keys
+    assert solves["flags"] and set(solves["flags"]) == {("decision", "map_marginal")}
+    assert solves["keys"] == solves["flags"]
+    assert solves["plain"] == [("prior", "genie")] * len(solves["flags"])
     if argv[0] == "validate":
+        # both runs are exact against the oracle, so the printed checks may
+        # coincide; what the flags change is the solve recorded above
         assert printed["flags"] == printed["keys"]
-        assert printed["flags"] != printed["plain"]  # the keys change the checks
     else:
         assert written["flags"] and written["flags"] == written["keys"]
         assert written["flags"] != written["plain"]  # the keys change the tables
