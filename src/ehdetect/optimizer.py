@@ -134,9 +134,8 @@ def _gain_and_derivative(p, mu, coeffs: RocCoefficients, noise_var: float,
     slope1, slope2 = coeffs.slopes
     d1 = s + coeffs.den1 * mu * p
     d2 = s + coeffs.den2 * mu * p
-    with np.errstate(over="ignore"):  # where d * d overflows, the term is 0, its limit
-        t1 = slope1 * s * mu / (d1 * d1)
-        t2 = slope2 * s * mu / (d2 * d2)
+    t1 = slope1 * s * mu / (d1 * d1)
+    t2 = slope2 * s * mu / (d2 * d2)
     if not derivative:
         return t1 + t2, None
     return t1 + t2, -2.0 * mu * (coeffs.den1 * t1 / d1 + coeffs.den2 * t2 / d2)
@@ -642,11 +641,11 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     additionally means the exact stationary expected power fits the budget.
     Every candidate is scored with its own exact stationary distribution, so
     this is a true global oracle (and why the guard rails are tight). Each
-    batch of EXHAUSTIVE_BATCH candidates gathers its own drain rows, so
-    memory scales with EXHAUSTIVE_BATCH, not with the number of choices. The
-    winner's objective_j, expected_power and psi are evaluate_unit_map's, bit
-    for bit. Raises ValueError past the guard rails, with no feasible map, or
-    as stationary_solve.
+    batch of EXHAUSTIVE_BATCH candidates gathers its own drain rows, so no
+    row is held per choice; what grows with the number of choices is their
+    table of K+1 unit counts each. The winner's objective_j, expected_power
+    and psi are evaluate_unit_map's, bit for bit. Raises ValueError past the
+    guard rails, with no feasible map, or as stationary_solve.
     """
     net = scenario.network
     if scenario.num_sensors != 1:

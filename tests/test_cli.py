@@ -20,7 +20,6 @@ from ehdetect.cli import (
     write_table,
 )
 import ehdetect.battery
-import ehdetect.cli
 
 WIDE_SCENARIO = """\
 [network]
@@ -324,7 +323,7 @@ def test_override_flags_equal_a_scenario_that_sets_the_keys(tmp_path, scenario_d
         solved.append((net.transmit_prob_model, net.fc_knowledge))
         return optimize_power_map(scenario)
 
-    monkeypatch.setattr(ehdetect.cli, "optimize_power_map", recording_solve)
+    monkeypatch.setattr("ehdetect.cli.optimize_power_map", recording_solve)
     written, printed, solves = {}, {}, {}
     for name, scenario in runs.items():
         out = str(tmp_path / name)
