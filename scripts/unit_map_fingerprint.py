@@ -3,9 +3,11 @@
 
 Solves the two bundled scenarios, the 30 acceptance-grid points
 (two_sensor.scn at mean_harvest/capacity 2/100, 3/100 and 3/70, ten budgets
-each) and the benchmark's oracle_check scenarios for seeds 1-20 (the eight
-toy-shaped points of one cycle per seed, 160 in all). For each solve it
-prints one line:
+each), the benchmark's oracle_check scenarios for seeds 1-20 (the eight
+toy-shaped points of one cycle per seed, 160 in all) and 160 toy-shaped
+stall points with a negative ROC slope (seed 20261018: capacity 4-5, budget
+0.05-0.35, mean_harvest 1.5-4, p_f 0.05-0.2, p_d from p_f + 0.05 to 0.45),
+a region oracle_check never draws. For each solve it prints one line:
 
     <sha256 of the unit maps>  <outer_iterations>  <price_evaluations>  <objective_j, 6 digits>  <label>
 
@@ -20,7 +22,8 @@ pointing PYTHONPATH at the library under test:
 
     PYTHONPATH=src python3 scripts/unit_map_fingerprint.py [--smoke]
 
---smoke solves only the first scenario of each kind (bundled, grid, oracle).
+--smoke solves only the first scenario of each kind (bundled, grid, oracle,
+stall).
 """
 
 import argparse
@@ -33,11 +36,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
+
 from ehdetect import load_scenario, optimize_power_map  # noqa: E402
 from tracing import NullTracer  # noqa: E402
 from workloads import GRID_BUDGETS, GRID_CONFIGS, OracleCheck  # noqa: E402
 
 ORACLE_SEEDS = range(1, 21)
+STALL_SEED, STALL_POINTS = 20261018, 160
 
 
 def bundled():
@@ -62,9 +68,24 @@ def oracle():
             yield f"oracle seed={seed} item={i}", check.scenario(i)[0]
 
 
+def stall():
+    template = load_scenario(ROOT / "scenarios" / "toy.scn")
+    rng = np.random.default_rng(STALL_SEED)
+    for i in range(STALL_POINTS):
+        capacity = int(rng.integers(4, 6))
+        budget = float(rng.uniform(0.05, 0.35))
+        harvest = float(rng.uniform(1.5, 4.0))
+        p_f = float(rng.uniform(0.05, 0.2))
+        p_d = float(rng.uniform(p_f + 0.05, 0.45))
+        net = replace(template.network, capacity=capacity, power_budget=budget,
+                      mean_harvest=harvest)
+        sensor = replace(template.sensors[0], p_f=p_f, p_d=p_d)
+        yield f"stall item={i}", replace(template, network=net, sensors=(sensor,))
+
+
 def scenarios(smoke=False):
     """(label, scenario) pairs in a fixed order."""
-    for kind in (bundled, grid, oracle):
+    for kind in (bundled, grid, oracle, stall):
         yield from itertools.islice(kind(), 1 if smoke else None)
 
 

@@ -5,12 +5,15 @@ average-power budget, per-state causality (a slot cannot drain more than the
 battery holds), and a per-state outage cap. For a fixed battery distribution
 the problem separates: each (sensor, level) pair has a stationarity power
 where the marginal divergence gain equals the budget price, clamped into the
-feasible interval. Each level's root is its own safeguarded Newton iteration
-on Python floats: a call has only a handful of levels, and numpy's per-call
-overhead on such small arrays would outweigh the few dozen float operations
-of a step. A solve builds each live level's gain constants once, as Python
-floats, so a price evaluation runs the iterations and one clamp per sensor
-and nothing else; its roots equal stationarity_root's bit for bit. The price
+feasible interval. The gain has at most one interior maximum, at a power in
+closed form, so each level's crossing is bracketed on a monotone piece of
+its gain and no scan is run. Each level's root is its own safeguarded Newton
+iteration on Python floats: a call has only a handful of levels, and numpy's
+per-call overhead on such small arrays would outweigh the few dozen float
+operations of a step. A solve builds each live level's gain constants once,
+as Python floats, so a price evaluation runs the iterations and one clamp
+per sensor and nothing else; its roots equal stationarity_root's bit for
+bit. The price
 is found on the monotone expected power by regula falsi (Illinois variant)
 with a bisection fallback. The battery distributions are then replaced by
 the exact stationary laws of the resulting integer unit map, all sensors'
@@ -21,6 +24,7 @@ until the unit map comes back unchanged.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,10 +83,6 @@ EXHAUSTIVE_MAX_CAPACITY = 8
 EXHAUSTIVE_MAX_LEVELS = 3
 EXHAUSTIVE_MAX_CANDIDATES = 2_000_000
 EXHAUSTIVE_BATCH = 20_000  # candidate maps per stacked linear solve
-
-# non-monotone root scan, scaled per level by the power beyond which the gain
-# is surely below the price
-_SCAN = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 8192)))
 
 
 @dataclass(frozen=True)
@@ -171,16 +171,18 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float)
     a noise_var that is not finite and positive raise ValueError.
 
     Every term of the gain is below lam/2 beyond a closed-form power p_big.
-    Inside the concavity band the gain is strictly decreasing, so [0, p_big]
-    brackets the only crossing; outside it the gain may be non-monotone, in
-    which case the smallest crossing on a dense scan of [0, p_big] (all
-    levels at once) is bracketed instead. The call does not warn; a solve
+    Inside the concavity band the gain only falls. Outside it (one ROC slope
+    negative) it may first rise to a peak whose power is in closed form
+    (_level_constants), and then it falls. So no scan is run: a level whose
+    zero-power gain is above lam crosses it once, falling, on [0, p_big];
+    otherwise a level whose peak gain is above lam crosses it first rising,
+    on [0, peak], which is the smallest crossing; any other level never
+    rises above the price and returns -1.0. At a price so small that p_big
+    overflows (as when lam / 2 underflows), a level above the price at zero
+    power is unbounded: its iteration bisects to +inf, as for lam <= 0,
+    unless its first Newton step is finite. The call does not warn; a solve
     reports an operating point outside the band once, as a note on its
-    OptimizationOutcome. A level whose zero-power gain without its
-    negative-slope term is at or below lam cannot rise above the price at
-    any power; it returns -1.0, and its scan stays at zero power. A level
-    that can rise above the price but whose p_big overflows (as when lam / 2
-    underflows) returns +inf on either path, as for lam <= 0.
+    OptimizationOutcome.
     Each level's bracket then feeds its own safeguarded Newton iteration
     (rtsafe, Press et al., Numerical Recipes 9.4) on gain**-0.5 = lam**-0.5,
     which is linear in power when one term of the gain is live. As in
@@ -199,7 +201,7 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float)
         raise ValueError("lam must not be NaN")
     live = m > 0.0
     levels = [_level_constants(x, coeffs, noise_var) for x in m[live].tolist()]
-    out = _roots(lam, live, levels, coeffs)
+    out = _roots(lam, live, levels)
     return float(out) if out.ndim == 0 else out
 
 
@@ -226,7 +228,9 @@ class _Level(NamedTuple):
     dg0: float          # its slope
     c1: float           # |slope_i| * s * mu, for _p_big
     c2: float
-    g0_pos: float       # zero-power gain of the positive-slope terms alone
+    peak: float         # power of the gain's interior maximum, 0.0 if it has none
+    g_peak: float       # gain there (g0 without a peak)
+    dg_peak: float      # its slope
 
 
 def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _Level:
@@ -234,62 +238,46 @@ def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _L
     s = noise_var
     slope1, slope2 = coeffs.slopes
     g0, dg0 = _gain_and_derivative(0.0, mu, coeffs, s)
-    pos1, pos2 = max(slope1, 0.0) * s, max(slope2, 0.0) * s
+    peak, g_peak, dg_peak = 0.0, g0, dg0
+    if slope1 * slope2 < 0.0:
+        # a positive term i and a negative term j: the gain's slope vanishes
+        # where (s + den_j*mu*p) = r * (s + den_i*mu*p), r**3 = the ratio
+        # below, and that is a maximum past zero power exactly when r > 1 and
+        # den_j > r * den_i. mu cancels out of r; dividing by it last turns an
+        # underflowing mu into +inf rather than a zero divisor. A peak past half
+        # the largest float is taken there: the gain still rises up to it, and
+        # a bisection's lo + hi on [0, peak] stays finite
+        (sp, dp), (sn, dn) = sorted(((slope1, coeffs.den1), (slope2, coeffs.den2)),
+                                    reverse=True)
+        r = (-sn * dn / (sp * dp)) ** (1.0 / 3.0)
+        if r > 1.0 and dn > r * dp:
+            peak = min(s * (r - 1.0) / (dn - r * dp) / mu, 0.5 * sys.float_info.max)
+            g_peak, dg_peak = _gain_and_derivative(peak, mu, coeffs, s)
     return _Level(mu=mu, s=s, a1=slope1 * s * mu, a2=slope2 * s * mu,
                   b1=coeffs.den1 * mu, b2=coeffs.den2 * mu,
                   den1=coeffs.den1, den2=coeffs.den2, m2=-2.0 * mu,
                   g0=g0, dg0=dg0,
                   c1=abs(slope1) * s * mu, c2=abs(slope2) * s * mu,
-                  g0_pos=pos1 * mu / (s * s) + pos2 * mu / (s * s))
+                  peak=peak, g_peak=g_peak, dg_peak=dg_peak)
 
 
-def _roots(lam, live, levels, coeffs) -> np.ndarray:
+def _roots(lam, live, levels) -> np.ndarray:
     """Every level's root at a price that is not NaN: 0.0 where live is False,
     and levels[i] the constants of the i-th live level."""
     out = np.zeros(live.shape)
     if lam <= 0.0:
         out[live] = math.inf
     elif levels:
-        out[live] = _live_roots(lam, levels, coeffs)
+        out[live] = _live_roots(lam, levels)
     return out
 
 
-def _live_roots(lam, levels, coeffs):
-    """The roots of the live levels at a positive price."""
-    slope1, slope2 = coeffs.slopes
-    if slope1 >= 0.0 and slope2 >= 0.0:
-        # the gain decreases, so [0, p_big] holds the only crossing
-        return [_rtsafe(lam, lv, 0.0, _p_big(lam, lv), lv.g0, lv.dg0)
-                if lv.g0 > lam else -1.0 for lv in levels]
-    out = np.full(len(levels), -1.0)
-    # A term of the gain is at most its zero-power value, and at most 0 where
-    # its slope is negative. So a level whose positive terms sum to lam or
-    # less at zero power (g0_pos) never rises above the price: its scan stays
-    # at p = 0, where it finds no crossing and the level is priced out. This
-    # also keeps out a gain so small that p_big overflows, whose scan would
-    # start at inf * 0 = NaN. g0_pos repeats the operations of
-    # _gain_and_derivative at p = 0, so it bounds the computed gains too.
-    ends = np.array([_p_big(lam, lv) if lv.g0_pos > lam else 0.0 for lv in levels])
-    # A level that can rise above a price so small that its bracket end
-    # overflows is unbounded, as inside the band; its scan stays at p = 0.
-    unbounded = ends == math.inf
-    mu = np.array([lv.mu for lv in levels])
-    noise_var = levels[0].s
-    grid = np.where(unbounded, 0.0, ends)[:, None] * _SCAN
-    vals = marginal_divergence_gain(grid.T, mu, coeffs, noise_var).T - lam
-    change = np.diff(np.sign(vals), axis=1) != 0
-    solve = change.any(axis=1)
-    out[(~solve & (vals[:, 0] > 0.0)) | unbounded] = math.inf
-    rows = np.flatnonzero(solve)
-    i = np.argmax(change[rows], axis=1)
-    lo, hi = grid[rows, i], grid[rows, i + 1]
-    flip = vals[rows, i] < 0.0  # orient so f(lo) > 0 > f(hi)
-    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
-    g, dg = _gain_and_derivative(lo, mu[rows], coeffs, noise_var)
-    for r, a, b, ga, dga in zip(rows.tolist(), lo.tolist(), hi.tolist(),
-                                g.tolist(), dg.tolist()):
-        out[r] = _rtsafe(lam, levels[r], a, b, ga, dga)
-    return out
+def _live_roots(lam, levels):
+    """The roots of the live levels at a positive price, bracketed as
+    stationarity_root says: falling on [0, p_big], else rising on [0, peak]."""
+    return [_rtsafe(lam, lv, 0.0, _p_big(lam, lv), lv.g0, lv.dg0) if lv.g0 > lam
+            else _rtsafe(lam, lv, lv.peak, 0.0, lv.g_peak, lv.dg_peak)
+            if lv.g_peak > lam else -1.0 for lv in levels]
 
 
 def _p_big(lam, level: _Level):
@@ -305,7 +293,7 @@ def _p_big(lam, level: _Level):
 
 
 def _rtsafe(lam, level: _Level, lo, hi, g, dg):
-    """One level's root in [lo, hi] on Python floats.
+    """One level's root between lo and hi, in either order, on Python floats.
 
     g > lam and dg are the gain and its slope at lo, the f > 0 end, where the
     iteration starts. Returns the first iterate within ROOT_TOL * lam, or the
@@ -430,7 +418,7 @@ def _map_for_lambda(lam: float, ctxs, network: NetworkParams):
     """
     out = []
     for ctx in ctxs:
-        roots = _roots(lam, ctx.live, ctx.levels, ctx.coeffs)
+        roots = _roots(lam, ctx.live, ctx.levels)
         # from phi at every call, so a context with another phi clamps to it
         caps = np.minimum(ctx.causality, ctx.phi)
         out.append(np.minimum(caps, np.maximum(roots[:, None], 0.0)))

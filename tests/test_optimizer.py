@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -307,6 +308,59 @@ def test_roots_meet_the_tolerance_at_the_smallest_crossing(p_f, spread, lam, mus
         assert np.all(np.sign(f[0]) * f > -ROOT_TOL * lam)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    p_f=st.floats(0.01, 0.98),
+    p_d=st.floats(0.02, 0.99),
+    mu=st.one_of(st.floats(0.05, 3.0), st.floats(-323.0, 0.5).map(lambda e: 10.0 ** e),
+                 st.just(5e-324)),
+    noise_var=st.floats(0.5, 2.0),
+    fraction=st.floats(0.0, 1.5),
+)
+# the former stall level, and peaks past the largest float
+@example(p_f=0.073, p_d=0.26, mu=1.6, noise_var=1.0, fraction=0.95)
+@example(p_f=0.073, p_d=0.26, mu=1e-309, noise_var=1.0, fraction=0.95)
+@example(p_f=0.073, p_d=0.26, mu=5e-324, noise_var=1.0, fraction=0.95)
+@example(p_f=0.01171875, p_d=0.03125, mu=1e-312, noise_var=1.0, fraction=0.0)
+# the other slope sign, and a slope sign with no peak (r < 1)
+@example(p_f=0.6, p_d=0.99, mu=1.0, noise_var=1.0, fraction=0.5)
+@example(p_f=0.6, p_d=0.7, mu=1.0, noise_var=1.0, fraction=0.5)
+def test_the_gain_rises_only_to_its_closed_form_peak(p_f, p_d, mu, noise_var, fraction):
+    # both ROC-slope signs; gains from 5e-324, where den * mu underflows
+    assume(p_d >= p_f + 0.01)
+    coeffs = roc_coefficients(p_f, p_d)
+    level = ehdetect.optimizer._level_constants(mu, coeffs, noise_var)
+    top = max(level.g0, level.g_peak)
+    # 24 decades of power up to where den * mu * p reaches 1e12, or 1e300,
+    # so no denominator squared overflows; plus zero power and the peak
+    p_hi = 1e12 / max(max(coeffs.den1, coeffs.den2) * mu, 1e-288)
+    powers = np.unique(np.concatenate(
+        ([0.0, level.peak], np.geomspace(1e-24 * p_hi, p_hi, 4001))))
+    gain = marginal_divergence_gain(powers, mu, coeffs, noise_var)
+    slope1, slope2 = coeffs.slopes
+    # rounding scales with the largest value a term of the gain takes; an
+    # absolute 1e-322 covers the few subnormal roundings of a tiny gain
+    tol = 1e-12 * (abs(slope1) + abs(slope2)) * mu / noise_var + 1e-322
+    assert gain.max() <= top + tol
+    assert np.all(np.diff(gain[powers <= level.peak]) >= -tol)
+    assert np.all(np.diff(gain[powers >= level.peak]) <= tol)
+    lams = [fraction * top, level.g0, level.g_peak, 0.5 * (level.g0 + level.g_peak),
+            gain.max()]
+    for lam in (lam for lam in lams if lam > 0.0):
+        root = stationarity_root(lam, mu, coeffs, noise_var)
+        assert (root == -1.0) == (top <= lam)
+        # priced out exactly where the grid's gains stay at or below lam
+        if root == -1.0:
+            assert gain.max() <= lam + tol
+        else:
+            assert gain.max() > lam
+        if level.g0 <= lam < level.g_peak:
+            # the rising crossing, on [0, peak]
+            assert 0.0 < root <= level.peak
+            g = marginal_divergence_gain(root, mu, coeffs, noise_var)
+            assert abs(g - lam) <= ROOT_TOL * lam + tol
+
+
 def test_root_rejects_bad_inputs():
     coeffs = roc_coefficients(0.2, 0.9)
     with pytest.raises(ValueError, match="mu"):
@@ -336,7 +390,9 @@ def test_root_rejects_non_finite_inputs():
 
 def _masked_newton_roots(lam, mu, coeffs, noise_var):
     """The masked array Newton iteration that solved all levels of a call at
-    once, kept verbatim as the reference for the per-level kernel."""
+    once, kept as the reference for the per-level kernel. Its in-band branch
+    and its iteration are verbatim; outside the band it takes the kernel's
+    bracket rule, from the closed-form peak, in place of its former scan."""
     opt = ehdetect.optimizer
     m = np.asarray(mu, dtype=float)
     out = np.zeros(m.shape)
@@ -360,17 +416,23 @@ def _masked_newton_roots(lam, mu, coeffs, noise_var):
         g, dg = opt._gain_and_derivative(lo, mu, coeffs, noise_var)
         solve = g > lam
     else:
-        grid = p_big[:, None] * opt._SCAN
-        vals = marginal_divergence_gain(grid.T, mu, coeffs, noise_var).T - lam
-        change = np.diff(np.sign(vals), axis=1) != 0
-        solve = change.any(axis=1)
-        res[~solve & (vals[:, 0] > 0.0)] = math.inf
-        rows = np.arange(mu.size)
-        i = np.argmax(change, axis=1)
-        lo, hi = grid[rows, i], grid[rows, i + 1]
-        flip = vals[rows, i] < 0.0  # orient so f(lo) > 0 > f(hi)
-        lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
-        g, dg = opt._gain_and_derivative(lo, mu, coeffs, noise_var)
+        # a gain above lam at zero power falls to it on [0, p_big]; below it,
+        # only a peak above lam crosses it, rising, on [0, peak]. r is a
+        # Python float, as in the kernel, so the peaks are the kernel's too
+        g0, dg0 = opt._gain_and_derivative(np.zeros(mu.size), mu, coeffs, noise_var)
+        peak, g_peak, dg_peak = np.zeros(mu.size), g0, dg0
+        if slope1 * slope2 < 0.0:
+            (sp, dp), (sn, dn) = sorted(((slope1, coeffs.den1), (slope2, coeffs.den2)),
+                                        reverse=True)
+            r = (-sn * dn / (sp * dp)) ** (1.0 / 3.0)
+            if r > 1.0 and dn > r * dp:
+                peak = np.minimum(noise_var * (r - 1.0) / (dn - r * dp) / mu,
+                                  0.5 * sys.float_info.max)
+                g_peak, dg_peak = opt._gain_and_derivative(peak, mu, coeffs, noise_var)
+        falling = g0 > lam
+        solve = falling | (g_peak > lam)
+        lo, hi = np.where(falling, 0.0, peak), np.where(falling, p_big, 0.0)
+        g, dg = np.where(falling, g0, g_peak), np.where(falling, dg0, dg_peak)
     if np.any(solve):
         # start at the f > 0 end; a level freezes at its first iterate within ROOT_TOL
         p, lo, hi, mu_s = lo[solve], lo[solve], hi[solve], mu[solve]
@@ -419,6 +481,10 @@ def _masked_newton_roots(lam, mu, coeffs, noise_var):
 @example(p_f=0.6, spread=0.11 / 0.38, lam=0.5, mus=[5e-324, 0.6], noise_var=1.0)
 @example(p_f=0.2, spread=0.9, lam=5e-324, mus=[1.0, 0.5], noise_var=1.0)
 @example(p_f=0.6, spread=0.11 / 0.38, lam=5e-324, mus=[1.0, 0.6], noise_var=1.0)
+# rising crossings on [0, peak] at the former stall point, one with its peak
+# capped at half the largest float
+@example(p_f=0.073, spread=0.187 / 0.907, lam=0.12, mus=[0.6, 1.6], noise_var=1.0)
+@example(p_f=0.073, spread=0.187 / 0.907, lam=7.1e-311, mus=[1e-309, 1.6], noise_var=1.0)
 def test_per_level_roots_equal_the_masked_array_iteration(p_f, spread, lam, mus,
                                                           noise_var):
     # inside the band and outside it on either slope (p_d < 1/2 or p_f > 1/2),
@@ -429,16 +495,8 @@ def test_per_level_roots_equal_the_masked_array_iteration(p_f, spread, lam, mus,
     # underflow examples; the per-level kernel must not warn there
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         reference = _masked_newton_roots(lam, mus, coeffs, noise_var)
-    # The intended departures are outside the band, where the array
-    # iteration scanned from its bracket end even when that end overflowed
-    # (scan start inf * 0) and returned NaN. A level whose gain can never
-    # exceed the price is now priced out before the scan (-1.0); a price so
-    # small that lam / 2 underflows leaves the power unbounded (+inf), as
-    # inside the band.
-    expected = np.where(np.isnan(reference), math.inf if 0.5 * lam == 0.0 else -1.0,
-                        reference)
     # byte equality is == on every root that also tells -0.0 from 0.0
-    assert roots.tobytes() == expected.tobytes(), (roots.tolist(), reference.tolist())
+    assert roots.tobytes() == reference.tobytes(), (roots.tolist(), reference.tolist())
 
 
 def _zero_slopes(monkeypatch):
@@ -465,7 +523,7 @@ def _negative_gains(monkeypatch):
     """Slopes of no ROC point, with slope1 / den1**2 + slope2 / den2**2 < 0:
     the gain turns negative past the crossing, where sqrt(g / lam) is NaN.
     At these prices the crossing sits so close to the gain's own zero that
-    the scan's bracket reaches past it and the iteration lands there."""
+    iterates in the bracket [0, p_big] land past it."""
     coeffs = RocCoefficients(num1=0.5, den1=0.25, num2=0.0, den2=0.05)
     return [(coeffs, 1e-6), (coeffs, 1e-9)]
 
@@ -510,6 +568,9 @@ def _reference_map(lam, ctx, net):
          mus=[5e-324, 0.6, 1.6], noise_var=1.0, fraction=0.01)
 @example(capacity=5, unit_energy=0.2, outage_confidence=0.9, p_f=0.073, spread=0.2,
          mus=[5e-324, 1.6], noise_var=1.0, fraction=0.3)
+# a price so small that a scan of the gain up to p_big overflowed d * d
+@example(capacity=1, unit_energy=1.0, outage_confidence=0.5, p_f=0.03125, spread=0.25,
+         mus=[2.3062017228175762e-07, 1.0], noise_var=2.0, fraction=2.2250738585e-313)
 def test_a_price_evaluation_equals_the_clamped_public_roots(capacity, unit_energy,
                                                              outage_confidence, p_f,
                                                              spread, mus, noise_var,
@@ -787,6 +848,13 @@ _TOY_SHAPE = dict(capacity=5, unit_energy=0.2, mean_harvest=3.0, prior_h0=0.5,
 @example(**_TOY_SHAPE, price=1.0, tie="none", at=0)
 @example(**{**_TOY_SHAPE, "p_f": 0.073, "spread": 0.26}, price=0.5, tie="root_on_phi",
          at=5)
+# prices so small that a scan of the gain up to p_big overflowed d * d
+@example(capacity=1, unit_energy=1.0, mean_harvest=1.0, prior_h0=0.5, drop_fraction=0.5,
+         outage_confidence=0.5, p_f=0.25, spread=0.25, mus=[1.0, 2.0], noise_var=0.5,
+         price=2.225073858507203e-309, tie="none", at=0)
+@example(capacity=1, unit_energy=1.0, mean_harvest=1.0, prior_h0=0.5, drop_fraction=0.5,
+         outage_confidence=0.5, p_f=0.75, spread=1.0, mus=[1.0, 2.0], noise_var=0.5,
+         price=2.225073858507203e-309, tie="none", at=0)
 def test_activity_codes_read_off_the_powers_equal_the_candidate_stack(
         capacity, unit_energy, mean_harvest, prior_h0, drop_fraction,
         outage_confidence, p_f, spread, mus, noise_var, price, tie, at):

@@ -20,11 +20,12 @@ def _run_script(name, *args):
 
 
 def test_unit_map_fingerprint_smoke():
-    # the script builds its grid and oracle scenarios from perfbench; one
-    # solve of each kind keeps that wiring honest
+    # the script builds its grid and oracle scenarios from perfbench and its
+    # stall points from toy.scn; one solve of each kind keeps that wiring honest
     lines = _run_script("unit_map_fingerprint.py", "--smoke")
     labels = [line.split("  ", 4)[4] for line in lines]
-    assert labels == ["toy.scn", "grid h=2 K=100 B=1", "oracle seed=1 item=0"]
+    assert labels == ["toy.scn", "grid h=2 K=100 B=1", "oracle seed=1 item=0",
+                      "stall item=0"]
     for line in lines:
         digest, rounds, evaluations, j, _label = line.split("  ", 4)
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
