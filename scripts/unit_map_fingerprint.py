@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit-map fingerprints of optimize_power_map over a fixed set of scenarios.
+"""Unit-map fingerprints of the solver, or of the exhaustive oracle, over fixed scenarios.
 
 Solves the two bundled scenarios, the 30 acceptance-grid points
 (two_sensor.scn at mean_harvest/capacity 2/100, 3/100 and 3/70, ten budgets
@@ -20,10 +20,18 @@ one part in 10^6 can still flip its last printed digit, so judge a
 difference there by the size of the move. Run from the repository root,
 pointing PYTHONPATH at the library under test:
 
-    PYTHONPATH=src python3 scripts/unit_map_fingerprint.py [--smoke]
+    PYTHONPATH=src python3 scripts/unit_map_fingerprint.py [--smoke] [--oracle]
 
 --smoke solves only the first scenario of each kind (bundled, grid, oracle,
 stall).
+
+--oracle runs exhaustive_best_map instead, on the one-sensor scenarios, all
+of which its guard admits (toy.scn and the oracle and stall points, 321 in
+all), and prints
+
+    <sha256 of the winning unit map>  <candidates>  <feasible>  <repr(objective_j)>  <label>
+
+A change to the oracle, or its replacement, must leave every line as it was.
 """
 
 import argparse
@@ -38,7 +46,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
-from ehdetect import load_scenario, optimize_power_map  # noqa: E402
+from ehdetect import exhaustive_best_map, load_scenario, optimize_power_map  # noqa: E402
 from tracing import NullTracer  # noqa: E402
 from workloads import GRID_BUDGETS, GRID_CONFIGS, OracleCheck  # noqa: E402
 
@@ -89,9 +97,9 @@ def scenarios(smoke=False):
         yield from itertools.islice(kind(), 1 if smoke else None)
 
 
-def fingerprint(outcome) -> str:
+def fingerprint(unit_maps) -> str:
     digest = hashlib.sha256()
-    for units in outcome.power_map.units:
+    for units in unit_maps:
         digest.update(repr(units.shape).encode())
         digest.update(units.astype("<i8").tobytes())
     return digest.hexdigest()
@@ -101,11 +109,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="solve only the first scenario of each kind")
+    parser.add_argument("--oracle", action="store_true",
+                        help="fingerprint the exhaustive oracle's winners instead")
     args = parser.parse_args(argv)
     for label, scenario in scenarios(args.smoke):
-        out = optimize_power_map(scenario)
-        print(f"{fingerprint(out)}  {out.outer_iterations}  "
-              f"{out.price_evaluations}  {out.objective_j:.6g}  {label}")
+        if args.oracle:
+            # the guard admits every one-sensor scenario here and refuses the
+            # rest; skipping by sensor count lets an older library run this too
+            if scenario.num_sensors != 1:
+                continue
+            best = exhaustive_best_map(scenario)
+            print(f"{fingerprint([best.units])}  {best.candidates}  "
+                  f"{best.feasible}  {best.objective_j!r}  {label}")
+        else:
+            out = optimize_power_map(scenario)
+            print(f"{fingerprint(out.power_map.units)}  {out.outer_iterations}  "
+                  f"{out.price_evaluations}  {out.objective_j:.6g}  {label}")
     return 0
 
 

@@ -47,6 +47,7 @@ from .detection import (
     sensor_j_divergence,
 )
 from .optimizer import (
+    ExhaustiveRefused,
     ExhaustiveResult,
     KktReport,
     OptimizationOutcome,

@@ -33,6 +33,7 @@ from .config import (
     load_scenario,
 )
 from .optimizer import (
+    ExhaustiveRefused,
     OptimizationOutcome,
     evaluate_unit_map,
     exhaustive_best_map,
@@ -348,11 +349,14 @@ def cmd_validate(args) -> int:
             "certificate", res_ok and slack_ok,
             f"interior residual {outcome.kkt.max_interior_residual:.3e}, "
             f"slackness {outcome.kkt.slackness:.3e}"))
-        # exhaustive cross-check wherever the oracle's own guard admits the scenario
+        # exhaustive cross-check wherever the oracle's own guard admits the
+        # scenario; an oracle that fails past its guard fails the check
         try:
             best = exhaustive_best_map(scenario)
-        except ValueError as exc:
+        except ExhaustiveRefused as exc:
             print(f"SKIP exhaustive: {exc}")
+        except ValueError as exc:
+            results.append(_check("exhaustive", False, str(exc)))
         else:
             gap = (best.objective_j - mine) / max(1.0, abs(best.objective_j))
             results.append(_check(

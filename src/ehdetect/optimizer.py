@@ -55,6 +55,7 @@ from .detection import RocCoefficients, roc_coefficients, sensor_j_divergence
 __all__ = [
     "KktReport",
     "OptimizationOutcome",
+    "ExhaustiveRefused",
     "ExhaustiveResult",
     "marginal_divergence_gain",
     "outage_cap",
@@ -82,7 +83,9 @@ MAX_PRICE_ITERS = 10_000  # evaluations before the price bracket counts as colla
 EXHAUSTIVE_MAX_CAPACITY = 8
 EXHAUSTIVE_MAX_LEVELS = 3
 EXHAUSTIVE_MAX_CANDIDATES = 2_000_000
-EXHAUSTIVE_BATCH = 20_000  # candidate maps per stacked linear solve
+# float64 values per stacked (chains, K+1, K+1) array of one batch: about
+# 1 MiB at any capacity, so a batch's matrices stay inside a 4 MiB L2 cache
+EXHAUSTIVE_BATCH_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -594,6 +597,12 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
 # exhaustive oracle for tiny instances
 
 
+class ExhaustiveRefused(ValueError):
+    """The exhaustive oracle's guard rails refuse the scenario: it has more
+    than one sensor, or its capacity, live levels or candidate count is past
+    an EXHAUSTIVE_MAX_* limit."""
+
+
 @dataclass(frozen=True)
 class ExhaustiveResult:
     objective_j: float
@@ -628,39 +637,47 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     Admissible means the per-entry causality and outage caps hold; feasible
     additionally means the exact stationary expected power fits the budget.
     Every candidate is scored with its own exact stationary distribution, so
-    this is a true global oracle (and why the guard rails are tight). Each
-    batch of EXHAUSTIVE_BATCH candidates gathers its own drain rows, so no
-    row is held per choice; what grows with the number of choices is their
-    table of K+1 unit counts each. The winner's objective_j, expected_power
-    and psi are evaluate_unit_map's, bit for bit. Raises ValueError past the
-    guard rails, with no feasible map, or as stationary_solve.
+    this is a true global oracle (and why the guard rails are tight). A
+    candidate is one mixed-radix number; each batch of about
+    EXHAUSTIVE_BATCH_ELEMENTS matrix entries decodes its own unit rows from
+    those numbers and gathers its own drain rows, so nothing is held per
+    choice and the memory does not grow with the candidate count. Each
+    candidate's chain and score do not depend on the batching, and the
+    winner's objective_j, expected_power and psi are evaluate_unit_map's,
+    bit for bit. Raises ExhaustiveRefused past the guard rails, and
+    ValueError with no feasible map or as stationary_solve.
     """
     net = scenario.network
     if scenario.num_sensors != 1:
-        raise ValueError("exhaustive search supports single-sensor scenarios only")
+        raise ExhaustiveRefused("exhaustive search supports single-sensor scenarios only")
     sensor = scenario.sensors[0]
     K = net.capacity
     L1 = sensor.level_count
     if K > EXHAUSTIVE_MAX_CAPACITY or (L1 - 1) > EXHAUSTIVE_MAX_LEVELS:
-        raise ValueError(
+        raise ExhaustiveRefused(
             f"scenario too large for exhaustive search (capacity {K} > "
             f"{EXHAUSTIVE_MAX_CAPACITY} or levels {L1 - 1} > {EXHAUSTIVE_MAX_LEVELS})"
         )
     ctx = _sensor_context(net, sensor)
     unit_power = net.unit_power
     states = np.arange(K + 1)
-    # hard per-state unit cap from causality and the outage cap
-    amax = np.minimum(states, np.floor(ctx.phi / unit_power + 1e-9).astype(np.int64))
+    # hard per-state unit cap from causality and the outage cap, which is
+    # +inf where the prior absorbs the allowed failures
+    amax = np.minimum(states, np.floor(ctx.phi / unit_power + 1e-9)).astype(np.int64)
 
     # every live level picks its row from the same per-state unit choices;
-    # a candidate map is one mixed-radix number with a digit per live level
-    counts = (int(np.prod(amax + 1)),) * (L1 - 1)
+    # a candidate map is one mixed-radix number with a digit per live level;
+    # a digit is itself a number over amax + 1 whose digits are the level's
+    # units per state, the last state's varying fastest
+    radix = tuple((amax + 1).tolist())
+    counts = (math.prod(radix),) * (L1 - 1)
     total = math.prod(counts)
     if total > EXHAUSTIVE_MAX_CANDIDATES:
-        raise ValueError(
+        raise ExhaustiveRefused(
             f"{total} candidate maps exceed the {EXHAUSTIVE_MAX_CANDIDATES} cap")
-    # one row per choice, the last state's units varying fastest
-    choices = np.indices(amax + 1).reshape(K + 1, -1).T
+
+    def units_of(choice):
+        return np.stack(np.unravel_index(choice, radix), axis=-1)
 
     pi, tp, bank = ctx.gain_probs.pi, ctx.transmit_prob, ctx.arrivals.drain_table
     # the dead level never drains; a batch gathers each live level's rows
@@ -675,17 +692,18 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     best_j = -math.inf
     best_idx = -1
     feasible = 0
-    for start in range(0, total, EXHAUSTIVE_BATCH):
-        idx = np.arange(start, min(start + EXHAUSTIVE_BATCH, total))
+    batch = max(1, EXHAUSTIVE_BATCH_ELEMENTS // (K + 1) ** 2)
+    for start in range(0, total, batch):
+        idx = np.arange(start, min(start + batch, total))
         # a lone dead level leaves no digit to decode
         level_idx = np.unravel_index(idx, counts) if counts else ()
         M = np.broadcast_to(base, (idx.size, K + 1, K + 1)).copy()
         post = np.empty((idx.size, K + 1), dtype=np.int64)  # post-drain states, per level
-        alphas = []  # gathered level by level: all up front, they add 2.5 MB of RSS
+        alphas = []
         for l in range(L1 - 1):
-            a = choices[level_idx[l]]
+            a = units_of(level_idx[l])
             alphas.append(a)
-            # take, not fancy indexing: 0.76 ms against 2.55 ms per full batch at K = 5
+            # take, not fancy indexing: 0.76 ms against 2.55 ms per 20 000 chains at K = 5
             M += spend[l].take(np.subtract(states, a, out=post), axis=0)
         del post  # not held through the solve, where a batch peaks
         psi = stationary_solve(M)
@@ -707,7 +725,7 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     if best_idx < 0:
         raise ValueError("no feasible unit map under the budget")
     chosen = np.unravel_index(best_idx, counts)
-    units = np.vstack([np.zeros(K + 1, dtype=np.int64)] + [choices[c] for c in chosen])
+    units = np.vstack([np.zeros(K + 1, dtype=np.int64)] + [units_of(c) for c in chosen])
     objective_j, expected_power, (psi,) = evaluate_unit_map(scenario, [units])
     return ExhaustiveResult(
         objective_j=objective_j,

@@ -20,6 +20,7 @@ from ehdetect.cli import (
     write_table,
 )
 import ehdetect.battery
+import ehdetect.optimizer
 
 WIDE_SCENARIO = """\
 [network]
@@ -424,6 +425,20 @@ def test_validate_skips_the_oracle_when_its_guard_refuses(tmp_path, toy_scenario
     text = capsys.readouterr().out
     assert "FAIL" not in text
     assert "SKIP exhaustive: 25401600 candidate maps exceed the 2000000 cap" in text
+
+
+def test_validate_fails_an_oracle_error_past_the_guard(scenario_dir, monkeypatch, capsys):
+    # the solver and evaluate_unit_map reach the stacked solve through
+    # ehdetect.battery, so only the oracle sees the failing one
+    def singular(M):
+        raise ValueError("no numerically unique stationary law: injected")
+
+    monkeypatch.setattr(ehdetect.optimizer, "stationary_solve", singular)
+    assert main(["validate", "--scenario", _toy(scenario_dir)]) == EXIT_INPUT
+    text = capsys.readouterr().out
+    assert "FAIL exhaustive: no numerically unique stationary law: injected" in text
+    assert "SKIP" not in text
+    assert "PASS fixed-point" in text
 
 
 @pytest.mark.parametrize("argv", [

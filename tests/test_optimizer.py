@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ehdetect import (
     BatteryDistribution,
+    ExhaustiveRefused,
     NetworkParams,
     RocCoefficients,
     SensorParams,
@@ -35,7 +36,6 @@ from ehdetect.optimizer import (
     CLAMP_CAUSALITY,
     CLAMP_OUTAGE,
     CLAMP_ZERO,
-    EXHAUSTIVE_BATCH,
     INTERIOR,
     LEVEL_ZERO,
     ROOT_TOL,
@@ -905,12 +905,16 @@ def test_activity_codes_read_off_the_powers_equal_the_candidate_stack(
 
 
 def test_exhaustive_rejects_large_instances(two_sensor_scenario, toy_scenario):
-    with pytest.raises(ValueError, match="single-sensor"):
+    with pytest.raises(ExhaustiveRefused, match="single-sensor"):
         exhaustive_best_map(two_sensor_scenario)
     big = replace(toy_scenario,
                   network=replace(toy_scenario.network, capacity=9))
-    with pytest.raises(ValueError, match="too large"):
+    with pytest.raises(ExhaustiveRefused, match="too large"):
         exhaustive_best_map(big)
+    many = replace(toy_scenario,
+                   network=replace(toy_scenario.network, capacity=6))
+    with pytest.raises(ExhaustiveRefused, match="exceed the 2000000 cap"):
+        exhaustive_best_map(many)
 
 
 def _assert_reported_as_evaluated(scenario, res):
@@ -920,19 +924,23 @@ def _assert_reported_as_evaluated(scenario, res):
     assert res.psi.psi.tobytes() == psi.psi.tobytes()
 
 
+_REFERENCE_BATCH = 20_000  # candidate maps per stacked solve of the reference
+
+
 def _enumerated_reference(scenario):
     """(units, candidates, feasible) of the enumeration that held every choice's rows.
 
     Kept as the reference for the batched gather: it builds the drain rows
     of every per-state unit choice up front and weights a copy per live
-    level; the arithmetic of each candidate chain and score is the same.
+    level, in fixed batches of its own; the arithmetic of each candidate
+    chain and score is the same.
     """
     net = scenario.network
     ctx = _sensor_context(net, scenario.sensors[0])
     K, L1 = net.capacity, ctx.gain_probs.level_count
     unit_power = net.unit_power
     states = np.arange(K + 1)
-    amax = np.minimum(states, np.floor(ctx.phi / unit_power + 1e-9).astype(np.int64))
+    amax = np.minimum(states, np.floor(ctx.phi / unit_power + 1e-9)).astype(np.int64)
     counts = (int(np.prod(amax + 1)),) * (L1 - 1)
     total = math.prod(counts)
     choices = np.array(list(itertools.product(*[range(a + 1) for a in amax])),
@@ -947,8 +955,8 @@ def _enumerated_reference(scenario):
                                   ctx.coeffs, ctx.noise_var)
     budget = net.power_budget * (1.0 + 1e-12) + 1e-15
     best_j, best_idx, feasible = -math.inf, -1, 0
-    for start in range(0, total, EXHAUSTIVE_BATCH):
-        idx = np.arange(start, min(start + EXHAUSTIVE_BATCH, total))
+    for start in range(0, total, _REFERENCE_BATCH):
+        idx = np.arange(start, min(start + _REFERENCE_BATCH, total))
         level_idx = np.unravel_index(idx, counts) if counts else ()
         M = np.broadcast_to(base + idle_weighted, (idx.size, K + 1, K + 1)).copy()
         for l in range(L1 - 1):
@@ -1028,11 +1036,12 @@ def test_exhaustive_reports_the_evaluated_winner_of_the_reference_enumeration(
     _assert_enumerates_as_the_reference(scenario, res)
 
 
-def test_exhaustive_holds_no_drain_rows_per_choice(toy_scenario):
+def test_exhaustive_holds_no_table_per_choice(toy_scenario):
     # one live level at capacity 8: 9! = 362 880 candidates. Traced peak on a
     # 2-vCPU Xeon (NumPy 2.4.6): 474 MiB when every choice's drain rows were
-    # held at once, 57 MiB with the rows gathered per batch, of which the
-    # table of choices (9 unit counts each, int64) is 25 MiB
+    # held at once, 57 MiB with the rows gathered per batch but a table of
+    # every choice's units held (25 MiB), 2.6 MiB with each batch decoding
+    # its own units
     sensor = replace(toy_scenario.sensors[0], thresholds=(0.0, 0.6, math.inf))
     scenario = replace(toy_scenario, sensors=(sensor,),
                        network=replace(toy_scenario.network, capacity=8))
@@ -1043,7 +1052,44 @@ def test_exhaustive_holds_no_drain_rows_per_choice(toy_scenario):
     finally:
         tracemalloc.stop()
     assert res.candidates == 362_880
-    assert peak < 128 * 2**20
+    assert peak < 16 * 2**20
+
+
+def test_exhaustive_counts_every_map_under_a_vacuous_outage_cap(toy_scenario):
+    # prior_h1 + outage_confidence <= 1 makes the outage cap +inf, so only
+    # causality caps a state's units; run with warnings as errors, so the
+    # cast of an infinite cap would fail here
+    scenario = replace(toy_scenario, network=replace(toy_scenario.network, prior_h0=0.9))
+    assert np.all(np.isinf(_sensor_context(scenario.network, scenario.sensors[0]).phi))
+    res = exhaustive_best_map(scenario)
+    assert res.candidates == 518_400  # (6!)^2, as on toy with its finite cap
+    _assert_reported_as_evaluated(scenario, res)
+    _assert_enumerates_as_the_reference(scenario, res)
+
+
+def _result_bytes(res):
+    return (repr(res.objective_j), res.units.dtype.str, res.units.tobytes(),
+            repr(res.expected_power), res.psi.psi.tobytes(),
+            repr(res.candidates), repr(res.feasible))
+
+
+@pytest.mark.parametrize("live, capacity, candidates",
+                         [(0, 3, 1), (1, 3, 24), (2, 3, 576), (3, 2, 216)])
+def test_batch_boundaries_do_not_change_the_result(toy_scenario, monkeypatch, live,
+                                                   capacity, candidates):
+    # a binding budget, so the winner is not the largest map
+    sensor = replace(toy_scenario.sensors[0],
+                     thresholds=(0.0, *(0.6, 1.2, 2.0)[:live], math.inf))
+    scenario = replace(toy_scenario, sensors=(sensor,), network=replace(
+        toy_scenario.network, capacity=capacity, power_budget=0.1))
+    default = exhaustive_best_map(scenario)
+    assert (default.candidates, sensor.level_count) == (candidates, live + 1)
+    assert default.feasible < candidates or live == 0
+    # one chain per batch, then 7 chains, which divides none of the counts
+    for chains in (1, 7):
+        monkeypatch.setattr(ehdetect.optimizer, "EXHAUSTIVE_BATCH_ELEMENTS",
+                            chains * (capacity + 1) ** 2)
+        assert _result_bytes(exhaustive_best_map(scenario)) == _result_bytes(default)
 
 
 def test_exhaustive_with_only_the_dead_level(toy_scenario):

@@ -33,6 +33,16 @@ def test_unit_map_fingerprint_smoke():
         # at least one price evaluation per round
         assert int(evaluations) >= int(rounds)
         assert float(j) > 0.0
+    # --oracle runs the one-sensor scenarios only, so the grid point drops out
+    lines = _run_script("unit_map_fingerprint.py", "--oracle", "--smoke")
+    labels = [line.split("  ", 4)[4] for line in lines]
+    assert labels == ["toy.scn", "oracle seed=1 item=0", "stall item=0"]
+    for line in lines:
+        digest, candidates, feasible, j, _label = line.split("  ", 4)
+        assert re.fullmatch(r"[0-9a-f]{64}", digest)
+        assert 0 < int(feasible) <= int(candidates)
+        assert float(j) > 0.0
+    assert lines[0].split("  ")[1] == "518400"
 
 
 def test_csv_fingerprint_covers_every_table():
