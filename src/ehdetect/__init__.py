@@ -34,7 +34,7 @@ from .config import (
     emit_scenario,
     load_scenario,
     loads_scenario,
-    validate_convex_region,
+    units_from_power,
 )
 from .detection import (
     GaussianPair,
@@ -59,7 +59,6 @@ from .optimizer import (
     optimize_power_map,
     outage_cap,
     stationarity_root,
-    units_from_power,
 )
 from .simulator import (
     SimBatch,

@@ -463,3 +463,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -15,7 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "NetworkParams",
     "Scenario",
     "PowerMap",
+    "units_from_power",
     "BatteryDistribution",
     "MonteCarloReport",
     "load_scenario",
@@ -34,7 +35,6 @@ __all__ = [
     "emit_scenario",
     "dumps_scenario",
     "convex_region_bounds",
-    "validate_convex_region",
 ]
 
 TRANSMIT_PROB_MODELS = ("prior", "decision")
@@ -208,51 +208,59 @@ class BatteryDistribution:
         return np.cumsum(self.psi)
 
 
+def units_from_power(power, state, network: NetworkParams):
+    """Whole battery units needed to fund a slot power, never beyond the state.
+
+    Rounds up, since partial units cannot be drawn; a 1e-9 slack absorbs float
+    dust when the power sits exactly on a unit boundary (as the causality and
+    zero clamps produce). The re-clamp to the state keeps rounding from ever
+    violating causality. Vectorized: power and state broadcast. The network
+    may be a PowerMap: only unit_energy and slot_seconds are read.
+    """
+    q = np.asarray(power, dtype=float) * (network.slot_seconds / network.unit_energy)
+    alpha = np.clip(np.ceil(q - 1e-9).astype(np.int64), 0, state)
+    return int(alpha) if alpha.ndim == 0 else alpha
+
+
 @dataclass(frozen=True)
 class PowerMap:
     """Transmit power lookup, one table per sensor.
 
     ``powers[n][l, k]`` is the slot power in Watts a sensor uses at quantizer
     level l with k stored units; ``units[n][l, k]`` is the whole number of
-    battery units that transmission drains. Level 0 never transmits, and no
-    entry may promise more energy than the battery state holds.
+    battery units that transmission drains, derived by units_from_power.
+    Level 0 never transmits, and no entry may promise more energy than the
+    battery state holds.
     """
 
     powers: tuple[np.ndarray, ...]
-    units: tuple[np.ndarray, ...]
     unit_energy: float
     slot_seconds: float
+    units: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _finite_positive(self.unit_energy, "unit_energy")
         _finite_positive(self.slot_seconds, "slot_seconds")
-        _require(len(self.powers) == len(self.units) and len(self.powers) >= 1,
-                 "power map", "powers and units need one table per sensor")
+        _require(len(self.powers) >= 1, "power map", "powers need one table per sensor")
         frozen_p, frozen_u = [], []
         capacity = None
-        for n, (p, u) in enumerate(zip(self.powers, self.units)):
+        for n, p in enumerate(self.powers):
             where = f"power map sensor {n}"
             p = np.array(p, dtype=float)
-            u = np.array(u)
-            _require(p.ndim == 2 and u.shape == p.shape, where, "tables must be 2-D and congruent")
-            _require(np.issubdtype(u.dtype, np.integer), where, "units must be integers")
+            _require(p.ndim == 2, where, "tables must be 2-D")
             if capacity is None:
                 capacity = p.shape[1] - 1
             _require(p.shape[1] - 1 == capacity, where, "battery axis must match across sensors")
             _require(bool(np.all(np.isfinite(p))) and bool(np.all(p >= 0.0)), where,
                      "powers must be finite and >= 0")
             _require(bool(np.all(p[0, :] == 0.0)), where, "level 0 must carry zero power")
-            _require(bool(np.all(u[0, :] == 0)), where, "level 0 must carry zero units")
-            _require(bool(np.all(u >= 0)), where, "units must be >= 0")
             states = np.arange(p.shape[1])
-            _require(bool(np.all(u <= states[None, :])), where,
-                     "units must never exceed the battery state (causality)")
             # 1-ulp forgiveness: the per-state watt cap is computed in floats
             cap = states * (self.unit_energy / self.slot_seconds)
             _require(bool(np.all(p <= cap[None, :] * (1.0 + 1e-12) + 1e-15)), where,
                      "power*slot must never exceed the stored energy (causality)")
             p.flags.writeable = False
-            u = u.astype(np.int64)
+            u = units_from_power(p, states, self)
             u.flags.writeable = False
             frozen_p.append(p)
             frozen_u.append(u)
@@ -473,17 +481,9 @@ def convex_region_bounds(p_f: float) -> tuple[float, float]:
     For a false-alarm rate in (0, 1) the band is
         3/4 - p_f/2 -+ sqrt(1 + 12 p_f - 12 p_f^2) / 4.
     Outside it the optimizer's stationarity condition may have multiple roots.
+    The optimizer tests the same band on the ROC coefficients (_gain_peak).
     """
     _probability(p_f, "p_f")
     radical = math.sqrt(1.0 + 12.0 * p_f - 12.0 * p_f * p_f)
     center = 0.75 - 0.5 * p_f
     return center - 0.25 * radical, center + 0.25 * radical
-
-
-def validate_convex_region(sensors) -> tuple[bool, ...]:
-    """Per-sensor membership of (p_f, p_d) in the concavity band."""
-    flags = []
-    for s in sensors:
-        lo, hi = convex_region_bounds(s.p_f)
-        flags.append(bool(lo <= s.p_d <= hi and 0.0 < s.p_f < s.p_d < 1.0))
-    return tuple(flags)

@@ -48,7 +48,7 @@ from .config import (
     PowerMap,
     Scenario,
     SensorParams,
-    validate_convex_region,
+    units_from_power,
 )
 from .detection import RocCoefficients, roc_coefficients, sensor_j_divergence
 
@@ -61,7 +61,6 @@ __all__ = [
     "outage_cap",
     "stationarity_root",
     "clamp_power",
-    "units_from_power",
     "lambda_search",
     "optimize_power_map",
     "evaluate_unit_map",
@@ -174,8 +173,8 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float)
     a noise_var that is not finite and positive raise ValueError.
 
     Every term of the gain is below lam/2 beyond a closed-form power p_big.
-    Inside the concavity band the gain only falls. Outside it (one ROC slope
-    negative) it may first rise to a peak whose power is in closed form
+    Inside the concavity band the gain only falls. Outside it (_gain_peak)
+    it first rises to a peak whose power is in closed form
     (_level_constants), and then it falls. So no scan is run: a level whose
     zero-power gain is above lam crosses it once, falling, on [0, p_big];
     otherwise a level whose peak gain is above lam crosses it first rising,
@@ -236,26 +235,41 @@ class _Level(NamedTuple):
     dg_peak: float      # its slope
 
 
+def _gain_peak(coeffs: RocCoefficients):
+    """(r, den_i, den_j) where the marginal gain rises to an interior peak,
+    None where it only falls: the concavity band.
+
+    With a positive term i and a negative term j, the gain's slope vanishes
+    where (s + den_j*mu*p) = r * (s + den_i*mu*p), r**3 = the ratio below,
+    and that is a maximum past zero power exactly when r > 1 and
+    den_j > r * den_i. Neither mu nor the noise variance s enters the test,
+    so it is one per sensor, live levels or not.
+    """
+    slope1, slope2 = coeffs.slopes
+    if slope1 * slope2 < 0.0:
+        (sp, dp), (sn, dn) = sorted(((slope1, coeffs.den1), (slope2, coeffs.den2)),
+                                    reverse=True)
+        r = (-sn * dn / (sp * dp)) ** (1.0 / 3.0)
+        if r > 1.0 and dn > r * dp:
+            return r, dp, dn
+    return None
+
+
 def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _Level:
     """The _Level of a live gain mu, a Python float."""
     s = noise_var
     slope1, slope2 = coeffs.slopes
     g0, dg0 = _gain_and_derivative(0.0, mu, coeffs, s)
     peak, g_peak, dg_peak = 0.0, g0, dg0
-    if slope1 * slope2 < 0.0:
-        # a positive term i and a negative term j: the gain's slope vanishes
-        # where (s + den_j*mu*p) = r * (s + den_i*mu*p), r**3 = the ratio
-        # below, and that is a maximum past zero power exactly when r > 1 and
-        # den_j > r * den_i. mu cancels out of r; dividing by it last turns an
-        # underflowing mu into +inf rather than a zero divisor. A peak past half
-        # the largest float is taken there: the gain still rises up to it, and
-        # a bisection's lo + hi on [0, peak] stays finite
-        (sp, dp), (sn, dn) = sorted(((slope1, coeffs.den1), (slope2, coeffs.den2)),
-                                    reverse=True)
-        r = (-sn * dn / (sp * dp)) ** (1.0 / 3.0)
-        if r > 1.0 and dn > r * dp:
-            peak = min(s * (r - 1.0) / (dn - r * dp) / mu, 0.5 * sys.float_info.max)
-            g_peak, dg_peak = _gain_and_derivative(peak, mu, coeffs, s)
+    rising = _gain_peak(coeffs)
+    if rising is not None:
+        # mu cancels out of r; dividing by it last turns an underflowing mu
+        # into +inf rather than a zero divisor. A peak past half the largest
+        # float is taken there: the gain still rises up to it, and a
+        # bisection's lo + hi on [0, peak] stays finite
+        r, dp, dn = rising
+        peak = min(s * (r - 1.0) / (dn - r * dp) / mu, 0.5 * sys.float_info.max)
+        g_peak, dg_peak = _gain_and_derivative(peak, mu, coeffs, s)
     return _Level(mu=mu, s=s, a1=slope1 * s * mu, a2=slope2 * s * mu,
                   b1=coeffs.den1 * mu, b2=coeffs.den2 * mu,
                   den1=coeffs.den1, den2=coeffs.den2, m2=-2.0 * mu,
@@ -350,19 +364,6 @@ def clamp_power(p_prime, state, phi, network: NetworkParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def units_from_power(power, state, network: NetworkParams):
-    """Whole battery units needed to fund a slot power, never beyond the state.
-
-    Rounds up, since partial units cannot be drawn; a 1e-9 slack absorbs float
-    dust when the power sits exactly on a unit boundary (as the causality and
-    zero clamps produce). The re-clamp to the state keeps rounding from ever
-    violating causality. Vectorized: power and state broadcast.
-    """
-    q = np.asarray(power, dtype=float) * (network.slot_seconds / network.unit_energy)
-    alpha = np.clip(np.ceil(q - 1e-9).astype(np.int64), 0, state)
-    return int(alpha) if alpha.ndim == 0 else alpha
-
-
 # ---------------------------------------------------------------------------
 # internal per-sensor context
 
@@ -426,10 +427,6 @@ def _map_for_lambda(lam: float, ctxs, network: NetworkParams):
         caps = np.minimum(ctx.causality, ctx.phi)
         out.append(np.minimum(caps, np.maximum(roots[:, None], 0.0)))
     return out
-
-
-def _units(powers, network: NetworkParams) -> list[np.ndarray]:
-    return [units_from_power(P, np.arange(P.shape[1]), network) for P in powers]
 
 
 def _expected_power(tables, psi_arrays, ctxs) -> float:
@@ -505,9 +502,8 @@ def lambda_search(psis, scenario: Scenario):
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     psi_arrays = [p.psi for p in psis]
     lam, powers, ep, _flags, _evals = _lambda_search(psi_arrays, ctxs, net)
-    units = _units(powers, net)
-    pmap = PowerMap(powers=tuple(powers), units=tuple(units),
-                    unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
+    pmap = PowerMap(powers=tuple(powers), unit_energy=net.unit_energy,
+                    slot_seconds=net.slot_seconds)
     return lam, pmap, ep
 
 
@@ -552,11 +548,10 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
     True).
     """
     net = scenario.network
+    ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     notes = [f"sensor {i}: operating point outside the concavity band; "
              "the stationarity condition may have multiple roots"
-             for i, ok in enumerate(validate_convex_region(scenario.sensors)) if not ok]
-
-    ctxs = [_sensor_context(net, s) for s in scenario.sensors]
+             for i, ctx in enumerate(ctxs) if _gain_peak(ctx.coeffs) is not None]
     chains = _chains(ctxs)
 
     last = None  # the price search of the final round, at the returned laws
@@ -566,7 +561,7 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
         nonlocal last, price_evaluations
         last = _lambda_search([p.psi for p in psis], ctxs, net)
         price_evaluations += last[-1]
-        return _units(last[1], net)
+        return [units_from_power(P, np.arange(P.shape[1]), net) for P in last[1]]
 
     psis, iters, problem = steady_state_psi(chains, update)
     if problem is not None:
@@ -575,9 +570,8 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
     psi_arrays = [p.psi for p in psis]
     lam, powers, ep, flags, _evals = last
     notes.extend(flags)
-    units = _units(powers, net)
-    pmap = PowerMap(powers=tuple(powers), units=tuple(units),
-                    unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
+    pmap = PowerMap(powers=tuple(powers), unit_energy=net.unit_energy,
+                    slot_seconds=net.slot_seconds)
     kkt = _kkt_report(lam, powers, ctxs, net, ep)
     return OptimizationOutcome(
         power_map=pmap,

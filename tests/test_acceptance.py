@@ -90,8 +90,6 @@ def _zero_map(scenario) -> PowerMap:
     K = net.capacity
     return PowerMap(
         powers=tuple(np.zeros((s.level_count, K + 1)) for s in scenario.sensors),
-        units=tuple(np.zeros((s.level_count, K + 1), dtype=np.int64)
-                    for s in scenario.sensors),
         unit_energy=net.unit_energy,
         slot_seconds=net.slot_seconds,
     )

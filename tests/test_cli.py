@@ -415,6 +415,18 @@ def test_no_command_imports_scipy(tmp_path, scenario_dir):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_module_runs_as_a_script(scenario_dir):
+    # python -m ehdetect.cli runs the command, as python -m ehdetect does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ehdetect.__file__).parent.parent), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "ehdetect.cli", "validate",
+                          "--scenario", _toy(scenario_dir)],
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout.splitlines()[-1] == "all 3 checks passed"
+
+
 def test_validate_skips_the_oracle_when_its_guard_refuses(tmp_path, toy_scenario,
                                                           capsys):
     # capacity 6 passes the size limits but not the candidate cap

@@ -20,7 +20,7 @@ from ehdetect import (
     dumps_scenario,
     load_scenario,
     loads_scenario,
-    validate_convex_region,
+    units_from_power,
 )
 from ehdetect import config
 
@@ -260,34 +260,76 @@ def test_battery_distribution_validation():
 def test_power_map_validation():
     ue, ts = 0.5, 1.0
     good_p = np.array([[0.0, 0.0], [0.0, 0.5]])
-    good_u = np.array([[0, 0], [0, 1]])
-    pm = PowerMap(powers=(good_p,), units=(good_u,), unit_energy=ue, slot_seconds=ts)
+    pm = PowerMap(powers=(good_p,), unit_energy=ue, slot_seconds=ts)
     assert pm.capacity == 1
     assert pm.num_sensors == 1
+    np.testing.assert_array_equal(pm.units[0], [[0, 0], [0, 1]])
     with pytest.raises(ValueError, match="level 0"):
-        PowerMap(powers=(np.array([[0.1, 0.0], [0.0, 0.0]]),),
-                 units=(good_u,), unit_energy=ue, slot_seconds=ts)
+        PowerMap(powers=(np.array([[0.1, 0.0], [0.0, 0.0]]),), unit_energy=ue, slot_seconds=ts)
     with pytest.raises(ValueError, match="causality"):
-        PowerMap(powers=(good_p,), units=(np.array([[0, 0], [0, 2]]),),
+        PowerMap(powers=(np.array([[0.0, 0.0], [0.0, 0.8]]),), unit_energy=ue, slot_seconds=ts)
+    with pytest.raises(ValueError, match="2-D"):
+        PowerMap(powers=(np.zeros(2),), unit_energy=ue, slot_seconds=ts)
+    # the units are derived from the powers, never given
+    with pytest.raises(TypeError):
+        PowerMap(powers=(good_p,), units=(np.array([[0, 0], [0, 1]]),),
                  unit_energy=ue, slot_seconds=ts)
-    with pytest.raises(ValueError, match="causality"):
-        PowerMap(powers=(np.array([[0.0, 0.0], [0.0, 0.8]]),),
-                 units=(good_u,), unit_energy=ue, slot_seconds=ts)
 
 
 def test_power_map_allows_ragged_levels():
     ue, ts = 0.5, 1.0
     p1 = np.zeros((2, 3))
     p2 = np.zeros((4, 3))
-    u1 = np.zeros((2, 3), dtype=int)
-    u2 = np.zeros((4, 3), dtype=int)
-    pm = PowerMap(powers=(p1, p2), units=(u1, u2), unit_energy=ue, slot_seconds=ts)
+    pm = PowerMap(powers=(p1, p2), unit_energy=ue, slot_seconds=ts)
     assert pm.capacity == 2
+    assert [u.shape for u in pm.units] == [(2, 3), (4, 3)]
     # but the battery axis must agree
     with pytest.raises(ValueError, match="battery axis"):
-        PowerMap(powers=(p1, np.zeros((2, 4))),
-                 units=(u1, np.zeros((2, 4), dtype=int)),
-                 unit_energy=ue, slot_seconds=ts)
+        PowerMap(powers=(p1, np.zeros((2, 4))), unit_energy=ue, slot_seconds=ts)
+
+
+@st.composite
+def _power_tables(draw):
+    """Valid power tables for 1-3 sensors, ragged levels, with entries on and
+    off whole-unit boundaries, and the network they are rounded against."""
+    unit_energy = draw(st.floats(1e-3, 1e3))
+    slot_seconds = draw(st.floats(1e-3, 1e3))
+    K = draw(st.integers(1, 8))
+    net = NetworkParams(prior_h0=0.5, capacity=K, unit_energy=unit_energy,
+                        slot_seconds=slot_seconds, mean_harvest=1.0, drop_fraction=0.5,
+                        power_budget=1.0)
+    states = np.arange(K + 1)
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        levels = draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(["fraction", "whole", "cap"]))
+        if kind == "whole":  # whole units at most the state, as the causality clamp gives
+            frac = np.array([[draw(st.integers(0, k)) for k in states] for _ in range(levels)])
+            frac = frac / np.maximum(states, 1)
+        elif kind == "cap":
+            frac = np.ones((levels, K + 1))
+        else:
+            frac = np.array([[draw(st.floats(0.0, 1.0)) for _ in states] for _ in range(levels)])
+        tables.append(np.vstack([np.zeros(K + 1), frac * (states * net.unit_power)]))
+    return net, tables
+
+
+@given(_power_tables())
+@settings(max_examples=200, deadline=None)
+def test_power_map_units_are_the_rounding_rule(case):
+    net, tables = case
+    pm = PowerMap(powers=tuple(tables), unit_energy=net.unit_energy,
+                  slot_seconds=net.slot_seconds)
+    states = np.arange(net.capacity + 1)
+    for p, u in zip(tables, pm.units):
+        expected = units_from_power(p, states, net)
+        assert u.dtype == expected.dtype == np.int64
+        np.testing.assert_array_equal(u, expected, strict=True)
+        # what PowerMap used to check of given units holds by construction
+        assert not u[0].any() and (u >= 0).all() and (u <= states).all()
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 1
 
 
 def test_convex_region_bounds_and_membership():
@@ -298,7 +340,9 @@ def test_convex_region_bounds_and_membership():
 
 
 def test_convex_region_of_bundled_sensors(two_sensor_scenario):
-    assert validate_convex_region(two_sensor_scenario.sensors) == (True, True)
+    for sensor in two_sensor_scenario.sensors:
+        lo, hi = convex_region_bounds(sensor.p_f)
+        assert lo <= sensor.p_d <= hi
 
 
 def test_scenario_replace_round_trip(two_sensor_scenario):

@@ -156,6 +156,33 @@ def test_marginal_gain_never_rises_exactly_inside_the_concavity_band(p_f, p_d, m
         assert rises.any()
 
 
+@settings(max_examples=500, deadline=None)
+@given(p_f=st.floats(0.001, 0.98), p_d=st.floats(0.01, 0.999))
+# 1e-7 inside and 1e-7 outside each end of the band
+@example(p_f=0.2, p_d=convex_region_bounds(0.2)[0] + 1e-7)
+@example(p_f=0.2, p_d=convex_region_bounds(0.2)[0] - 1e-7)
+@example(p_f=0.6, p_d=convex_region_bounds(0.6)[1] - 1e-7)
+@example(p_f=0.6, p_d=convex_region_bounds(0.6)[1] + 1e-7)
+def test_band_membership_is_the_solvers_rise_test(p_f, p_d):
+    # the band note and the root bracket read _gain_peak; the paper's closed
+    # form must agree with it. As above, p_d within 1e-2 of p_f leaves the
+    # slopes mostly rounding error
+    assume(p_d >= p_f + 0.01)
+    lo, hi = convex_region_bounds(p_f)
+    assert (ehdetect.optimizer._gain_peak(roc_coefficients(p_f, p_d)) is None) == \
+        (lo <= p_d <= hi)
+
+
+def test_band_note_needs_no_live_level(toy_scenario):
+    # the note is a property of the operating point, so a sensor whose one
+    # level is the dead zone still carries it
+    sensor = replace(toy_scenario.sensors[0], p_f=0.073, p_d=0.26,
+                     thresholds=(0.0, math.inf))
+    out = optimize_power_map(replace(toy_scenario, sensors=(sensor,)))
+    assert out.warnings == ("sensor 0: operating point outside the concavity band; "
+                            "the stationarity condition may have multiple roots",)
+
+
 def test_root_dead_level_and_free_price():
     coeffs = roc_coefficients(0.2, 0.9)
     assert stationarity_root(0.3, 0.0, coeffs, 1.0) == 0.0

@@ -31,24 +31,21 @@ def _spend_one_map(scenario, most=1):
     or the whole charge below that."""
     net = scenario.network
     K = net.capacity
-    powers, units = [], []
+    powers = []
     for sensor in scenario.sensors:
         L1 = sensor.level_count
         u = np.zeros((L1, K + 1), dtype=np.int64)
         u[1:] = np.minimum(np.arange(K + 1), most)
         powers.append(u * net.unit_power)
-        units.append(u)
-    return PowerMap(powers=tuple(powers), units=tuple(units),
-                    unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
+    return PowerMap(powers=tuple(powers), unit_energy=net.unit_energy,
+                    slot_seconds=net.slot_seconds)
 
 
 def _zero_map(scenario):
     net = scenario.network
     K = net.capacity
     powers = tuple(np.zeros((s.level_count, K + 1)) for s in scenario.sensors)
-    units = tuple(np.zeros((s.level_count, K + 1), dtype=np.int64)
-                  for s in scenario.sensors)
-    return PowerMap(powers=powers, units=units, unit_energy=net.unit_energy,
+    return PowerMap(powers=powers, unit_energy=net.unit_energy,
                     slot_seconds=net.slot_seconds)
 
 
@@ -98,15 +95,14 @@ def test_environment_draws_do_not_depend_on_the_map(toy_scenario):
 def _spend_all_map(scenario):
     net = scenario.network
     K = net.capacity
-    powers, units = [], []
+    powers = []
     for sensor in scenario.sensors:
         L1 = sensor.level_count
         u = np.zeros((L1, K + 1), dtype=np.int64)
         u[1:, :] = np.arange(K + 1)
         powers.append(u * net.unit_power)
-        units.append(u)
-    return PowerMap(powers=tuple(powers), units=tuple(units),
-                    unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
+    return PowerMap(powers=tuple(powers), unit_energy=net.unit_energy,
+                    slot_seconds=net.slot_seconds)
 
 
 def test_battery_trajectory_respects_bounds(toy_scenario):
@@ -121,6 +117,18 @@ def test_battery_trajectory_respects_bounds(toy_scenario):
     # arrivals bank at least one unit unless the battery was already capped
     uncapped = batch.states[0, 1:] < K
     assert np.all(inferred_gain[uncapped] >= 1)
+
+
+def test_zero_power_map_never_drains_the_battery(toy_scenario):
+    # a map's units follow from its powers, so zero power drains no unit; the
+    # harvest is so scarce that a drained unit would show as a state below full
+    sc = _with_network(toy_scenario, mean_harvest=0.1)
+    K = sc.network.capacity
+    batch = simulate_slots(sc, _zero_map(sc), 5_000, make_streams(5, 1))
+    assert batch.transmit.any()
+    assert not batch.amplitudes.any()
+    np.testing.assert_array_equal(batch.states, K)
+    assert batch.batteries == (K,)
 
 
 def test_prior_transmit_model_follows_hypothesis(toy_scenario):
@@ -290,7 +298,7 @@ def _marginal_cases(draw, toy):
     K = draw(st.integers(7, 12) if many else st.integers(1, 6))
     level_count = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sensors, powers, units, psis = [], [], [], []
+    sensors, powers, psis = [], [], []
     for _ in range(draw(st.integers(1, 2))):
         edges = (0.0,) + tuple(0.5 * i for i in range(1, level_count)) + (math.inf,)
         sensors.append(replace(toy.sensors[0], thresholds=edges,
@@ -305,7 +313,6 @@ def _marginal_cases(draw, toy):
                 # at most two units per slot, so powers tie across states
                 u[level] = [draw(st.integers(0, min(k, 2))) for k in range(K + 1)]
         u[draw(st.integers(1, level_count - 1))] = 0  # one live level left dead
-        units.append(u)
         powers.append(u * toy.network.unit_power)
         masses = [0.1, 0.5, 1.0] if many else [0.0, 0.1, 0.5, 1.0]
         weights = np.array([draw(st.sampled_from(masses)) for _ in range(K + 1)])
@@ -313,8 +320,8 @@ def _marginal_cases(draw, toy):
         psis.append(BatteryDistribution(psi=weights / weights.sum()))
     scenario = replace(toy, sensors=tuple(sensors), network=replace(
         toy.network, capacity=K, fc_knowledge="map_marginal"))
-    pmap = PowerMap(powers=tuple(powers), units=tuple(units),
-                    unit_energy=toy.network.unit_energy, slot_seconds=toy.network.slot_seconds)
+    pmap = PowerMap(powers=tuple(powers), unit_energy=toy.network.unit_energy,
+                    slot_seconds=toy.network.slot_seconds)
     slots = draw(st.integers(1, 40))
     N = len(sensors)
     scale = draw(st.sampled_from([1.0, 10.0]))  # 10 pushes every term far below zero
