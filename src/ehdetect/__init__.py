@@ -29,7 +29,6 @@ from .config import (
     Scenario,
     ScenarioError,
     SensorParams,
-    convex_region_bounds,
     dumps_scenario,
     emit_scenario,
     load_scenario,
@@ -37,11 +36,8 @@ from .config import (
     units_from_power,
 )
 from .detection import (
-    GaussianPair,
     RocCoefficients,
-    gaussian_j_divergence,
     local_lrt_probabilities,
-    moment_match,
     q_function,
     roc_coefficients,
     sensor_j_divergence,
@@ -54,7 +50,6 @@ from .optimizer import (
     clamp_power,
     evaluate_unit_map,
     exhaustive_best_map,
-    lambda_search,
     marginal_divergence_gain,
     optimize_power_map,
     outage_cap,

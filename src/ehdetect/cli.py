@@ -41,7 +41,7 @@ from .optimizer import (
 )
 from .simulator import calibrate_threshold, run_monte_carlo
 
-__all__ = ["main", "build_parser", "read_table", "SweepSpec"]
+__all__ = ["main", "build_parser", "SweepSpec"]
 
 EXIT_OK, EXIT_INPUT, EXIT_CONVERGENCE, EXIT_IO = 0, 2, 3, 4
 
@@ -104,23 +104,6 @@ def write_table(path, comments: dict, columns, rows) -> None:
         writer.writerow([_cell(v) for v in row])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
-
-
-def read_table(path) -> tuple[dict, list[dict]]:
-    """Read a CSV written by write_table: (header comments, row dicts)."""
-    meta: dict[str, str] = {}
-    lines = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            lines.append(line)
-    rows = list(csv.DictReader(lines))
-    return meta, rows
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "loads_scenario",
     "emit_scenario",
     "dumps_scenario",
-    "convex_region_bounds",
 ]
 
 TRANSMIT_PROB_MODELS = ("prior", "decision")
@@ -473,17 +472,3 @@ def dumps_scenario(scenario: Scenario) -> str:
 def emit_scenario(scenario: Scenario, path) -> None:
     """Write a scenario file that load_scenario reproduces bit-exactly."""
     Path(path).write_text(dumps_scenario(scenario), encoding="utf-8", newline="\n")
-
-
-def convex_region_bounds(p_f: float) -> tuple[float, float]:
-    """Band of detection probabilities where the divergence stays concave in power.
-
-    For a false-alarm rate in (0, 1) the band is
-        3/4 - p_f/2 -+ sqrt(1 + 12 p_f - 12 p_f^2) / 4.
-    Outside it the optimizer's stationarity condition may have multiple roots.
-    The optimizer tests the same band on the ROC coefficients (_gain_peak).
-    """
-    _probability(p_f, "p_f")
-    radical = math.sqrt(1.0 + 12.0 * p_f - 12.0 * p_f * p_f)
-    center = 0.75 - 0.5 * p_f
-    return center - 0.25 * radical, center + 0.25 * radical

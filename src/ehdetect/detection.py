@@ -2,10 +2,13 @@
 
 Each sensor reports a one-bit decision over a fading Gaussian channel, so the
 received sample is a two-component Gaussian mixture under either hypothesis.
-The closed forms here moment-match those mixtures and score the matched pair
-with a symmetric divergence; the rational form in ``sensor_j_divergence`` is
-algebraically identical to scoring the matched pair and is what the power
-optimizer differentiates.
+The paper moment-matches each mixture with one Gaussian and scores the
+matched pair with a symmetric divergence. ``sensor_j_divergence`` is that
+score in rational form, with the slopes of ``roc_coefficients``, and it is
+the one form the power optimizer evaluates and differentiates; the tests
+keep the moment-matched construction as its reference.
+``local_lrt_probabilities`` gives the operating point of a sensor's local
+threshold test.
 """
 
 from __future__ import annotations
@@ -16,10 +19,7 @@ from dataclasses import dataclass
 __all__ = [
     "q_function",
     "RocCoefficients",
-    "GaussianPair",
     "roc_coefficients",
-    "moment_match",
-    "gaussian_j_divergence",
     "sensor_j_divergence",
     "local_lrt_probabilities",
 ]
@@ -80,55 +80,6 @@ def roc_coefficients(p_f: float, p_d: float) -> RocCoefficients:
         num2=p_d * (1.0 - p_f) - p_f * (p_d - p_f),
         den2=p_f * (1.0 - p_f),
     )
-
-
-@dataclass(frozen=True)
-class GaussianPair:
-    """Means and variances of the two moment-matched received densities."""
-
-    mean0: float
-    mean1: float
-    var0: float
-    var1: float
-
-    def __post_init__(self) -> None:
-        if not (self.var0 > 0.0 and self.var1 > 0.0):
-            raise ValueError("variances must be > 0")
-
-
-def moment_match(p_f: float, p_d: float, power: float, gain: float,
-                 noise_var: float) -> GaussianPair:
-    """Match the first two moments of the received mixture under each hypothesis.
-
-    A transmitting sensor contributes amplitude sqrt(power * gain) with
-    probability p_f (null) or p_d (alternative); the rest is receiver noise.
-    Hence mean_i = sqrt(power*gain) * p_i and
-    var_i = power*gain * p_i (1 - p_i) + noise_var.
-    """
-    if power < 0.0 or gain < 0.0:
-        raise ValueError("power and gain must be >= 0")
-    if noise_var <= 0.0:
-        raise ValueError("noise_var must be > 0")
-    x = power * gain
-    amp = math.sqrt(x)
-    return GaussianPair(
-        mean0=amp * p_f,
-        mean1=amp * p_d,
-        var0=x * p_f * (1.0 - p_f) + noise_var,
-        var1=x * p_d * (1.0 - p_d) + noise_var,
-    )
-
-
-def gaussian_j_divergence(pair: GaussianPair) -> float:
-    """Symmetric divergence score of two Gaussians; floor 2 at identical pairs.
-
-    This is the variance-normalized form
-        (var1 + dm^2)/var0 + (var0 + dm^2)/var1,  dm = mean1 - mean0,
-    an affine transform of the symmetrized KL divergence: it equals
-    2 * (J_kl + 1), so it is monotone-equivalent for optimization.
-    """
-    dm2 = (pair.mean1 - pair.mean0) ** 2
-    return (pair.var1 + dm2) / pair.var0 + (pair.var0 + dm2) / pair.var1
 
 
 def sensor_j_divergence(gain, power, coeffs: RocCoefficients, noise_var: float):

@@ -61,7 +61,6 @@ __all__ = [
     "outage_cap",
     "stationarity_root",
     "clamp_power",
-    "lambda_search",
     "optimize_power_map",
     "evaluate_unit_map",
     "exhaustive_best_map",
@@ -213,8 +212,9 @@ class _Level(NamedTuple):
     With d_i = s + b_i * p and t_i = a_i / d_i**2, the gain at power p is
     t1 + t2 and its slope is m2 * (den1 * t1 / d1 + den2 * t2 / d2). Each
     constant is computed with the operations, in the order, of
-    _gain_and_derivative and _p_big, so the gains, slopes and bracket ends
-    built from them equal theirs bit for bit.
+    _gain_and_derivative, so the gains and slopes built from them equal
+    its bit for bit. A sign flip is exact, so _p_big's abs(a_i) equals
+    |slope_i| * s * mu bit for bit too.
     """
 
     mu: float
@@ -228,8 +228,6 @@ class _Level(NamedTuple):
     m2: float           # -2 * mu
     g0: float           # gain at zero power
     dg0: float          # its slope
-    c1: float           # |slope_i| * s * mu, for _p_big
-    c2: float
     peak: float         # power of the gain's interior maximum, 0.0 if it has none
     g_peak: float       # gain there (g0 without a peak)
     dg_peak: float      # its slope
@@ -273,9 +271,7 @@ def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _L
     return _Level(mu=mu, s=s, a1=slope1 * s * mu, a2=slope2 * s * mu,
                   b1=coeffs.den1 * mu, b2=coeffs.den2 * mu,
                   den1=coeffs.den1, den2=coeffs.den2, m2=-2.0 * mu,
-                  g0=g0, dg0=dg0,
-                  c1=abs(slope1) * s * mu, c2=abs(slope2) * s * mu,
-                  peak=peak, g_peak=g_peak, dg_peak=dg_peak)
+                  g0=g0, dg0=dg0, peak=peak, g_peak=g_peak, dg_peak=dg_peak)
 
 
 def _roots(lam, live, levels) -> np.ndarray:
@@ -301,8 +297,8 @@ def _p_big(lam, level: _Level):
     """A power beyond which both terms of the gain are within lam/2 of zero."""
     p_big = 1.0
     try:
-        for c, b in ((level.c1, level.b1), (level.c2, level.b2)):
-            need = math.sqrt(max(c / (0.5 * lam), 1e-30))
+        for a, b in ((level.a1, level.b1), (level.a2, level.b2)):
+            need = math.sqrt(max(abs(a) / (0.5 * lam), 1e-30))
             p_big = max(p_big, (need + level.s) / b)
     except ZeroDivisionError:  # a price or gain so small that a divisor underflows
         return math.inf
@@ -491,22 +487,6 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams):
     return (hi, *at_hi, flags, evaluations)
 
 
-def lambda_search(psis, scenario: Scenario):
-    """Find the budget price for fixed battery distributions.
-
-    Returns (lambda_star, power_map, expected_power). The expected power is
-    evaluated with the clamped continuous powers under the given
-    distributions; the map also carries the rounded unit counts.
-    """
-    net = scenario.network
-    ctxs = [_sensor_context(net, s) for s in scenario.sensors]
-    psi_arrays = [p.psi for p in psis]
-    lam, powers, ep, _flags, _evals = _lambda_search(psi_arrays, ctxs, net)
-    pmap = PowerMap(powers=tuple(powers), unit_energy=net.unit_energy,
-                    slot_seconds=net.slot_seconds)
-    return lam, pmap, ep
-
-
 def _kkt_report(lam, powers, ctxs, network, ep) -> KktReport:
     residuals, actives = [], []
     worst = 0.0
@@ -613,9 +593,13 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
     Each sensor's chain is solved for its exact stationary distribution, in
     the battery fixed point's stacked solve, so a fixed point's psi_star
     comes back bit for bit; the divergence is scored at the unit powers
-    alpha * unit_energy / slot. Raises ValueError as stationary_solve does.
+    alpha * unit_energy / slot. Raises ValueError on a map for another
+    sensor count, and as stationary_solve does.
     """
     net = scenario.network
+    if len(units) != scenario.num_sensors:
+        raise ValueError(f"the unit map covers {len(units)} sensors, "
+                         f"the scenario has {scenario.num_sensors}")
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     alphas = [np.asarray(alpha, dtype=np.int64) for alpha in units]
     psis = tuple(_stationary_laws(alphas, _chains(ctxs)))

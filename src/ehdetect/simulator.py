@@ -126,9 +126,9 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     `batteries`, one whole number of units in 0..capacity per sensor
     (default: full). `slots` = 0 returns them unchanged. The network's
     transmit_prob_model decides who transmits. Raises ValueError on a
-    negative or non-integer `slots`, on streams for another sensor count, on
-    a bad battery (naming the sensor), and on power tables whose shape does
-    not match the sensor.
+    negative or non-integer `slots`, on streams or a power map for another
+    sensor count, on a bad battery (naming the sensor), and on power tables
+    whose shape does not match the sensor.
     """
     net = scenario.network
     N = scenario.num_sensors
@@ -142,16 +142,19 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
                else f"batteries[{N}] matches no sensor")
         raise ValueError(f"need one battery per sensor: got {len(batteries)} "
                          f"for {N} sensors; {why}")
-    for n, (sensor, b) in enumerate(zip(scenario.sensors, batteries)):
+    for n, (sensor, b, units) in enumerate(zip(scenario.sensors, batteries, power_map.units)):
         if not isinstance(b, numbers.Integral) or not 0 <= b <= K:
             raise ValueError(f"sensor {n}: battery must be a whole number of units "
                              f"in 0..{K}, got {b!r}")
         # with a table of another shape the walk's flat next-state table
         # would read a neighbouring row instead of failing
         shape = (sensor.level_count, K + 1)
-        if n >= len(power_map.units) or power_map.units[n].shape != shape:
+        if units.shape != shape:
             raise ValueError(f"sensor {n}: the power map needs a {shape[0]} x {shape[1]} "
                              "(levels x battery states) table")
+    if len(power_map.units) != N:
+        raise ValueError(f"the power map covers {len(power_map.units)} sensors, "
+                         f"the scenario has {N}")
     batteries = tuple(int(b) for b in batteries)
 
     hyp = (streams.hypothesis.random(slots) < net.prior_h1).astype(np.int8)
@@ -351,14 +354,17 @@ def _merged_components(table: np.ndarray, psi: np.ndarray) -> list[tuple[np.ndar
 
 
 def _check_marginal_inputs(scenario: Scenario, power_map: PowerMap | None, psis) -> None:
-    """Raise ValueError unless map_marginal fusion has a power map and one
-    psi per sensor that covers the map's battery states; a no-op for genie
-    fusion, which needs neither."""
+    """Raise ValueError unless map_marginal fusion has a power map with one
+    table per sensor and one psi per sensor that covers the map's battery
+    states; a no-op for genie fusion, which needs neither."""
     if scenario.network.fc_knowledge != "map_marginal":
         return
     if power_map is None or psis is None:
         raise ValueError("map_marginal fusion needs power_map and psis")
     N = scenario.num_sensors
+    if len(power_map.powers) != N:
+        raise ValueError(f"the power map covers {len(power_map.powers)} sensors, "
+                         f"the scenario has {N}")
     if len(psis) != N:
         why = f"sensor {len(psis)} has none" if len(psis) < N else f"psis[{N}] matches no sensor"
         raise ValueError(f"map_marginal fusion needs one psi per sensor: got {len(psis)} "

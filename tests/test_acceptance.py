@@ -18,8 +18,6 @@ from ehdetect import (
     evaluate_unit_map,
     exhaustive_best_map,
     gain_level_probs,
-    gaussian_j_divergence,
-    moment_match,
     optimize_power_map,
     roc_coefficients,
     run_monte_carlo,
@@ -28,6 +26,7 @@ from ehdetect import (
     steady_state_psi,
 )
 from ehdetect.cli import CALIBRATION_SEED_OFFSET
+from references import gaussian_j_divergence, moment_match
 
 GRID_CONFIGS = ((2.0, 100), (3.0, 100), (3.0, 70))   # (mean_harvest, capacity)
 GRID_BUDGETS = (1.0, 2.0, 4.0, 7.0, 11.0, 20.0, 40.0, 70.0, 95.0, 105.0)

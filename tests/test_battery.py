@@ -23,7 +23,8 @@ from ehdetect import (
 )
 import ehdetect.battery
 from ehdetect.battery import _drain_rows
-from ehdetect.cli import EXIT_CONVERGENCE, main, read_table
+from ehdetect.cli import EXIT_CONVERGENCE, main
+from references import read_table
 
 EDGES = (0.0, 0.1, 0.3, 0.6, 1.2, math.inf)
 

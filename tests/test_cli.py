@@ -16,11 +16,11 @@ from ehdetect.cli import (
     EXIT_OK,
     SweepSpec,
     main,
-    read_table,
     write_table,
 )
 import ehdetect.battery
 import ehdetect.optimizer
+from references import read_table
 
 WIDE_SCENARIO = """\
 [network]

@@ -16,13 +16,13 @@ from ehdetect import (
     Scenario,
     ScenarioError,
     SensorParams,
-    convex_region_bounds,
     dumps_scenario,
     load_scenario,
     loads_scenario,
     units_from_power,
 )
 from ehdetect import config
+from references import convex_region_bounds
 
 FORMAT_MD = Path(__file__).resolve().parent.parent / "scenarios" / "FORMAT.md"
 

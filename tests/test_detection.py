@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ehdetect import (
-    GaussianPair,
     RocCoefficients,
-    gaussian_j_divergence,
     local_lrt_probabilities,
-    moment_match,
     q_function,
     roc_coefficients,
     sensor_j_divergence,
 )
+from references import GaussianPair, gaussian_j_divergence, moment_match
 
 rates = st.tuples(st.floats(0.01, 0.6), st.floats(0.0, 1.0)).map(
     lambda t: (t[0], t[0] + (0.99 - t[0]) * max(t[1], 0.05))

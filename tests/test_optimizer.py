@@ -17,10 +17,8 @@ from ehdetect import (
     RocCoefficients,
     SensorParams,
     clamp_power,
-    convex_region_bounds,
     evaluate_unit_map,
     exhaustive_best_map,
-    lambda_search,
     marginal_divergence_gain,
     optimize_power_map,
     outage_cap,
@@ -44,6 +42,7 @@ from ehdetect.optimizer import (
     _map_for_lambda,
     _sensor_context,
 )
+from references import convex_region_bounds, lambda_search
 
 
 @pytest.fixture(scope="module")
@@ -1136,6 +1135,14 @@ def test_optimizer_matches_exact_rescoring_on_toy(toy_scenario, toy_outcome):
     assert ep == pytest.approx(toy_outcome.expected_power, rel=1e-5)
     # the fixed point returns the exact stationary law of its unit map
     assert all(np.array_equal(a.psi, b.psi) for a, b in zip(psis, toy_outcome.psi_star))
+
+
+def test_evaluate_unit_map_rejects_a_map_for_another_sensor_count(two_sensor_scenario,
+                                                                 two_sensor_outcome):
+    # one table for two sensors used to score the first sensor alone
+    units = two_sensor_outcome.power_map.units
+    with pytest.raises(ValueError, match="the unit map covers 1 sensors, the scenario has 2"):
+        evaluate_unit_map(two_sensor_scenario, units[:1])
 
 
 def test_outer_cap_keeps_the_last_rounds_certificate(toy_scenario, monkeypatch):

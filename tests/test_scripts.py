@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from references import read_table
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -60,6 +62,22 @@ def test_csv_fingerprint_covers_every_table():
     assert [line.split("  ", 1)[1] for line in lines] == expected
     for line in lines:
         assert re.fullmatch(r"[0-9a-f]{64}", line.split("  ", 1)[0])
+
+
+def test_harvest_occupancy_runs(tmp_path):
+    # README's one documented experiment: two rates, two sensors of 101 states
+    out = tmp_path / "occupancy.csv"
+    lines = _run_script("harvest_occupancy.py",
+                        "--scenario", str(ROOT / "scenarios" / "two_sensor.scn"),
+                        "--rates", "0.5,3.0", "--out", str(out))
+    assert sum("vs previous rate: dominates" in line for line in lines) == 2
+    meta, rows = read_table(out)
+    assert meta == {"format": "harvest_occupancy"}
+    assert len(rows) == 404
+    # one CDF per (rate, sensor), each ending at the full battery
+    ends = [float(row["cdf"]) for row in rows if row["state"] == "100"]
+    assert len(ends) == 4
+    assert all(abs(cdf - 1.0) <= 1e-12 for cdf in ends)
 
 
 def test_every_traced_name_resolves():

@@ -244,6 +244,14 @@ def test_map_marginal_names_the_sensor_whose_psi_has_the_wrong_length(
         fusion_llr(batch, sc, pmap, psis=(psi, wrong))
 
 
+def test_map_marginal_rejects_a_map_for_another_sensor_count(two_sensor_scenario):
+    # the missing sensor's table used to be indexed past the end (IndexError)
+    sc, pmap, batch, psi = _marginal_setup(two_sensor_scenario)
+    one = replace(pmap, powers=pmap.powers[:1])
+    with pytest.raises(ValueError, match="the power map covers 1 sensors, the scenario has 2"):
+        fusion_llr(batch, sc, one, psis=(psi, psi))
+
+
 def test_map_marginal_rejects_levels_outside_the_map(toy_scenario):
     sc, pmap, batch, psi = _marginal_setup(toy_scenario)
     levels = batch.levels.copy()
@@ -858,6 +866,14 @@ def test_streams_for_another_sensor_count_are_rejected(two_sensor_scenario):
     with pytest.raises(ValueError, match="streams cover 1 sensors, the scenario has 2"):
         simulate_slots(two_sensor_scenario, _spend_one_map(two_sensor_scenario), 5,
                        make_streams(1, 1))
+
+
+def test_power_map_for_another_sensor_count_is_rejected(toy_scenario):
+    # the second table used to be ignored
+    pmap = _spend_one_map(toy_scenario)
+    two = replace(pmap, powers=pmap.powers * 2)
+    with pytest.raises(ValueError, match="the power map covers 2 sensors, the scenario has 1"):
+        simulate_slots(toy_scenario, two, 5, make_streams(1, 1))
 
 
 def test_power_map_of_another_shape_is_rejected(toy_scenario, two_sensor_scenario):
