@@ -9,7 +9,6 @@ validation, and cli the command-line front end.
 from .battery import (
     ArrivalUnitPmf,
     ChainSpec,
-    GainLevelProbs,
     arrival_unit_pmf,
     battery_transition,
     gain_level_probs,

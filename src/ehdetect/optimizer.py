@@ -31,9 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .battery import (
-    ArrivalUnitPmf,
     ChainSpec,
-    GainLevelProbs,
     _stationary_laws,
     arrival_unit_pmf,
     gain_level_probs,
@@ -367,9 +365,7 @@ def clamp_power(p_prime, state, phi, network: NetworkParams):
 @dataclass(frozen=True)
 class _SensorCtx:
     coeffs: RocCoefficients
-    gain_probs: GainLevelProbs
-    arrivals: ArrivalUnitPmf
-    transmit_prob: float
+    chain: ChainSpec
     noise_var: float
     mu: np.ndarray            # lower cell edges, shape (L+1,)
     phi: np.ndarray           # outage cap per state, shape (K+1,)
@@ -381,8 +377,10 @@ class _SensorCtx:
 
 def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     coeffs = roc_coefficients(sensor.p_f, sensor.p_d)
-    gp = gain_level_probs(sensor.mean_gain, sensor.thresholds)
-    arr = arrival_unit_pmf(network.mean_harvest, network.unit_energy, network.capacity)
+    chain = ChainSpec(gain_level_probs(sensor.mean_gain, sensor.thresholds),
+                      arrival_unit_pmf(network.mean_harvest, network.unit_energy,
+                                       network.capacity),
+                      transmit_probability(network, sensor))
     phi = outage_cap(np.arange(network.capacity + 1), sensor, network)
     mu = np.asarray(sensor.thresholds[:-1], dtype=float)
     live = mu > 0.0
@@ -390,9 +388,7 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     ceiling = (max(slope1, 0.0) + max(slope2, 0.0)) * float(mu.max()) / sensor.noise_var
     return _SensorCtx(
         coeffs=coeffs,
-        gain_probs=gp,
-        arrivals=arr,
-        transmit_prob=transmit_probability(network, sensor),
+        chain=chain,
         noise_var=sensor.noise_var,
         mu=mu,
         phi=phi,
@@ -402,10 +398,6 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
         levels=tuple(_level_constants(m, coeffs, sensor.noise_var)
                      for m in mu[live].tolist()),
     )
-
-
-def _chains(ctxs) -> list[ChainSpec]:
-    return [ChainSpec(ctx.gain_probs, ctx.arrivals, ctx.transmit_prob) for ctx in ctxs]
 
 
 def _map_for_lambda(lam: float, ctxs, network: NetworkParams):
@@ -429,7 +421,7 @@ def _expected_power(tables, psi_arrays, ctxs) -> float:
     """Sum over sensors of the pi-weighted, psi-weighted average of a table."""
     total = 0.0
     for T, psi, ctx in zip(tables, psi_arrays, ctxs):
-        total += float(np.einsum("l,lk,k->", ctx.gain_probs.pi, T, psi))
+        total += float(np.einsum("l,lk,k->", ctx.chain.pi, T, psi))
     return total
 
 
@@ -532,7 +524,6 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
     notes = [f"sensor {i}: operating point outside the concavity band; "
              "the stationarity condition may have multiple roots"
              for i, ctx in enumerate(ctxs) if _gain_peak(ctx.coeffs) is not None]
-    chains = _chains(ctxs)
 
     last = None  # the price search of the final round, at the returned laws
     price_evaluations = 0
@@ -543,7 +534,7 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
         price_evaluations += last[-1]
         return [units_from_power(P, np.arange(P.shape[1]), net) for P in last[1]]
 
-    psis, iters, problem = steady_state_psi(chains, update)
+    psis, iters, problem = steady_state_psi([ctx.chain for ctx in ctxs], update)
     if problem is not None:
         notes.append(f"battery fixed point did not settle: {problem}")
 
@@ -593,20 +584,26 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
     Each sensor's chain is solved for its exact stationary distribution, in
     the battery fixed point's stacked solve, so a fixed point's psi_star
     comes back bit for bit; the divergence is scored at the unit powers
-    alpha * unit_energy / slot. Raises ValueError on a map for another
-    sensor count, and as stationary_solve does.
+    alpha * unit_energy / slot. The map must be one PowerMap would derive
+    from those powers, so ValueError names the sensor of a draining level 0,
+    a count outside [0, k] or a count that is not a whole number. Raises
+    ValueError too on a map for another sensor count, and as
+    stationary_solve does.
     """
     net = scenario.network
     if len(units) != scenario.num_sensors:
         raise ValueError(f"the unit map covers {len(units)} sensors, "
                          f"the scenario has {scenario.num_sensors}")
+    pmap = PowerMap(powers=tuple(np.asarray(u, dtype=float) * net.unit_power for u in units),
+                    unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
+    for n, (alpha, derived) in enumerate(zip(units, pmap.units)):
+        if not np.array_equal(alpha, derived):
+            raise ValueError(f"unit map sensor {n}: counts must be whole numbers")
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
-    alphas = [np.asarray(alpha, dtype=np.int64) for alpha in units]
-    psis = tuple(_stationary_laws(alphas, _chains(ctxs)))
-    powers = [alpha * net.unit_power for alpha in alphas]
+    psis = tuple(_stationary_laws(pmap.units, [ctx.chain for ctx in ctxs]))
     psi_arrays = [p.psi for p in psis]
-    return (_objective(powers, psi_arrays, ctxs),
-            _expected_power(powers, psi_arrays, ctxs), psis)
+    return (_objective(pmap.powers, psi_arrays, ctxs),
+            _expected_power(pmap.powers, psi_arrays, ctxs), psis)
 
 
 def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
@@ -657,7 +654,7 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     def units_of(choice):
         return np.stack(np.unravel_index(choice, radix), axis=-1)
 
-    pi, tp, bank = ctx.gain_probs.pi, ctx.transmit_prob, ctx.arrivals.drain_table
+    pi, tp, bank = ctx.chain.pi, ctx.chain.transmit_prob, ctx.chain.arrivals.drain_table
     # the dead level never drains; a batch gathers each live level's rows
     # from its bank steps, weighted by its cell probability once
     base = (1.0 - tp) * bank + tp * pi[0] * bank

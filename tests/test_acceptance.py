@@ -132,9 +132,8 @@ def test_02_surrogate_matches_gaussian_construction():
 def test_03_fixed_point_matches_linear_solve():
     rng = np.random.default_rng(3)
     K = 5
-    gp = gain_level_probs(1.0, (0.0, 0.5, 1.5, math.inf))
-    arr = arrival_unit_pmf(1.0, 0.2, K)
-    chain = ChainSpec(gain_probs=gp, arrivals=arr, transmit_prob=0.5)
+    chain = ChainSpec(pi=gain_level_probs(1.0, (0.0, 0.5, 1.5, math.inf)),
+                      arrivals=arrival_unit_pmf(1.0, 0.2, K), transmit_prob=0.5)
     worst = 0.0
     for _ in range(20):
         alpha = np.zeros((3, K + 1), dtype=np.int64)
@@ -142,7 +141,7 @@ def test_03_fixed_point_matches_linear_solve():
             alpha[1:, k] = rng.integers(0, k + 1, size=2)
         psis, _, problem = steady_state_psi([chain], lambda _ps: [alpha])
         assert problem is None
-        exact = stationary_oracle(alpha, gp, arr, 0.5)
+        exact = stationary_oracle(alpha, chain)
         tv = 0.5 * float(np.abs(psis[0].psi - exact.psi).sum())
         worst = max(worst, tv)
     line = _verdict(3, worst <= 1e-8,

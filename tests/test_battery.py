@@ -10,7 +10,6 @@ from ehdetect import (
     ArrivalUnitPmf,
     BatteryDistribution,
     ChainSpec,
-    GainLevelProbs,
     arrival_unit_pmf,
     battery_transition,
     gain_level_probs,
@@ -73,12 +72,12 @@ def test_quantize_gain_counts_the_edges_searchsorted_finds(case):
 
 
 def test_gain_level_probs_reference_values():
-    gp = gain_level_probs(1.1, EDGES)
+    pi = gain_level_probs(1.1, EDGES)
     # survival-function differences of the exponential gain law
-    assert gp.pi[0] == pytest.approx(0.0868992837177377, rel=1e-14)
-    assert gp.pi[-1] == pytest.approx(0.3359109812391624, rel=1e-14)
-    assert float(gp.pi.sum()) == pytest.approx(1.0, abs=1e-15)
-    assert gp.level_count == 5
+    assert pi[0] == pytest.approx(0.0868992837177377, rel=1e-14)
+    assert pi[-1] == pytest.approx(0.3359109812391624, rel=1e-14)
+    assert float(pi.sum()) == pytest.approx(1.0, abs=1e-15)
+    assert pi.shape == (5,)
 
 
 @given(st.floats(0.05, 8.0),
@@ -86,14 +85,14 @@ def test_gain_level_probs_reference_values():
 @settings(max_examples=150, deadline=None)
 def test_gain_level_probs_telescope(mean_gain, interior):
     edges = (0.0, *sorted(interior), math.inf)
-    gp = gain_level_probs(mean_gain, edges)
-    assert np.all(gp.pi >= 0.0)
-    assert float(gp.pi.sum()) == pytest.approx(1.0, abs=1e-12)
+    pi = gain_level_probs(mean_gain, edges)
+    assert np.all(pi >= 0.0)
+    assert float(pi.sum()) == pytest.approx(1.0, abs=1e-12)
     # each cell mass equals the survival gap at its edges
     for l in range(len(edges) - 1):
         expected = math.exp(-edges[l] / mean_gain) - (
             0.0 if math.isinf(edges[l + 1]) else math.exp(-edges[l + 1] / mean_gain))
-        assert gp.pi[l] == pytest.approx(expected, abs=1e-14)
+        assert pi[l] == pytest.approx(expected, abs=1e-14)
 
 
 def test_arrival_unit_pmf_reference_values():
@@ -129,18 +128,38 @@ def test_transmit_probability_models(two_sensor_scenario):
 
 
 def _single_level_chain(capacity, arrival_pmf, transmit_prob):
-    gp = GainLevelProbs(pi=np.array([0.0, 1.0]), thresholds=(0.0, 0.05, math.inf))
     arr = ArrivalUnitPmf(pmf=np.asarray(arrival_pmf, dtype=float))
-    return gp, arr, ChainSpec(gain_probs=gp, arrivals=arr, transmit_prob=transmit_prob)
+    return ChainSpec(pi=np.array([0.0, 1.0]), arrivals=arr, transmit_prob=transmit_prob)
+
+
+@pytest.mark.parametrize("pi, message", [
+    ([[0.5, 0.5]], "one-dimensional"),
+    ([0.0, 1.5, -0.5], ">= 0 and sum to 1"),
+    ([0.2, 0.7], ">= 0 and sum to 1"),
+    ([0.2, 0.8 + 2e-12], ">= 0 and sum to 1"),
+], ids=["2-D", "negative", "short", "past-1e-12"])
+def test_chain_spec_refuses_a_pi_that_is_not_a_probability_vector(pi, message):
+    arr = arrival_unit_pmf(1.0, 1.0, 3)
+    with pytest.raises(ValueError, match=message):
+        ChainSpec(pi=pi, arrivals=arr, transmit_prob=0.5)
+
+
+def test_chain_spec_stores_a_read_only_copy_of_pi():
+    pi = np.array([0.25, 0.75])
+    chain = ChainSpec(pi=pi, arrivals=arrival_unit_pmf(1.0, 1.0, 3), transmit_prob=0.5)
+    pi[0] = 0.5
+    assert chain.pi.tolist() == [0.25, 0.75]
+    with pytest.raises(ValueError, match="read-only"):
+        chain.pi[0] = 0.5
 
 
 def test_transition_matrix_hand_enumerated():
     # K=3, exactly one unit arrives per slot, spend-all map, coin-flip spends:
     # from k the no-spend branch climbs to min(k+1, 3), the spend branch
     # drains to 0 then climbs to 1.
-    gp, arr, _ = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
+    chain = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
     alpha = np.array([[0, 0, 0, 0], [0, 1, 2, 3]])
-    M = transition_matrix(alpha, gp, arr, 0.5)
+    M = transition_matrix(alpha, chain)
     expected = np.array([
         [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.5, 0.5, 0.0],
@@ -149,21 +168,21 @@ def test_transition_matrix_hand_enumerated():
     ])
     np.testing.assert_allclose(M, expected, atol=1e-15)
     start = BatteryDistribution(psi=np.array([0.0, 0.0, 0.0, 1.0]))
-    stepped = battery_transition(start, alpha, gp, arr, 0.5)
+    stepped = battery_transition(start, alpha, chain)
     np.testing.assert_allclose(stepped.psi, [0.0, 0.5, 0.0, 0.5], atol=1e-15)
 
 
 def test_transition_matrix_rejects_bad_shape():
-    gp, arr, _ = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
+    chain = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
     with pytest.raises(ValueError, match="shape"):
-        transition_matrix(np.zeros((2, 3), dtype=int), gp, arr, 0.5)
+        transition_matrix(np.zeros((2, 3), dtype=int), chain)
 
 
 def test_transition_matrix_rejects_drains_outside_the_state():
-    gp, arr, _ = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
+    chain = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
     for bad in ([0, -1, 0, 0], [0, 2, 2, 3]):
         with pytest.raises(ValueError, match=r"\[0, k\]"):
-            transition_matrix(np.array([[0, 0, 0, 0], bad]), gp, arr, 0.5)
+            transition_matrix(np.array([[0, 0, 0, 0], bad]), chain)
 
 
 @given(st.integers(1, 12), st.integers(0, 3), st.floats(0.0, 1.0),
@@ -173,7 +192,6 @@ def test_transition_matrix_matches_brute_force(capacity, live_levels, tp, seed):
     rng = np.random.default_rng(seed)
     pmf = np.concatenate(([0.0], rng.dirichlet(np.ones(capacity))))
     pi = rng.dirichlet(np.ones(live_levels + 1))
-    gp = GainLevelProbs(pi=pi, thresholds=(0.0, *range(1, live_levels + 1), math.inf))
     alpha = rng.integers(0, np.arange(1, capacity + 2),
                          size=(live_levels + 1, capacity + 1))
     # every level, both branches, every arrival count: drain, bank, cap at K
@@ -183,7 +201,7 @@ def test_transition_matrix_matches_brute_force(capacity, live_levels, tp, seed):
             for weight, a in ((tp * pi[l], alpha[l, k]), ((1.0 - tp) * pi[l], 0)):
                 for j in range(capacity + 1):
                     expected[k, min(k - a + j, capacity)] += weight * pmf[j]
-    M = transition_matrix(alpha, gp, ArrivalUnitPmf(pmf=pmf), tp)
+    M = transition_matrix(alpha, ChainSpec(pi, ArrivalUnitPmf(pmf=pmf), tp))
     np.testing.assert_allclose(M, expected, rtol=0.0, atol=1e-13)
 
 
@@ -192,40 +210,40 @@ def test_transition_matrix_matches_brute_force(capacity, live_levels, tp, seed):
 @settings(max_examples=100, deadline=None)
 def test_transition_preserves_probability(capacity, mean_harvest, tp, seed):
     rng = np.random.default_rng(seed)
-    gp = gain_level_probs(1.0, (0.0, 0.5, 1.5, math.inf))
-    arr = arrival_unit_pmf(mean_harvest, 0.2, capacity)
+    chain = ChainSpec(gain_level_probs(1.0, (0.0, 0.5, 1.5, math.inf)),
+                      arrival_unit_pmf(mean_harvest, 0.2, capacity), tp)
     states = np.arange(capacity + 1)
     alpha = np.vstack([np.zeros(capacity + 1, dtype=int)] + [
         rng.integers(0, states + 1) for _ in range(2)
     ])
-    M = transition_matrix(alpha, gp, arr, tp)
+    M = transition_matrix(alpha, chain)
     np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(M >= -1e-15)
     psi = rng.dirichlet(np.ones(capacity + 1))
-    nxt = battery_transition(BatteryDistribution(psi=psi), alpha, gp, arr, tp)
+    nxt = battery_transition(BatteryDistribution(psi=psi), alpha, chain)
     assert float(nxt.psi.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_stationary_oracle_is_a_fixed_point():
-    gp, arr, _ = _single_level_chain(5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
+    chain = _single_level_chain(5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
     alpha = np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), 2)])
-    psi = stationary_oracle(alpha, gp, arr, 0.4)
-    M = transition_matrix(alpha, gp, arr, 0.4)
+    psi = stationary_oracle(alpha, chain)
+    M = transition_matrix(alpha, chain)
     np.testing.assert_allclose(psi.psi @ M, psi.psi, atol=1e-12)
 
 
 @pytest.mark.parametrize("transmit_prob", [1.5, -0.1, math.nan])
 def test_stationary_oracle_refuses_a_transmit_probability_outside_the_unit_interval(
         transmit_prob):
-    gp, arr, _ = _single_level_chain(5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
     alpha = np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), 2)])
     with pytest.raises(ValueError, match="transmit_prob must lie in"):
-        stationary_oracle(alpha, gp, arr, transmit_prob)
+        stationary_oracle(alpha, _single_level_chain(
+            5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], transmit_prob))
 
 
 def test_stationary_oracle_survives_singular_solver(monkeypatch, tmp_path, scenario_dir,
                                                    capsys):
-    gp, arr, _ = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
+    chain = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 0.5)
     alpha = np.array([[0, 0, 0, 0], [0, 1, 2, 3]])
 
     def boom(*a, **k):
@@ -233,7 +251,7 @@ def test_stationary_oracle_survives_singular_solver(monkeypatch, tmp_path, scena
 
     monkeypatch.setattr(np.linalg, "solve", boom)
     with pytest.raises(ValueError, match="singular"):
-        stationary_oracle(alpha, gp, arr, 0.5)
+        stationary_oracle(alpha, chain)
     # the solve reports it through its outcome: one note, exit 3, flagged tables
     argv = ["powermap", "--scenario", str(scenario_dir / "toy.scn"), "--out", str(tmp_path)]
     assert main(argv) == EXIT_CONVERGENCE
@@ -248,9 +266,9 @@ def test_stationary_oracle_survives_singular_solver(monkeypatch, tmp_path, scena
 
 def test_stationary_solve_stack_matches_single_solves():
     # the stack is one LAPACK call, and each law equals its own solve bit for bit
-    gp, arr, _ = _single_level_chain(3, [0.0, 0.5, 0.3, 0.2], 0.6)
+    chain = _single_level_chain(3, [0.0, 0.5, 0.3, 0.2], 0.6)
     chains = [transition_matrix(np.array([[0, 0, 0, 0], [0, a, min(a, 2), min(a, 3)]]),
-                                gp, arr, 0.6) for a in (0, 1)]
+                                chain) for a in (0, 1)]
     laws = stationary_solve(np.stack(chains))
     assert laws.shape == (2, 4)
     for law, M in zip(laws, chains):
@@ -264,12 +282,11 @@ def test_stationary_solve_stack_matches_single_solves():
 def _drawn_chain(capacity, ratio, transmit_prob, pi, map_seed):
     """A chain with arrival_unit_pmf(1, ratio, K) and a random causal unit map:
     the dead level never drains and each live level drains 0..k at state k."""
-    gp = GainLevelProbs(pi=pi, thresholds=(0.0, *range(1, len(pi)), math.inf))
     arr = arrival_unit_pmf(1.0, ratio, capacity)
     live = np.random.default_rng(map_seed).integers(
         0, np.arange(capacity + 1) + 1, size=(len(pi) - 1, capacity + 1))
     alpha = np.vstack([np.zeros(capacity + 1, dtype=np.int64), live])
-    return alpha, gp, arr
+    return alpha, ChainSpec(pi, arr, transmit_prob)
 
 
 # a nearly deterministic walk (one unit banked each slot, transmitting
@@ -279,12 +296,10 @@ SEED_17_CHAIN = dict(capacity=100, ratio=1682.0, transmit_prob=1 - 1e-9,
 
 
 def test_ill_conditioned_chain_is_reported_not_iterated():
-    alpha, gp, arr = _drawn_chain(**SEED_17_CHAIN)
-    M = transition_matrix(alpha, gp, arr, SEED_17_CHAIN["transmit_prob"])
+    alpha, chain = _drawn_chain(**SEED_17_CHAIN)
+    M = transition_matrix(alpha, chain)
     with pytest.raises(ValueError, match=r"most negative entry -1\.000e\+00") as err:
         stationary_solve(M)
-    chain = ChainSpec(gain_probs=gp, arrivals=arr,
-                      transmit_prob=SEED_17_CHAIN["transmit_prob"])
     psis, iters, problem = steady_state_psi([chain], lambda psis: [alpha])
     assert problem == f"{err.value} (iterations=1, residual=inf)"
     assert iters == 1
@@ -313,8 +328,8 @@ def _extreme_chains(draw):
 def test_stationary_solve_is_exact_or_raises(chain):
     # admissible chains at the harvest, transmit and capacity extremes: a law
     # comes back stationary and nonnegative, or the solve says it has none
-    alpha, gp, arr = _drawn_chain(**chain)
-    M = transition_matrix(alpha, gp, arr, chain["transmit_prob"])
+    alpha, spec = _drawn_chain(**chain)
+    M = transition_matrix(alpha, spec)
     try:
         psi = stationary_solve(M)
     except ValueError as exc:
@@ -353,7 +368,7 @@ def test_drain_rows_and_transition_matrices_are_unchanged_on_toy(toy_scenario):
     K = net.capacity
     states = np.arange(K + 1)
     arr = arrival_unit_pmf(net.mean_harvest, net.unit_energy, K)
-    gp = gain_level_probs(sensor.mean_gain, sensor.thresholds)
+    pi = gain_level_probs(sensor.mean_gain, sensor.thresholds)
     table = _old_drain_table(arr.pmf)
     # every causal per-state unit choice, a superset of the rows
     # exhaustive_best_map gathers
@@ -361,11 +376,12 @@ def test_drain_rows_and_transition_matrices_are_unchanged_on_toy(toy_scenario):
     assert _drain_rows(choices, arr).tobytes() == table[states - choices].tobytes()
     rng = np.random.default_rng(5)
     for tp in (0.0, 0.3, transmit_probability(net, sensor), 1.0):
-        for alpha in choices[rng.integers(0, len(choices), size=(8, gp.level_count))]:
+        for alpha in choices[rng.integers(0, len(choices), size=(8, pi.size))]:
             alpha[0] = 0
             old = ((1.0 - tp) * table[states]
-                   + tp * np.tensordot(gp.pi, table[states - alpha], axes=(0, 0)))
-            assert transition_matrix(alpha, gp, arr, tp).tobytes() == old.tobytes()
+                   + tp * np.tensordot(pi, table[states - alpha], axes=(0, 0)))
+            chain = ChainSpec(pi, arr, tp)
+            assert transition_matrix(alpha, chain).tobytes() == old.tobytes()
 
 
 @st.composite
@@ -377,9 +393,8 @@ def _chains_of_one_capacity(draw):
         dead = draw(st.floats(0.0, 0.5))
         pi = np.array([dead, *(np.array(live) / sum(live) * (1.0 - dead))])
         pi[-1] = 1.0 - pi[:-1].sum()
-        gp = GainLevelProbs(pi=pi, thresholds=(0.0, *range(1, len(pi)), math.inf))
         arr = arrival_unit_pmf(draw(st.floats(0.2, 5.0)), 1.0, capacity)
-        chains.append(ChainSpec(gain_probs=gp, arrivals=arr,
+        chains.append(ChainSpec(pi=pi, arrivals=arr,
                                 transmit_prob=draw(st.floats(0.0, 1.0))))
     return chains, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 4))
 
@@ -388,8 +403,7 @@ def _chains_of_one_capacity(draw):
 @given(_chains_of_one_capacity())
 # nearly decomposable: under this plan the second chain's low states reach its
 # absorbing full state in 2.3e13 slots on average, so no float law is unique
-@example(([ChainSpec(GainLevelProbs(pi=np.array([0.0, 1.0]), thresholds=(0.0, 1.0, math.inf)),
-                     arrival_unit_pmf(mean, 1.0, 12), tp)
+@example(([ChainSpec(np.array([0.0, 1.0]), arrival_unit_pmf(mean, 1.0, 12), tp)
            for mean, tp in ((1.0, 0.0), (0.25, 0.96875))], 0, 1))
 def test_each_rounds_laws_equal_the_per_chain_oracle(case):
     # one stacked solve per round gives every chain stationary_oracle's law
@@ -399,7 +413,7 @@ def test_each_rounds_laws_equal_the_per_chain_oracle(case):
     states = np.arange(K + 1)
     plans = [[np.vstack([np.zeros(K + 1, dtype=np.int64),
                          rng.integers(0, states + 1,
-                                      size=(c.gain_probs.level_count - 1, K + 1))])
+                                      size=(c.pi.size - 1, K + 1))])
               for c in chains] for _ in range(rounds)]
     seen, returned = [], []
 
@@ -421,24 +435,22 @@ def test_each_rounds_laws_equal_the_per_chain_oracle(case):
         refused = 0
         for alpha, c in zip(returned[-1], chains):
             try:
-                stationary_oracle(alpha, c.gain_probs, c.arrivals, c.transmit_prob)
+                stationary_oracle(alpha, c)
             except ValueError as err:
                 assert str(err).startswith("no numerically unique stationary law")
-                system = transition_matrix(alpha, c.gain_probs, c.arrivals,
-                                           c.transmit_prob) - np.eye(K + 1)
+                system = transition_matrix(alpha, c) - np.eye(K + 1)
                 system[:, K] = 1.0
                 assert np.linalg.cond(system) * np.finfo(float).eps > 1e-10
                 refused += 1
         assert refused
     for psis, alphas in zip(seen[1:], returned):
         for psi, alpha, c in zip(psis, alphas, chains):
-            exact = stationary_oracle(alpha, c.gain_probs, c.arrivals, c.transmit_prob)
+            exact = stationary_oracle(alpha, c)
             assert psi.psi.tobytes() == exact.psi.tobytes()
 
 
 def test_chains_of_different_capacities_are_refused_before_the_first_round():
-    gp = GainLevelProbs(pi=np.array([0.0, 1.0]), thresholds=(0.0, 0.05, math.inf))
-    chains = [ChainSpec(gain_probs=gp, arrivals=arrival_unit_pmf(1.0, 1.0, k),
+    chains = [ChainSpec(pi=np.array([0.0, 1.0]), arrivals=arrival_unit_pmf(1.0, 1.0, k),
                         transmit_prob=0.5) for k in (5, 4, 5)]
     calls = []
 
@@ -452,11 +464,11 @@ def test_chains_of_different_capacities_are_refused_before_the_first_round():
 
 
 def test_a_bad_drain_in_the_second_chain_is_the_loops_problem():
-    gp, arr, chain = _single_level_chain(3, [0.0, 0.5, 0.3, 0.2], 0.6)
+    chain = _single_level_chain(3, [0.0, 0.5, 0.3, 0.2], 0.6)
     good = np.array([[0, 0, 0, 0], [0, 1, 1, 1]])
     bad = np.array([[0, 0, 0, 0], [0, 2, 0, 0]])  # two units out of state 1
     with pytest.raises(ValueError, match=r"must lie in \[0, k\]") as err:
-        transition_matrix(bad, gp, arr, 0.6)
+        transition_matrix(bad, chain)
     psis, iters, problem = steady_state_psi([chain, chain], lambda psis: [good, bad])
     assert problem == f"{err.value} (iterations=1, residual=inf)"
     assert iters == 1
@@ -464,11 +476,11 @@ def test_a_bad_drain_in_the_second_chain_is_the_loops_problem():
 
 
 def test_steady_state_matches_oracle():
-    gp, arr, chain = _single_level_chain(
+    chain = _single_level_chain(
         5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
     alpha = np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), 3)])
     psis, iters, problem = steady_state_psi([chain], lambda psis: [alpha])
-    exact = stationary_oracle(alpha, gp, arr, 0.4)
+    exact = stationary_oracle(alpha, chain)
     # the second round repeats the map, and its laws are the exact solve
     np.testing.assert_array_equal(psis[0].psi, exact.psi)
     assert iters == 2
@@ -476,7 +488,7 @@ def test_steady_state_matches_oracle():
 
 
 def test_steady_state_detects_oscillation():
-    gp, arr, chain = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 1.0)
+    chain = _single_level_chain(3, [0.0, 1.0, 0.0, 0.0], 1.0)
     spend_all = np.vstack([np.zeros(4, dtype=int), np.arange(4)])
     idle = np.zeros((2, 4), dtype=int)
 
@@ -493,11 +505,11 @@ def test_steady_state_detects_oscillation():
     assert iters == 3
     assert len(calls) == 3
     # the laws the third call saw: the stationary law of the idle map
-    np.testing.assert_array_equal(psis[0].psi, stationary_oracle(idle, gp, arr, 1.0).psi)
+    np.testing.assert_array_equal(psis[0].psi, stationary_oracle(idle, chain).psi)
 
 
 def test_steady_state_names_the_exact_period():
-    gp, arr, chain = _single_level_chain(
+    chain = _single_level_chain(
         5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
     maps = [np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), c)])
             for c in range(1, 6)]
@@ -513,11 +525,11 @@ def test_steady_state_names_the_exact_period():
     # the laws the last update saw come back: the fifth map's
     assert psis is seen[-1]
     np.testing.assert_array_equal(psis[0].psi,
-                                  stationary_oracle(maps[4], gp, arr, 0.4).psi)
+                                  stationary_oracle(maps[4], chain).psi)
 
 
 def test_steady_state_iteration_cap(monkeypatch):
-    gp, arr, chain = _single_level_chain(
+    chain = _single_level_chain(
         5, [0.0, 0.55, 0.25, 0.12, 0.05, 0.03], 0.4)
     # a new unit map every round, so only the cap can stop the loop
     maps = [np.vstack([np.zeros(6, dtype=int), np.minimum(np.arange(6), c)])
@@ -528,7 +540,7 @@ def test_steady_state_iteration_cap(monkeypatch):
     assert iters == 3
     # the third call saw the second map's law; the residual is its change
     # from the first map's law
-    laws = [stationary_oracle(a, gp, arr, 0.4).psi for a in maps[:2]]
+    laws = [stationary_oracle(a, chain).psi for a in maps[:2]]
     np.testing.assert_array_equal(psis[0].psi, laws[1])
     residual = float(np.max(np.abs(laws[1] - laws[0])))
     assert problem == f"iteration cap exceeded (iterations=3, residual={residual:.3e})"
@@ -537,8 +549,8 @@ def test_steady_state_iteration_cap(monkeypatch):
 def test_valid_maps_never_strand_probability_at_zero():
     # arrivals are at least one unit and spends never exceed the state, so
     # the stationary chain cannot sit at an empty battery
-    gp, arr, _ = _single_level_chain(
+    chain = _single_level_chain(
         6, [0.0, 0.5, 0.3, 0.1, 0.06, 0.03, 0.01], 0.7)
     alpha = np.vstack([np.zeros(7, dtype=int), np.arange(7)])
-    psi = stationary_oracle(alpha, gp, arr, 0.7)
+    psi = stationary_oracle(alpha, chain)
     assert psi.psi[0] <= 1e-14

@@ -249,6 +249,30 @@ def test_sweep_marks_partial_output(tmp_path, scenario_dir, monkeypatch, capsys)
                    "sweep point power_budget=4.0 failed: power map did not converge"]
 
 
+def test_sweep_keeps_the_prefix_before_a_rejected_point(tmp_path, scenario_dir,
+                                                       monkeypatch, capsys):
+    calls = {"n": 0}
+
+    def picky(scenario):
+        calls["n"] += 1
+        if calls["n"] > 1:
+            raise ScenarioError("instrumented rejection")
+        return optimize_power_map(scenario)
+
+    monkeypatch.setattr("ehdetect.cli.optimize_power_map", picky)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--scenario", _toy(scenario_dir), "--out", str(out),
+                 "--variable", "power_budget", "--values", "2,4,6",
+                 "--skip-simulation"])
+    assert code == EXIT_INPUT
+    assert calls["n"] == 2  # the sweep stops at the rejected point
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["sweep point power_budget=4.0 rejected: instrumented rejection"]
+    meta, rows = read_table(out)
+    assert meta["incomplete"] == "true"
+    assert [(r["variable"], r["value"]) for r in rows] == [("power_budget", "2.0")]
+
+
 def test_sweep_reports_why_a_point_did_not_converge(tmp_path, scenario_dir,
                                                     monkeypatch, capsys):
     # one round prices the full-battery start, whose unit map cannot repeat yet

@@ -908,7 +908,7 @@ def test_activity_codes_read_off_the_powers_equal_the_candidate_stack(
         phi[k] = k * net.unit_power
     ctx = replace(ctx, phi=phi)
     powers = _map_for_lambda(lam, [ctx], net)
-    ep = float(np.einsum("l,lk,k->", ctx.gain_probs.pi, powers[0],
+    ep = float(np.einsum("l,lk,k->", ctx.chain.pi, powers[0],
                          np.full(capacity + 1, 1.0 / (capacity + 1))))
     mine = _kkt_report(lam, powers, [ctx], net, ep)
     ref = _candidate_stack_report(lam, powers, [ctx], net, ep)
@@ -963,7 +963,7 @@ def _enumerated_reference(scenario):
     """
     net = scenario.network
     ctx = _sensor_context(net, scenario.sensors[0])
-    K, L1 = net.capacity, ctx.gain_probs.level_count
+    K, L1 = net.capacity, ctx.chain.pi.size
     unit_power = net.unit_power
     states = np.arange(K + 1)
     amax = np.minimum(states, np.floor(ctx.phi / unit_power + 1e-9)).astype(np.int64)
@@ -972,8 +972,8 @@ def _enumerated_reference(scenario):
     choices = np.array(list(itertools.product(*[range(a + 1) for a in amax])),
                        dtype=np.int64)
     rows = _drain_rows(np.vstack([np.zeros(K + 1, dtype=np.int64), choices]),
-                       ctx.arrivals)
-    pi, tp = ctx.gain_probs.pi, ctx.transmit_prob
+                       ctx.chain.arrivals)
+    pi, tp = ctx.chain.pi, ctx.chain.transmit_prob
     base = (1.0 - tp) * rows[0]
     spend = [tp * pi[1 + l] * rows[1:] for l in range(L1 - 1)]
     idle_weighted = tp * pi[0] * rows[0]
@@ -1143,6 +1143,29 @@ def test_evaluate_unit_map_rejects_a_map_for_another_sensor_count(two_sensor_sce
     units = two_sensor_outcome.power_map.units
     with pytest.raises(ValueError, match="the unit map covers 1 sensors, the scenario has 2"):
         evaluate_unit_map(two_sensor_scenario, units[:1])
+
+
+def test_evaluate_unit_map_refuses_maps_power_map_refuses(toy_scenario, toy_outcome):
+    units = toy_outcome.power_map.units[0]
+    K = toy_scenario.network.capacity
+    # a silent level 0 that drains a unit used to score a larger spend
+    drains_at_zero = units.copy()
+    drains_at_zero[0] = np.minimum(np.arange(K + 1), 1)
+    with pytest.raises(ValueError, match="sensor 0: level 0 must carry zero power"):
+        evaluate_unit_map(toy_scenario, [drains_at_zero])
+    # fractional counts used to be truncated and scored as the map itself
+    with pytest.raises(ValueError, match="sensor 0"):
+        evaluate_unit_map(toy_scenario, [units + 0.7])
+    fractional = (units // 2).astype(float)
+    fractional[1:, 1:] += 0.5
+    with pytest.raises(ValueError, match="sensor 0: counts must be whole numbers"):
+        evaluate_unit_map(toy_scenario, [fractional])
+    for bad in (units - 1, units + 1):
+        with pytest.raises(ValueError, match="sensor 0"):
+            evaluate_unit_map(toy_scenario, [bad])
+    # whole counts in a float array are the same map
+    j, ep, _ = evaluate_unit_map(toy_scenario, [units.astype(float)])
+    assert (j, ep) == evaluate_unit_map(toy_scenario, [units])[:2]
 
 
 def test_outer_cap_keeps_the_last_rounds_certificate(toy_scenario, monkeypatch):
