@@ -46,7 +46,6 @@ from .optimizer import (
     ExhaustiveResult,
     KktReport,
     OptimizationOutcome,
-    clamp_power,
     evaluate_unit_map,
     exhaustive_best_map,
     marginal_divergence_gain,

@@ -149,9 +149,9 @@ def arrival_unit_pmf(mean_harvest: float, unit_energy: float, capacity: int) -> 
 def transmit_probability(network, sensor) -> float:
     """Chance the chain spends energy in a slot, under the configured model.
 
-    ``prior`` charges the spend branch with the prior of the alternative;
-    ``decision`` charges it with the unconditional probability the sensor
-    votes 1, which is what the physical simulator actually does.
+    ``prior`` charges the spend branch with the prior of the alternative,
+    ``decision`` with the chance the sensor votes 1. The simulator follows
+    the same model: under ``prior`` a sensor spends on exactly the H1 slots.
     """
     if network.transmit_prob_model == "prior":
         return network.prior_h1

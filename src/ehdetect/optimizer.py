@@ -58,7 +58,6 @@ __all__ = [
     "marginal_divergence_gain",
     "outage_cap",
     "stationarity_root",
-    "clamp_power",
     "optimize_power_map",
     "evaluate_unit_map",
     "exhaustive_best_map",
@@ -91,7 +90,7 @@ class KktReport:
     residuals[n][l, k] is |marginal gain - price| where the entry is interior
     and NaN elsewhere; active[n][l, k] holds the activity codes 0=interior,
     1=causality clamp, 2=outage clamp, 3=zero power, 4=dead level. The codes
-    are read off the stored powers in clamp_power's order: the first cap a
+    are read off the stored powers in the clamp's order: the first cap a
     power equals (causality, outage, zero) names the clamp, and a live entry
     equal to none of them is interior.
     """
@@ -176,10 +175,13 @@ def stationarity_root(lam: float, mu, coeffs: RocCoefficients, noise_var: float)
     zero-power gain is above lam crosses it once, falling, on [0, p_big];
     otherwise a level whose peak gain is above lam crosses it first rising,
     on [0, peak], which is the smallest crossing; any other level never
-    rises above the price and returns -1.0. At a price so small that p_big
-    overflows (as when lam / 2 underflows), a level above the price at zero
-    power is unbounded: its iteration bisects to +inf, as for lam <= 0,
-    unless its first Newton step is finite. The call does not warn; a solve
+    rises above the price and returns -1.0. The falling bracket ends no
+    further than where some d_i = s + b_i * p reaches half the square root
+    of the largest float, so d_i * d_i stays finite; a level whose gain is
+    still above lam there (at prices below about 1e-307) returns +inf, as for
+    lam <= 0. Where both b_i underflow to 0 the gain is flat and p_big
+    overflows: the iteration then bisects to +inf unless its first Newton
+    step is finite. The call does not warn; a solve
     reports an operating point outside the band once, as a note on its
     OptimizationOutcome.
     Each level's bracket then feeds its own safeguarded Newton iteration
@@ -215,7 +217,6 @@ class _Level(NamedTuple):
     |slope_i| * s * mu bit for bit too.
     """
 
-    mu: float
     s: float            # noise variance
     a1: float           # slope_i * s * mu
     a2: float
@@ -266,7 +267,7 @@ def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _L
         r, dp, dn = rising
         peak = min(s * (r - 1.0) / (dn - r * dp) / mu, 0.5 * sys.float_info.max)
         g_peak, dg_peak = _gain_and_derivative(peak, mu, coeffs, s)
-    return _Level(mu=mu, s=s, a1=slope1 * s * mu, a2=slope2 * s * mu,
+    return _Level(s=s, a1=slope1 * s * mu, a2=slope2 * s * mu,
                   b1=coeffs.den1 * mu, b2=coeffs.den2 * mu,
                   den1=coeffs.den1, den2=coeffs.den2, m2=-2.0 * mu,
                   g0=g0, dg0=dg0, peak=peak, g_peak=g_peak, dg_peak=dg_peak)
@@ -286,9 +287,25 @@ def _roots(lam, live, levels) -> np.ndarray:
 def _live_roots(lam, levels):
     """The roots of the live levels at a positive price, bracketed as
     stationarity_root says: falling on [0, p_big], else rising on [0, peak]."""
-    return [_rtsafe(lam, lv, 0.0, _p_big(lam, lv), lv.g0, lv.dg0) if lv.g0 > lam
+    return [_falling_root(lam, lv) if lv.g0 > lam
             else _rtsafe(lam, lv, lv.peak, 0.0, lv.g_peak, lv.dg_peak)
             if lv.g_peak > lam else -1.0 for lv in levels]
+
+
+def _falling_root(lam, level: _Level):
+    """The crossing on [0, p_big], with the bracket cut where d * d could
+    overflow; +inf when the gain is still above lam at the cut."""
+    hi = _p_big(lam, level)
+    b = max(level.b1, level.b2)
+    if b > 0.0:
+        top = (0.5 * math.sqrt(sys.float_info.max) - level.s) / b
+        if top < hi:
+            hi = top
+            d1 = level.s + level.b1 * hi
+            d2 = level.s + level.b2 * hi
+            if level.a1 / (d1 * d1) + level.a2 / (d2 * d2) > lam:
+                return math.inf
+    return _rtsafe(lam, level, 0.0, hi, level.g0, level.dg0)
 
 
 def _p_big(lam, level: _Level):
@@ -310,7 +327,7 @@ def _rtsafe(lam, level: _Level, lo, hi, g, dg):
     iteration starts. Returns the first iterate within ROOT_TOL * lam, or the
     last of 220.
     """
-    _, s, a1, a2, b1, b2, den1, den2, m2, *_ = level
+    s, a1, a2, b1, b2, den1, den2, m2, *_ = level
     p = lo
     # the last step and the one before it; rtsafe starts mid-bracket with
     # both at the bracket width, this loop starts at an end, so twice that
@@ -345,19 +362,6 @@ def _rtsafe(lam, level: _Level, lo, hi, g, dg):
     return p
 
 
-def clamp_power(p_prime, state, phi, network: NetworkParams):
-    """Project a stationarity candidate onto the feasible slot-power interval.
-
-    Feasible slot power is capped by the stored energy (state units over one
-    slot), by the outage cap phi, and below by zero. The caps are taken in the
-    order causality, outage, positive part, which is the documented clamp
-    precedence for exact ties. Vectorized: the arguments broadcast.
-    """
-    caps = np.minimum(np.asarray(state) * network.unit_power, phi)
-    out = np.minimum(caps, np.maximum(p_prime, 0.0))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # internal per-sensor context
 
@@ -370,6 +374,8 @@ class _SensorCtx:
     mu: np.ndarray            # lower cell edges, shape (L+1,)
     phi: np.ndarray           # outage cap per state, shape (K+1,)
     causality: np.ndarray     # stored power per state, state * unit_power
+    cap: np.ndarray           # most a state may spend: min(causality, phi), in watts
+    unit_cap: np.ndarray      # the whole units of cap, int64
     lambda_ceiling: float     # price above which every root vanishes
     live: np.ndarray          # mu > 0
     levels: tuple[_Level, ...]  # root constants of the live levels, in order
@@ -381,7 +387,10 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
                       arrival_unit_pmf(network.mean_harvest, network.unit_energy,
                                        network.capacity),
                       transmit_probability(network, sensor))
-    phi = outage_cap(np.arange(network.capacity + 1), sensor, network)
+    states = np.arange(network.capacity + 1)
+    phi = outage_cap(states, sensor, network)
+    causality = states * network.unit_power
+    cap = np.minimum(causality, phi)
     mu = np.asarray(sensor.thresholds[:-1], dtype=float)
     live = mu > 0.0
     slope1, slope2 = coeffs.slopes
@@ -392,7 +401,10 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
         noise_var=sensor.noise_var,
         mu=mu,
         phi=phi,
-        causality=np.arange(network.capacity + 1) * network.unit_power,
+        causality=causality,
+        cap=cap,
+        # finite where phi is +inf; the slack absorbs dust on a unit boundary
+        unit_cap=np.floor(cap / network.unit_power + 1e-9).astype(np.int64),
         lambda_ceiling=ceiling,
         live=live,
         levels=tuple(_level_constants(m, coeffs, sensor.noise_var)
@@ -403,17 +415,16 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
 def _map_for_lambda(lam: float, ctxs, network: NetworkParams):
     """Clamped power tables for every sensor at one price.
 
-    Equals clamp_power of stationarity_root's roots bit for bit, on the
-    level constants each context holds. The dead level's root is 0, which
-    clamps to 0. Only the clamped powers are returned: _kkt_report reads
-    each entry's active clamp off them, in clamp_power's order.
+    Each entry is stationarity_root's root, projected onto [0, ctx.cap],
+    computed on the level constants each context holds. The dead level's
+    root is 0, which clamps to 0. Only the clamped powers are returned:
+    _kkt_report reads each entry's active clamp off them, in the clamp's
+    order (causality, outage, zero).
     """
     out = []
     for ctx in ctxs:
         roots = _roots(lam, ctx.live, ctx.levels)
-        # from phi at every call, so a context with another phi clamps to it
-        caps = np.minimum(ctx.causality, ctx.phi)
-        out.append(np.minimum(caps, np.maximum(roots[:, None], 0.0)))
+        out.append(np.minimum(ctx.cap, np.maximum(roots[:, None], 0.0)))
     return out
 
 
@@ -483,7 +494,7 @@ def _kkt_report(lam, powers, ctxs, network, ep) -> KktReport:
     residuals, actives = [], []
     worst = 0.0
     for P, ctx in zip(powers, ctxs):
-        # the caps exactly as clamp_power takes them, tested in its order
+        # the caps exactly as _map_for_lambda takes them, tested in its order
         act = np.select([ctx.mu[:, None] == 0.0, P == ctx.causality, P == ctx.phi, P == 0.0],
                         [LEVEL_ZERO, CLAMP_CAUSALITY, CLAMP_OUTAGE, CLAMP_ZERO], INTERIOR)
         interior = act == INTERIOR
@@ -636,15 +647,11 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     ctx = _sensor_context(net, sensor)
     unit_power = net.unit_power
     states = np.arange(K + 1)
-    # hard per-state unit cap from causality and the outage cap, which is
-    # +inf where the prior absorbs the allowed failures
-    amax = np.minimum(states, np.floor(ctx.phi / unit_power + 1e-9)).astype(np.int64)
-
-    # every live level picks its row from the same per-state unit choices;
-    # a candidate map is one mixed-radix number with a digit per live level;
-    # a digit is itself a number over amax + 1 whose digits are the level's
-    # units per state, the last state's varying fastest
-    radix = tuple((amax + 1).tolist())
+    # every live level picks its row from the same per-state unit choices,
+    # 0..ctx.unit_cap; a candidate map is one mixed-radix number with a digit
+    # per live level; a digit is itself a number over unit_cap + 1 whose
+    # digits are the level's units per state, the last state's varying fastest
+    radix = tuple((ctx.unit_cap + 1).tolist())
     counts = (math.prod(radix),) * (L1 - 1)
     total = math.prod(counts)
     if total > EXHAUSTIVE_MAX_CANDIDATES:

@@ -116,6 +116,27 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
+def _check_map(scenario: Scenario, power_map: PowerMap) -> None:
+    """Raise ValueError unless the power map holds one (levels x K+1) table
+    per sensor, in the network's energy units."""
+    net = scenario.network
+    for n, (sensor, table) in enumerate(zip(scenario.sensors, power_map.powers)):
+        # with a table of another shape the walk's flat next-state table
+        # would read a neighbouring row instead of failing
+        shape = (sensor.level_count, net.capacity + 1)
+        if table.shape != shape:
+            raise ValueError(f"sensor {n}: the power map needs a {shape[0]} x {shape[1]} "
+                             "(levels x battery states) table")
+    if len(power_map.powers) != scenario.num_sensors:
+        raise ValueError(f"the power map covers {len(power_map.powers)} sensors, "
+                         f"the scenario has {scenario.num_sensors}")
+    if (power_map.unit_energy, power_map.slot_seconds) != (net.unit_energy, net.slot_seconds):
+        # its units would drain another number of the battery's units
+        raise ValueError(f"the power map counts {power_map.unit_energy} J units over "
+                         f"{power_map.slot_seconds} s slots, the network "
+                         f"{net.unit_energy} J units over {net.slot_seconds} s slots")
+
+
 def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
                    streams: Streams, batteries=None) -> SimBatch:
     """Run `slots` consecutive slots and record the full sample path.
@@ -127,8 +148,9 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     (default: full). `slots` = 0 returns them unchanged. The network's
     transmit_prob_model decides who transmits. Raises ValueError on a
     negative or non-integer `slots`, on streams or a power map for another
-    sensor count, on a bad battery (naming the sensor), and on power tables
-    whose shape does not match the sensor.
+    sensor count, on a bad battery (naming the sensor), on power tables
+    whose shape does not match the sensor, and on a map in other energy
+    units.
     """
     net = scenario.network
     N = scenario.num_sensors
@@ -142,19 +164,11 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
                else f"batteries[{N}] matches no sensor")
         raise ValueError(f"need one battery per sensor: got {len(batteries)} "
                          f"for {N} sensors; {why}")
-    for n, (sensor, b, units) in enumerate(zip(scenario.sensors, batteries, power_map.units)):
+    for n, b in enumerate(batteries):
         if not isinstance(b, numbers.Integral) or not 0 <= b <= K:
             raise ValueError(f"sensor {n}: battery must be a whole number of units "
                              f"in 0..{K}, got {b!r}")
-        # with a table of another shape the walk's flat next-state table
-        # would read a neighbouring row instead of failing
-        shape = (sensor.level_count, K + 1)
-        if units.shape != shape:
-            raise ValueError(f"sensor {n}: the power map needs a {shape[0]} x {shape[1]} "
-                             "(levels x battery states) table")
-    if len(power_map.units) != N:
-        raise ValueError(f"the power map covers {len(power_map.units)} sensors, "
-                         f"the scenario has {N}")
+    _check_map(scenario, power_map)
     batteries = tuple(int(b) for b in batteries)
 
     hyp = (streams.hypothesis.random(slots) < net.prior_h1).astype(np.int8)
@@ -354,17 +368,15 @@ def _merged_components(table: np.ndarray, psi: np.ndarray) -> list[tuple[np.ndar
 
 
 def _check_marginal_inputs(scenario: Scenario, power_map: PowerMap | None, psis) -> None:
-    """Raise ValueError unless map_marginal fusion has a power map with one
-    table per sensor and one psi per sensor that covers the map's battery
-    states; a no-op for genie fusion, which needs neither."""
+    """Raise ValueError unless map_marginal fusion has a power map that
+    simulate_slots would take and one psi per sensor that covers the map's
+    battery states; a no-op for genie fusion, which needs neither."""
     if scenario.network.fc_knowledge != "map_marginal":
         return
     if power_map is None or psis is None:
         raise ValueError("map_marginal fusion needs power_map and psis")
+    _check_map(scenario, power_map)
     N = scenario.num_sensors
-    if len(power_map.powers) != N:
-        raise ValueError(f"the power map covers {len(power_map.powers)} sensors, "
-                         f"the scenario has {N}")
     if len(psis) != N:
         why = f"sensor {len(psis)} has none" if len(psis) < N else f"psis[{N}] matches no sensor"
         raise ValueError(f"map_marginal fusion needs one psi per sensor: got {len(psis)} "

@@ -10,6 +10,9 @@ call:
 - convex_region_bounds is the paper's closed-form concavity band in
   (p_f, p_d). The solver tests the band with its own rise test
   (optimizer._gain_peak), and the tests check the two agree.
+- clamp_power projects a stationarity root onto the feasible slot-power
+  interval. The solver clamps to the per-state cap its sensor context
+  holds (_SensorCtx.cap), and the tests check the two agree.
 - lambda_search re-runs the solver's price search at fixed battery laws.
 - read_table reads back a CSV that cli.write_table wrote.
 
@@ -23,7 +26,9 @@ import csv
 import math
 from dataclasses import dataclass
 
-from ehdetect.config import PowerMap, Scenario, _probability
+import numpy as np
+
+from ehdetect.config import NetworkParams, PowerMap, Scenario, _probability
 from ehdetect.optimizer import _lambda_search, _sensor_context
 
 
@@ -88,6 +93,19 @@ def convex_region_bounds(p_f: float) -> tuple[float, float]:
     radical = math.sqrt(1.0 + 12.0 * p_f - 12.0 * p_f * p_f)
     center = 0.75 - 0.5 * p_f
     return center - 0.25 * radical, center + 0.25 * radical
+
+
+def clamp_power(p_prime, state, phi, network: NetworkParams):
+    """Project a stationarity candidate onto the feasible slot-power interval.
+
+    Feasible slot power is capped by the stored energy (state units over one
+    slot), by the outage cap phi, and below by zero. The caps are taken in the
+    order causality, outage, positive part, which is the documented clamp
+    precedence for exact ties. Vectorized: the arguments broadcast.
+    """
+    caps = np.minimum(np.asarray(state) * network.unit_power, phi)
+    out = np.minimum(caps, np.maximum(p_prime, 0.0))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def lambda_search(psis, scenario: Scenario):

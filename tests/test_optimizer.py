@@ -16,7 +16,6 @@ from ehdetect import (
     NetworkParams,
     RocCoefficients,
     SensorParams,
-    clamp_power,
     evaluate_unit_map,
     exhaustive_best_map,
     marginal_divergence_gain,
@@ -42,7 +41,7 @@ from ehdetect.optimizer import (
     _map_for_lambda,
     _sensor_context,
 )
-from references import convex_region_bounds, lambda_search
+from references import clamp_power, convex_region_bounds, lambda_search
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +193,26 @@ def test_root_dead_level_and_free_price():
     for p_f, p_d in ((0.2, 0.9), (0.6, 0.71)):
         roots = stationarity_root(5e-324, [1.0, 0.6], roc_coefficients(p_f, p_d), 1.0)
         assert roots.tolist() == [math.inf, math.inf]
+
+
+def test_roots_at_prices_down_to_the_smallest_float_meet_the_tolerance():
+    # positive and negative ROC slopes, in the band and outside it; below
+    # about 1e-307 the falling crossing lies where d * d overflows, and the
+    # root there must be +inf, not a point whose computed gain is 0
+    mus = [0.05, 0.3, 1.0, 2.5, 40.0]
+    prices = np.geomspace(1e-300, 5e-324, 120).tolist() + [1e-308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p_f, p_d in ((0.2, 0.9), (0.6, 0.71), (0.073, 0.26), (0.1, 0.3)):
+            coeffs = roc_coefficients(p_f, p_d)
+            for lam in prices:
+                roots = stationarity_root(lam, mus, coeffs, 1.0)
+                for mu, root in zip(mus, roots.tolist()):
+                    if 0.0 <= root < math.inf:
+                        gain = marginal_divergence_gain(root, mu, coeffs, 1.0)
+                        assert abs(gain - lam) <= ROOT_TOL * lam, (p_f, p_d, lam, mu, root)
+    assert stationarity_root(1e-308, 1.0, roc_coefficients(0.2, 0.9), 1.0) == math.inf
+    assert math.isfinite(stationarity_root(1e-308, 1.0, roc_coefficients(0.6, 0.71), 1.0))
 
 
 def test_out_of_band_gain_below_the_price_everywhere_is_priced_out(toy_scenario):
@@ -906,7 +925,7 @@ def test_activity_codes_read_off_the_powers_equal_the_candidate_stack(
             phi[k] = roots[tied]
     elif tie == "phi_on_causality":
         phi[k] = k * net.unit_power
-    ctx = replace(ctx, phi=phi)
+    ctx = replace(ctx, phi=phi, cap=np.minimum(ctx.causality, phi))
     powers = _map_for_lambda(lam, [ctx], net)
     ep = float(np.einsum("l,lk,k->", ctx.chain.pi, powers[0],
                          np.full(capacity + 1, 1.0 / (capacity + 1))))

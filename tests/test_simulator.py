@@ -252,6 +252,15 @@ def test_map_marginal_rejects_a_map_for_another_sensor_count(two_sensor_scenario
         fusion_llr(batch, sc, one, psis=(psi, psi))
 
 
+def test_map_marginal_rejects_a_table_with_an_extra_level_row(toy_scenario):
+    # the extra row used to be ignored
+    sc, pmap, batch, psi = _marginal_setup(toy_scenario)
+    K = sc.network.capacity
+    tall = replace(pmap, powers=(np.vstack([pmap.powers[0], np.zeros(K + 1)]),))
+    with pytest.raises(ValueError, match=r"sensor 0: the power map needs a 3 x 6"):
+        fusion_llr(batch, sc, tall, psis=(psi,))
+
+
 def test_map_marginal_rejects_levels_outside_the_map(toy_scenario):
     sc, pmap, batch, psi = _marginal_setup(toy_scenario)
     levels = batch.levels.copy()
@@ -874,6 +883,21 @@ def test_power_map_for_another_sensor_count_is_rejected(toy_scenario):
     two = replace(pmap, powers=pmap.powers * 2)
     with pytest.raises(ValueError, match="the power map covers 2 sensors, the scenario has 1"):
         simulate_slots(toy_scenario, two, 5, make_streams(1, 1))
+
+
+def test_power_map_in_other_energy_units_is_rejected(toy_scenario):
+    # toy's battery counts 0.2 J units; the solved map rebuilt in 0.4 J units
+    # drains [0, 1, 1, 2, 2, 3] units per live row instead of [0, 1, 2, 3, 4, 5],
+    # and used to run without an error
+    solved = optimize_power_map(toy_scenario).power_map
+    coarse = PowerMap(powers=solved.powers, unit_energy=0.4, slot_seconds=1.0)
+    assert coarse.units[0][1].tolist() == [0, 1, 1, 2, 2, 3]
+    match = (r"the power map counts 0\.4 J units over 1\.0 s slots, "
+             r"the network 0\.2 J units over 1\.0 s slots")
+    with pytest.raises(ValueError, match=match):
+        simulate_slots(toy_scenario, coarse, 5, make_streams(1, 1))
+    with pytest.raises(ValueError, match=match):
+        run_monte_carlo(toy_scenario, coarse, 0.0, slots=1000, seed=1)
 
 
 def test_power_map_of_another_shape_is_rejected(toy_scenario, two_sensor_scenario):
