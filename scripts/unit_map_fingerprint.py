@@ -20,7 +20,7 @@ one part in 10^6 can still flip its last printed digit, so judge a
 difference there by the size of the move. Run from the repository root,
 pointing PYTHONPATH at the library under test:
 
-    PYTHONPATH=src python3 scripts/unit_map_fingerprint.py [--smoke] [--oracle]
+    PYTHONPATH=src python3 scripts/unit_map_fingerprint.py [--smoke] [--oracle | --record]
 
 --smoke solves only the first scenario of each kind (bundled, grid, oracle,
 stall).
@@ -32,6 +32,19 @@ all), and prints
     <sha256 of the winning unit map>  <candidates>  <feasible>  <repr(objective_j)>  <label>
 
 A change to the oracle, or its replacement, must leave every line as it was.
+
+--record prints only the first two columns of the solver's lines,
+
+    <sha256 of the unit maps>  <outer_iterations>  <label>
+
+which is the format of tests/data/unit_maps.txt; the tests compare a fresh
+run with that file. A change that moves a unit map or a round count
+regenerates it with
+
+    PYTHONPATH=src python3 scripts/unit_map_fingerprint.py --record > tests/data/unit_maps.txt
+
+Price-evaluation counts stay out of the record: they can move with the last
+bits of a root while every unit map stays the same.
 """
 
 import argparse
@@ -109,8 +122,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="solve only the first scenario of each kind")
-    parser.add_argument("--oracle", action="store_true",
-                        help="fingerprint the exhaustive oracle's winners instead")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--oracle", action="store_true",
+                      help="fingerprint the exhaustive oracle's winners instead")
+    mode.add_argument("--record", action="store_true",
+                      help="print the unit-map hash, round count and label of each solve")
     args = parser.parse_args(argv)
     for label, scenario in scenarios(args.smoke):
         if args.oracle:
@@ -123,8 +139,12 @@ def main(argv=None) -> int:
                   f"{best.feasible}  {best.objective_j!r}  {label}")
         else:
             out = optimize_power_map(scenario)
-            print(f"{fingerprint(out.power_map.units)}  {out.outer_iterations}  "
-                  f"{out.price_evaluations}  {out.objective_j:.6g}  {label}")
+            digest = fingerprint(out.power_map.units)
+            if args.record:
+                print(f"{digest}  {out.outer_iterations}  {label}")
+            else:
+                print(f"{digest}  {out.outer_iterations}  "
+                      f"{out.price_evaluations}  {out.objective_j:.6g}  {label}")
     return 0
 
 

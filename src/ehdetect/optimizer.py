@@ -376,6 +376,7 @@ class _SensorCtx:
     causality: np.ndarray     # stored power per state, state * unit_power
     cap: np.ndarray           # most a state may spend: min(causality, phi), in watts
     unit_cap: np.ndarray      # the whole units of cap, int64
+    j_units: np.ndarray       # read-only divergence at a whole units, shape (L+1, K+1)
     lambda_ceiling: float     # price above which every root vanishes
     live: np.ndarray          # mu > 0
     levels: tuple[_Level, ...]  # root constants of the live levels, in order
@@ -395,6 +396,9 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     live = mu > 0.0
     slope1, slope2 = coeffs.slopes
     ceiling = (max(slope1, 0.0) + max(slope2, 0.0)) * float(mu.max()) / sensor.noise_var
+    # the one place whole-unit powers are scored: causality[a] is a * unit_power
+    j_units = sensor_j_divergence(mu[:, None], causality[None, :], coeffs, sensor.noise_var)
+    j_units.flags.writeable = False
     return _SensorCtx(
         coeffs=coeffs,
         chain=chain,
@@ -405,6 +409,7 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
         cap=cap,
         # finite where phi is +inf; the slack absorbs dust on a unit boundary
         unit_cap=np.floor(cap / network.unit_power + 1e-9).astype(np.int64),
+        j_units=j_units,
         lambda_ceiling=ceiling,
         live=live,
         levels=tuple(_level_constants(m, coeffs, sensor.noise_var)
@@ -412,7 +417,7 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     )
 
 
-def _map_for_lambda(lam: float, ctxs, network: NetworkParams):
+def _map_for_lambda(lam: float, ctxs):
     """Clamped power tables for every sensor at one price.
 
     Each entry is stationarity_root's root, projected onto [0, ctx.cap],
@@ -426,6 +431,28 @@ def _map_for_lambda(lam: float, ctxs, network: NetworkParams):
         roots = _roots(lam, ctx.live, ctx.levels)
         out.append(np.minimum(ctx.cap, np.maximum(roots[:, None], 0.0)))
     return out
+
+
+def _unit_step(lam: float, ctx: _SensorCtx, h) -> np.ndarray:
+    """Howard's improvement step on one sensor's whole-unit Lagrangian.
+
+    Entry (l, k) of the int64 (L+1, K+1) result is the first a <=
+    ctx.unit_cap[k] that maximizes
+    (j_units[l, a] - lam * a * unit_power) + tp * (A @ h)[k - a],
+    with A the chain's bank-step table and h the relative values of the
+    battery states; a dead level takes 0. The idle branch's continuation
+    does not depend on a, so it is left out. With h = 0 this is the myopic
+    whole-unit map.
+    """
+    states = np.arange(ctx.causality.size)
+    ahead = ctx.chain.transmit_prob * (ctx.chain.arrivals.drain_table @ h)
+    # continuation by (state k, units a); a unit count past the cap never wins
+    post = np.maximum(states[:, None] - states[None, :], 0)
+    cont = np.where(states[None, :] <= ctx.unit_cap[:, None], ahead.take(post), -math.inf)
+    reward = ctx.j_units - lam * ctx.causality
+    units = np.argmax(reward[:, None, :] + cont[None, :, :], axis=2)
+    units[~ctx.live] = 0
+    return units
 
 
 def _expected_power(tables, psi_arrays, ctxs) -> float:
@@ -452,7 +479,7 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams):
     def ep_at(lam: float):
         nonlocal evaluations
         evaluations += 1
-        powers = _map_for_lambda(lam, ctxs, network)
+        powers = _map_for_lambda(lam, ctxs)
         return powers, _expected_power(powers, psi_arrays, ctxs)
 
     tol_abs = BUDGET_TOL * B
@@ -594,11 +621,12 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
 
     Each sensor's chain is solved for its exact stationary distribution, in
     the battery fixed point's stacked solve, so a fixed point's psi_star
-    comes back bit for bit; the divergence is scored at the unit powers
-    alpha * unit_energy / slot. The map must be one PowerMap would derive
-    from those powers, so ValueError names the sensor of a draining level 0,
-    a count outside [0, k] or a count that is not a whole number. Raises
-    ValueError too on a map for another sensor count, and as
+    comes back bit for bit; each entry's divergence is read from the
+    context's whole-unit table (_SensorCtx.j_units) at its units, the score
+    of the powers alpha * unit_energy / slot. The map must be one PowerMap
+    would derive from those powers, so ValueError names the sensor of a
+    draining level 0, a count outside [0, k] or a count that is not a whole
+    number. Raises ValueError too on a map for another sensor count, and as
     stationary_solve does.
     """
     net = scenario.network
@@ -613,7 +641,9 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     psis = tuple(_stationary_laws(pmap.units, [ctx.chain for ctx in ctxs]))
     psi_arrays = [p.psi for p in psis]
-    return (_objective(pmap.powers, psi_arrays, ctxs),
+    divergences = [np.take_along_axis(ctx.j_units, u, axis=1)
+                   for u, ctx in zip(pmap.units, ctxs)]
+    return (_expected_power(divergences, psi_arrays, ctxs),
             _expected_power(pmap.powers, psi_arrays, ctxs), psis)
 
 
@@ -623,7 +653,12 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     Admissible means the per-entry causality and outage caps hold; feasible
     additionally means the exact stationary expected power fits the budget.
     Every candidate is scored with its own exact stationary distribution, so
-    this is a true global oracle (and why the guard rails are tight). A
+    this is a global oracle up to rounding (and why the guard rails are
+    tight): the winner is picked on the batch's own chains and per-level
+    einsums, which round differently from evaluate_unit_map's. Where two
+    feasible maps score within about an ulp of each other, the other one
+    can score up to an ulp higher under evaluate_unit_map than the reported
+    winner, far below validate's 1e-3 rule. A
     candidate is one mixed-radix number; each batch of about
     EXHAUSTIVE_BATCH_ELEMENTS matrix entries decodes its own unit rows from
     those numbers and gathers its own drain rows, so nothing is held per
@@ -667,8 +702,6 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     base = (1.0 - tp) * bank + tp * pi[0] * bank
     spend = [tp * pi[1 + l] * bank for l in range(L1 - 1)]
 
-    j_table = sensor_j_divergence(ctx.mu[:, None], (states * unit_power)[None, :],
-                                  ctx.coeffs, ctx.noise_var)
     budget = net.power_budget * (1.0 + 1e-12) + 1e-15
 
     best_j = -math.inf
@@ -694,7 +727,7 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
         jval = np.full(idx.size, pi[0] * 2.0)  # dead level scores the floor
         for l, a in enumerate(alphas):
             ep += pi[1 + l] * np.einsum("bk,bk->b", psi, a * unit_power)
-            jval += pi[1 + l] * np.einsum("bk,bk->b", psi, j_table[1 + l, a])
+            jval += pi[1 + l] * np.einsum("bk,bk->b", psi, ctx.j_units[1 + l, a])
         ok = ep <= budget
         feasible += int(np.count_nonzero(ok))
         if np.any(ok):

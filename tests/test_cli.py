@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ehdetect import ScenarioError, emit_scenario, optimize_power_map
+from ehdetect import ScenarioError, emit_scenario, load_scenario, optimize_power_map
 from ehdetect.cli import (
     CALIBRATION_SEED_OFFSET,
     EXIT_CONVERGENCE,
@@ -124,6 +125,55 @@ def test_powermap_row_order_and_scaling(tmp_path):
     assert triples == sorted(triples)
     assert triples[0] == (0, 0, 0)
     assert triples[-1] == (0, 5, 14)
+
+
+RECORDED_TABLES = Path(__file__).resolve().parent / "data" / "powermap"
+
+
+def _agrees(fresh: str, recorded: str) -> bool:
+    """Counts and words exactly; other numbers to 1e-12 relative or 1e-15
+    absolute, so last-bit moves of a LAPACK build pass and exact zeros and
+    psi entries near 1e-19 compare as equal."""
+    if fresh.lstrip("-").isdigit() or recorded.lstrip("-").isdigit():
+        return fresh == recorded
+    try:
+        a, b = float(fresh), float(recorded)
+    except ValueError:
+        return fresh == recorded
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["toy", "two_sensor"])
+def test_powermap_tables_match_the_committed_record(tmp_path, scenario_dir, name):
+    # regenerate a record with: python -m ehdetect powermap --scenario
+    # scenarios/<name>.scn --out tests/data/powermap/<name>
+    scenario = scenario_dir / f"{name}.scn"
+    assert main(["powermap", "--scenario", str(scenario), "--out", str(tmp_path)]) == EXIT_OK
+    for table in ("power_map.csv", "battery_psi.csv", "summary.csv"):
+        meta, rows = read_table(tmp_path / table)
+        want_meta, want_rows = read_table(RECORDED_TABLES / name / table)
+        assert list(meta) == list(want_meta), table
+        for key in meta:
+            assert _agrees(meta[key], want_meta[key]), (table, key, meta[key], want_meta[key])
+        assert len(rows) == len(want_rows), table
+        assert list(rows[0]) == list(want_rows[0]), table
+        for i, (row, want) in enumerate(zip(rows, want_rows)):
+            if table == "summary.csv":
+                assert row["metric"] == want["metric"], (table, i)
+                # a rounding-level value, held to validate's certificate
+                # bounds instead; the evaluation count is not part of the record
+                if row["metric"] in ("price_evaluations", "max_interior_residual",
+                                     "slackness"):
+                    continue
+            for column in row:
+                assert _agrees(row[column], want[column]), \
+                    (table, i, column, row[column], want[column])
+    # rows holds summary.csv, the table read last
+    metrics = {row["metric"]: float(row["value"]) for row in rows
+               if row["metric"] != "converged"}
+    budget = load_scenario(scenario).network.power_budget
+    assert metrics["max_interior_residual"] <= 1e-6 * max(metrics["lambda_star"], 1e-12)
+    assert abs(metrics["slackness"]) <= 1e-6 * budget
 
 
 def test_powermap_nonconverged_exit(tmp_path, scenario_dir, toy_scenario,

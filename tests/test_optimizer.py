@@ -40,6 +40,7 @@ from ehdetect.optimizer import (
     _kkt_report,
     _map_for_lambda,
     _sensor_context,
+    _unit_step,
 )
 from references import clamp_power, convex_region_bounds, lambda_search
 
@@ -636,7 +637,7 @@ def test_a_price_evaluation_equals_the_clamped_public_roots(capacity, unit_energ
         g0 = marginal_divergence_gain(0.0, mu, ctx.coeffs, noise_var)
         prices += [np.nextafter(g0, -math.inf), g0, np.nextafter(g0, math.inf)]
     for lam in prices:
-        mine = _map_for_lambda(float(lam), [ctx], net)[0]
+        mine = _map_for_lambda(float(lam), [ctx])[0]
         assert mine.tobytes() == _reference_map(float(lam), ctx, net).tobytes(), lam
 
 
@@ -926,7 +927,7 @@ def test_activity_codes_read_off_the_powers_equal_the_candidate_stack(
     elif tie == "phi_on_causality":
         phi[k] = k * net.unit_power
     ctx = replace(ctx, phi=phi, cap=np.minimum(ctx.causality, phi))
-    powers = _map_for_lambda(lam, [ctx], net)
+    powers = _map_for_lambda(lam, [ctx])
     ep = float(np.einsum("l,lk,k->", ctx.chain.pi, powers[0],
                          np.full(capacity + 1, 1.0 / (capacity + 1))))
     mine = _kkt_report(lam, powers, [ctx], net, ep)
@@ -1079,6 +1080,38 @@ def test_exhaustive_reports_the_evaluated_winner_of_the_reference_enumeration(
     res = exhaustive_best_map(scenario)
     _assert_reported_as_evaluated(scenario, res)
     _assert_enumerates_as_the_reference(scenario, res)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_unit_step_is_the_first_brute_force_argmax(toy_scenario, data):
+    scenario = data.draw(_tiny_scenarios(toy_scenario))
+    K = data.draw(st.integers(1, 8))
+    net = replace(scenario.network, capacity=K)
+    sensor = scenario.sensors[0]
+    if data.draw(st.booleans()):
+        # a live level whose divergence underflows to the floor at every
+        # unit count, so at lam = 0 and h = 0 all its units tie
+        sensor = replace(sensor, thresholds=(0.0, 5e-324, *sensor.thresholds[2:]))
+    ctx = _sensor_context(net, sensor)
+    lam = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0).map(
+        lambda f: f * ctx.lambda_ceiling).filter(lambda x: x > 0.0)))
+    h = data.draw(st.one_of(st.just(np.zeros(K + 1)), st.lists(
+        st.floats(-5.0, 5.0), min_size=K + 1, max_size=K + 1).map(np.array)))
+    step = _unit_step(lam, ctx, h)
+    assert step.dtype == np.int64 and step.shape == (ctx.mu.size, K + 1)
+    ahead = ctx.chain.arrivals.drain_table @ h
+    tp = ctx.chain.transmit_prob
+    for l in range(ctx.mu.size):
+        for k in range(K + 1):
+            values = [(float(ctx.j_units[l, a]) - lam * (a * net.unit_power))
+                      + tp * float(ahead[k - a]) for a in range(int(ctx.unit_cap[k]) + 1)]
+            if ctx.mu[l] == 0.0 or ctx.unit_cap[k] == 0:
+                assert step[l, k] == 0
+            else:
+                # the same floats in the same order: the first index of the maximum
+                assert values[step[l, k]] == max(values), (l, k, values)
+                assert step[l, k] == values.index(max(values)), (l, k, values)
 
 
 def test_exhaustive_holds_no_table_per_choice(toy_scenario):

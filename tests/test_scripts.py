@@ -47,6 +47,17 @@ def test_unit_map_fingerprint_smoke():
     assert lines[0].split("  ")[1] == "518400"
 
 
+def test_unit_maps_match_the_committed_record():
+    # a change that moves a unit map or a round count regenerates the record:
+    # PYTHONPATH=src python3 scripts/unit_map_fingerprint.py --record > tests/data/unit_maps.txt
+    fresh = _run_script("unit_map_fingerprint.py", "--record")
+    recorded = (ROOT / "tests" / "data" / "unit_maps.txt").read_text().splitlines()
+    assert len(recorded) == 352
+    for mine, theirs in zip(fresh, recorded):
+        assert mine == theirs, f"first scenario that differs: {theirs.split('  ', 2)[2]}"
+    assert len(fresh) == len(recorded)
+
+
 def test_csv_fingerprint_covers_every_table():
     lines = _run_script("csv_fingerprint.py")
     tables = {
