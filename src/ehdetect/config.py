@@ -431,10 +431,14 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file.
 
-    Raises ScenarioError on malformed or inconsistent content and OSError if
-    the file cannot be read at all.
+    Raises ScenarioError on malformed or inconsistent content, a file that is
+    not UTF-8 text included, and OSError if the file cannot be read at all.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start} "
+                            f"({exc.reason})") from exc
     return loads_scenario(text, source=str(path))
 
 

@@ -38,16 +38,20 @@ class RocCoefficients:
 
     With s the receiver noise variance and x = gain * power,
 
-        j(x) = (s + num1*x) / (s + den1*x) + (s + num2*x) / (s + den2*x).
+        j(x) = 2 + slope1*x / (s + den1*x) + slope2*x / (s + den2*x).
 
     den1 and den2 are the Bernoulli variance slopes of the reported bit under
-    the alternative and the null; each numerator is the opposite branch's
-    variance slope plus the squared mean separation (p_d - p_f)^2.
+    the alternative and the null. The slopes are stored in the factored form
+    slope1 = (p_d - p_f)(2p_d - 1) and slope2 = (p_d - p_f)(1 - 2p_f), so no
+    reader forms them as a difference of nearly equal products near a tie
+    p_d ~ p_f. The paper's numerators num_i = slope_i + den_i (each is the
+    opposite branch's variance slope plus the squared mean separation
+    (p_d - p_f)^2) are derived from them.
     """
 
-    num1: float
+    slope1: float
     den1: float
-    num2: float
+    slope2: float
     den2: float
 
     def __post_init__(self) -> None:
@@ -56,15 +60,20 @@ class RocCoefficients:
             v = getattr(self, name)
             if not 0.0 < v <= 0.25:
                 raise ValueError(f"{name} must lie in (0, 1/4], got {v}")
-        for name in ("num1", "num2"):
-            v = getattr(self, name)
+        for i, v in ((1, self.num1), (2, self.num2)):
             if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+                raise ValueError(f"num{i} = slope{i} + den{i} must be finite and >= 0, "
+                                 f"got {v}")
 
     @property
-    def slopes(self) -> tuple[float, float]:
-        """(num1 - den1, num2 - den2); both >= 0 inside the concavity band."""
-        return self.num1 - self.den1, self.num2 - self.den2
+    def num1(self) -> float:
+        """The paper's first numerator, slope1 + den1."""
+        return self.slope1 + self.den1
+
+    @property
+    def num2(self) -> float:
+        """The paper's second numerator, slope2 + den2."""
+        return self.slope2 + self.den2
 
 
 def roc_coefficients(p_f: float, p_d: float) -> RocCoefficients:
@@ -74,10 +83,12 @@ def roc_coefficients(p_f: float, p_d: float) -> RocCoefficients:
             raise ValueError(f"{name} must lie strictly inside (0, 1), got {v}")
     if p_d <= p_f:
         raise ValueError(f"need p_f < p_d, got p_f={p_f}, p_d={p_d}")
+    # exact wherever p_d <= 2 p_f (Sterbenz)
+    gap = p_d - p_f
     return RocCoefficients(
-        num1=p_f * (1.0 - p_d) + p_d * (p_d - p_f),
+        slope1=gap * (2.0 * p_d - 1.0),
         den1=p_d * (1.0 - p_d),
-        num2=p_d * (1.0 - p_f) - p_f * (p_d - p_f),
+        slope2=gap * (1.0 - 2.0 * p_f),
         den2=p_f * (1.0 - p_f),
     )
 
@@ -90,8 +101,8 @@ def sensor_j_divergence(gain, power, coeffs: RocCoefficients, noise_var: float):
     if noise_var <= 0.0:
         raise ValueError("noise_var must be > 0")
     x = gain * power
-    return ((noise_var + coeffs.num1 * x) / (noise_var + coeffs.den1 * x)
-            + (noise_var + coeffs.num2 * x) / (noise_var + coeffs.den2 * x))
+    return (2.0 + coeffs.slope1 * x / (noise_var + coeffs.den1 * x)
+            + coeffs.slope2 * x / (noise_var + coeffs.den2 * x))
 
 
 def local_lrt_probabilities(amplitude: float, noise_sigma: float,

@@ -129,11 +129,10 @@ def _gain_and_derivative(p, mu, coeffs: RocCoefficients, noise_var: float,
                          derivative=True):
     """The marginal divergence gain and its power derivative (None if not asked)."""
     s = noise_var
-    slope1, slope2 = coeffs.slopes
     d1 = s + coeffs.den1 * mu * p
     d2 = s + coeffs.den2 * mu * p
-    t1 = slope1 * s * mu / (d1 * d1)
-    t2 = slope2 * s * mu / (d2 * d2)
+    t1 = coeffs.slope1 * s * mu / (d1 * d1)
+    t2 = coeffs.slope2 * s * mu / (d2 * d2)
     if not derivative:
         return t1 + t2, None
     return t1 + t2, -2.0 * mu * (coeffs.den1 * t1 / d1 + coeffs.den2 * t2 / d2)
@@ -239,23 +238,23 @@ def _gain_peak(coeffs: RocCoefficients):
     With a positive term i and a negative term j, the gain's slope vanishes
     where (s + den_j*mu*p) = r * (s + den_i*mu*p), r**3 = the ratio below,
     and that is a maximum past zero power exactly when r > 1 and
-    den_j > r * den_i. Neither mu nor the noise variance s enters the test,
-    so it is one per sensor, live levels or not.
+    den_j > r * den_i. The test is made on r**3, so no cube root's rounding
+    decides it; r is taken only for the peak's power. Neither mu nor the
+    noise variance s enters the test, so it is one per sensor, live levels
+    or not.
     """
-    slope1, slope2 = coeffs.slopes
-    if slope1 * slope2 < 0.0:
-        (sp, dp), (sn, dn) = sorted(((slope1, coeffs.den1), (slope2, coeffs.den2)),
-                                    reverse=True)
-        r = (-sn * dn / (sp * dp)) ** (1.0 / 3.0)
-        if r > 1.0 and dn > r * dp:
-            return r, dp, dn
+    if coeffs.slope1 * coeffs.slope2 < 0.0:
+        (sp, dp), (sn, dn) = sorted(((coeffs.slope1, coeffs.den1),
+                                     (coeffs.slope2, coeffs.den2)), reverse=True)
+        r3 = -sn * dn / (sp * dp)
+        if r3 > 1.0 and dn ** 3 > r3 * dp ** 3:
+            return r3 ** (1.0 / 3.0), dp, dn
     return None
 
 
 def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _Level:
     """The _Level of a live gain mu, a Python float."""
     s = noise_var
-    slope1, slope2 = coeffs.slopes
     g0, dg0 = _gain_and_derivative(0.0, mu, coeffs, s)
     peak, g_peak, dg_peak = 0.0, g0, dg0
     rising = _gain_peak(coeffs)
@@ -263,11 +262,16 @@ def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _L
         # mu cancels out of r; dividing by it last turns an underflowing mu
         # into +inf rather than a zero divisor. A peak past half the largest
         # float is taken there: the gain still rises up to it, and a
-        # bisection's lo + hi on [0, peak] stays finite
+        # bisection's lo + hi on [0, peak] stays finite. At the band's edge
+        # the peak recedes without bound, and there dn - r * dp can round to
+        # zero or below while the exact test on r**3 still says it rises
         r, dp, dn = rising
-        peak = min(s * (r - 1.0) / (dn - r * dp) / mu, 0.5 * sys.float_info.max)
+        span = dn - r * dp
+        peak = 0.5 * sys.float_info.max
+        if span > 0.0:
+            peak = min(s * (r - 1.0) / span / mu, peak)
         g_peak, dg_peak = _gain_and_derivative(peak, mu, coeffs, s)
-    return _Level(s=s, a1=slope1 * s * mu, a2=slope2 * s * mu,
+    return _Level(s=s, a1=coeffs.slope1 * s * mu, a2=coeffs.slope2 * s * mu,
                   b1=coeffs.den1 * mu, b2=coeffs.den2 * mu,
                   den1=coeffs.den1, den2=coeffs.den2, m2=-2.0 * mu,
                   g0=g0, dg0=dg0, peak=peak, g_peak=g_peak, dg_peak=dg_peak)
@@ -394,8 +398,8 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     cap = np.minimum(causality, phi)
     mu = np.asarray(sensor.thresholds[:-1], dtype=float)
     live = mu > 0.0
-    slope1, slope2 = coeffs.slopes
-    ceiling = (max(slope1, 0.0) + max(slope2, 0.0)) * float(mu.max()) / sensor.noise_var
+    ceiling = ((max(coeffs.slope1, 0.0) + max(coeffs.slope2, 0.0)) * float(mu.max())
+               / sensor.noise_var)
     # the one place whole-unit powers are scored: causality[a] is a * unit_power
     j_units = sensor_j_divergence(mu[:, None], causality[None, :], coeffs, sensor.noise_var)
     j_units.flags.writeable = False

@@ -111,8 +111,13 @@ class SimBatch:
     batteries: tuple[int, ...]      # end-of-batch, feeds the next batch
 
 
+def _is_whole(value) -> bool:
+    """An integer that is not a bool: True would count as 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, least: int) -> None:
-    if not isinstance(value, numbers.Integral) or value < least:
+    if not _is_whole(value) or value < least:
         raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
@@ -147,7 +152,7 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     `batteries`, one whole number of units in 0..capacity per sensor
     (default: full). `slots` = 0 returns them unchanged. The network's
     transmit_prob_model decides who transmits. Raises ValueError on a
-    negative or non-integer `slots`, on streams or a power map for another
+    negative, non-integer or bool `slots`, on streams or a power map for another
     sensor count, on a bad battery (naming the sensor), on power tables
     whose shape does not match the sensor, and on a map in other energy
     units.
@@ -165,7 +170,7 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         raise ValueError(f"need one battery per sensor: got {len(batteries)} "
                          f"for {N} sensors; {why}")
     for n, b in enumerate(batteries):
-        if not isinstance(b, numbers.Integral) or not 0 <= b <= K:
+        if not _is_whole(b) or not 0 <= b <= K:
             raise ValueError(f"sensor {n}: battery must be a whole number of units "
                              f"in 0..{K}, got {b!r}")
     _check_map(scenario, power_map)

@@ -566,6 +566,21 @@ def test_malformed_scenario_maps_to_input_exit(tmp_path):
                  "--out", str(tmp_path / "out2")]) == EXIT_INPUT
 
 
+def test_scenario_that_is_not_utf8_maps_to_input_exit(tmp_path):
+    # one error line and no traceback, from a fresh interpreter
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xff\xfe[network]\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ehdetect.__file__).parent.parent), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "ehdetect", "validate",
+                          "--scenario", str(bad)],
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == EXIT_INPUT
+    assert run.stderr.splitlines() == [
+        f"error: {bad}: not UTF-8 text at byte 0 (invalid start byte)"]
+
+
 def test_convergence_error_maps_to_exit_3(tmp_path, scenario_dir, monkeypatch,
                                           capsys):
     # one round cannot repeat a unit map, so every solve ends unconverged

@@ -66,6 +66,19 @@ def test_load_scenario_missing_file(tmp_path):
         load_scenario(tmp_path / "nope.scn")
 
 
+@pytest.mark.parametrize("raw,offset", [
+    (b"\xff\xfe[network]\n", 0),            # a UTF-16 byte-order mark
+    (b"[network]\n# caf\xe9\n", 15),         # Latin-1 in a comment
+])
+def test_load_scenario_rejects_text_that_is_not_utf8(tmp_path, raw, offset):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(raw)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert str(path) in str(err.value)
+    assert f"not UTF-8 text at byte {offset} " in str(err.value)
+
+
 @pytest.mark.parametrize("mutation,fragment", [
     ("thresholds = 0.1, 0.5, inf", "first"),
     ("thresholds = 0, 0.5, 2.0", "last"),

@@ -58,7 +58,7 @@ def test_roc_coefficients_validate_inputs():
     with pytest.raises(ValueError):
         roc_coefficients(0.0, 0.5)
     with pytest.raises(ValueError):
-        RocCoefficients(num1=0.5, den1=0.3, num2=0.5, den2=0.1)  # den1 > 1/4
+        RocCoefficients(slope1=0.2, den1=0.3, slope2=0.4, den2=0.1)  # den1 > 1/4
 
 
 def test_divergence_reference_point():

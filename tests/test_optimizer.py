@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ def test_marginal_gain_never_rises_exactly_inside_the_concavity_band(p_f, p_d, m
     coeffs = roc_coefficients(p_f, p_d)
     gain = marginal_divergence_gain(_BAND_POWERS, mu, coeffs, noise_var)
     # rounding noise scales with the largest value a term of the gain takes
-    slope1, slope2 = coeffs.slopes
+    slope1, slope2 = coeffs.slope1, coeffs.slope2
     rises = np.diff(gain) > 1e-12 * (abs(slope1) + abs(slope2)) * mu / noise_var
     if lo <= p_d <= hi:
         assert not rises.any()
@@ -170,6 +171,55 @@ def test_band_membership_is_the_solvers_rise_test(p_f, p_d):
     lo, hi = convex_region_bounds(p_f)
     assert (ehdetect.optimizer._gain_peak(roc_coefficients(p_f, p_d)) is None) == \
         (lo <= p_d <= hi)
+
+
+def _exact_rise(p_f, p_d):
+    """The rise test of _gain_peak in exact rational arithmetic on the floats
+    p_f and p_d; also returns the exact factored slopes."""
+    pf, pd = Fraction(p_f), Fraction(p_d)
+    slope1, slope2 = (pd - pf) * (2 * pd - 1), (pd - pf) * (1 - 2 * pf)
+    rises = False
+    if slope1 * slope2 < 0:
+        (sp, dp), (sn, dn) = sorted(((slope1, pd * (1 - pd)), (slope2, pf * (1 - pf))),
+                                    reverse=True)
+        r3 = -sn * dn / (sp * dp)
+        rises = r3 > 1 and dn ** 3 > r3 * dp ** 3
+    return rises, slope1, slope2
+
+
+@settings(max_examples=500, deadline=None)
+@given(p_f=st.floats(0.001, 0.999, exclude_min=True, exclude_max=True),
+       log_gap=st.floats(-13.0, -2.0))
+# a verdict the slopes formed as num_i - den_i got wrong
+@example(p_f=0.4, log_gap=-9.0)
+def test_rise_test_is_exact_near_ties(p_f, log_gap):
+    # p_d within 1e-13..1e-2 of p_f: the slopes are tiny, but stored in
+    # factored form they keep their relative precision, so the float rise
+    # test gives the exact verdict
+    p_d = p_f + 10.0 ** log_gap
+    assume(p_d < 1.0)
+    coeffs = roc_coefficients(p_f, p_d)
+    rises, slope1, slope2 = _exact_rise(p_f, p_d)
+    assert (ehdetect.optimizer._gain_peak(coeffs) is not None) == rises
+    eps = sys.float_info.epsilon
+    for stored, exact in ((coeffs.slope1, slope1), (coeffs.slope2, slope2)):
+        assert abs(Fraction(stored) - exact) <= 2 * eps * abs(exact)
+
+
+@pytest.mark.parametrize("p_f, p_d", [(0.06137312646507679, 0.06137312646507681),
+                                      (0.12698100000559942, 0.12698100000559945)])
+def test_a_peak_past_rounding_of_the_band_edge_is_taken_at_the_far_end(p_f, p_d):
+    # p_d a few ulps above p_f: the test on r**3 says the gain rises, while
+    # den_j - r * den_i rounds to zero or below, so the peak's closed form
+    # has no positive divisor
+    coeffs = roc_coefficients(p_f, p_d)
+    r, dp, dn = ehdetect.optimizer._gain_peak(coeffs)
+    assert dn - r * dp <= 0.0
+    level = ehdetect.optimizer._level_constants(1.0, coeffs, 1.0)
+    assert level.peak == 0.5 * sys.float_info.max
+    for lam in (1e-300, 1e-3):
+        root = stationarity_root(lam, 1.0, coeffs, 1.0)
+        assert root == -1.0 or root >= 0.0
 
 
 def test_band_note_needs_no_live_level(toy_scenario):
@@ -383,7 +433,7 @@ def test_the_gain_rises_only_to_its_closed_form_peak(p_f, p_d, mu, noise_var, fr
     powers = np.unique(np.concatenate(
         ([0.0, level.peak], np.geomspace(1e-24 * p_hi, p_hi, 4001))))
     gain = marginal_divergence_gain(powers, mu, coeffs, noise_var)
-    slope1, slope2 = coeffs.slopes
+    slope1, slope2 = coeffs.slope1, coeffs.slope2
     # rounding scales with the largest value a term of the gain takes; an
     # absolute 1e-322 covers the few subnormal roundings of a tiny gain
     tol = 1e-12 * (abs(slope1) + abs(slope2)) * mu / noise_var + 1e-322
@@ -449,7 +499,7 @@ def _masked_newton_roots(lam, mu, coeffs, noise_var):
     if not np.any(live):
         return out
     mu = m[live]
-    slope1, slope2 = coeffs.slopes
+    slope1, slope2 = coeffs.slope1, coeffs.slope2
     res = np.full(mu.size, -1.0)
     # beyond p_big both terms are within lam/2 of zero, so f < 0 for sure
     p_big = np.ones(mu.size)
@@ -570,7 +620,7 @@ def _negative_gains(monkeypatch):
     the gain turns negative past the crossing, where sqrt(g / lam) is NaN.
     At these prices the crossing sits so close to the gain's own zero that
     iterates in the bracket [0, p_big] land past it."""
-    coeffs = RocCoefficients(num1=0.5, den1=0.25, num2=0.0, den2=0.05)
+    coeffs = RocCoefficients(slope1=0.25, den1=0.25, slope2=-0.05, den2=0.05)
     return [(coeffs, 1e-6), (coeffs, 1e-9)]
 
 
@@ -1068,7 +1118,7 @@ def _tiny_scenarios(draw, template):
     sensor = replace(template.sensors[0], p_f=p_f, p_d=p_d,
                      thresholds=(0.0, draw(st.floats(0.05, 1.0)), *upper, math.inf))
     coeffs = roc_coefficients(p_f, p_d)
-    assert (min(coeffs.slopes) < 0.0) == negative
+    assert (min(coeffs.slope1, coeffs.slope2) < 0.0) == negative
     return replace(template, network=net, sensors=(sensor,))
 
 

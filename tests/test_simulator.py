@@ -665,9 +665,16 @@ def test_calibration_fuses_the_null_output_of_every_slot(toy_scenario, monkeypat
      r"warmup must be a whole number >= 0, got -3"),
     (lambda sc, m: run_monte_carlo(sc, m, 0.0, slots=1000, seed=1, warmup=2.5),
      r"warmup must be a whole number >= 0, got 2\.5"),
+    (lambda sc, m: calibrate_threshold(sc, m, 0.1, samples=True, seed=1),
+     r"samples must be a whole number >= 1, got True"),
+    (lambda sc, m: run_monte_carlo(sc, m, 0.0, slots=True, seed=1),
+     r"slots must be a whole number >= 1, got True"),
+    (lambda sc, m: run_monte_carlo(sc, m, 0.0, slots=1000, seed=1, warmup=True),
+     r"warmup must be a whole number >= 0, got True"),
 ], ids=["calibrate_float_samples", "calibrate_zero_samples", "calibrate_negative_warmup",
         "calibrate_float_warmup", "measure_float_slots", "measure_zero_slots",
-        "measure_negative_warmup", "measure_float_warmup"])
+        "measure_negative_warmup", "measure_float_warmup", "calibrate_bool_samples",
+        "measure_bool_slots", "measure_bool_warmup"])
 def test_bad_counts_raise_before_anything_is_simulated(toy_scenario, monkeypatch, call, match):
     calls = []
     monkeypatch.setattr(simulator, "simulate_slots", lambda *args, **kwargs: calls.append(args))
@@ -862,8 +869,10 @@ def test_zero_slots_return_the_start_batteries(two_sensor_scenario):
     (5, (100, 100, 3), r"got 3 for 2 sensors; batteries\[2\] matches no sensor"),
     (-1, None, r"slots must be a whole number >= 0, got -1"),
     (2.0, None, r"slots must be a whole number >= 0, got 2\.0"),
+    (True, None, r"slots must be a whole number >= 0, got True"),
+    (5, (True, 100), r"sensor 0: battery .* got True"),
 ], ids=["negative", "over_capacity", "fraction", "second_negative", "too_few", "too_many",
-        "negative_slots", "float_slots"])
+        "negative_slots", "float_slots", "bool_slots", "bool_battery"])
 def test_bad_batteries_and_slots_raise(two_sensor_scenario, slots, batteries, match):
     pmap = _spend_one_map(two_sensor_scenario)
     with pytest.raises(ValueError, match=match):
