@@ -32,6 +32,15 @@ all), and prints
     <sha256 of the winning unit map>  <candidates>  <feasible>  <repr(objective_j)>  <label>
 
 A change to the oracle, or its replacement, must leave every line as it was.
+The output is recorded in tests/data/oracle_maps.txt, written with
+
+    PYTHONPATH=src python3 scripts/unit_map_fingerprint.py --oracle > tests/data/oracle_maps.txt
+
+The tests re-run its capacity-4 lines and compare the counts exactly and
+the objective to 1e-12; the capacity-5 lines and the winners' hashes are
+checked by diffing a full run against the file. An exact tie between maps
+that differ only in a state the chain never visits is decided by the last
+bits of the LAPACK build, so a hash can move on another machine.
 
 --record prints only the first two columns of the solver's lines,
 

@@ -344,7 +344,8 @@ def cmd_validate(args) -> int:
             gap = (best.objective_j - mine) / max(1.0, abs(best.objective_j))
             results.append(_check(
                 "exhaustive", gap <= 1e-3,
-                f"relative gap to enumerated best {gap:.3e} (tol 1e-3)"))
+                f"relative gap to enumerated best {gap:.3e} (tol 1e-3) over "
+                f"{best.candidates} candidates, {best.feasible} feasible"))
 
     failed = [name for name, ok in results if not ok]
     if not outcome.converged:

@@ -448,6 +448,8 @@ def test_validate_passes_on_bundled_scenarios(scenario_dir, capsys):
     assert "PASS fixed-point" in text
     assert "PASS certificate" in text
     assert "PASS exhaustive" in text  # toy is small enough to enumerate
+    # the oracle's work: toy's slack budget admits all (6!)^2 maps
+    assert "(tol 1e-3) over 518400 candidates, 518400 feasible\n" in text
     printed = text
 
     assert main(["validate", "--scenario",

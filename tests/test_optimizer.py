@@ -1169,7 +1169,7 @@ def test_exhaustive_holds_no_table_per_choice(toy_scenario):
     # 2-vCPU Xeon (NumPy 2.4.6): 474 MiB when every choice's drain rows were
     # held at once, 57 MiB with the rows gathered per batch but a table of
     # every choice's units held (25 MiB), 2.6 MiB with each batch decoding
-    # its own units
+    # its own units, 3.1 MiB with the grouped regenerative solve
     sensor = replace(toy_scenario.sensors[0], thresholds=(0.0, 0.6, math.inf))
     scenario = replace(toy_scenario, sensors=(sensor,),
                        network=replace(toy_scenario.network, capacity=8))
@@ -1217,6 +1217,98 @@ def test_batch_boundaries_do_not_change_the_result(toy_scenario, monkeypatch, li
     for chains in (1, 7):
         monkeypatch.setattr(ehdetect.optimizer, "EXHAUSTIVE_BATCH_ELEMENTS",
                             chains * (capacity + 1) ** 2)
+        assert _result_bytes(exhaustive_best_map(scenario)) == _result_bytes(default)
+
+
+def _recorded_regenerative_calls(scenario):
+    """The oracle's result and every (inputs, outputs) of its regenerative solves."""
+    calls = []
+    solve = ehdetect.optimizer._regenerative_laws
+
+    def recording(*args):
+        out = solve(*args)
+        calls.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ehdetect.optimizer, "_regenerative_laws", recording)
+        res = exhaustive_best_map(scenario)
+    return res, calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_regenerative_laws_and_scores_match_the_stacked_solve(toy_scenario, data):
+    scenario = data.draw(_tiny_scenarios(toy_scenario))
+    res, calls = _recorded_regenerative_calls(scenario)
+    tol = ehdetect.optimizer._RESCORE_MARGIN / 100.0
+    chains = 0
+    for (rows, last_rows, low, top), (v, err, scores) in calls:
+        G, K = rows.shape[:2]
+        R = last_rows.shape[0]
+        chains += G * R
+        # every group keeps its fast laws on these scenarios, so none falls back
+        assert np.all(err <= tol)
+        M = np.concatenate([np.broadcast_to(rows[:, None], (G, R, K, K + 1)),
+                            np.broadcast_to(last_rows[None, :, None], (G, R, 1, K + 1))],
+                           axis=2)
+        psi = stationary_solve(M.reshape(G * R, K + 1, K + 1)).reshape(G, R, K + 1)
+        fast = np.concatenate([v, np.ones((G, R, 1))], axis=2)
+        fast /= fast.sum(axis=2, keepdims=True)
+        assert np.abs(fast - psi).sum(axis=2).max() <= tol
+        # spend and divergence: each column against its largest per-state value
+        stacked = np.einsum("grk,gks->grs", psi[:, :, :K], low) + psi[:, :, K:] * top
+        scale = np.maximum(np.abs(low).max(axis=(0, 1)), np.abs(top).max(axis=0))
+        assert np.all(np.abs(scores - stacked) <= tol * scale)
+    assert chains == res.candidates
+
+
+@pytest.mark.parametrize("failing", [slice(None), slice(None, None, 2)])
+def test_groups_that_fail_their_check_fall_back_to_the_stacked_solve(
+        toy_scenario, monkeypatch, failing):
+    # a binding budget at capacity 4: 14 400 candidates in 576 groups; every
+    # group, then every other group of each batch, fails its error bound
+    scenario = replace(toy_scenario, network=replace(
+        toy_scenario.network, capacity=4, power_budget=0.1))
+    default = exhaustive_best_map(scenario)
+    assert 0 < default.feasible < default.candidates == 14_400
+    solve = ehdetect.optimizer._regenerative_laws
+
+    def failing_check(*args):
+        v, err, scores = solve(*args)
+        err = err.copy()
+        err[failing] = math.inf
+        return v, err, scores
+
+    solved = []
+    stacked = ehdetect.optimizer.stationary_solve
+    monkeypatch.setattr(ehdetect.optimizer, "_regenerative_laws", failing_check)
+    monkeypatch.setattr(ehdetect.optimizer, "stationary_solve",
+                        lambda M: solved.append(len(M)) or stacked(M))
+    assert _result_bytes(exhaustive_best_map(scenario)) == _result_bytes(default)
+    # each failed group's 25 candidates went through the stacked solve
+    assert sum(solved) >= (14_400 if failing == slice(None) else 7_200)
+
+
+@pytest.mark.parametrize("budget", [0.05, 0.2])
+def test_fast_score_errors_inside_the_margin_do_not_change_the_result(
+        toy_scenario, monkeypatch, budget):
+    # at 0.05 the winner drains one unit at state 4 only, so the states below
+    # 3 are never visited and 576 maps tie exactly: the stacked solve's first
+    # best must win however the fast scores order them; at 0.2 the budget binds
+    scenario = replace(toy_scenario, network=replace(
+        toy_scenario.network, capacity=4, power_budget=budget))
+    default = exhaustive_best_map(scenario)
+    solve = ehdetect.optimizer._regenerative_laws
+    rng = np.random.default_rng(28)
+    half_margin = 0.5 * ehdetect.optimizer._RESCORE_MARGIN
+
+    def noisy(*args):
+        v, err, scores = solve(*args)
+        return v, err, scores * (1.0 + rng.uniform(-half_margin, half_margin, scores.shape))
+
+    monkeypatch.setattr(ehdetect.optimizer, "_regenerative_laws", noisy)
+    for _ in range(3):
         assert _result_bytes(exhaustive_best_map(scenario)) == _result_bytes(default)
 
 

@@ -58,6 +58,43 @@ def test_unit_maps_match_the_committed_record():
     assert len(fresh) == len(recorded)
 
 
+def test_oracle_matches_the_committed_record_at_capacity_4():
+    # tests/data/oracle_maps.txt is `unit_map_fingerprint.py --oracle`; the
+    # capacity-4 lines (14 400 candidates each) are re-run here, the rest by
+    # hand. Winner hashes stay out: an exact tie between maps that differ only
+    # in a state the chain never visits goes to the last bits of a runner's LAPACK
+    recorded = (ROOT / "tests" / "data" / "oracle_maps.txt").read_text().splitlines()
+    assert len(recorded) == 321
+    expected = {}
+    for line in recorded:
+        _digest, candidates, feasible, j, label = line.split("  ", 4)
+        if candidates == "14400":
+            expected[label] = (int(feasible), float(j))
+    assert len(expected) == 151
+    program = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import unit_map_fingerprint as fp\n"
+        "for label, scenario in fp.scenarios():\n"
+        "    if scenario.num_sensors == 1 and scenario.network.capacity == 4:\n"
+        "        best = fp.exhaustive_best_map(scenario)\n"
+        "        print(f'{best.candidates}  {best.feasible}  {best.objective_j!r}  {label}')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", program, str(ROOT / "scripts")],
+                         capture_output=True, text=True, env=env, check=True)
+    fresh = {}
+    for line in run.stdout.splitlines():
+        candidates, feasible, j, label = line.split("  ", 3)
+        assert candidates == "14400", label
+        fresh[label] = (int(feasible), float(j))
+    assert fresh.keys() == expected.keys()
+    for label, (feasible, j) in expected.items():
+        assert fresh[label][0] == feasible, label
+        assert abs(fresh[label][1] - j) <= 1e-12 * abs(j), label
+
+
 def test_csv_fingerprint_covers_every_table():
     lines = _run_script("csv_fingerprint.py")
     tables = {
