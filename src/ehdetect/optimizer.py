@@ -38,6 +38,7 @@ from .battery import (
     stationary_oracle,  # no caller here: perfbench's tracer patches this name
     stationary_solve,
     steady_state_psi,
+    transition_matrix,
     transmit_probability,
 )
 from .config import (
@@ -476,6 +477,21 @@ def _expected_power(tables, psi_arrays, ctxs) -> float:
     return total
 
 
+def _unit_scores(units, psi, ctx: _SensorCtx):
+    """Divergence pi_0 * 2 + sum_l pi_l * (psi . j_units[l, units[l]]) and
+    spend sum_l pi_l * (psi . units[l] * unit_power) of whole-unit maps
+    units (..., L+1, K+1) under their laws psi (..., K+1), summed over the
+    live levels in order; a map scores the same bits in a batch as alone."""
+    pi = ctx.chain.pi
+    j = np.full(psi.shape[:-1], pi[0] * 2.0)
+    spend = np.zeros(psi.shape[:-1])
+    for l in range(1, pi.size):
+        a = units[..., l, :]
+        j += pi[l] * np.einsum("...k,...k->...", psi, ctx.j_units[l, a])
+        spend += pi[l] * np.einsum("...k,...k->...", psi, ctx.causality[a])
+    return j, spend
+
+
 def _objective(powers, psi_arrays, ctxs) -> float:
     divergences = [sensor_j_divergence(ctx.mu[:, None], P, ctx.coeffs, ctx.noise_var)
                    for P, ctx in zip(powers, ctxs)]
@@ -634,9 +650,9 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
 
     Each sensor's chain is solved for its exact stationary distribution, in
     the battery fixed point's stacked solve, so a fixed point's psi_star
-    comes back bit for bit; each entry's divergence is read from the
-    context's whole-unit table (_SensorCtx.j_units) at its units, the score
-    of the powers alpha * unit_energy / slot. The map must be one PowerMap
+    comes back bit for bit; _unit_scores scores each sensor from the
+    context's whole-unit table (_SensorCtx.j_units), the score of the powers
+    alpha * unit_energy / slot. The map must be one PowerMap
     would derive from those powers, so ValueError names the sensor of a
     draining level 0, a count outside [0, k] or a count that is not a whole
     number. Raises ValueError too on a map for another sensor count, and as
@@ -653,11 +669,11 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
             raise ValueError(f"unit map sensor {n}: counts must be whole numbers")
     ctxs = [_sensor_context(net, s) for s in scenario.sensors]
     psis = tuple(_stationary_laws(pmap.units, [ctx.chain for ctx in ctxs]))
-    psi_arrays = [p.psi for p in psis]
-    divergences = [np.take_along_axis(ctx.j_units, u, axis=1)
-                   for u, ctx in zip(pmap.units, ctxs)]
-    return (_expected_power(divergences, psi_arrays, ctxs),
-            _expected_power(pmap.powers, psi_arrays, ctxs), psis)
+    objective = expected = 0.0
+    for u, psi, ctx in zip(pmap.units, psis, ctxs):
+        j, spend = _unit_scores(u, psi.psi, ctx)
+        objective, expected = objective + float(j), expected + float(spend)
+    return objective, expected, psis
 
 
 def _regenerative_laws(rows, last_rows, low_scores, top_scores):
@@ -716,21 +732,18 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     group; a batch of groups holds about EXHAUSTIVE_BATCH_ELEMENTS visit
     counts and residuals. A group whose error bound is above
     _RESCORE_MARGIN / 100 falls back to the stacked solve for all of its
-    candidates, which raises as stationary_solve does. The stacked solve and the per-level einsums, in
-    batches of about EXHAUSTIVE_BATCH_ELEMENTS matrix entries, also re-score
-    every candidate whose fast spend lies within the margin of the budget,
-    and every feasible one whose fast objective lies within the margin of
-    the best fast objective so far. Feasibility near the budget and the
-    winner, the first candidate of the largest objective, are decided on
-    those scores, so the result does not depend on the batching and is the
-    one an enumeration of stacked solves alone would give. The winner is
-    picked on the batch's chains and per-level einsums, which round
-    differently from evaluate_unit_map's. Where two feasible maps score
-    within about an ulp of each other, the other one can score up to an ulp
-    higher under evaluate_unit_map than the reported winner, far below
-    validate's 1e-3 rule. The winner's objective_j, expected_power and psi
-    are evaluate_unit_map's, bit for bit. Raises ExhaustiveRefused past the
-    guard rails, and ValueError with no feasible map or as stationary_solve.
+    candidates, which raises as stationary_solve does. The stacked solve
+    also re-scores every candidate whose fast spend lies within the margin
+    of the budget, and every feasible one whose fast objective lies within
+    the margin of the best fast objective so far, with evaluate_unit_map's
+    bits: transition_matrix, stationary_solve and _unit_scores, in batches
+    of about EXHAUSTIVE_BATCH_ELEMENTS matrix entries. Those scores decide
+    feasibility near the budget and the winner, the first feasible
+    candidate of the largest objective, so the result is the one an
+    enumeration of evaluate_unit_map calls would give, at any batching, and
+    the winner is reported as evaluate_unit_map scores it. Raises
+    ExhaustiveRefused past the guard rails, and ValueError with no feasible
+    map or as stationary_solve.
     """
     net = scenario.network
     if scenario.num_sensors != 1:
@@ -744,8 +757,6 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
             f"{EXHAUSTIVE_MAX_CAPACITY} or levels {L1 - 1} > {EXHAUSTIVE_MAX_LEVELS})"
         )
     ctx = _sensor_context(net, sensor)
-    unit_power = net.unit_power
-    states = np.arange(K + 1)
     # every live level picks its row from the same per-state unit choices,
     # 0..ctx.unit_cap; a candidate map is one mixed-radix number with a digit
     # per live level; a digit is itself a number over unit_cap + 1 whose
@@ -760,43 +771,38 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     def units_of(choice, digits=radix):
         return np.stack(np.unravel_index(choice, digits), axis=-1)
 
-    pi, tp, bank = ctx.chain.pi, ctx.chain.transmit_prob, ctx.chain.arrivals.drain_table
-    # the dead level never drains; a batch gathers each live level's rows
-    # from its bank steps, weighted by its cell probability once
-    base = (1.0 - tp) * bank + tp * pi[0] * bank
-    spend = [tp * pi[1 + l] * bank for l in range(L1 - 1)]
+    def maps_of(idx):
+        """The (n, L+1, K+1) unit maps of the candidate numbers idx."""
+        maps = np.zeros((idx.size, L1, K + 1), dtype=np.int64)
+        # a lone dead level leaves no digit to decode
+        for l, d in enumerate(np.unravel_index(idx, counts) if counts else ()):
+            maps[:, 1 + l] = units_of(d)
+        return maps
 
     budget = net.power_budget * (1.0 + 1e-12) + 1e-15
     batch = max(1, EXHAUSTIVE_BATCH_ELEMENTS // (K + 1) ** 2)
 
     def stacked_scores(idx):
-        """Expected power and objective of the candidates idx, each the same
-        bits at any batch size: one stacked stationary_solve per batch."""
-        ep = np.zeros(idx.size)
-        jval = np.full(idx.size, pi[0] * 2.0)  # dead level scores the floor
+        """Expected power and objective of the candidates idx, each
+        evaluate_unit_map's bits at any batch size."""
+        ep, jval = np.empty(idx.size), np.empty(idx.size)
         for start in range(0, idx.size, batch):
             part = slice(start, start + batch)
-            n = idx[part].size
-            # a lone dead level leaves no digit to decode
-            level_idx = np.unravel_index(idx[part], counts) if counts else ()
-            M = np.broadcast_to(base, (n, K + 1, K + 1)).copy()
-            post = np.empty((n, K + 1), dtype=np.int64)  # post-drain states, per level
-            alphas = []
-            for l in range(L1 - 1):
-                a = units_of(level_idx[l])
-                alphas.append(a)
-                # take, not fancy indexing: 0.76 ms against 2.55 ms per 20 000 chains at K = 5
-                M += spend[l].take(np.subtract(states, a, out=post), axis=0)
-            del post  # not held through the solve, where a batch peaks
-            psi = stationary_solve(M)
-            for l, a in enumerate(alphas):
-                ep[part] += pi[1 + l] * np.einsum("bk,bk->b", psi, a * unit_power)
-                jval[part] += pi[1 + l] * np.einsum("bk,bk->b", psi, ctx.j_units[1 + l, a])
+            maps = maps_of(idx[part])
+            psi = stationary_solve(transition_matrix(maps, ctx.chain))
+            jval[part], ep[part] = _unit_scores(maps, psi, ctx)
         return ep, jval
+
+    pi, tp, bank = ctx.chain.pi, ctx.chain.transmit_prob, ctx.chain.arrivals.drain_table
+    # the fast path assembles its group rows itself, as transition_matrix
+    # sums them: the dead level never drains, and each live level's rows are
+    # gathered from its bank steps, weighted by its cell probability once
+    base = (1.0 - tp) * bank + tp * pi[0] * bank
+    spend = [tp * pi[1 + l] * bank for l in range(L1 - 1)]
 
     def state_scores(l, a):
         """Level l's share of the spend and of the divergence at units a."""
-        return pi[1 + l] * np.stack([a * unit_power, ctx.j_units[1 + l, a]], axis=-1)
+        return pi[1 + l] * np.stack([ctx.causality[a], ctx.j_units[1 + l, a]], axis=-1)
 
     # a group is the lower digits (states 0..K-1) of every live level, a
     # member the units at state K of every live level; a member's last row,
@@ -828,7 +834,7 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
         group_idx = np.zeros(group.size, dtype=np.int64)
         for l, d in enumerate(np.unravel_index(group, (low,) * live) if live else ()):
             a = units_of(d, radix[:K])
-            rows += spend[l].take(states[:K] - a, axis=0)
+            rows += spend[l].take(np.arange(K) - a, axis=0)
             low_scores += state_scores(l, a)
             group_idx += d * (top * total // counts[0] ** (l + 1))
         _, err, scores = _regenerative_laws(rows, last_rows, low_scores, top_scores)
@@ -855,8 +861,7 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
 
     if best_idx < 0:
         raise ValueError("no feasible unit map under the budget")
-    chosen = np.unravel_index(best_idx, counts)
-    units = np.vstack([np.zeros(K + 1, dtype=np.int64)] + [units_of(c) for c in chosen])
+    units = maps_of(np.array([best_idx]))[0]
     objective_j, expected_power, (psi,) = evaluate_unit_map(scenario, [units])
     return ExhaustiveResult(
         objective_j=objective_j,

@@ -21,7 +21,6 @@ from ehdetect import (
     transmit_probability,
 )
 import ehdetect.battery
-from ehdetect.battery import _drain_rows
 from ehdetect.cli import EXIT_CONVERGENCE, main
 from references import read_table
 
@@ -341,8 +340,8 @@ def test_stationary_solve_is_exact_or_raises(chain):
 
 
 def _old_drain_table(pmf):
-    """The bank-step table as _drain_rows rebuilt it on every call, kept as
-    the reference for ArrivalUnitPmf.drain_table."""
+    """The bank-step table as the chain builder once rebuilt it on every
+    call, kept as the reference for ArrivalUnitPmf.drain_table."""
     K = pmf.size - 1
     states = np.arange(K + 1)
     table = np.triu(pmf[np.abs(states[None, :] - states[:, None])])
@@ -362,7 +361,7 @@ def test_drain_table_is_the_old_construction_and_read_only(capacity, mean_harves
         arr.drain_table[0, capacity] = 0.5
 
 
-def test_drain_rows_and_transition_matrices_are_unchanged_on_toy(toy_scenario):
+def test_transition_matrix_sums_each_maps_levels_in_order_on_toy(toy_scenario):
     net = toy_scenario.network
     sensor = toy_scenario.sensors[0]
     K = net.capacity
@@ -373,15 +372,28 @@ def test_drain_rows_and_transition_matrices_are_unchanged_on_toy(toy_scenario):
     # every causal per-state unit choice, a superset of the rows
     # exhaustive_best_map gathers
     choices = np.array(list(itertools.product(*[range(k + 1) for k in states])))
-    assert _drain_rows(choices, arr).tobytes() == table[states - choices].tobytes()
     rng = np.random.default_rng(5)
     for tp in (0.0, 0.3, transmit_probability(net, sensor), 1.0):
-        for alpha in choices[rng.integers(0, len(choices), size=(8, pi.size))]:
-            alpha[0] = 0
-            old = ((1.0 - tp) * table[states]
-                   + tp * np.tensordot(pi, table[states - alpha], axes=(0, 0)))
-            chain = ChainSpec(pi, arr, tp)
-            assert transition_matrix(alpha, chain).tobytes() == old.tobytes()
+        chain = ChainSpec(pi, arr, tp)
+        alphas = choices[rng.integers(0, len(choices), size=(2, 4, pi.size))]
+        alphas[..., 0, :] = 0
+        batch = transition_matrix(alphas, chain)
+        assert batch.shape == (2, 4, K + 1, K + 1)
+        for index in np.ndindex(2, 4):
+            alpha = alphas[index]
+            M = transition_matrix(alpha, chain)
+            # a batch gives each map's own matrix
+            assert batch[index].tobytes() == M.tobytes()
+            # the idle branch, then each level's weighted drain rows in level
+            # order, as the exhaustive oracle's reference enumeration sums them
+            rows = (1.0 - tp) * table + tp * pi[0] * table
+            for l in range(1, pi.size):
+                rows = rows + tp * pi[l] * table.take(states - alpha[l], axis=0)
+            assert M.tobytes() == rows.tobytes()
+            # the earlier contraction over all levels at once rounds differently
+            old = ((1.0 - tp) * table
+                   + tp * np.tensordot(pi, table.take(states - alpha, axis=0), axes=(0, 0)))
+            np.testing.assert_allclose(M, old, rtol=0.0, atol=1e-15)
 
 
 @st.composite

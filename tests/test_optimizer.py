@@ -28,7 +28,7 @@ from ehdetect import (
 )
 import ehdetect.battery
 import ehdetect.optimizer
-from ehdetect.battery import _drain_rows, stationary_solve
+from ehdetect.battery import stationary_solve, transition_matrix
 from ehdetect.detection import sensor_j_divergence
 from ehdetect.optimizer import (
     CLAMP_CAUSALITY,
@@ -1041,8 +1041,8 @@ def _enumerated_reference(scenario):
     total = math.prod(counts)
     choices = np.array(list(itertools.product(*[range(a + 1) for a in amax])),
                        dtype=np.int64)
-    rows = _drain_rows(np.vstack([np.zeros(K + 1, dtype=np.int64), choices]),
-                       ctx.chain.arrivals)
+    rows = ctx.chain.arrivals.drain_table.take(
+        states - np.vstack([np.zeros(K + 1, dtype=np.int64), choices]), axis=0)
     pi, tp = ctx.chain.pi, ctx.chain.transmit_prob
     base = (1.0 - tp) * rows[0]
     spend = [tp * pi[1 + l] * rows[1:] for l in range(L1 - 1)]
@@ -1130,6 +1130,40 @@ def test_exhaustive_reports_the_evaluated_winner_of_the_reference_enumeration(
     res = exhaustive_best_map(scenario)
     _assert_reported_as_evaluated(scenario, res)
     _assert_enumerates_as_the_reference(scenario, res)
+
+
+@pytest.mark.parametrize("live, capacity, negative, budget", [
+    (1, 3, False, 0.02), (1, 4, True, 0.3), (2, 3, False, 0.1), (2, 3, True, 0.1),
+    (2, 3, False, 50.0), (2, 3, True, 50.0), (3, 2, False, 0.05), (3, 2, True, 50.0),
+])
+def test_the_oracle_wins_with_the_first_best_evaluate_unit_map_score(
+        toy_scenario, live, capacity, negative, budget):
+    # binding and slack budgets, both slope signs, at most 576 candidates:
+    # evaluate_unit_map scores every candidate map, in the oracle's order. At
+    # budget 0.02 only maps that never drain at K fit, and under each of them
+    # the battery never leaves K, so all six tie exactly and the first wins
+    sensor = replace(toy_scenario.sensors[0],
+                     thresholds=(0.0, *(0.6, 1.2, 2.0)[:live], math.inf),
+                     **(dict(p_f=0.25, p_d=0.4) if negative else {}))
+    scenario = replace(toy_scenario, sensors=(sensor,), network=replace(
+        toy_scenario.network, capacity=capacity, power_budget=budget))
+    coeffs = roc_coefficients(sensor.p_f, sensor.p_d)
+    assert (min(coeffs.slope1, coeffs.slope2) < 0.0) == negative
+    ctx = _sensor_context(scenario.network, sensor)
+    rows = list(itertools.product(*[range(c + 1) for c in ctx.unit_cap]))
+    limit = budget * (1.0 + 1e-12) + 1e-15
+    best_j, best, feasible = -math.inf, None, 0
+    for maps in itertools.product(rows, repeat=live):
+        units = np.array([(0,) * (capacity + 1), *maps], dtype=np.int64)
+        j, ep, _ = evaluate_unit_map(scenario, [units])
+        if ep <= limit:
+            feasible += 1
+            if j > best_j:
+                best_j, best = j, units
+    res = exhaustive_best_map(scenario)
+    assert (res.candidates, res.feasible) == (len(rows) ** live, feasible)
+    np.testing.assert_array_equal(res.units, best)
+    assert res.objective_j == best_j
 
 
 @settings(max_examples=200, deadline=None)
@@ -1242,11 +1276,30 @@ def test_regenerative_laws_and_scores_match_the_stacked_solve(toy_scenario, data
     scenario = data.draw(_tiny_scenarios(toy_scenario))
     res, calls = _recorded_regenerative_calls(scenario)
     tol = ehdetect.optimizer._RESCORE_MARGIN / 100.0
+    ctx = _sensor_context(scenario.network, scenario.sensors[0])
+    radix, live = ctx.unit_cap + 1, ctx.mu.size - 1
     chains = 0
     for (rows, last_rows, low, top), (v, err, scores) in calls:
         G, K = rows.shape[:2]
         R = last_rows.shape[0]
+        # the unit maps of the chains: groups are numbered in call order, the
+        # units below K of each live level are its digit of the group number,
+        # and those at K its digit of the member number
+        maps = np.zeros((G, R, live + 1, K + 1), dtype=np.int64)
+        group = np.unravel_index(np.arange(chains // R, chains // R + G),
+                                 (math.prod(radix[:K]),) * live)
+        member = np.unravel_index(np.arange(R), (radix[K],) * live)
+        for l in range(live):
+            maps[:, :, 1 + l, :K] = np.stack(np.unravel_index(group[l], radix[:K]),
+                                             axis=-1)[:, None]
+            maps[:, :, 1 + l, K] = member[l]
         chains += G * R
+        # the fast path's rows are transition_matrix's, bit for bit
+        exact = transition_matrix(maps, ctx.chain)
+        assert exact[:, :, :K].tobytes() == np.broadcast_to(
+            rows[:, None], (G, R, K, K + 1)).tobytes()
+        assert exact[:, :, K].tobytes() == np.broadcast_to(
+            last_rows, (G, R, K + 1)).tobytes()
         # every group keeps its fast laws on these scenarios, so none falls back
         assert np.all(err <= tol)
         M = np.concatenate([np.broadcast_to(rows[:, None], (G, R, K, K + 1)),
