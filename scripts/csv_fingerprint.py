@@ -13,26 +13,19 @@ before and after it.
 
     PYTHONPATH=src python3 scripts/csv_fingerprint.py
 
-The bytes hold for one BLAS build and one thread count: OpenBLAS splits a
-solve differently on more threads, which moves the last bits of some laws
-and so of some CSV cells. The script runs OpenBLAS on one thread unless
-OPENBLAS_NUM_THREADS is already set; compare only runs made with the same
-setting.
+The bytes hold for one BLAS build. The thread count is the package's: importing
+ehdetect runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set, so
+compare runs made with the same setting, or with it unset.
 """
 
-import os
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
 
-# before numpy is first imported, which reads it once
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from ehdetect.cli import main as cli_main  # noqa: E402
+from ehdetect.cli import main as cli_main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SIM_FLAGS = ["--samples", "2000", "--calibration-samples", "2000", "--seed", "7"]

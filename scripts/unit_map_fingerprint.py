@@ -55,29 +55,27 @@ regenerates it with
 Price-evaluation counts stay out of the record: they can move with the last
 bits of a root while every unit map stays the same.
 
-The script runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is
-already set, so its laws are those of a single-threaded LAPACK solve on any
-machine with the same BLAS build, and it runs faster on one thread.
+The thread count is the package's: ehdetect is imported before numpy, so
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS is set, and the laws
+are those of a single-threaded LAPACK solve on any machine with the same
+BLAS build.
 """
 
-import os
+import argparse
+import hashlib
+import itertools
+import sys
+from dataclasses import replace
+from pathlib import Path
 
-# before numpy is first imported, which reads it once
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# before numpy, so that the package's OpenBLAS thread default applies
+from ehdetect import exhaustive_best_map, load_scenario, optimize_power_map
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import itertools  # noqa: E402
-import sys  # noqa: E402
-from dataclasses import replace  # noqa: E402
-from pathlib import Path  # noqa: E402
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import numpy as np  # noqa: E402
-
-from ehdetect import exhaustive_best_map, load_scenario, optimize_power_map  # noqa: E402
 from tracing import NullTracer  # noqa: E402
 from workloads import GRID_BUDGETS, GRID_CONFIGS, OracleCheck  # noqa: E402
 

@@ -1,9 +1,10 @@
 """Command-line front end: powermap, sweep, simulate, validate.
 
-All CSV output is byte-deterministic for fixed inputs on one BLAS build and
-thread count (a law's last bits follow both): floats are written with repr
-(round-trip exact), rows have a documented order, and the header comments
-carry parameters rather than timestamps.
+All CSV output is byte-deterministic for fixed inputs on one BLAS build (the
+package runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set; see
+ehdetect's docstring): floats are written with repr (round-trip exact), rows
+have a documented order, and the header comments carry parameters rather
+than timestamps.
 
 Every command that solves a power map prints each note of the solve's
 outcome once to stderr as "warning: ...". Exit codes: 0 success, also when

@@ -667,10 +667,15 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
     for n, (alpha, derived) in enumerate(zip(units, pmap.units)):
         if not np.array_equal(alpha, derived):
             raise ValueError(f"unit map sensor {n}: counts must be whole numbers")
-    ctxs = [_sensor_context(net, s) for s in scenario.sensors]
-    psis = tuple(_stationary_laws(pmap.units, [ctx.chain for ctx in ctxs]))
+    return _score_unit_maps(pmap.units, [_sensor_context(net, s) for s in scenario.sensors])
+
+
+def _score_unit_maps(units, ctxs):
+    """evaluate_unit_map's result for checked int64 unit maps, one per
+    prebuilt sensor context."""
+    psis = tuple(_stationary_laws(units, [ctx.chain for ctx in ctxs]))
     objective = expected = 0.0
-    for u, psi, ctx in zip(pmap.units, psis, ctxs):
+    for u, psi, ctx in zip(units, psis, ctxs):
         j, spend = _unit_scores(u, psi.psi, ctx)
         objective, expected = objective + float(j), expected + float(spend)
     return objective, expected, psis
@@ -862,7 +867,7 @@ def exhaustive_best_map(scenario: Scenario) -> ExhaustiveResult:
     if best_idx < 0:
         raise ValueError("no feasible unit map under the budget")
     units = maps_of(np.array([best_idx]))[0]
-    objective_j, expected_power, (psi,) = evaluate_unit_map(scenario, [units])
+    objective_j, expected_power, (psi,) = _score_unit_maps([units], [ctx])
     return ExhaustiveResult(
         objective_j=objective_j,
         units=units,

@@ -47,6 +47,20 @@ def _toy(scenario_dir) -> str:
     return str(scenario_dir / "toy.scn")
 
 
+def _package_env(**override):
+    """os.environ for a fresh interpreter that imports this ehdetect, with
+    override applied (None unsets a variable)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ehdetect.__file__).parent.parent), env.get("PYTHONPATH")) if p)
+    for key, value in override.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
 # toy.scn at the former stall point: outside the concavity band, and the
 # spend jumps across the budget, so the price bracket collapses
 STALL_NOTES = [
@@ -481,26 +495,47 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_no_command_imports_scipy(tmp_path, scenario_dir):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(ehdetect.__file__).parent.parent), env.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-c", _EVERY_COMMAND_WITHOUT_SCIPY,
                           _toy(scenario_dir), str(tmp_path)],
-                         capture_output=True, text=True, env=env, check=False)
+                         capture_output=True, text=True, env=_package_env(), check=False)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_module_runs_as_a_script(scenario_dir):
     # python -m ehdetect.cli runs the command, as python -m ehdetect does
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(ehdetect.__file__).parent.parent), env.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-m", "ehdetect.cli", "validate",
                           "--scenario", _toy(scenario_dir)],
-                         capture_output=True, text=True, env=env, check=False)
+                         capture_output=True, text=True, env=_package_env(), check=False)
     assert run.returncode == EXIT_OK, run.stderr
     assert run.stdout.splitlines()[-1] == "all 3 checks passed"
+
+
+def test_powermap_bytes_do_not_follow_an_unset_blas_thread_count(tmp_path, scenario_dir):
+    # the stacked solve's last bits follow the OpenBLAS thread count on two or
+    # more CPUs; the package's one-thread default makes an unset variable
+    # write the bytes of OPENBLAS_NUM_THREADS=1
+    tables = []
+    for threads in (None, "1"):
+        out = tmp_path / f"threads-{threads}"
+        run = subprocess.run([sys.executable, "-m", "ehdetect", "powermap", "--scenario",
+                              str(scenario_dir / "two_sensor.scn"), "--out", str(out)],
+                             capture_output=True, text=True,
+                             env=_package_env(OPENBLAS_NUM_THREADS=threads), check=False)
+        assert run.returncode == EXIT_OK, run.stderr
+        tables.append({csv.name: csv.read_bytes() for csv in out.glob("*.csv")})
+    assert sorted(tables[0]) == ["battery_psi.csv", "power_map.csv", "summary.csv"]
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("threads, seen", [(None, "1"), ("2", "2")])
+def test_importing_the_package_defaults_blas_to_one_thread_unless_set(threads, seen):
+    run = subprocess.run([sys.executable, "-c",
+                          "import os, ehdetect; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                         capture_output=True, text=True,
+                         env=_package_env(OPENBLAS_NUM_THREADS=threads), check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == seen
 
 
 def test_validate_skips_the_oracle_when_its_guard_refuses(tmp_path, toy_scenario,
@@ -572,12 +607,9 @@ def test_scenario_that_is_not_utf8_maps_to_input_exit(tmp_path):
     # one error line and no traceback, from a fresh interpreter
     bad = tmp_path / "bad.scn"
     bad.write_bytes(b"\xff\xfe[network]\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(ehdetect.__file__).parent.parent), env.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-m", "ehdetect", "validate",
                           "--scenario", str(bad)],
-                         capture_output=True, text=True, env=env, check=False)
+                         capture_output=True, text=True, env=_package_env(), check=False)
     assert run.returncode == EXIT_INPUT
     assert run.stderr.splitlines() == [
         f"error: {bad}: not UTF-8 text at byte 0 (invalid start byte)"]
