@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--transmit-prob-model", choices=TRANSMIT_PROB_MODELS,
                        default=None, help="override the scenario's spend model")
         p.add_argument("--fc-knowledge", choices=FC_KNOWLEDGE_MODES, default=None,
-                       help="override the fusion side information model")
+                       help="override the fusion side information model; only the "
+                            "Monte Carlo of simulate and sweep reads it")
 
     def sim_flags(p):
         p.add_argument("--seed", type=_NONNEGATIVE, default=42, help="master seed (default 42)")

@@ -15,10 +15,13 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .detection import local_lrt_probabilities
 
 __all__ = [
     "ScenarioError",
@@ -47,6 +50,11 @@ class ScenarioError(ValueError):
 def _require(cond: bool, where: str, msg: str) -> None:
     if not cond:
         raise ScenarioError(f"{where}: {msg}")
+
+
+def _is_whole(value) -> bool:
+    """An integer, numpy's included, that is not a bool: True would count as 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _finite_positive(value: float, where: str) -> None:
@@ -80,8 +88,6 @@ class LocalObservationModel:
 
     def operating_point(self) -> tuple[float, float]:
         """(p_f, p_d) of the threshold test on one Gaussian observation."""
-        from .detection import local_lrt_probabilities
-
         return local_lrt_probabilities(self.amplitude, self.noise_sigma, self.threshold)
 
 
@@ -143,8 +149,8 @@ class NetworkParams:
 
     def __post_init__(self) -> None:
         _probability(self.prior_h0, "prior_h0")
-        _require(isinstance(self.capacity, int) and not isinstance(self.capacity, bool),
-                 "capacity", "must be an integer")
+        _require(_is_whole(self.capacity), "capacity", "must be an integer")
+        object.__setattr__(self, "capacity", int(self.capacity))
         _require(self.capacity >= 1, "capacity", "must be >= 1")
         _finite_positive(self.unit_energy, "unit_energy")
         _finite_positive(self.slot_seconds, "slot_seconds")

@@ -16,13 +16,12 @@ slot. The path is the same as a slot-by-slot loop would give.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .battery import quantize_gain
-from .config import MonteCarloReport, PowerMap, Scenario
+from .config import MonteCarloReport, PowerMap, Scenario, _is_whole
 
 __all__ = [
     "SensorStreams",
@@ -109,11 +108,6 @@ class SimBatch:
     outputs: np.ndarray
     null_outputs: np.ndarray
     batteries: tuple[int, ...]      # end-of-batch, feeds the next batch
-
-
-def _is_whole(value) -> bool:
-    """An integer that is not a bool: True would count as 1."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_count(name: str, value, least: int) -> None:

@@ -436,6 +436,19 @@ def test_override_flags_equal_a_scenario_that_sets_the_keys(tmp_path, scenario_d
         assert written["flags"] != written["plain"]  # the keys change the tables
 
 
+def test_fc_knowledge_leaves_the_power_map_tables_alone(tmp_path, scenario_dir, capsys):
+    # the solve never reads the fusion model: only the Monte Carlo does
+    runs = {"plain": [], "flag": ["--fc-knowledge", "map_marginal"]}
+    written = {}
+    for name, flags in runs.items():
+        out = tmp_path / name
+        assert main(["powermap", "--scenario", _toy(scenario_dir), "--out", str(out),
+                     *flags]) == EXIT_OK
+        written[name] = _outputs(out)
+    capsys.readouterr()
+    assert written["plain"] and written["plain"] == written["flag"]
+
+
 def test_sweep_spec_rejects_bad_requests():
     with pytest.raises(ScenarioError, match="variable"):
         SweepSpec(variable="noise_floor", values=(1.0,))

@@ -171,6 +171,17 @@ def test_invalid_modes_rejected(toy_scenario):
         replace(net, fc_knowledge="psychic")
 
 
+def test_capacity_takes_numpy_integers_and_stores_an_int(toy_scenario):
+    # the simulator's whole-number rule: numpy integers count, bools and floats do not
+    net = toy_scenario.network
+    for whole in (np.int64(5), np.int32(5)):
+        made = replace(net, capacity=whole)
+        assert made.capacity == 5 and type(made.capacity) is int
+    for bad in (True, 5.0):
+        with pytest.raises(ScenarioError, match="capacity: must be an integer"):
+            replace(net, capacity=bad)
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ScenarioError, match="unknown key"):
         loads_scenario(MINIMAL + "bogus = 1\n")

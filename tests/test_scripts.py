@@ -1,4 +1,3 @@
-import ast
 import importlib
 import importlib.util
 import os
@@ -6,6 +5,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import ehdetect
 
 from references import read_table
 
@@ -143,20 +145,27 @@ def test_every_traced_name_resolves():
 
 
 def test_every_export_resolves():
-    # a deleted name left in __all__ breaks `from ehdetect.<module> import *`,
-    # and one the package imports but its module does not list is a stale export
+    # a deleted name left in __all__ breaks `from ehdetect.<module> import *`
     package = ROOT / "src" / "ehdetect"
     modules = sorted(p.stem for p in package.glob("*.py")
                      if p.stem not in ("__init__", "__main__"))
+    owner = {}
     for name in modules:
         module = importlib.import_module(f"ehdetect.{name}")
         for attr in module.__all__:
             assert hasattr(module, attr), f"ehdetect.{name}.__all__ names {attr}"
-    imported = [(node.module, alias.name)
-                for node in ast.parse((package / "__init__.py").read_text()).body
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names]
-    assert imported
-    for module, attr in imported:
-        assert attr in importlib.import_module(f"ehdetect.{module}").__all__, \
-            f"ehdetect imports {attr}, which ehdetect.{module}.__all__ does not list"
+            # the package star-imports the lists, so a shared name would
+            # silently shadow the earlier module's object
+            assert attr not in owner, \
+                f"{attr} is in both ehdetect.{owner[attr]} and ehdetect.{name} __all__"
+            owner[attr] = name
+    # the package republishes every library module's list (not the cli's),
+    # each name as the module's own object, and nothing else
+    library = {attr: name for attr, name in owner.items() if name != "cli"}
+    for attr, name in library.items():
+        assert getattr(ehdetect, attr, None) is getattr(
+            importlib.import_module(f"ehdetect.{name}"), attr), \
+            f"ehdetect.{attr} is not ehdetect.{name}.{attr}"
+    public = {attr for attr, value in vars(ehdetect).items()
+              if not attr.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(library)
