@@ -107,9 +107,9 @@ def quantize_gain(gain, thresholds):
     gain = np.asarray(gain, dtype=float)
     idx = np.zeros(gain.shape, dtype=np.int64)
     # one branch-free pass per inner edge. Against searchsorted+clip on a
-    # 2-vCPU Xeon, for a simulation block of 4k-262k gains: 0.06-0.4x its
-    # time at the bundled 3 and 5 levels, break-even at 16-50 levels, slower
-    # beyond; peak memory 2.3 MiB instead of 6 at 262k gains
+    # 2-vCPU Xeon, for a simulation block of 8k gains: 0.2-0.4x its time at
+    # the bundled 3 and 5 levels, 0.5x at 16, break-even at 50 levels, slower
+    # beyond; the peak memory of both is one int64 per gain (0.14 MB)
     for edge in edges[1:-1]:
         idx += gain >= edge
     return int(idx) if idx.ndim == 0 else idx

@@ -8,9 +8,14 @@ the last call's end batteries) produce the sample path of one whole-run call,
 bit for bit, and keeps runs comparable across fusion or transmit variants.
 
 The battery recursion is the one sequential step. It runs as a speculative
-chunked walk: chunks of slots are guessed in numpy lockstep and then checked
-in order, and any chunk that started from a wrong guess is repaired slot by
-slot. The path is the same as a slot-by-slot loop would give.
+chunked walk: chunks of slots of every sensor are guessed together in one
+numpy lockstep and then checked in order, and any chunk that started from a
+wrong guess is repaired slot by slot. The path is the same as a slot-by-slot
+loop would give.
+
+Calibration and measurement simulate in blocks small enough that a block's
+arrays stay in cache and come from memory the allocator already holds, so a
+long run pays neither page faults nor memory for its length.
 """
 
 from __future__ import annotations
@@ -50,8 +55,12 @@ _FUSION_CHUNK = 1 << 16
 # runs only widen each lockstep step, which costs less per slot.
 _WALK_CHUNK = 192
 # calibrate_threshold and run_monte_carlo simulate at most this many slots per
-# call, so a long run costs more calls, not more memory.
-_CALIBRATION_BLOCK = 1 << 18
+# call, so a long run costs more calls, not more memory. A block of two
+# sensors holds about 1 MB of arrays: reused heap memory, not fresh pages the
+# kernel maps on first touch, as at 2^18 slots (about 27 MB per 100k-slot call).
+# On a 2-vCPU Xeon, 2^13 ran the benchmark's Monte Carlo points fastest of
+# 2^12..2^16; below it the walk's per-block steps cost more than they save.
+_CALIBRATION_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -140,9 +149,10 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
                    streams: Streams, batteries=None) -> SimBatch:
     """Run `slots` consecutive slots and record the full sample path.
 
-    Draws, quantization, and channel outputs are vectorized; each sensor's
-    battery recursion runs as a speculative chunked walk (`_walk`) with the
-    same result as stepping it slot by slot. Batteries continue from
+    Draws, quantization, and channel outputs are vectorized and written in
+    place into the batch's rows; the sensors' battery recursions run together
+    as one speculative chunked walk (`_walk`) with the same result as
+    stepping each slot by slot. Batteries continue from
     `batteries`, one whole number of units in 0..capacity per sensor
     (default: full). `slots` = 0 returns them unchanged. The network's
     transmit_prob_model decides who transmits. Raises ValueError on a
@@ -178,37 +188,48 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     amplitudes = np.empty((N, slots))
     outputs = np.empty((N, slots))
     null_outputs = np.empty((N, slots))
-    end = []
+    # the walk reads its slot codes from the rows of `states`, which it
+    # overwrites with the path, and its harvests from the rows of
+    # `amplitudes`, which are filled after it
+    codes = states
+    harvest = amplitudes
+    scratch = np.empty(slots)
+    transmit_h0 = []  # per sensor, whether each slot would transmit under H0
 
     for n, (sensor, st) in enumerate(zip(scenario.sensors, streams.sensors)):
-        g = st.gain.exponential(sensor.mean_gain, slots)
-        dec = st.decision.random(slots)
-        # normal(0, sigma) draws standard normals and scales them; doing the
-        # scaling in place gives the same numbers bit for bit, with one array
-        w = st.noise.standard_normal(slots)
+        # exponential(scale) draws scale * standard_exponential and
+        # normal(0, sigma) sigma * standard_normal; scaling the standard draws
+        # in place gives the same numbers bit for bit
+        g = st.gain.standard_exponential(out=gains[n])
+        g *= sensor.mean_gain
+        w = st.noise.standard_normal(out=null_outputs[n])  # the noise, until the outputs
         w *= math.sqrt(sensor.noise_var)
-        en = st.energy.exponential(net.mean_harvest, slots)
+        en = st.energy.standard_exponential(out=scratch)
+        en *= net.mean_harvest
+        en /= net.unit_energy
+        np.ceil(en, out=harvest[n])
+        dec = st.decision.random(out=scratch)
 
-        lv = quantize_gain(g, sensor.thresholds)
-        # u0: whether the slot would transmit under H0
+        levels[n] = quantize_gain(g, sensor.thresholds)
         if net.transmit_prob_model == "prior":
-            u0 = 0
-            u = hyp.astype(np.int8)
+            transmit_h0.append(0)
+            transmit[n] = hyp
         else:
-            u0 = dec < sensor.p_f
-            u = np.where(hyp == 1, dec < sensor.p_d, u0).astype(np.int8)
-        beta = np.ceil(en / net.unit_energy).astype(np.int64)
+            transmit_h0.append(dec < sensor.p_f)
+            transmit[n] = np.where(hyp == 1, dec < sensor.p_d, transmit_h0[n])
+        np.add(levels[n], 1, out=codes[n])
+        codes[n] *= transmit[n]
 
-        end.append(_walk(power_map.units[n], (lv + 1) * u, beta, batteries[n], states[n]))
+    end = _walk(power_map.units, codes, harvest, batteries, states)
 
-        p = power_map.powers[n][lv, states[n]]
-        a = np.sqrt(g * p)
-        gains[n] = g
-        levels[n] = lv
-        transmit[n] = u
-        amplitudes[n] = a
-        outputs[n] = a * u + w
-        null_outputs[n] = a * u0 + w
+    for n in range(N):
+        a, w = amplitudes[n], null_outputs[n]
+        np.multiply(gains[n], power_map.powers[n][levels[n], states[n]], out=a)
+        np.sqrt(a, out=a)
+        # outputs a * u + w, then null_outputs a * u0 + w in place of w
+        np.multiply(a, transmit[n], out=outputs[n])
+        outputs[n] += w
+        w += np.multiply(a, transmit_h0[n], out=scratch)
 
     return SimBatch(
         hypothesis=hyp,
@@ -219,74 +240,91 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         amplitudes=amplitudes,
         outputs=outputs,
         null_outputs=null_outputs,
-        batteries=tuple(end),
+        batteries=end,
     )
 
 
-def _walk(units: np.ndarray, codes: np.ndarray, harvest: np.ndarray, start: int,
-          out: np.ndarray) -> int:
-    """One sensor's battery path: writes the start-of-slot states to `out`.
+def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray) -> tuple:
+    """Every sensor's battery path: writes the start-of-slot states to `out`.
 
-    Slot t drains units[level][b] from battery b when it transmits, which
-    codes[t] = level + 1 says (0: silent), then banks harvest[t] units up to
-    the capacity K. Returns the battery after the last slot.
+    Row n of the (sensors x slots) arrays is sensor n's: slot t drains
+    units[n][level][b] from battery b when it transmits, which
+    codes[n, t] = level + 1 says (0: silent), then banks harvest[n, t] units
+    (a whole number, of any dtype) up to the capacity K. The sensors share K
+    but not their level counts. `out` is written last, so it may be `codes`.
+    Returns each sensor's battery after the last slot, as ints.
 
     The path from a known state is fixed, and two paths that reach one state
     agree from then on; paths from different states meet at the clamp or
-    after a drain (the coupling of Propp & Wilson 1996). So the slots are cut
-    into chunks and guessed in parallel, then checked in order:
+    after a drain (the coupling of Propp & Wilson 1996). So each sensor's
+    slots are cut into C chunks of S slots and guessed in parallel, then
+    checked in order:
 
-    1. Every chunk walks in numpy lockstep, chunk 0 from `start` and every
-       other chunk from a full battery.
+    1. The chunks of all sensors walk side by side in one numpy lockstep,
+       over one flat next-state table that holds every sensor's drains (its
+       codes carry the sensor's offset in it). A sensor's chunk 0 starts
+       from its start battery and every other chunk from a full battery.
     2. The chunks whose guessed start missed the end step 1 gave the chunk
-       before them walk again from that end.
-    3. A Python loop over the chunk boundaries carries the true battery.
-       Where it differs from a chunk's start, the chunk is walked slot by slot
-       until it meets its guessed path, or to its end.
+       before them walk again from that end, in one more lockstep.
+    3. A Python loop over each sensor's chunk boundaries carries its true
+       battery. Where it differs from a chunk's start, the chunk is walked
+       slot by slot until it meets its guessed path, or to its end.
 
     Correctness rests on step 3 alone. Steps 1 and 2 only make it rare that
     it has to walk a slot, and if no paths meet it walks every slot once.
     """
-    T = codes.size
+    N, T = codes.shape
     if T == 0:
-        return start
-    K = units.shape[1] - 1
+        return tuple(starts)
+    K = units[0].shape[1] - 1
     width = K + 1
     S = min(_WALK_CHUNK, math.isqrt(T))
     C = -(-T // S)
-    # table[c * width + b] is battery b after the drain of code c
-    table = np.concatenate((np.arange(width), (np.arange(width) - units).ravel()))
-    offsets = _slot_major(codes * width, S, C)
-    banked = _slot_major(harvest, S, C)
-    guess = np.full(C, K, dtype=np.int64)
-    guess[0] = start
+    # table[base[n] + c * width + b] is sensor n's battery b after the drain of code c
+    tables = [np.concatenate((np.arange(width), (np.arange(width) - u).ravel())) for u in units]
+    base = np.cumsum([0] + [t.size for t in tables[:-1]])
+    table = np.concatenate(tables)
+    # slot-major lanes, (S, N * C): column n * C + c is chunk c of sensor n,
+    # so a lockstep step reads one contiguous row. The last chunk of each
+    # sensor is padded with zeros, a silent slot that banks nothing.
+    full = T // S
+    offsets = np.zeros((S, N * C), dtype=np.int64)
+    banked = np.zeros((S, N * C), dtype=np.int64)
+    for lane, values in ((offsets, codes), (banked, harvest)):
+        chunks = lane.reshape(S, N, C).transpose(1, 2, 0)  # (N, C, S) view of the lane
+        chunks[:, :full] = values[:, :full * S].reshape(N, full, S)
+        if full < C:
+            chunks[:, full, :T - full * S] = values[:, full * S:]
+    offsets *= width
+    offsets += base.repeat(C)
+    guess = np.full(N * C, K, dtype=np.int64)
+    guess[::C] = starts
     path = _lockstep(table, offsets, banked, guess, K)
-    redo = np.flatnonzero(path[0, 1:] != path[S, :-1]) + 1
+    missed = path[0, 1:] != path[S, :-1]
+    missed[C - 1::C] = False  # a sensor's chunk 0 starts from its own battery
+    redo = np.flatnonzero(missed) + 1
     if redo.size:
         path[:, redo] = _lockstep(table, offsets[:, redo], banked[:, redo],
                                   path[S, redo - 1], K)
-    starts, ends = path[0].tolist(), path[S].tolist()
+    firsts, lasts = path[0].tolist(), path[S].tolist()
     steps = table.tolist()
-    b = ends[0]
-    for c in range(1, C):
-        if b == starts[c]:
-            b = ends[c]
-        else:
-            b = _rejoin(steps, offsets[:, c].tolist(), banked[:, c].tolist(), path[:, c], b, K)
-    out[:] = path[:S].T.reshape(-1)[:T]
-    return b
-
-
-def _slot_major(values: np.ndarray, S: int, C: int) -> np.ndarray:
-    """`values` cut into C chunks of S slots, as an (S, C) array: row s holds
-    slot s of every chunk, so a lockstep step reads one contiguous row. The
-    last chunk is padded with zeros, a silent slot that banks nothing."""
-    out = np.zeros((S, C), dtype=np.int64)
-    full = values.size // S
-    out[:, :full] = values[:full * S].reshape(full, S).T
-    if full < C:
-        out[:values.size - full * S, full] = values[full * S:]
-    return out
+    end = []
+    for first in range(0, N * C, C):
+        b = lasts[first]
+        for c in range(first + 1, first + C):
+            if b == firsts[c]:
+                b = lasts[c]
+            else:
+                b = _rejoin(steps, offsets[:, c].tolist(), banked[:, c].tolist(), path[:, c],
+                            b, K)
+        end.append(b)
+    # back to slot order, one sensor's contiguous row at a time
+    chunks = path[:S].reshape(S, N, C).transpose(1, 2, 0)
+    for n in range(N):
+        out[n, :full * S].reshape(full, S)[:] = chunks[n, :full]
+        if full < C:
+            out[n, full * S:] = chunks[n, full, :T - full * S]
+    return tuple(end)
 
 
 def _lockstep(table: np.ndarray, offsets: np.ndarray, banked: np.ndarray,
@@ -341,11 +379,20 @@ def _binary_llr(d: np.ndarray, p_f: float, p_d: float) -> np.ndarray:
     sum of two nonnegative terms that cannot overflow or cancel, whatever d
     and however close p_f and p_d lie to 0 or 1. At d = 0 both are
     p + (1 - p), which rounds to exactly 1, so the statistic is exactly 0.
+    Uses `d` as scratch: its values are lost.
     """
-    u = np.exp(np.minimum(d, 0.0))
-    v = np.exp(-np.maximum(d, 0.0))
-    ratio = p_d * u + (1.0 - p_d) * v
-    ratio /= p_f * u + (1.0 - p_f) * v
+    u = np.minimum(d, 0.0)
+    np.exp(u, out=u)
+    v = np.maximum(d, 0.0, out=d)
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    ratio = p_d * u
+    ratio += (1.0 - p_d) * v
+    # the denominator p_f u + (1 - p_f) v, in place in u
+    u *= p_f
+    v *= 1.0 - p_f
+    u += v
+    ratio /= u
     return np.log(ratio, out=ratio)
 
 
@@ -419,7 +466,10 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
             y = batch.outputs[n]
             a = batch.amplitudes[n]
             # (y^2 - (y - a)^2) / (2 sigma^2), exactly 0 where a is
-            d = (2.0 * y - a) * a * (1.0 / (2.0 * sensor.noise_var))
+            d = 2.0 * y
+            d -= a
+            d *= a
+            d *= 1.0 / (2.0 * sensor.noise_var)
             total += _binary_llr(d, sensor.p_f, sensor.p_d)
         return total
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -57,6 +58,16 @@ def test_step_equals_batch(toy_scenario, two_sensor_scenario):
     scenario = _with_network(two_sensor_scenario, mean_harvest=0.05)
     batch = _assert_steps_equal_the_batch(scenario, _spend_one_map(scenario, 3), 2_000)
     assert np.mean(batch.states == scenario.network.capacity) < 0.05
+    # the same with five levels on sensor 1 and two on sensor 2, so the
+    # fused walk's table holds drain rows of two sizes at their own offsets
+    first, second = scenario.sensors
+    second = replace(second, thresholds=(0.0, 0.4, math.inf))
+    scenario = replace(scenario, sensors=(first, second))
+    pmap = _spend_one_map(scenario, 3)
+    assert [table.shape for table in pmap.units] == [(5, 101), (2, 101)]
+    batch = _assert_steps_equal_the_batch(scenario, pmap, 1_000)
+    # sensor 2 drains only above the higher edge and stays near full
+    assert np.mean(batch.states[0] == scenario.network.capacity) < 0.05
 
 
 def _assert_steps_equal_the_batch(scenario, pmap, slots):
@@ -607,6 +618,69 @@ def test_calibration_blocks_are_capped_without_moving_a_sample(toy_scenario, mon
     assert sum(calls) == 10 * scenario.network.capacity + 45_000
 
 
+@pytest.mark.parametrize("model", ["prior", "decision"])
+@pytest.mark.parametrize("fc_knowledge", ["genie", "map_marginal"])
+def test_block_size_moves_no_calibration_or_measurement(two_sensor_scenario, monkeypatch,
+                                                        fc_knowledge, model):
+    # three blocks and a remainder at the shipped block size, one block at
+    # 2^18: the threshold, its rate and every reported number stay the same
+    scenario = _with_network(two_sensor_scenario, fc_knowledge=fc_knowledge,
+                             transmit_prob_model=model)
+    out = optimize_power_map(scenario)
+    slots = 3 * simulator._CALIBRATION_BLOCK + 1_234
+
+    def run():
+        calls = _spy_on_simulate_slots(monkeypatch)
+        threshold, rate = calibrate_threshold(scenario, out.power_map, 0.1, samples=slots,
+                                              seed=5, psis=out.psi_star)
+        rep = run_monte_carlo(scenario, out.power_map, threshold, slots=slots, seed=6,
+                              psis=out.psi_star)
+        return calls, (threshold, rate, rep.pd_fc, rep.pf_fc, rep.ci_pd, rep.ci_pf,
+                       [psi.tobytes() for psi in rep.empirical_psi])
+
+    calls, blocked = run()
+    assert len(calls) == 2 * (1 + 4)  # warm-up and four blocks, twice
+    monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 1 << 18)
+    calls, whole = run()
+    assert len(calls) == 2 * (1 + 1)
+    assert blocked == whole
+
+
+def test_measured_run_memory_does_not_grow_with_its_length(two_sensor_scenario):
+    # run_monte_carlo keeps counts between blocks, so four times the slots
+    # take four times the blocks and no more memory; the bound is about
+    # twice the traced peak of one 2^13-slot block with genie fusion
+    out = optimize_power_map(two_sensor_scenario)
+
+    def peak(slots):
+        tracemalloc.start()
+        try:
+            run_monte_carlo(two_sensor_scenario, out.power_map, 0.1, slots=slots, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)  # leaves out what a first call sets up once
+    short, long = peak(40_000), peak(160_000)
+    assert long <= short * 1.02
+    assert long < 4_000_000
+
+
+def test_scaled_standard_draws_equal_the_scaled_distributions():
+    # simulate_slots scales standard draws in place in its rows; NumPy's
+    # exponential(scale) and normal(0, sigma) are the same products
+    for scale in (1.1, 0.3, 7.0):
+        row = np.empty(5_000)
+        np.random.default_rng(4).standard_exponential(out=row)
+        row *= scale
+        assert row.tobytes() == np.random.default_rng(4).exponential(scale, 5_000).tobytes()
+        np.random.default_rng(4).standard_normal(out=row)
+        row *= scale
+        assert row.tobytes() == np.random.default_rng(4).normal(0.0, scale, 5_000).tobytes()
+        np.random.default_rng(4).random(out=row)
+        assert row.tobytes() == np.random.default_rng(4).random(5_000).tobytes()
+
+
 def _calibrate_on_one_batch(scenario, power_map, target_pf, samples, seed, psis):
     """Calibration as one whole-run batch, kept as its reference: warm up,
     simulate `samples` slots in one call, fuse every slot's null output and
@@ -822,10 +896,11 @@ def _walk_cases(draw):
 def test_chunked_walk_equals_the_plain_int_loop(case):
     units, levels, transmit, harvest, start, chunk = case
     K = units.shape[1] - 1
-    states = np.empty(levels.size, dtype=np.int64)
+    states = np.empty((1, levels.size), dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_WALK_CHUNK", chunk)
-        end = simulator._walk(units, (levels + 1) * transmit, harvest, start, states)
+        (end,) = simulator._walk((units,), ((levels + 1) * transmit)[None], harvest[None],
+                                 (start,), states)
     ref_states, ref_end = _plain_int_walk(units, levels, transmit, harvest, start, K)
     assert states.tobytes() == ref_states.tobytes()
     assert type(end) is int and end == ref_end
@@ -845,12 +920,69 @@ def test_second_pass_leaves_nothing_to_repair_once_paths_couple(monkeypatch):
     rejoin = simulator._rejoin
     monkeypatch.setattr(simulator, "_rejoin",
                         lambda *args: repaired.append(args[-2]) or rejoin(*args))
-    states = np.empty(slots, dtype=np.int64)
-    end = simulator._walk(units, codes, harvest, K, states)
+    states = np.empty((1, slots), dtype=np.int64)
+    (end,) = simulator._walk((units,), codes[None], harvest[None], (K,), states)
     ref_states, ref_end = _plain_int_walk(units, codes // 2, codes // 2, harvest, K, K)
     assert states.tobytes() == ref_states.tobytes() and end == ref_end
-    assert states[slots // 2:].max() < K  # the guesses really were wrong
+    assert states[0, slots // 2:].max() < K  # the guesses really were wrong
     assert repaired == []
+
+
+@st.composite
+def _fused_walk_cases(draw):
+    # 1-3 sensors on one capacity and one slot count, each with its own level
+    # count, map, transmit rate, harvest and start
+    K = draw(st.integers(1, 30))
+    chunk = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    slots = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 800)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sensors = []
+    for _ in range(draw(st.integers(1, 3))):
+        level_count = draw(st.integers(2, 6))
+        units = np.zeros((level_count, K + 1), dtype=np.int64)
+        if draw(st.booleans()):
+            units[1:, 1:] = 1
+            harvest = np.ones(slots, dtype=np.int64)
+        else:
+            units[1:] = rng.integers(0, np.arange(K + 1) + 1, size=(level_count - 1, K + 1))
+            harvest = rng.integers(0, draw(st.sampled_from([1, 2, 3, K + 2])), slots)
+        levels = rng.integers(0, level_count, slots)
+        rate = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+        transmit = (rng.random(slots) < rate).astype(np.int8)
+        sensors.append((units, levels, transmit, harvest, draw(st.integers(0, K))))
+    return K, chunk, sensors
+
+
+def _two_sensors_of_two_sizes():
+    # a one-unit drain on a 2-level sensor and whole-charge drains on a
+    # 4-level one, from different starts: a wrong offset reads the other's row
+    K, slots = 6, 40
+    small = np.array([[0] * (K + 1), [0] + [1] * K])
+    large = np.zeros((4, K + 1), dtype=np.int64)
+    large[1:] = np.arange(K + 1)
+    ones = np.ones(slots, dtype=np.int64)
+    cycle = np.arange(slots) % 4
+    return K, 3, [(small, ones, np.ones(slots, dtype=np.int8), ones, 0),
+                  (large, cycle, (cycle > 0).astype(np.int8), 2 * ones, K)]
+
+
+@given(_fused_walk_cases())
+@settings(max_examples=200, deadline=None)
+@example(_two_sensors_of_two_sizes())
+def test_fused_walk_gives_each_sensor_its_plain_int_loop(case):
+    K, chunk, sensors = case
+    units = tuple(units for units, *_ in sensors)
+    codes = np.array([(levels + 1) * transmit for _, levels, transmit, _, _ in sensors])
+    harvest = np.array([harvest for *_, harvest, _ in sensors])
+    states = np.empty(codes.shape, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_WALK_CHUNK", chunk)
+        ends = simulator._walk(units, codes, harvest, tuple(s[-1] for s in sensors), states)
+    assert len(ends) == len(sensors)
+    for n, (units_n, levels, transmit, harvest_n, start) in enumerate(sensors):
+        ref_states, ref_end = _plain_int_walk(units_n, levels, transmit, harvest_n, start, K)
+        assert states[n].tobytes() == ref_states.tobytes(), f"sensor {n}"
+        assert type(ends[n]) is int and ends[n] == ref_end, f"sensor {n}"
 
 
 def test_zero_slots_return_the_start_batteries(two_sensor_scenario):
