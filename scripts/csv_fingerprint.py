@@ -2,8 +2,10 @@
 """SHA-256 fingerprints of the CSVs the CLI writes on the bundled scenarios.
 
 Runs `powermap`, `simulate` (genie and map_marginal fusion) and a power-budget
-`sweep` on scenarios/toy.scn and scenarios/two_sensor.scn with fixed seeds and
-small sample counts, in a temporary directory, and prints one line per CSV:
+`sweep` on scenarios/toy.scn and scenarios/two_sensor.scn with fixed seeds, in
+a temporary directory, and prints one line per CSV. `simulate` calibrates and
+measures 20 000 slots, several Monte Carlo blocks and a remainder, so the
+bytes cover the block loop; `sweep` keeps 2 000 per point:
 
     <sha256>  <scenario>/<run>/<file>
 
@@ -28,12 +30,13 @@ from pathlib import Path
 from ehdetect.cli import main as cli_main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-SIM_FLAGS = ["--samples", "2000", "--calibration-samples", "2000", "--seed", "7"]
+SIM_FLAGS = ["--samples", "20000", "--calibration-samples", "20000", "--seed", "7"]
+SWEEP_FLAGS = ["--samples", "2000", "--calibration-samples", "2000", "--seed", "7"]
 RUNS = (
     ("powermap", ["powermap"]),
     ("simulate_genie", ["simulate", *SIM_FLAGS]),
     ("simulate_map_marginal", ["simulate", *SIM_FLAGS, "--fc-knowledge", "map_marginal"]),
-    ("sweep", ["sweep", *SIM_FLAGS, "--variable", "power_budget",
+    ("sweep", ["sweep", *SWEEP_FLAGS, "--variable", "power_budget",
                "--values", "0.5,1,2,4"]),
 )
 

@@ -10,12 +10,14 @@ bit for bit, and keeps runs comparable across fusion or transmit variants.
 The battery recursion is the one sequential step. It runs as a speculative
 chunked walk: chunks of slots of every sensor are guessed together in one
 numpy lockstep and then checked in order, and any chunk that started from a
-wrong guess is repaired slot by slot. The path is the same as a slot-by-slot
-loop would give.
+wrong guess is repaired slot by slot. Each guess first walks a short lead-in
+of the slots before its chunk, so it is rarely wrong. The path is the same
+as a slot-by-slot loop would give.
 
 Calibration and measurement simulate in blocks small enough that a block's
 arrays stay in cache and come from memory the allocator already holds, so a
-long run pays neither page faults nor memory for its length.
+long run pays neither page faults nor memory for its length. What fusion
+needs of the power map and psi is built once per call and serves every block.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ _FUSION_CHUNK = 1 << 16
 # chunk) against the sequential check (one per chunk); past the cap longer
 # runs only widen each lockstep step, which costs less per slot.
 _WALK_CHUNK = 192
+# Each guessed chunk of the walk first walks this many slots before it from a
+# full battery, so a drain or the clamp in them has usually coupled its guess
+# to the true path before the chunk starts. On the benchmark's two maps, 32
+# slots left no chunk of twelve 2^13-slot blocks to walk again; 16 left the
+# 70 W map 1-4 chunks in 8 of the 12 blocks.
+_LEAD = 32
 # calibrate_threshold and run_monte_carlo simulate at most this many slots per
 # call, so a long run costs more calls, not more memory. A block of two
 # sensors holds about 1 MB of arrays: reused heap memory, not fresh pages the
@@ -262,10 +270,15 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
 
     1. The chunks of all sensors walk side by side in one numpy lockstep,
        over one flat next-state table that holds every sensor's drains (its
-       codes carry the sensor's offset in it). A sensor's chunk 0 starts
-       from its start battery and every other chunk from a full battery.
-    2. The chunks whose guessed start missed the end step 1 gave the chunk
-       before them walk again from that end, in one more lockstep.
+       codes carry the sensor's offset in it). Every chunk but a sensor's
+       first starts from a full battery and first walks the `_LEAD` slots
+       before it (its lead-in), so its guess has usually met the true path
+       by the chunk's first slot. A sensor's chunk 0 starts from its start
+       battery, and its lead-in is silent padding that banks nothing.
+    2. The chunks whose start after the lead-in still missed the end step 1
+       gave the chunk before them walk again from that end, in one more
+       lockstep. This is rare where drains are dense, but a lead-in without
+       a drain or the clamp in it does not couple.
     3. A Python loop over each sensor's chunk boundaries carries its true
        battery. Where it differs from a chunk's start, the chunk is walked
        slot by slot until it meets its guessed path, or to its end.
@@ -280,26 +293,33 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
     width = K + 1
     S = min(_WALK_CHUNK, math.isqrt(T))
     C = -(-T // S)
+    # a lead-in reaches back at most one chunk, and a lone chunk needs none
+    lead = min(_LEAD, S) if C > 1 else 0
     # table[base[n] + c * width + b] is sensor n's battery b after the drain of code c
     tables = [np.concatenate((np.arange(width), (np.arange(width) - u).ravel())) for u in units]
     base = np.cumsum([0] + [t.size for t in tables[:-1]])
     table = np.concatenate(tables)
-    # slot-major lanes, (S, N * C): column n * C + c is chunk c of sensor n,
-    # so a lockstep step reads one contiguous row. The last chunk of each
-    # sensor is padded with zeros, a silent slot that banks nothing.
+    # slot-major lanes, (lead + S, N * C): column n * C + c walks sensor n's
+    # slots c * S - lead .. (c + 1) * S - 1, so a lockstep step reads one
+    # contiguous row. Slots before the first or after the last are padding:
+    # zeros, a silent slot that banks nothing.
     full = T // S
-    offsets = np.zeros((S, N * C), dtype=np.int64)
-    banked = np.zeros((S, N * C), dtype=np.int64)
-    for lane, values in ((offsets, codes), (banked, harvest)):
-        chunks = lane.reshape(S, N, C).transpose(1, 2, 0)  # (N, C, S) view of the lane
+    lanes = np.zeros((2, lead + S, N, C), dtype=np.int64)
+    for lane, values in zip(lanes, (codes, harvest)):
+        chunks = lane[lead:].transpose(1, 2, 0)  # (N, C, S) view of the chunks' own slots
         chunks[:, :full] = values[:, :full * S].reshape(N, full, S)
         if full < C:
             chunks[:, full, :T - full * S] = values[:, full * S:]
+    # a chunk's lead-in is the end of the chunk before it
+    lanes[:, :lead, :, 1:] = lanes[:, S:, :, :-1]
+    offsets, banked = lanes.reshape(2, lead + S, N * C)
     offsets *= width
     offsets += base.repeat(C)
     guess = np.full(N * C, K, dtype=np.int64)
     guess[::C] = starts
     path = _lockstep(table, offsets, banked, guess, K)
+    # each chunk's own S slots from here on: its states and its end
+    path, offsets, banked = path[lead:], offsets[lead:], banked[lead:]
     missed = path[0, 1:] != path[S, :-1]
     missed[C - 1::C] = False  # a sensor's chunk 0 starts from its own battery
     redo = np.flatnonzero(missed) + 1
@@ -396,23 +416,6 @@ def _binary_llr(d: np.ndarray, p_f: float, p_d: float) -> np.ndarray:
     return np.log(ratio, out=ratio)
 
 
-def _merged_components(table: np.ndarray, psi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per level, the distinct powers of `table` and the psi mass that uses each.
-
-    States that spend the same power at a level are one component of the
-    battery mixture, so their masses add. States with psi = 0 contribute no
-    component. Returns one (powers, masses) pair per level; each level's
-    masses sum to psi.sum().
-    """
-    live = psi > 0.0
-    mass = psi[live]
-    components = []
-    for row in table:
-        powers, which = np.unique(row[live], return_inverse=True)
-        components.append((powers, np.bincount(which, weights=mass, minlength=powers.size)))
-    return components
-
-
 def _check_marginal_inputs(scenario: Scenario, power_map: PowerMap | None, psis) -> None:
     """Raise ValueError unless map_marginal fusion has a power map that
     simulate_slots would take and one psi per sensor that covers the map's
@@ -433,6 +436,83 @@ def _check_marginal_inputs(scenario: Scenario, power_map: PowerMap | None, psis)
                              f"but the power map has {table.shape[1]} (K+1)")
 
 
+def _fusion_plan(scenario: Scenario, power_map: PowerMap | None, psis):
+    """What map_marginal fusion needs of the map and psi, built once per call.
+
+    Battery states that spend the same power at a level are one component
+    of that sensor's mixture, and their psi masses add; states with psi = 0
+    contribute none. Per sensor, per level, returns the (components x 3)
+    coefficients (c0, c1, c2) of the components' linear forms (see
+    `fusion_llr`), one row per distinct power. The masses are normalised per
+    level, so a lone component has c0 = log 1 = 0 exactly even where psi's
+    float sum is not 1. Returns None for genie fusion, which needs no plan.
+    The inputs must have passed `_check_marginal_inputs`.
+    """
+    if scenario.network.fc_knowledge == "genie":
+        return None
+    plan = []
+    for sensor, table, dist in zip(scenario.sensors, power_map.powers, psis):
+        inv = 1.0 / (2.0 * sensor.noise_var)
+        live = dist.psi > 0.0
+        mass = dist.psi[live]
+        coefs = []
+        for row in table:
+            powers, which = np.unique(row[live], return_inverse=True)
+            masses = np.bincount(which, weights=mass, minlength=powers.size)
+            coefs.append(np.stack([np.log(masses / masses.sum()), 2.0 * inv * np.sqrt(powers),
+                                   -inv * powers], axis=1))
+        plan.append(tuple(coefs))
+    return tuple(plan)
+
+
+def _fuse(batch: SimBatch, scenario: Scenario, plan) -> np.ndarray:
+    """`fusion_llr` of a batch whose inputs are already checked, with
+    map_marginal fusion read from `plan` (`_fusion_plan`; None for genie)."""
+    slots = batch.hypothesis.size
+    total = np.zeros(slots)
+    for n, sensor in enumerate(scenario.sensors):
+        if plan is None:
+            y = batch.outputs[n]
+            a = batch.amplitudes[n]
+            # (y^2 - (y - a)^2) / (2 sigma^2), exactly 0 where a is
+            d = 2.0 * y
+            d -= a
+            d *= a
+            d *= 1.0 / (2.0 * sensor.noise_var)
+            total += _binary_llr(d, sensor.p_f, sensor.p_d)
+            continue
+        levels = batch.levels[n]
+        # each slot's inputs to the linear forms: 1, y sqrt(g), g
+        x = np.empty((3, slots))
+        x[0] = 1.0
+        np.sqrt(batch.gains[n], out=x[1])
+        x[1] *= batch.outputs[n]
+        x[2] = batch.gains[n]
+        d = np.empty(slots)
+        for level, coef in enumerate(plan[n]):
+            width = max(2, _FUSION_CHUNK // coef.shape[0])
+            where = np.flatnonzero(levels == level)
+            for start in range(0, where.size, width):
+                idx = where[start:start + width]
+                if idx.size == 1:
+                    idx = idx.repeat(2)  # never a one-column block, see _FUSION_CHUNK
+                # take, not x[:, idx]: that gather comes out column-major, and
+                # einsum over it runs about five times slower
+                z = np.einsum("ck,kn->cn", coef, x.take(idx, axis=1))
+                if coef.shape[0] == 1:
+                    # the log-sum-exp of one term z is log(exp(z - z)) + z =
+                    # 0 + z: the row itself (a -0.0 may stay -0.0, which
+                    # _binary_llr's exp cannot tell from 0.0)
+                    d[idx] = z[0]
+                    continue
+                peak = z.max(axis=0)
+                z -= peak
+                np.exp(z, out=z)
+                d[idx] = np.log(z.sum(axis=0)) + peak
+        total += _binary_llr(d, sensor.p_f, sensor.p_d)
+    return total
+
+
 def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None = None,
                psis=None) -> np.ndarray:
     """Per-slot fusion statistic, summed over sensors.
@@ -443,7 +523,9 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
     hypothesis is a mixture over the stationary distributions `psis`, one per
     sensor. Battery states that spend the same power at a level form one
     component of that mixture, so the cost grows with the number of distinct
-    powers per level, not with the capacity.
+    powers per level, not with the capacity. The components and their
+    coefficients depend only on the map and psis: `calibrate_threshold` and
+    `run_monte_carlo` build them once per call, not once per block.
 
     Against silence, component c (power p_c, normalised mass m_c) of a slot
     with output y and gain g has the log-likelihood
@@ -455,60 +537,22 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
     no large terms to cancel. A level's (components x slots) block of linear
     forms is one einsum over at most about `_FUSION_CHUNK` elements; max,
     subtract, exp and sum then run in place. The cost is about five passes
-    per (slot, component) element plus a few per slot. It is einsum and not
-    `@`, and a block never has one slot, so that a slot's statistic does not
-    depend on how the slots were blocked (see `_FUSION_CHUNK`).
+    per (slot, component) element plus a few per slot. A level with one
+    component skips the log-sum-exp: its linear form is d, bit for bit. It
+    is einsum and not `@`, and a block never has one slot, so that a slot's
+    statistic does not depend on how the slots were blocked (see
+    `_FUSION_CHUNK`).
     """
-    slots = batch.hypothesis.size
-    total = np.zeros(slots)
-    if scenario.network.fc_knowledge == "genie":
-        for n, sensor in enumerate(scenario.sensors):
-            y = batch.outputs[n]
-            a = batch.amplitudes[n]
-            # (y^2 - (y - a)^2) / (2 sigma^2), exactly 0 where a is
-            d = 2.0 * y
-            d -= a
-            d *= a
-            d *= 1.0 / (2.0 * sensor.noise_var)
-            total += _binary_llr(d, sensor.p_f, sensor.p_d)
-        return total
-
     _check_marginal_inputs(scenario, power_map, psis)
-    for n, sensor in enumerate(scenario.sensors):
-        table = power_map.powers[n]
-        levels = batch.levels[n]
-        # every slot must fall in one level's group below, or its statistic is never set
-        if slots and not 0 <= levels.min() <= levels.max() < table.shape[0]:
-            raise ValueError(f"sensor {n}: batch levels must lie in 0..{table.shape[0] - 1}, "
-                             "the power map's levels")
-        inv = 1.0 / (2.0 * sensor.noise_var)
-        # each slot's inputs to the linear forms: 1, y sqrt(g), g
-        x = np.empty((3, slots))
-        x[0] = 1.0
-        np.sqrt(batch.gains[n], out=x[1])
-        x[1] *= batch.outputs[n]
-        x[2] = batch.gains[n]
-        d = np.empty(slots)
-        for level, (powers, masses) in enumerate(_merged_components(table, psis[n].psi)):
-            # normalised per level, so a lone component has log-mass exactly 0
-            # even where psi's float sum is not exactly 1
-            coef = np.stack([np.log(masses / masses.sum()), 2.0 * inv * np.sqrt(powers),
-                             -inv * powers], axis=1)
-            width = max(2, _FUSION_CHUNK // powers.size)
-            where = np.flatnonzero(levels == level)
-            for start in range(0, where.size, width):
-                idx = where[start:start + width]
-                if idx.size == 1:
-                    idx = idx.repeat(2)  # never a one-column block, see _FUSION_CHUNK
-                # take, not x[:, idx]: that gather comes out column-major, and
-                # einsum over it runs about five times slower
-                z = np.einsum("ck,kn->cn", coef, x.take(idx, axis=1))
-                peak = z.max(axis=0)
-                z -= peak
-                np.exp(z, out=z)
-                d[idx] = np.log(z.sum(axis=0)) + peak
-        total += _binary_llr(d, sensor.p_f, sensor.p_d)
-    return total
+    plan = _fusion_plan(scenario, power_map, psis)
+    if plan is not None and batch.hypothesis.size:
+        for n, coefs in enumerate(plan):
+            levels = batch.levels[n]
+            # every slot must fall in one level's group, or its statistic is never set
+            if not 0 <= levels.min() <= levels.max() < len(coefs):
+                raise ValueError(f"sensor {n}: batch levels must lie in 0..{len(coefs) - 1}, "
+                                 "the power map's levels")
+    return _fuse(batch, scenario, plan)
 
 
 def _blocks(scenario: Scenario, power_map: PowerMap, slots: int, seed: int,
@@ -559,8 +603,9 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
         raise ValueError("target_pf must lie in (0, 1)")
     _check_count("samples", samples, 1)
     _check_marginal_inputs(scenario, power_map, psis)
+    plan = _fusion_plan(scenario, power_map, psis)
     null_llr = np.concatenate([
-        fusion_llr(replace(batch, outputs=batch.null_outputs), scenario, power_map, psis=psis)
+        _fuse(replace(batch, outputs=batch.null_outputs), scenario, plan)
         for batch in _blocks(scenario, power_map, samples, seed, warmup)])
     threshold = float(np.quantile(null_llr, 1.0 - target_pf, method="higher"))
     achieved = float(np.mean(null_llr > threshold))
@@ -584,11 +629,12 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
     """
     _check_count("slots", slots, 1)
     _check_marginal_inputs(scenario, power_map, psis)
+    plan = _fusion_plan(scenario, power_map, psis)
     net = scenario.network
     n1 = hits1 = hits0 = 0
     counts = np.zeros((scenario.num_sensors, net.capacity + 1), dtype=np.int64)
     for batch in _blocks(scenario, power_map, slots, seed, warmup):
-        decide = fusion_llr(batch, scenario, power_map, psis=psis) > threshold
+        decide = _fuse(batch, scenario, plan) > threshold
         h1 = batch.hypothesis == 1
         n1 += int(np.count_nonzero(h1))
         hits1 += int(np.count_nonzero(decide & h1))

@@ -20,7 +20,7 @@ from ehdetect import (
     simulate_slots,
 )
 from ehdetect import simulator
-from ehdetect.simulator import SimBatch, _merged_components
+from ehdetect.simulator import SimBatch, _fusion_plan
 
 
 def _with_network(scenario, **changes):
@@ -280,25 +280,46 @@ def test_map_marginal_rejects_levels_outside_the_map(toy_scenario):
         fusion_llr(replace(batch, levels=levels), sc, pmap, psis=(psi,))
 
 
+def _sensor_plan(scenario, table, psi):
+    """`_fusion_plan` of the scenario's first sensor alone, with power table
+    `table` and stationary distribution `psi`: per level, its coefficients."""
+    net = scenario.network
+    sc = replace(scenario, sensors=scenario.sensors[:1],
+                 network=replace(net, fc_knowledge="map_marginal"))
+    pmap = PowerMap(powers=(table,), unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
+    (coefs,) = _fusion_plan(sc, pmap, (BatteryDistribution(psi=psi),))
+    return coefs
+
+
 def test_merged_components_add_the_mass_of_equal_powers(toy_scenario):
     K = toy_scenario.network.capacity
+    inv = 1.0 / (2.0 * toy_scenario.sensors[0].noise_var)
     psi = np.linspace(0.5, 1.5, K + 1)
     psi /= psi.sum()
-    # a flat map merges every level to one component carrying all the mass
-    for powers, masses in _merged_components(_zero_map(toy_scenario).powers[0], psi):
-        np.testing.assert_array_equal(powers, [0.0])
-        assert masses == pytest.approx([psi.sum()], abs=1e-15)
+    # a flat map merges every level to one component carrying all the mass,
+    # so its log-mass is exactly 0 and its linear form is 0
+    for coef in _sensor_plan(toy_scenario, _zero_map(toy_scenario).powers[0], psi):
+        np.testing.assert_array_equal(coef, [[0.0, 0.0, 0.0]])
     # spend-one is flat over the charged states only, so the empty state is
     # a second component at each live level until its mass is zero
     table = _spend_one_map(toy_scenario).powers[0]
-    assert [p.size for p, _ in _merged_components(table, psi)] == [1, 2, 2]
+    coefs = _sensor_plan(toy_scenario, table, psi)
+    assert [c.shape[0] for c in coefs] == [1, 2, 2]
+    for coef in coefs[1:]:
+        np.testing.assert_allclose(np.exp(coef[:, 0]), [psi[0], psi[1:].sum()], rtol=1e-13)
+        np.testing.assert_allclose(-coef[:, 2] / inv, [0.0, table[1, 1]], rtol=1e-15)
     psi[0] = 0.0
-    assert [p.size for p, _ in _merged_components(table, psi / psi.sum())] == [1, 1, 1]
-    # any map: each level's merged masses sum to one
+    coefs = _sensor_plan(toy_scenario, table, psi / psi.sum())
+    assert [c.shape[0] for c in coefs] == [1, 1, 1]
+    # any map: one row per distinct power of the occupied states, and each
+    # level's merged masses sum to one
     out = optimize_power_map(toy_scenario)
-    for powers, masses in _merged_components(out.power_map.powers[0], out.psi_star[0].psi):
-        assert np.unique(powers).size == powers.size
-        assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+    table, psi = out.power_map.powers[0], out.psi_star[0].psi
+    for row, coef in zip(table, _sensor_plan(toy_scenario, table, psi)):
+        np.testing.assert_allclose(-coef[:, 2] / inv, np.unique(row[psi > 0.0]), rtol=1e-15)
+        np.testing.assert_allclose(coef[:, 1], 2.0 * inv * np.sqrt(-coef[:, 2] / inv),
+                                   rtol=1e-15)
+        assert np.exp(coef[:, 0]).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def _per_state_llr(batch, scenario, power_map, psis):
@@ -420,8 +441,8 @@ def test_a_slots_statistic_does_not_depend_on_how_slots_are_blocked(two_sensor_s
         weights = np.ones((sc.num_sensors, K + 1))
         weights[:, 0] = 0.0
     psis = tuple(BatteryDistribution(psi=w / w.sum()) for w in weights)
-    for table, dist in zip(pmap.powers, psis):
-        live = [p.size for p, _ in _merged_components(table, dist.psi)[1:]]
+    for coefs in _fusion_plan(sc, pmap, psis):
+        live = [coef.shape[0] for coef in coefs[1:]]
         assert min(live) >= 8 if many else max(live) == 1
     slots = 3_000
     batch = simulate_slots(sc, pmap, slots, make_streams(17, 2))
@@ -434,6 +455,30 @@ def test_a_slots_statistic_does_not_depend_on_how_slots_are_blocked(two_sensor_s
     for bound in (1, 2, 3):
         monkeypatch.setattr(simulator, "_FUSION_CHUNK", bound)
         np.testing.assert_array_equal(fusion_llr(batch, sc, pmap, psis=psis), whole)
+
+
+@pytest.mark.parametrize("solved", [False, True], ids=["spend_one", "solved_map"])
+def test_lone_component_levels_equal_their_log_sum_exp(two_sensor_scenario, solved):
+    # a lone component's statistic skips the log-sum-exp; a second component
+    # of zero mass (log-mass -inf) sends the level through it, adding
+    # exp(-inf) = 0 to the sum, so both must give the same bits
+    sc = _with_network(two_sensor_scenario, fc_knowledge="map_marginal")
+    if solved:
+        out = optimize_power_map(sc)
+        pmap, psis = out.power_map, out.psi_star
+    else:
+        pmap = _spend_one_map(sc)
+        psi = np.ones(sc.network.capacity + 1)
+        psi[0] = 0.0
+        psis = (BatteryDistribution(psi=psi / psi.sum()),) * 2
+    plan = _fusion_plan(sc, pmap, psis)
+    assert sum(coef.shape[0] == 1 for coefs in plan for coef in coefs) >= 5
+    padded = tuple(tuple(np.vstack([coef, [-np.inf, 0.0, 0.0]]) if coef.shape[0] == 1 else coef
+                         for coef in coefs) for coefs in plan)
+    batch = simulate_slots(sc, pmap, 5_000, make_streams(23, 2))
+    lone = simulator._fuse(batch, sc, plan)
+    np.testing.assert_array_equal(simulator._fuse(batch, sc, padded), lone)
+    np.testing.assert_array_equal(fusion_llr(batch, sc, pmap, psis=psis), lone)
 
 
 def _fraction_sqrt(q, bits=200):
@@ -707,19 +752,54 @@ def test_calibration_fuses_the_null_output_of_every_slot(toy_scenario, monkeypat
     expected = _calibrate_on_one_batch(scenario, out.power_map, 0.1, 10_000, 9, out.psi_star)
 
     fused = []
-    fuse = simulator.fusion_llr
+    fuse = simulator._fuse
 
-    def spy(batch, *args, **kwargs):
+    def spy(batch, *args):
         np.testing.assert_array_equal(batch.outputs, batch.null_outputs)
         fused.append(batch.hypothesis.size)
-        return fuse(batch, *args, **kwargs)
+        return fuse(batch, *args)
 
     monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
-    monkeypatch.setattr(simulator, "fusion_llr", spy)
+    monkeypatch.setattr(simulator, "_fuse", spy)
     got = calibrate_threshold(scenario, out.power_map, 0.1, samples=10_000, seed=9,
                               psis=out.psi_star)
     assert got == expected
     assert fused == [4_096, 4_096, 1_808]
+
+
+@pytest.mark.parametrize("measure", [False, True], ids=["calibrate", "measure"])
+@pytest.mark.parametrize("fc_knowledge", ["genie", "map_marginal"])
+def test_one_fusion_plan_serves_every_block_of_a_call(two_sensor_scenario, monkeypatch,
+                                                      fc_knowledge, measure):
+    # the components and coefficients depend on the map and psi alone, so a
+    # call of several blocks builds them once, and genie fusion never does
+    sc = _with_network(two_sensor_scenario, fc_knowledge=fc_knowledge)
+    out = optimize_power_map(sc)
+    builds, blocks = [], []
+    plan, fuse = simulator._fusion_plan, simulator._fuse
+
+    def count_builds(*args):
+        built = plan(*args)
+        builds.append(built is not None)
+        return built
+
+    def count_blocks(batch, scenario, built):
+        blocks.append(built)
+        return fuse(batch, scenario, built)
+
+    monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 2_048)
+    monkeypatch.setattr(simulator, "_fusion_plan", count_builds)
+    monkeypatch.setattr(simulator, "_fuse", count_blocks)
+    if measure:
+        run_monte_carlo(sc, out.power_map, 0.0, slots=7_000, seed=2, psis=out.psi_star)
+    else:
+        calibrate_threshold(sc, out.power_map, 0.1, samples=7_000, seed=2, psis=out.psi_star)
+    assert len(blocks) == 4
+    if fc_knowledge == "genie":
+        assert builds == [False] and blocks == [None] * 4
+    else:
+        assert builds == [True]
+        assert all(built is blocks[0] for built in blocks)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -889,16 +969,21 @@ def _walk_cases(draw):
     return units, levels, transmit, harvest, start, chunk
 
 
-@given(_walk_cases())
+# lead-ins of none, one slot, the shipped length, and longer than any chunk
+_LEADS = st.sampled_from([0, 1, 32, simulator._WALK_CHUNK + 1])
+
+
+@given(_walk_cases(), _LEADS)
 @settings(max_examples=300, deadline=None)
 @example((np.array([[0, 0, 0], [0, 1, 1]]), np.ones(9, dtype=np.int64),
-          np.ones(9, dtype=np.int8), np.ones(9, dtype=np.int64), 0, 3))
-def test_chunked_walk_equals_the_plain_int_loop(case):
+          np.ones(9, dtype=np.int8), np.ones(9, dtype=np.int64), 0, 3), 32)
+def test_chunked_walk_equals_the_plain_int_loop(case, lead):
     units, levels, transmit, harvest, start, chunk = case
     K = units.shape[1] - 1
     states = np.empty((1, levels.size), dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_WALK_CHUNK", chunk)
+        mp.setattr(simulator, "_LEAD", lead)
         (end,) = simulator._walk((units,), ((levels + 1) * transmit)[None], harvest[None],
                                  (start,), states)
     ref_states, ref_end = _plain_int_walk(units, levels, transmit, harvest, start, K)
@@ -906,25 +991,47 @@ def test_chunked_walk_equals_the_plain_int_loop(case):
     assert type(end) is int and end == ref_end
 
 
-def test_second_pass_leaves_nothing_to_repair_once_paths_couple(monkeypatch):
-    # a drain of the whole charge every 10 slots, one unit banked per slot:
-    # the battery never refills, so every full-battery guess after chunk 0 is
-    # wrong, but each chunk's path couples at its first drain. The second
-    # pass restarts every chunk from its predecessor's true end.
-    K, slots = 50, 5_000
+def _walk_every(period, monkeypatch):
+    """Walk 5 000 slots from a full battery of 100 units that banks one unit
+    a slot and drains its whole charge every `period` slots, counting the
+    locksteps and the chunks that `_rejoin` repairs."""
+    K, slots = 100, 5_000
     units = np.zeros((2, K + 1), dtype=np.int64)
     units[1] = np.arange(K + 1)
-    codes = np.where(np.arange(slots) % 10 == 0, 2, 0)
+    codes = np.where(np.arange(slots) % period == 0, 2, 0)
     harvest = np.ones(slots, dtype=np.int64)
-    repaired = []
-    rejoin = simulator._rejoin
+    locksteps, repaired = [], []
+    lockstep, rejoin = simulator._lockstep, simulator._rejoin
+    monkeypatch.setattr(simulator, "_lockstep",
+                        lambda *args: locksteps.append(args[-2].size) or lockstep(*args))
     monkeypatch.setattr(simulator, "_rejoin",
                         lambda *args: repaired.append(args[-2]) or rejoin(*args))
     states = np.empty((1, slots), dtype=np.int64)
     (end,) = simulator._walk((units,), codes[None], harvest[None], (K,), states)
     ref_states, ref_end = _plain_int_walk(units, codes // 2, codes // 2, harvest, K, K)
     assert states.tobytes() == ref_states.tobytes() and end == ref_end
-    assert states[0, slots // 2:].max() < K  # the guesses really were wrong
+    # the battery never refills, so every full-battery guess after chunk 0 is wrong
+    assert states[0, period:].max() < K
+    return locksteps, repaired
+
+
+def test_lead_in_couples_the_guesses_before_their_chunks(monkeypatch):
+    # a drain every 10 slots: each chunk's 32-slot lead-in holds three, so
+    # every guess meets the true path before its chunk starts
+    assert simulator._LEAD == 32
+    locksteps, repaired = _walk_every(10, monkeypatch)
+    assert len(locksteps) == 1
+    assert repaired == []
+
+
+def test_second_pass_leaves_nothing_to_repair_once_paths_couple(monkeypatch):
+    # a drain every 50 slots: a lead-in of 32 slots often holds none, so
+    # those chunks start wrong; each 70-slot chunk holds a drain, so the
+    # second pass, restarting them from their predecessor's end, couples
+    # them all
+    assert simulator._LEAD == 32
+    locksteps, repaired = _walk_every(50, monkeypatch)
+    assert len(locksteps) == 2 and 0 < locksteps[1] < locksteps[0]
     assert repaired == []
 
 
@@ -966,10 +1073,10 @@ def _two_sensors_of_two_sizes():
                   (large, cycle, (cycle > 0).astype(np.int8), 2 * ones, K)]
 
 
-@given(_fused_walk_cases())
+@given(_fused_walk_cases(), _LEADS)
 @settings(max_examples=200, deadline=None)
-@example(_two_sensors_of_two_sizes())
-def test_fused_walk_gives_each_sensor_its_plain_int_loop(case):
+@example(_two_sensors_of_two_sizes(), 32)
+def test_fused_walk_gives_each_sensor_its_plain_int_loop(case, lead):
     K, chunk, sensors = case
     units = tuple(units for units, *_ in sensors)
     codes = np.array([(levels + 1) * transmit for _, levels, transmit, _, _ in sensors])
@@ -977,6 +1084,7 @@ def test_fused_walk_gives_each_sensor_its_plain_int_loop(case):
     states = np.empty(codes.shape, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_WALK_CHUNK", chunk)
+        mp.setattr(simulator, "_LEAD", lead)
         ends = simulator._walk(units, codes, harvest, tuple(s[-1] for s in sensors), states)
     assert len(ends) == len(sensors)
     for n, (units_n, levels, transmit, harvest_n, start) in enumerate(sensors):
