@@ -59,7 +59,7 @@ _WALK_CHUNK = 192
 # Each guessed chunk of the walk first walks this many slots before it from a
 # full battery, so a drain or the clamp in them has usually coupled its guess
 # to the true path before the chunk starts. On the benchmark's two maps, 32
-# slots left no chunk of twelve 2^13-slot blocks to walk again; 16 left the
+# slots left no chunk of twelve 2^13-slot blocks to repair; 16 left the
 # 70 W map 1-4 chunks in 8 of the 12 blocks.
 _LEAD = 32
 # calibrate_threshold and run_monte_carlo simulate at most this many slots per
@@ -275,16 +275,13 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
        before it (its lead-in), so its guess has usually met the true path
        by the chunk's first slot. A sensor's chunk 0 starts from its start
        battery, and its lead-in is silent padding that banks nothing.
-    2. The chunks whose start after the lead-in still missed the end step 1
-       gave the chunk before them walk again from that end, in one more
-       lockstep. This is rare where drains are dense, but a lead-in without
-       a drain or the clamp in it does not couple.
-    3. A Python loop over each sensor's chunk boundaries carries its true
-       battery. Where it differs from a chunk's start, the chunk is walked
-       slot by slot until it meets its guessed path, or to its end.
+    2. A Python loop over each sensor's chunk boundaries carries its true
+       battery. Where it differs from a chunk's start, as after a lead-in
+       with no drain or clamp in it, the chunk is repaired slot by slot, in
+       order, until it meets its guessed path, or to its end.
 
-    Correctness rests on step 3 alone. Steps 1 and 2 only make it rare that
-    it has to walk a slot, and if no paths meet it walks every slot once.
+    Correctness rests on step 2 alone. Step 1 only makes it rare that it has
+    to walk a slot, and if no paths meet it walks every slot once.
     """
     N, T = codes.shape
     if T == 0:
@@ -320,12 +317,6 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
     path = _lockstep(table, offsets, banked, guess, K)
     # each chunk's own S slots from here on: its states and its end
     path, offsets, banked = path[lead:], offsets[lead:], banked[lead:]
-    missed = path[0, 1:] != path[S, :-1]
-    missed[C - 1::C] = False  # a sensor's chunk 0 starts from its own battery
-    redo = np.flatnonzero(missed) + 1
-    if redo.size:
-        path[:, redo] = _lockstep(table, offsets[:, redo], banked[:, redo],
-                                  path[S, redo - 1], K)
     firsts, lasts = path[0].tolist(), path[S].tolist()
     steps = table.tolist()
     end = []
@@ -416,12 +407,22 @@ def _binary_llr(d: np.ndarray, p_f: float, p_d: float) -> np.ndarray:
     return np.log(ratio, out=ratio)
 
 
-def _check_marginal_inputs(scenario: Scenario, power_map: PowerMap | None, psis) -> None:
-    """Raise ValueError unless map_marginal fusion has a power map that
+def _fusion_plan(scenario: Scenario, power_map: PowerMap | None, psis):
+    """What map_marginal fusion needs of the map and psi, built once per call.
+
+    Raises ValueError unless map_marginal fusion has a power map that
     simulate_slots would take and one psi per sensor that covers the map's
-    battery states; a no-op for genie fusion, which needs neither."""
-    if scenario.network.fc_knowledge != "map_marginal":
-        return
+    battery states. Battery states that spend the same power at a level are
+    one component of that sensor's mixture, and their psi masses add; states
+    with psi = 0 contribute none. Per sensor, per level, returns the
+    (components x 3) coefficients (c0, c1, c2) of the components' linear
+    forms (see `fusion_llr`), one row per distinct power. The masses are
+    normalised per level, so a lone component has c0 = log 1 = 0 exactly
+    even where psi's float sum is not 1. Returns None for genie fusion,
+    which needs neither the map nor psi.
+    """
+    if scenario.network.fc_knowledge == "genie":
+        return None
     if power_map is None or psis is None:
         raise ValueError("map_marginal fusion needs power_map and psis")
     _check_map(scenario, power_map)
@@ -430,28 +431,11 @@ def _check_marginal_inputs(scenario: Scenario, power_map: PowerMap | None, psis)
         why = f"sensor {len(psis)} has none" if len(psis) < N else f"psis[{N}] matches no sensor"
         raise ValueError(f"map_marginal fusion needs one psi per sensor: got {len(psis)} "
                          f"for {N} sensors; {why}")
-    for n, (table, dist) in enumerate(zip(power_map.powers, psis)):
+    plan = []
+    for n, (sensor, table, dist) in enumerate(zip(scenario.sensors, power_map.powers, psis)):
         if dist.psi.size != table.shape[1]:
             raise ValueError(f"sensor {n}: psi covers {dist.psi.size} battery states, "
                              f"but the power map has {table.shape[1]} (K+1)")
-
-
-def _fusion_plan(scenario: Scenario, power_map: PowerMap | None, psis):
-    """What map_marginal fusion needs of the map and psi, built once per call.
-
-    Battery states that spend the same power at a level are one component
-    of that sensor's mixture, and their psi masses add; states with psi = 0
-    contribute none. Per sensor, per level, returns the (components x 3)
-    coefficients (c0, c1, c2) of the components' linear forms (see
-    `fusion_llr`), one row per distinct power. The masses are normalised per
-    level, so a lone component has c0 = log 1 = 0 exactly even where psi's
-    float sum is not 1. Returns None for genie fusion, which needs no plan.
-    The inputs must have passed `_check_marginal_inputs`.
-    """
-    if scenario.network.fc_knowledge == "genie":
-        return None
-    plan = []
-    for sensor, table, dist in zip(scenario.sensors, power_map.powers, psis):
         inv = 1.0 / (2.0 * sensor.noise_var)
         live = dist.psi > 0.0
         mass = dist.psi[live]
@@ -543,7 +527,6 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
     statistic does not depend on how the slots were blocked (see
     `_FUSION_CHUNK`).
     """
-    _check_marginal_inputs(scenario, power_map, psis)
     plan = _fusion_plan(scenario, power_map, psis)
     if plan is not None and batch.hypothesis.size:
         for n, coefs in enumerate(plan):
@@ -602,7 +585,6 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
     if not 0.0 < target_pf < 1.0:
         raise ValueError("target_pf must lie in (0, 1)")
     _check_count("samples", samples, 1)
-    _check_marginal_inputs(scenario, power_map, psis)
     plan = _fusion_plan(scenario, power_map, psis)
     null_llr = np.concatenate([
         _fuse(replace(batch, outputs=batch.null_outputs), scenario, plan)
@@ -623,12 +605,15 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
     that held in no measured slot gets rate 0 and half-width inf. The run is
     simulated in blocks of at most `_CALIBRATION_BLOCK` slots and only counts
     are kept, so memory does not grow with `slots`. Raises ValueError, before
-    simulating anything, on a `slots` that is not a whole number >= 1, a
-    `warmup` that is not a whole number >= 0, or map_marginal fusion without
-    one fitting psi per sensor.
+    simulating anything, on a NaN `threshold` (+-inf decide every slot one
+    way), a `slots` that is not a whole number >= 1, a `warmup` that is not a
+    whole number >= 0, or map_marginal fusion without one fitting psi per
+    sensor.
     """
+    if math.isnan(threshold):
+        # every comparison with NaN is False: the run would report no detection
+        raise ValueError(f"threshold must be a number, got {threshold!r}")
     _check_count("slots", slots, 1)
-    _check_marginal_inputs(scenario, power_map, psis)
     plan = _fusion_plan(scenario, power_map, psis)
     net = scenario.network
     n1 = hits1 = hits0 = 0

@@ -825,10 +825,12 @@ def test_one_fusion_plan_serves_every_block_of_a_call(two_sensor_scenario, monke
      r"slots must be a whole number >= 1, got True"),
     (lambda sc, m: run_monte_carlo(sc, m, 0.0, slots=1000, seed=1, warmup=True),
      r"warmup must be a whole number >= 0, got True"),
+    (lambda sc, m: run_monte_carlo(sc, m, math.nan, slots=1000, seed=1),
+     r"threshold must be a number, got nan"),
 ], ids=["calibrate_float_samples", "calibrate_zero_samples", "calibrate_negative_warmup",
         "calibrate_float_warmup", "measure_float_slots", "measure_zero_slots",
         "measure_negative_warmup", "measure_float_warmup", "calibrate_bool_samples",
-        "measure_bool_slots", "measure_bool_warmup"])
+        "measure_bool_slots", "measure_bool_warmup", "measure_nan_threshold"])
 def test_bad_counts_raise_before_anything_is_simulated(toy_scenario, monkeypatch, call, match):
     calls = []
     monkeypatch.setattr(simulator, "simulate_slots", lambda *args, **kwargs: calls.append(args))
@@ -1024,15 +1026,15 @@ def test_lead_in_couples_the_guesses_before_their_chunks(monkeypatch):
     assert repaired == []
 
 
-def test_second_pass_leaves_nothing_to_repair_once_paths_couple(monkeypatch):
+def test_rejoin_repairs_the_chunks_whose_lead_in_missed(monkeypatch):
     # a drain every 50 slots: a lead-in of 32 slots often holds none, so
-    # those chunks start wrong; each 70-slot chunk holds a drain, so the
-    # second pass, restarting them from their predecessor's end, couples
-    # them all
+    # those chunks start wrong and are repaired in order; the others start
+    # right. One lockstep walks all 72 chunks of 70 slots, and _walk_every
+    # checks the repaired path against the plain loop
     assert simulator._LEAD == 32
     locksteps, repaired = _walk_every(50, monkeypatch)
-    assert len(locksteps) == 2 and 0 < locksteps[1] < locksteps[0]
-    assert repaired == []
+    assert locksteps == [72]
+    assert 0 < len(repaired) < 71
 
 
 @st.composite
