@@ -14,10 +14,11 @@ wrong guess is repaired slot by slot. Each guess first walks a short lead-in
 of the slots before its chunk, so it is rarely wrong. The path is the same
 as a slot-by-slot loop would give.
 
-Calibration and measurement simulate in blocks small enough that a block's
-arrays stay in cache and come from memory the allocator already holds, so a
-long run pays neither page faults nor memory for its length. What fusion
-needs of the power map and psi is built once per call and serves every block.
+Calibration and measurement, warm-up included, simulate in blocks small
+enough that a block's arrays stay in cache and come from memory the allocator
+already holds, so a long run pays neither page faults nor memory for its
+length. What fusion needs of the power map and psi is built once per call and
+serves every block.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ __all__ = [
 # block is built by einsum and not by `@`: BLAS may round an element
 # differently depending on the block's width.
 _FUSION_CHUNK = 1 << 16
-# The battery walk guesses chunks of about sqrt(slots) slots, at most this
-# many, in lockstep. sqrt balances the lockstep steps (one per slot of a
-# chunk) against the sequential check (one per chunk); past the cap longer
-# runs only widen each lockstep step, which costs less per slot.
-_WALK_CHUNK = 192
 # Each guessed chunk of the walk first walks this many slots before it from a
 # full battery, so a drain or the clamp in them has usually coupled its guess
 # to the true path before the chunk starts. On the benchmark's two maps, 32
@@ -63,11 +59,12 @@ _WALK_CHUNK = 192
 # 70 W map 1-4 chunks in 8 of the 12 blocks.
 _LEAD = 32
 # calibrate_threshold and run_monte_carlo simulate at most this many slots per
-# call, so a long run costs more calls, not more memory. A block of two
-# sensors holds about 1 MB of arrays: reused heap memory, not fresh pages the
-# kernel maps on first touch, as at 2^18 slots (about 27 MB per 100k-slot call).
-# On a 2-vCPU Xeon, 2^13 ran the benchmark's Monte Carlo points fastest of
-# 2^12..2^16; below it the walk's per-block steps cost more than they save.
+# call, warm-up included, so a long run costs more calls, not more memory. A
+# block of two sensors holds about 1 MB of arrays: reused heap memory, not
+# fresh pages the kernel maps on first touch, as at 2^18 slots (about 27 MB
+# per 100k-slot call). On a 2-vCPU Xeon, 2^13 ran the benchmark's Monte Carlo
+# points fastest of 2^12..2^16; below it the walk's per-block steps cost more
+# than they save.
 _CALIBRATION_BLOCK = 1 << 13
 
 
@@ -265,8 +262,9 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
     The path from a known state is fixed, and two paths that reach one state
     agree from then on; paths from different states meet at the clamp or
     after a drain (the coupling of Propp & Wilson 1996). So each sensor's
-    slots are cut into C chunks of S slots and guessed in parallel, then
-    checked in order:
+    T slots are cut into C chunks of S = isqrt(T) slots, which balances the
+    lockstep's S steps against the check's C <= S + 2, and the chunks are
+    guessed in parallel, then checked in order:
 
     1. The chunks of all sensors walk side by side in one numpy lockstep,
        over one flat next-state table that holds every sensor's drains (its
@@ -288,10 +286,10 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
         return tuple(starts)
     K = units[0].shape[1] - 1
     width = K + 1
-    S = min(_WALK_CHUNK, math.isqrt(T))
+    S = math.isqrt(T)
     C = -(-T // S)
-    # a lead-in reaches back at most one chunk, and a lone chunk needs none
-    lead = min(_LEAD, S) if C > 1 else 0
+    # a lead-in reaches back at most one chunk
+    lead = min(_LEAD, S)
     # table[base[n] + c * width + b] is sensor n's battery b after the drain of code c
     tables = [np.concatenate((np.arange(width), (np.arange(width) - u).ravel())) for u in units]
     base = np.cumsum([0] + [t.size for t in tables[:-1]])
@@ -541,18 +539,19 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
 def _blocks(scenario: Scenario, power_map: PowerMap, slots: int, seed: int,
             warmup: int | None):
     """The `slots` slots after `warmup` slots (default 10x capacity) from full
-    batteries, as consecutive batches of at most `_CALIBRATION_BLOCK` slots."""
+    batteries, as consecutive batches of at most `_CALIBRATION_BLOCK` slots.
+    The warm-up runs in blocks of the same size and is not yielded."""
     warmup = 10 * scenario.network.capacity if warmup is None else warmup
     _check_count("warmup", warmup, 0)
     streams = make_streams(seed, scenario.num_sensors)
     batteries = None
-    if warmup > 0:
-        batteries = simulate_slots(scenario, power_map, warmup, streams).batteries
-    for start in range(0, slots, _CALIBRATION_BLOCK):
-        batch = simulate_slots(scenario, power_map, min(_CALIBRATION_BLOCK, slots - start),
-                               streams, batteries=batteries)
-        batteries = batch.batteries
-        yield batch
+    for kept, count in ((False, warmup), (True, slots)):
+        for start in range(0, count, _CALIBRATION_BLOCK):
+            batch = simulate_slots(scenario, power_map, min(_CALIBRATION_BLOCK, count - start),
+                                   streams, batteries=batteries)
+            batteries = batch.batteries
+            if kept:
+                yield batch
 
 
 def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: float,
@@ -602,13 +601,13 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
     Warm-up slots (default 10x capacity) burn in the batteries and are
     excluded from every estimate. Confidence intervals are 95% binomial
     half-widths on the respective conditional sample counts; a hypothesis
-    that held in no measured slot gets rate 0 and half-width inf. The run is
-    simulated in blocks of at most `_CALIBRATION_BLOCK` slots and only counts
-    are kept, so memory does not grow with `slots`. Raises ValueError, before
-    simulating anything, on a NaN `threshold` (+-inf decide every slot one
-    way), a `slots` that is not a whole number >= 1, a `warmup` that is not a
-    whole number >= 0, or map_marginal fusion without one fitting psi per
-    sensor.
+    that held in no measured slot gets rate 0 and half-width inf. The warm-up
+    and the run are simulated in blocks of at most `_CALIBRATION_BLOCK` slots
+    and only counts are kept, so memory grows with neither. Raises
+    ValueError, before simulating anything, on a NaN `threshold` (+-inf
+    decide every slot one way), a `slots` that is not a whole number >= 1, a
+    `warmup` that is not a whole number >= 0, or map_marginal fusion without
+    one fitting psi per sensor.
     """
     if math.isnan(threshold):
         # every comparison with NaN is False: the run would report no detection

@@ -632,35 +632,39 @@ def test_calibration_simulates_exactly_the_warmup_and_the_samples(toy_scenario, 
     assert calls == [10 * scenario.network.capacity, 3_000]
 
 
-@pytest.mark.parametrize("fc_knowledge,measure", [
-    pytest.param("genie", False, id="genie"),
-    pytest.param("map_marginal", False, id="map_marginal"),
-    pytest.param("map_marginal", True, id="run_monte_carlo"),
+@pytest.mark.parametrize("fc_knowledge,measure,warmup", [
+    pytest.param("genie", False, None, id="genie"),
+    pytest.param("map_marginal", False, None, id="map_marginal"),
+    pytest.param("map_marginal", True, None, id="run_monte_carlo"),
+    pytest.param("genie", False, 10_000, id="long_warmup"),
+    pytest.param("map_marginal", True, 10_000, id="run_monte_carlo_long_warmup"),
 ])
 def test_calibration_blocks_are_capped_without_moving_a_sample(toy_scenario, monkeypatch,
-                                                               fc_knowledge, measure):
-    # a long calibration or measured run is cut into capped blocks that draw
-    # the same slots, so nothing may move
+                                                               fc_knowledge, measure, warmup):
+    # a long calibration, measured run or warm-up is cut into capped blocks
+    # that draw the same slots, so nothing may move
     scenario = _with_network(toy_scenario, prior_h0=0.05, fc_knowledge=fc_knowledge)
     out = optimize_power_map(toy_scenario)
 
     def run():
         if not measure:
             return calibrate_threshold(scenario, out.power_map, 0.1, samples=45_000, seed=9,
-                                       psis=out.psi_star)
+                                       warmup=warmup, psis=out.psi_star)
         rep = run_monte_carlo(scenario, out.power_map, 0.0, slots=45_000, seed=9,
-                              psis=out.psi_star)
+                              warmup=warmup, psis=out.psi_star)
         return (rep.pd_fc, rep.pf_fc, rep.ci_pd, rep.ci_pf,
                 [psi.tolist() for psi in rep.empirical_psi])
 
+    monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 1 << 18)
     whole = run()
     monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
     calls = _spy_on_simulate_slots(monkeypatch)
     assert run() == whole
-    # warm-up, then eleven capped blocks for the 45 000 slots
-    assert len(calls) > 10
+    # the warm-up's blocks, then eleven capped blocks for the 45 000 slots
+    warmed = 10 * scenario.network.capacity if warmup is None else warmup
+    assert len(calls) == -(-warmed // 4_096) + 11
     assert max(calls) <= 4_096
-    assert sum(calls) == 10 * scenario.network.capacity + 45_000
+    assert sum(calls) == warmed + 45_000
 
 
 @pytest.mark.parametrize("model", ["prior", "decision"])
@@ -691,16 +695,19 @@ def test_block_size_moves_no_calibration_or_measurement(two_sensor_scenario, mon
     assert blocked == whole
 
 
-def test_measured_run_memory_does_not_grow_with_its_length(two_sensor_scenario):
-    # run_monte_carlo keeps counts between blocks, so four times the slots
-    # take four times the blocks and no more memory; the bound is about
-    # twice the traced peak of one 2^13-slot block with genie fusion
+@pytest.mark.parametrize("grows", ["slots", "warmup"])
+def test_measured_run_memory_does_not_grow_with_its_length(two_sensor_scenario, grows):
+    # run_monte_carlo keeps counts between blocks and warms up in blocks of
+    # the same size, so four times the slots or the warm-up take four times
+    # the blocks and no more memory; the bound is about twice the traced
+    # peak of one 2^13-slot block with genie fusion
     out = optimize_power_map(two_sensor_scenario)
 
-    def peak(slots):
+    def peak(length):
+        counts = {"slots": 1_000, "warmup": None, grows: length}
         tracemalloc.start()
         try:
-            run_monte_carlo(two_sensor_scenario, out.power_map, 0.1, slots=slots, seed=3)
+            run_monte_carlo(two_sensor_scenario, out.power_map, 0.1, seed=3, **counts)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -942,19 +949,23 @@ def _plain_int_walk(units, levels, transmit, harvest, start, K):
     return out_states, b
 
 
+def _slot_counts(most):
+    """0-2 slots, any count up to `most`, or s^2 + r slots with r in
+    {0, 1, s - 1, s, s + 1, 2s}: the walk's chunks of S = isqrt(s^2 + r) = s
+    slots then end in a last chunk that is full, one slot long, one slot
+    short or one slot over."""
+    squares = st.integers(1, math.isqrt(most)).flatmap(
+        lambda s: st.sampled_from([s * s + r for r in (0, 1, s - 1, s, s + 1, 2 * s)]))
+    return st.one_of(st.sampled_from([0, 1, 2]), squares, st.integers(3, most))
+
+
 @st.composite
 def _walk_cases(draw):
     K = draw(st.integers(1, 30))
     level_count = draw(st.integers(2, 4))  # 1-3 live levels
-    chunk = draw(st.sampled_from([1, 2, 3, 4, 7]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     units = np.zeros((level_count, K + 1), dtype=np.int64)
-    slots = draw(st.one_of(
-        st.sampled_from([0, 1, 2]),
-        # a last chunk one slot short, exactly full, or one slot over
-        st.builds(lambda q, r: q * chunk + r, st.integers(1, 60), st.sampled_from([-1, 0, 1])),
-        st.integers(3, 1_500),
-    ))
+    slots = draw(_slot_counts(1_500))
     if draw(st.booleans()):
         # one-unit drains and one-unit harvests: two paths keep their distance
         # until the clamp, so the guesses are wrong and the repair walks
@@ -968,23 +979,23 @@ def _walk_cases(draw):
     levels = rng.integers(0, level_count, slots)
     transmit = (rng.random(slots) < draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))).astype(np.int8)
     start = draw(st.integers(0, K))
-    return units, levels, transmit, harvest, start, chunk
+    return units, levels, transmit, harvest, start
 
 
 # lead-ins of none, one slot, the shipped length, and longer than any chunk
-_LEADS = st.sampled_from([0, 1, 32, simulator._WALK_CHUNK + 1])
+# (the cases draw at most 1 520 slots, so S <= 38)
+_LEADS = st.sampled_from([0, 1, 32, 64])
 
 
 @given(_walk_cases(), _LEADS)
 @settings(max_examples=300, deadline=None)
 @example((np.array([[0, 0, 0], [0, 1, 1]]), np.ones(9, dtype=np.int64),
-          np.ones(9, dtype=np.int8), np.ones(9, dtype=np.int64), 0, 3), 32)
+          np.ones(9, dtype=np.int8), np.ones(9, dtype=np.int64), 0), 32)
 def test_chunked_walk_equals_the_plain_int_loop(case, lead):
-    units, levels, transmit, harvest, start, chunk = case
+    units, levels, transmit, harvest, start = case
     K = units.shape[1] - 1
     states = np.empty((1, levels.size), dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_WALK_CHUNK", chunk)
         mp.setattr(simulator, "_LEAD", lead)
         (end,) = simulator._walk((units,), ((levels + 1) * transmit)[None], harvest[None],
                                  (start,), states)
@@ -1042,8 +1053,7 @@ def _fused_walk_cases(draw):
     # 1-3 sensors on one capacity and one slot count, each with its own level
     # count, map, transmit rate, harvest and start
     K = draw(st.integers(1, 30))
-    chunk = draw(st.sampled_from([1, 2, 3, 4, 7]))
-    slots = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 800)))
+    slots = draw(_slot_counts(800))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sensors = []
     for _ in range(draw(st.integers(1, 3))):
@@ -1059,7 +1069,7 @@ def _fused_walk_cases(draw):
         rate = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
         transmit = (rng.random(slots) < rate).astype(np.int8)
         sensors.append((units, levels, transmit, harvest, draw(st.integers(0, K))))
-    return K, chunk, sensors
+    return K, sensors
 
 
 def _two_sensors_of_two_sizes():
@@ -1071,7 +1081,7 @@ def _two_sensors_of_two_sizes():
     large[1:] = np.arange(K + 1)
     ones = np.ones(slots, dtype=np.int64)
     cycle = np.arange(slots) % 4
-    return K, 3, [(small, ones, np.ones(slots, dtype=np.int8), ones, 0),
+    return K, [(small, ones, np.ones(slots, dtype=np.int8), ones, 0),
                   (large, cycle, (cycle > 0).astype(np.int8), 2 * ones, K)]
 
 
@@ -1079,13 +1089,12 @@ def _two_sensors_of_two_sizes():
 @settings(max_examples=200, deadline=None)
 @example(_two_sensors_of_two_sizes(), 32)
 def test_fused_walk_gives_each_sensor_its_plain_int_loop(case, lead):
-    K, chunk, sensors = case
+    K, sensors = case
     units = tuple(units for units, *_ in sensors)
     codes = np.array([(levels + 1) * transmit for _, levels, transmit, _, _ in sensors])
     harvest = np.array([harvest for *_, harvest, _ in sensors])
     states = np.empty(codes.shape, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_WALK_CHUNK", chunk)
         mp.setattr(simulator, "_LEAD", lead)
         ends = simulator._walk(units, codes, harvest, tuple(s[-1] for s in sensors), states)
     assert len(ends) == len(sensors)
