@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = [
     "q_function",
@@ -47,14 +48,25 @@ class RocCoefficients:
     p_d ~ p_f. The paper's numerators num_i = slope_i + den_i (each is the
     opposite branch's variance slope plus the squared mean separation
     (p_d - p_f)^2) are derived from them.
+
+    tilt is a positive multiple of slope1*den1 + slope2*den2, and only its
+    sign is read: where the slopes differ in sign, the marginal gain rises to
+    an interior peak only if tilt < 0. Near the band's edge the two products
+    cancel below the rounding of den1 and den2, so roc_coefficients gives
+    the sign exactly from (p_f, p_d); coefficients built without it take the
+    float sum.
     """
 
     slope1: float
     den1: float
     slope2: float
     den2: float
+    tilt: float = None
 
     def __post_init__(self) -> None:
+        if self.tilt is None:
+            object.__setattr__(self, "tilt",
+                               self.slope1 * self.den1 + self.slope2 * self.den2)
         # a Bernoulli variance tops out at 1/4
         for name in ("den1", "den2"):
             v = getattr(self, name)
@@ -85,11 +97,19 @@ def roc_coefficients(p_f: float, p_d: float) -> RocCoefficients:
         raise ValueError(f"need p_f < p_d, got p_f={p_f}, p_d={p_d}")
     # exact wherever p_d <= 2 p_f (Sterbenz)
     gap = p_d - p_f
+    # slope1*den1 + slope2*den2 = -gap**2 * bend. bend's rounding error is
+    # below 1e-14, so a smaller bend is redone in exact arithmetic
+    u, v = p_f - 0.5, p_d - 0.5
+    bend = 2.0 * (u * u + u * v + v * v) - 0.5
+    if abs(bend) < 1e-12:
+        u, v = Fraction(p_f) - Fraction(1, 2), Fraction(p_d) - Fraction(1, 2)
+        bend = float(2 * (u * u + u * v + v * v) - Fraction(1, 2))
     return RocCoefficients(
         slope1=gap * (2.0 * p_d - 1.0),
         den1=p_d * (1.0 - p_d),
         slope2=gap * (1.0 - 2.0 * p_f),
         den2=p_f * (1.0 - p_f),
+        tilt=-bend,
     )
 
 

@@ -248,17 +248,19 @@ def _gain_peak(coeffs: RocCoefficients):
     With a positive term i and a negative term j, the gain's slope vanishes
     where (s + den_j*mu*p) = r * (s + den_i*mu*p), r**3 = the ratio below,
     and that is a maximum past zero power exactly when r > 1 and
-    den_j > r * den_i. The test is made on r**3, so no cube root's rounding
-    decides it; r is taken only for the peak's power. Neither mu nor the
-    noise variance s enters the test, so it is one per sensor, live levels
-    or not.
+    den_j > r * den_i. r > 1 is read off the sign of coeffs.tilt, which
+    stays exact where r**3 is within rounding of 1, and the second test is
+    made on r**3, so no cube root's rounding decides it; r is taken only for
+    the peak's power. Neither mu nor the noise variance s enters the test,
+    so it is one per sensor, live levels or not.
     """
-    if coeffs.slope1 * coeffs.slope2 < 0.0:
+    if coeffs.slope1 * coeffs.slope2 < 0.0 and coeffs.tilt < 0.0:
         (sp, dp), (sn, dn) = sorted(((coeffs.slope1, coeffs.den1),
                                      (coeffs.slope2, coeffs.den2)), reverse=True)
         r3 = -sn * dn / (sp * dp)
-        if r3 > 1.0 and dn ** 3 > r3 * dp ** 3:
-            return r3 ** (1.0 / 3.0), dp, dn
+        if dn ** 3 > r3 * dp ** 3:
+            # r3 rounds to 1 or below where only tilt resolves r > 1
+            return max(r3, 1.0) ** (1.0 / 3.0), dp, dn
     return None
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,26 @@ def test_roc_coefficients_validate_inputs():
         roc_coefficients(0.0, 0.5)
     with pytest.raises(ValueError):
         RocCoefficients(slope1=0.2, den1=0.3, slope2=0.4, den2=0.1)  # den1 > 1/4
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_f=st.floats(0.001, 0.999, exclude_max=True), log_gap=st.floats(-13.0, -0.5))
+def test_tilt_has_the_exact_sign_of_the_slope_den_sum(p_f, log_gap):
+    # near the band's edge the float sum of the rounded products has the
+    # wrong sign; the stored tilt must carry the sign at the exact (p_f, p_d)
+    p_d = p_f + 10.0 ** log_gap
+    if p_d >= 1.0:
+        return
+    pf, pd = Fraction(p_f), Fraction(p_d)
+    exact = ((pd - pf) * (2 * pd - 1) * pd * (1 - pd)
+             + (pd - pf) * (1 - 2 * pf) * pf * (1 - pf))
+    tilt = roc_coefficients(p_f, p_d).tilt
+    assert (tilt > 0) == (exact > 0) and (tilt < 0) == (exact < 0)
+
+
+def test_coefficients_built_without_a_tilt_take_the_float_sum():
+    c = RocCoefficients(slope1=0.2, den1=0.25, slope2=-0.1, den2=0.1)
+    assert c.tilt == 0.2 * 0.25 - 0.1 * 0.1
 
 
 def test_divergence_reference_point():

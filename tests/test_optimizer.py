@@ -206,6 +206,24 @@ def test_rise_test_is_exact_near_ties(p_f, log_gap):
         assert abs(Fraction(stored) - exact) <= 2 * eps * abs(exact)
 
 
+@pytest.mark.parametrize("p_f, gap", [
+    (0.7886753174151774, 1e-11),       # rises; the stored slopes said it did not
+    (0.21133942251316412, 1e-13),      # falls; the stored slopes said it rose
+    (0.2113, 1e-13),                   # rises, with r**3 rounding to 1
+    (0.5 - 1.0 / math.sqrt(12.0), 1e-13),
+    (0.5 + 1.0 / math.sqrt(12.0), 1e-13),
+])
+def test_rise_verdict_is_exact_at_the_band_edges(p_f, gap):
+    # near p_f = (3 -+ sqrt(3))/6 the derivative of (2x - 1)x(1 - x) vanishes,
+    # so r**3 - 1 lies below the rounding of the stored den_i and slope_i;
+    # roc_coefficients settles its sign from p_f and p_d
+    p_d = p_f + gap
+    rising = ehdetect.optimizer._gain_peak(roc_coefficients(p_f, p_d))
+    assert (rising is not None) == _exact_rise(p_f, p_d)[0]
+    if rising is not None:
+        assert rising[0] >= 1.0
+
+
 @pytest.mark.parametrize("p_f, p_d", [(0.06137312646507679, 0.06137312646507681),
                                       (0.12698100000559942, 0.12698100000559945)])
 def test_a_peak_past_rounding_of_the_band_edge_is_taken_at_the_far_end(p_f, p_d):
