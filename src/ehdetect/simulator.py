@@ -11,8 +11,10 @@ The battery recursion is the one sequential step. It runs as a speculative
 chunked walk: chunks of slots of every sensor are guessed together in one
 numpy lockstep and then checked in order, and any chunk that started from a
 wrong guess is repaired slot by slot. Each guess first walks a short lead-in
-of the slots before its chunk, so it is rarely wrong. The path is the same
-as a slot-by-slot loop would give.
+of the slots before its chunk, so it is rarely wrong. A lockstep step is one
+add and one take: the drain table takes the clamp to the capacity, and each
+slot's offset into it carries the harvest banked in the slot before. The
+path is the same as a slot-by-slot loop would give.
 
 Calibration and measurement, warm-up included, simulate in blocks small
 enough that a block's arrays stay in cache and come from memory the allocator
@@ -229,7 +231,10 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
 
     for n in range(N):
         a, w = amplitudes[n], null_outputs[n]
-        np.multiply(gains[n], power_map.powers[n][levels[n], states[n]], out=a)
+        # each slot's power, gathered from the flat table at level * (K + 1) + state
+        flat = levels[n] * (K + 1)
+        flat += states[n]
+        np.multiply(gains[n], power_map.powers[n].take(flat), out=a)
         np.sqrt(a, out=a)
         # outputs a * u + w, then null_outputs a * u0 + w in place of w
         np.multiply(a, transmit[n], out=outputs[n])
@@ -255,9 +260,9 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
     Row n of the (sensors x slots) arrays is sensor n's: slot t drains
     units[n][level][b] from battery b when it transmits, which
     codes[n, t] = level + 1 says (0: silent), then banks harvest[n, t] units
-    (a whole number, of any dtype) up to the capacity K. The sensors share K
-    but not their level counts. `out` is written last, so it may be `codes`.
-    Returns each sensor's battery after the last slot, as ints.
+    (a whole number >= 0, of any dtype) up to the capacity K. The sensors
+    share K but not their level counts. `out` is written last, so it may be
+    `codes`. Returns each sensor's battery after the last slot, as ints.
 
     The path from a known state is fixed, and two paths that reach one state
     agree from then on; paths from different states meet at the clamp or
@@ -267,12 +272,19 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
     guessed in parallel, then checked in order:
 
     1. The chunks of all sensors walk side by side in one numpy lockstep,
-       over one flat next-state table that holds every sensor's drains (its
-       codes carry the sensor's offset in it). Every chunk but a sensor's
-       first starts from a full battery and first walks the `_LEAD` slots
-       before it (its lead-in), so its guess has usually met the true path
-       by the chunk's first slot. A sensor's chunk 0 starts from its start
-       battery, and its lead-in is silent padding that banks nothing.
+       over one flat table of every sensor's drains. A lane carries the
+       battery after each slot's drain, before its harvest: a post-drain
+       battery is >= 0, so banking min(harvest, K) clamps to the same state,
+       and that clipped harvest is folded into the next slot's offset (which
+       also carries the sensor's and the code's row). The table's rows run
+       over x in 0..2K and take the clamp, row c at x being the drain of
+       code c from battery min(x, K), so a step is one add and one take.
+       Every chunk but a sensor's first starts from a full battery and first
+       walks the `_LEAD` slots before it (its lead-in), so its guess has
+       usually met the true path by the chunk's first slot. A sensor's chunk
+       0 starts from its start battery, and its lead-in is silent padding
+       that banks nothing. The start-of-slot states then come back in one
+       pass, as min(post-drain battery + banked harvest, K).
     2. A Python loop over each sensor's chunk boundaries carries its true
        battery. Where it differs from a chunk's start, as after a lead-in
        with no drain or clamp in it, the chunk is repaired slot by slot, in
@@ -285,47 +297,59 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
     if T == 0:
         return tuple(starts)
     K = units[0].shape[1] - 1
-    width = K + 1
+    width = 2 * K + 1
     S = math.isqrt(T)
     C = -(-T // S)
     # a lead-in reaches back at most one chunk
     lead = min(_LEAD, S)
-    # table[base[n] + c * width + b] is sensor n's battery b after the drain of code c
-    tables = [np.concatenate((np.arange(width), (np.arange(width) - u).ravel())) for u in units]
+    # table[base[n] + c * width + x] is sensor n's battery min(x, K) after the
+    # drain of code c
+    clamp = np.minimum(np.arange(width), K)
+    tables = [np.concatenate((clamp, (clamp - u[:, clamp]).ravel())) for u in units]
     base = np.cumsum([0] + [t.size for t in tables[:-1]])
     table = np.concatenate(tables)
-    # slot-major lanes, (lead + S, N * C): column n * C + c walks sensor n's
+    # slot-major lanes, (lead + S + 1, N * C): column n * C + c walks sensor n's
     # slots c * S - lead .. (c + 1) * S - 1, so a lockstep step reads one
-    # contiguous row. Slots before the first or after the last are padding:
-    # zeros, a silent slot that banks nothing.
+    # contiguous row. A slot's code sits in its own row and its harvest one
+    # row below, in the next slot's. Slots before the first or after the last
+    # are padding: zeros, a silent slot that banks nothing.
     full = T // S
-    lanes = np.zeros((2, lead + S, N, C), dtype=np.int64)
-    for lane, values in zip(lanes, (codes, harvest)):
-        chunks = lane[lead:].transpose(1, 2, 0)  # (N, C, S) view of the chunks' own slots
+    lanes = np.zeros((2, lead + S + 1, N, C), dtype=np.int64)
+    for lane, values, first in zip(lanes, (codes, harvest), (lead, lead + 1)):
+        # (N, C, S) view of the chunks' own slots
+        chunks = lane[first:first + S].transpose(1, 2, 0)
         chunks[:, :full] = values[:, :full * S].reshape(N, full, S)
         if full < C:
             chunks[:, full, :T - full * S] = values[:, full * S:]
-    # a chunk's lead-in is the end of the chunk before it
-    lanes[:, :lead, :, 1:] = lanes[:, S:, :, :-1]
-    offsets, banked = lanes.reshape(2, lead + S, N * C)
+        # a chunk's lead-in is the end of the chunk before it
+        lane[first - lead:first, :, 1:] = lane[first + S - lead:first + S, :, :-1]
+    offsets, banked = lanes.reshape(2, lead + S + 1, N * C)
+    offsets = offsets[:-1]  # the code lane's last row only matches the harvest lane's
+    np.minimum(banked, K, out=banked)  # exact, as a drained battery is >= 0
     offsets *= width
     offsets += base.repeat(C)
+    offsets += banked[:-1]
     guess = np.full(N * C, K, dtype=np.int64)
     guess[::C] = starts
-    path = _lockstep(table, offsets, banked, guess, K)
     # each chunk's own S slots from here on: its states and its end
-    path, offsets, banked = path[lead:], offsets[lead:], banked[lead:]
+    path = _lockstep(table, offsets, guess)[lead:]
+    path += banked[lead:]
+    np.minimum(path, K, out=path)
     firsts, lasts = path[0].tolist(), path[S].tolist()
-    steps = table.tolist()
+    steps = None
     end = []
     for first in range(0, N * C, C):
         b = lasts[first]
         for c in range(first + 1, first + C):
             if b == firsts[c]:
                 b = lasts[c]
-            else:
-                b = _rejoin(steps, offsets[:, c].tolist(), banked[:, c].tolist(), path[:, c],
-                            b, K)
+                continue
+            if steps is None:
+                steps = table.tolist()
+            # the slots' table rows without the harvest folded in, and each
+            # slot's own harvest
+            b = _rejoin(steps, (offsets[lead:, c] - banked[lead:-1, c]).tolist(),
+                        banked[lead + 1:, c].tolist(), path[:, c], b, K)
         end.append(b)
     # back to slot order, one sensor's contiguous row at a time
     chunks = path[:S].reshape(S, N, C).transpose(1, 2, 0)
@@ -336,33 +360,31 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
     return tuple(end)
 
 
-def _lockstep(table: np.ndarray, offsets: np.ndarray, banked: np.ndarray,
-              starts: np.ndarray, K: int) -> np.ndarray:
-    """Walk every column of the (S, C) slot arrays at once from `starts`.
+def _lockstep(table: np.ndarray, offsets: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Walk every column of the (S, C) offsets at once from `starts`.
 
-    Returns the (S + 1, C) states: row s is the state before slot s of each
-    chunk, row S the state after its last slot.
+    Returns the (S + 1, C) post-drain batteries: row 0 is `starts`, row s + 1
+    the battery after slot s's drain, before its harvest.
     """
     S = offsets.shape[0]
-    path = np.empty((S + 1, starts.size), dtype=np.int64)
-    path[0] = starts
+    after = np.empty((S + 1, starts.size), dtype=np.int64)
+    after[0] = starts
     index = np.empty(starts.size, dtype=np.intp)
     for s in range(S):
-        np.add(offsets[s], path[s], out=index)
-        after = path[s + 1]
-        # every index is a code row plus a state in 0..K, so none is clipped
-        table.take(index, out=after, mode="clip")
-        after += banked[s]
-        np.minimum(after, K, out=after)
-    return path
+        np.add(offsets[s], after[s], out=index)
+        # every index is a code row plus a battery and a harvest in 0..K, so
+        # none is clipped
+        table.take(index, out=after[s + 1], mode="clip")
+    return after
 
 
 def _rejoin(steps: list, offsets: list, banked: list, path: np.ndarray, b: int, K: int) -> int:
     """Walk one chunk from its true start `b` on Python ints.
 
-    Overwrites the chunk's guessed `path` (S + 1 states, the last its end)
-    until the true state meets it; from there the guess is the true path.
-    Returns the chunk's true end.
+    steps[offsets[s] + b] is battery b after slot s's drain, and banked[s]
+    the slot's harvest. Overwrites the chunk's guessed `path` (S + 1 states,
+    the last its end) until the true state meets it; from there the guess is
+    the true path. Returns the chunk's true end.
     """
     guess = path.tolist()
     fixed = []

@@ -959,6 +959,12 @@ def _slot_counts(most):
     return st.one_of(st.sampled_from([0, 1, 2]), squares, st.integers(3, most))
 
 
+def _harvests(draw, rng, K, slots):
+    """Whole-unit harvests as floats, the dtype simulate_slots passes, drawn
+    below 1, 2, 3, K + 2 or 3K + 6: past K, the walk clips them to K."""
+    return rng.integers(0, draw(st.sampled_from([1, 2, 3, K + 2, 3 * K + 6])), slots).astype(float)
+
+
 @st.composite
 def _walk_cases(draw):
     K = draw(st.integers(1, 30))
@@ -970,12 +976,12 @@ def _walk_cases(draw):
         # one-unit drains and one-unit harvests: two paths keep their distance
         # until the clamp, so the guesses are wrong and the repair walks
         units[1:, 1:] = 1
-        harvest = np.ones(slots, dtype=np.int64)
+        harvest = np.ones(slots)
     else:
         # any causal map: each state drains at most its own charge
         units[1:] = rng.integers(0, np.arange(K + 1) + 1, size=(level_count - 1, K + 1))
         units[draw(st.integers(1, level_count - 1))] *= draw(st.sampled_from([0, 1]))
-        harvest = rng.integers(0, draw(st.sampled_from([1, 2, 3, K + 2])), slots)
+        harvest = _harvests(draw, rng, K, slots)
     levels = rng.integers(0, level_count, slots)
     transmit = (rng.random(slots) < draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))).astype(np.int8)
     start = draw(st.integers(0, K))
@@ -990,7 +996,7 @@ _LEADS = st.sampled_from([0, 1, 32, 64])
 @given(_walk_cases(), _LEADS)
 @settings(max_examples=300, deadline=None)
 @example((np.array([[0, 0, 0], [0, 1, 1]]), np.ones(9, dtype=np.int64),
-          np.ones(9, dtype=np.int8), np.ones(9, dtype=np.int64), 0), 32)
+          np.ones(9, dtype=np.int8), np.ones(9), 0), 32)
 def test_chunked_walk_equals_the_plain_int_loop(case, lead):
     units, levels, transmit, harvest, start = case
     K = units.shape[1] - 1
@@ -999,7 +1005,8 @@ def test_chunked_walk_equals_the_plain_int_loop(case, lead):
         mp.setattr(simulator, "_LEAD", lead)
         (end,) = simulator._walk((units,), ((levels + 1) * transmit)[None], harvest[None],
                                  (start,), states)
-    ref_states, ref_end = _plain_int_walk(units, levels, transmit, harvest, start, K)
+    ref_states, ref_end = _plain_int_walk(units, levels, transmit, harvest.astype(np.int64),
+                                          start, K)
     assert states.tobytes() == ref_states.tobytes()
     assert type(end) is int and end == ref_end
 
@@ -1016,7 +1023,7 @@ def _walk_every(period, monkeypatch):
     locksteps, repaired = [], []
     lockstep, rejoin = simulator._lockstep, simulator._rejoin
     monkeypatch.setattr(simulator, "_lockstep",
-                        lambda *args: locksteps.append(args[-2].size) or lockstep(*args))
+                        lambda *args: locksteps.append(args[-1].size) or lockstep(*args))
     monkeypatch.setattr(simulator, "_rejoin",
                         lambda *args: repaired.append(args[-2]) or rejoin(*args))
     states = np.empty((1, slots), dtype=np.int64)
@@ -1061,10 +1068,10 @@ def _fused_walk_cases(draw):
         units = np.zeros((level_count, K + 1), dtype=np.int64)
         if draw(st.booleans()):
             units[1:, 1:] = 1
-            harvest = np.ones(slots, dtype=np.int64)
+            harvest = np.ones(slots)
         else:
             units[1:] = rng.integers(0, np.arange(K + 1) + 1, size=(level_count - 1, K + 1))
-            harvest = rng.integers(0, draw(st.sampled_from([1, 2, 3, K + 2])), slots)
+            harvest = _harvests(draw, rng, K, slots)
         levels = rng.integers(0, level_count, slots)
         rate = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
         transmit = (rng.random(slots) < rate).astype(np.int8)
@@ -1085,9 +1092,26 @@ def _two_sensors_of_two_sizes():
                   (large, cycle, (cycle > 0).astype(np.int8), 2 * ones, K)]
 
 
+def _harvest_past_a_full_row():
+    # a silent sensor stays full and harvests 3K + 2 units every other slot.
+    # Its battery K plus that harvest would index past the end of its silent
+    # table row, and past its level-0 row, into its whole-charge drain, and
+    # mode="clip" would not flag it. The empty slot after it would then show
+    # the drained battery, so only the harvest's clip to K keeps it full
+    K, slots = 3, 9
+    whole = np.zeros((2, K + 1), dtype=np.int64)
+    whole[1] = np.arange(K + 1)
+    zeros = np.zeros(slots, dtype=np.int64)
+    harvest = np.where(np.arange(slots) % 2 == 0, 3.0 * K + 2, 0.0)
+    return K, [(whole, zeros, zeros.astype(np.int8), harvest, K),
+               (np.array([[0] * (K + 1), [0] + [1] * K]), zeros, np.ones(slots, dtype=np.int8),
+                np.ones(slots), 0)]
+
+
 @given(_fused_walk_cases(), _LEADS)
 @settings(max_examples=200, deadline=None)
 @example(_two_sensors_of_two_sizes(), 32)
+@example(_harvest_past_a_full_row(), 32)
 def test_fused_walk_gives_each_sensor_its_plain_int_loop(case, lead):
     K, sensors = case
     units = tuple(units for units, *_ in sensors)
@@ -1099,7 +1123,8 @@ def test_fused_walk_gives_each_sensor_its_plain_int_loop(case, lead):
         ends = simulator._walk(units, codes, harvest, tuple(s[-1] for s in sensors), states)
     assert len(ends) == len(sensors)
     for n, (units_n, levels, transmit, harvest_n, start) in enumerate(sensors):
-        ref_states, ref_end = _plain_int_walk(units_n, levels, transmit, harvest_n, start, K)
+        ref_states, ref_end = _plain_int_walk(units_n, levels, transmit,
+                                              harvest_n.astype(np.int64), start, K)
         assert states[n].tobytes() == ref_states.tobytes(), f"sensor {n}"
         assert type(ends[n]) is int and ends[n] == ref_end, f"sensor {n}"
 
