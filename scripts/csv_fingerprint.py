@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """SHA-256 fingerprints of the CSVs the CLI writes on the bundled scenarios.
 
-Runs `powermap`, `simulate` (genie and map_marginal fusion) and a power-budget
-`sweep` on scenarios/toy.scn and scenarios/two_sensor.scn with fixed seeds, in
-a temporary directory, and prints one line per CSV. `simulate` calibrates and
-measures 20 000 slots, several Monte Carlo blocks and a remainder, so the
-bytes cover the block loop; `sweep` keeps 2 000 per point:
+Runs `powermap`, `simulate` (genie and map_marginal fusion), a power-budget
+`sweep` and `simulate` after a 100 000-slot warm-up on scenarios/toy.scn and
+scenarios/two_sensor.scn with fixed seeds, in a temporary directory, and
+prints one line per CSV. `simulate` calibrates and measures 20 000 slots,
+several Monte Carlo blocks and a remainder, so the bytes cover the block loop;
+`sweep` and the long warm-up run keep 2 000, the latter after thirteen capped
+warm-up blocks:
 
     <sha256>  <scenario>/<run>/<file>
 
@@ -14,6 +16,9 @@ refactor that must not move any number is checked by diffing this output
 before and after it.
 
     PYTHONPATH=src python3 scripts/csv_fingerprint.py
+
+It needs numpy alone, so CI's `runtime-only` job, which installs the package
+without the test extra, runs it as its check that every CLI run works there.
 
 The bytes hold for one BLAS build. The thread count is the package's: importing
 ehdetect runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set, so
@@ -31,13 +36,14 @@ from ehdetect.cli import main as cli_main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SIM_FLAGS = ["--samples", "20000", "--calibration-samples", "20000", "--seed", "7"]
-SWEEP_FLAGS = ["--samples", "2000", "--calibration-samples", "2000", "--seed", "7"]
+SHORT_FLAGS = ["--samples", "2000", "--calibration-samples", "2000", "--seed", "7"]
 RUNS = (
     ("powermap", ["powermap"]),
     ("simulate_genie", ["simulate", *SIM_FLAGS]),
     ("simulate_map_marginal", ["simulate", *SIM_FLAGS, "--fc-knowledge", "map_marginal"]),
-    ("sweep", ["sweep", *SWEEP_FLAGS, "--variable", "power_budget",
+    ("sweep", ["sweep", *SHORT_FLAGS, "--variable", "power_budget",
                "--values", "0.5,1,2,4"]),
+    ("simulate_long_warmup", ["simulate", *SHORT_FLAGS, "--warmup", "100000"]),
 )
 
 

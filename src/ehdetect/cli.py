@@ -35,6 +35,7 @@ from .config import (
     load_scenario,
 )
 from .optimizer import (
+    BUDGET_TOL,
     ExhaustiveRefused,
     OptimizationOutcome,
     evaluate_unit_map,
@@ -112,18 +113,6 @@ def write_table(path, comments: dict, columns, rows) -> None:
 # shared pipeline pieces
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    net = scenario.network
-    changes = {}
-    if getattr(args, "transmit_prob_model", None):
-        changes["transmit_prob_model"] = args.transmit_prob_model
-    if getattr(args, "fc_knowledge", None):
-        changes["fc_knowledge"] = args.fc_knowledge
-    if changes:
-        scenario = replace(scenario, network=replace(net, **changes))
-    return scenario
-
-
 def _power_map_rows(outcome: OptimizationOutcome):
     for n, (p, u) in enumerate(zip(outcome.power_map.powers, outcome.power_map.units)):
         for l in range(p.shape[0]):
@@ -183,8 +172,7 @@ def _solve(scenario: Scenario) -> OptimizationOutcome:
     return outcome
 
 
-def cmd_powermap(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+def cmd_powermap(args, scenario: Scenario) -> int:
     outcome = _solve(scenario)
     _write_outcome(args.out, scenario, outcome)
     print(f"power map for {scenario.num_sensors} sensor(s) written to {args.out} "
@@ -209,8 +197,7 @@ def _simulate_point(scenario: Scenario, outcome: OptimizationOutcome, args,
     return threshold, report
 
 
-def cmd_simulate(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+def cmd_simulate(args, scenario: Scenario) -> int:
     outcome = _solve(scenario)
     if not outcome.converged:
         print("power map did not converge; not simulating", file=sys.stderr)
@@ -247,8 +234,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+def cmd_sweep(args, scenario: Scenario) -> int:
     spec = SweepSpec(variable=args.variable, values=args.values)
     columns = ("variable", "value", "lambda_star", "objective_j",
                "expected_power", "pd_fc", "pf_fc", "ci_pd", "ci_pf")
@@ -308,8 +294,7 @@ def _check(name: str, ok: bool, detail: str) -> tuple[str, bool]:
     return name, ok
 
 
-def cmd_validate(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+def cmd_validate(args, scenario: Scenario) -> int:
     net = scenario.network
     results: list[tuple[str, bool]] = []
 
@@ -329,7 +314,7 @@ def cmd_validate(args) -> int:
                               f"max TV(fixed point, solved) = {worst:.3e} (must be 0)"))
         lam = outcome.lambda_star
         res_ok = outcome.kkt.max_interior_residual <= 1e-6 * max(lam, 1e-12)
-        slack_ok = abs(outcome.kkt.slackness) <= 1e-6 * net.power_budget
+        slack_ok = abs(outcome.kkt.slackness) <= BUDGET_TOL * net.power_budget
         results.append(_check(
             "certificate", res_ok and slack_ok,
             f"interior residual {outcome.kkt.max_interior_residual:.3e}, "
@@ -390,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True, out_is_dir=True):
+    def common(p, out):
+        # out: the --out help text, or None for a command that writes no file
         p.add_argument("--scenario", required=True, help="scenario file path")
-        if out_required:
-            p.add_argument("--out", required=True,
-                           help="output directory" if out_is_dir else "output CSV file")
+        if out is not None:
+            p.add_argument("--out", required=True, help=out)
         p.add_argument("--transmit-prob-model", choices=TRANSMIT_PROB_MODELS,
                        default=None, help="override the scenario's spend model")
         p.add_argument("--fc-knowledge", choices=FC_KNOWLEDGE_MODES, default=None,
@@ -414,16 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fusion false-alarm target (default 0.1)")
 
     p = sub.add_parser("powermap", help="optimize and write the power map")
-    common(p)
+    common(p, "output directory")
     p.set_defaults(func=cmd_powermap)
 
     p = sub.add_parser("simulate", help="optimize, calibrate, and measure by Monte Carlo")
-    common(p)
+    common(p, "output directory")
     sim_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="re-optimize and measure across one variable")
-    common(p, out_is_dir=False)
+    common(p, "output CSV file")
     sim_flags(p)
     p.add_argument("--variable", required=True, choices=SWEEP_VARIABLES)
     p.add_argument("--values", required=True, type=_NUMBERS,
@@ -433,17 +418,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="run self-consistency checks on a scenario")
-    common(p, out_required=False)
+    common(p, None)
     p.set_defaults(func=cmd_validate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        scenario = load_scenario(args.scenario)
+        overrides = {key: value for key in ("transmit_prob_model", "fc_knowledge")
+                     if (value := getattr(args, key)) is not None}
+        if overrides:
+            scenario = replace(scenario, network=replace(scenario.network, **overrides))
+        return args.func(args, scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -67,8 +67,9 @@ __all__ = [
 # activity codes used in KktReport.active
 INTERIOR, CLAMP_CAUSALITY, CLAMP_OUTAGE, CLAMP_ZERO, LEVEL_ZERO = 0, 1, 2, 3, 4
 
-# Relative to the budget: bounds the price search's budget miss and the
-# complementary-slackness product of its certificate.
+# Relative to the budget: bounds the price search's budget miss, and the
+# certificate's complementary-slackness product, which validate checks as
+# |lambda_star * (expected_power - power_budget)| <= BUDGET_TOL * power_budget.
 BUDGET_TOL = 1e-6
 # Relative to the price: a root stops at its first iterate whose gain is
 # within ROOT_TOL * price of the price.

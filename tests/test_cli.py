@@ -595,25 +595,41 @@ def test_bad_numeric_arguments_exit_with_input_code(tmp_path, scenario_dir, argv
     assert not (tmp_path / "out").exists()
 
 
-def test_missing_scenario_maps_to_io_exit(tmp_path):
-    code = main(["validate", "--scenario", str(tmp_path / "nope.scn")])
+# what each command needs besides --scenario; main loads the scenario for all
+COMMAND_ARGS = {
+    "powermap": ["--out", "{tmp}/out"],
+    "simulate": ["--out", "{tmp}/out", "--samples", "2000"],
+    "sweep": ["--out", "{tmp}/out/sweep.csv", "--variable", "power_budget",
+              "--values", "0.5,1"],
+    "validate": [],
+}
+
+
+def _command(command, scenario, tmp_path) -> list[str]:
+    return [command, "--scenario", str(scenario),
+            *(a.format(tmp=tmp_path) for a in COMMAND_ARGS[command])]
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGS)
+def test_missing_scenario_maps_to_io_exit(tmp_path, command):
+    code = main(_command(command, tmp_path / "nope.scn", tmp_path))
     assert code == EXIT_IO
+    assert not (tmp_path / "out").exists()
 
 
-def test_malformed_scenario_maps_to_input_exit(tmp_path):
+@pytest.mark.parametrize("command", COMMAND_ARGS)
+def test_malformed_scenario_maps_to_input_exit(tmp_path, command):
     bad = tmp_path / "bad.scn"
     bad.write_text("this is not a scenario\n")
-    code = main(["powermap", "--scenario", str(bad),
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_INPUT
+    assert main(_command(command, bad, tmp_path)) == EXIT_INPUT
 
     nosensor = tmp_path / "nosensor.scn"
     nosensor.write_text("[network]\nprior_h0 = 0.5\ncapacity = 4\n"
                         "unit_energy = 0.1\nslot_seconds = 0.1\n"
                         "mean_harvest = 1.0\ndrop_fraction = 0.2\n"
                         "power_budget = 1.0\n")
-    assert main(["powermap", "--scenario", str(nosensor),
-                 "--out", str(tmp_path / "out2")]) == EXIT_INPUT
+    assert main(_command(command, nosensor, tmp_path)) == EXIT_INPUT
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenario_that_is_not_utf8_maps_to_input_exit(tmp_path):
