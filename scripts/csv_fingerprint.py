@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """SHA-256 fingerprints of the CSVs the CLI writes on the bundled scenarios.
 
-Runs `powermap`, `simulate` (genie and map_marginal fusion), a power-budget
-`sweep` and `simulate` after a 100 000-slot warm-up on scenarios/toy.scn and
-scenarios/two_sensor.scn with fixed seeds, in a temporary directory, and
-prints one line per CSV. `simulate` calibrates and measures 20 000 slots,
-several Monte Carlo blocks and a remainder, so the bytes cover the block loop;
-`sweep` and the long warm-up run keep 2 000, the latter after thirteen capped
-warm-up blocks:
+Runs `powermap`, `simulate` (genie and map_marginal fusion, and genie under
+the `decision` transmit model), a power-budget `sweep` and `simulate` after a
+100 000-slot warm-up on scenarios/toy.scn and scenarios/two_sensor.scn with
+fixed seeds, in a temporary directory, and prints one line per CSV.
+`simulate` calibrates and measures 20 000 slots, several Monte Carlo blocks
+and a remainder, so the bytes cover the block loop; `sweep` and the long
+warm-up run keep 2 000, the latter after thirteen capped warm-up blocks:
 
     <sha256>  <scenario>/<run>/<file>
 
@@ -41,6 +41,7 @@ RUNS = (
     ("powermap", ["powermap"]),
     ("simulate_genie", ["simulate", *SIM_FLAGS]),
     ("simulate_map_marginal", ["simulate", *SIM_FLAGS, "--fc-knowledge", "map_marginal"]),
+    ("simulate_decision", ["simulate", *SIM_FLAGS, "--transmit-prob-model", "decision"]),
     ("sweep", ["sweep", *SHORT_FLAGS, "--variable", "power_budget",
                "--values", "0.5,1,2,4"]),
     ("simulate_long_warmup", ["simulate", *SHORT_FLAGS, "--warmup", "100000"]),

@@ -146,16 +146,19 @@ def arrival_unit_pmf(mean_harvest: float, unit_energy: float, capacity: int) -> 
     return ArrivalUnitPmf(pmf=pmf)
 
 
-def transmit_probability(network, sensor) -> float:
-    """Chance the chain spends energy in a slot, under the configured model.
-
-    ``prior`` charges the spend branch with the prior of the alternative,
-    ``decision`` with the chance the sensor votes 1. The simulator follows
-    the same model: under ``prior`` a sensor spends on exactly the H1 slots.
-    """
+def _transmit_rates(network, sensor) -> tuple[float, float]:
+    """Chance a slot spends energy under H0 and under H1: (0, 1) under
+    ``prior``, (p_f, p_d), the chance the sensor votes 1, under ``decision``."""
     if network.transmit_prob_model == "prior":
-        return network.prior_h1
-    return network.prior_h0 * sensor.p_f + network.prior_h1 * sensor.p_d
+        return 0.0, 1.0
+    return sensor.p_f, sensor.p_d
+
+
+def transmit_probability(network, sensor) -> float:
+    """Chance the chain spends energy in a slot, prior_h0 * rate_h0 +
+    prior_h1 * rate_h1 of the rates the simulator's draw reads too."""
+    rate_h0, rate_h1 = _transmit_rates(network, sensor)
+    return network.prior_h0 * rate_h0 + network.prior_h1 * rate_h1
 
 
 def transition_matrix(alpha, chain: ChainSpec) -> np.ndarray:

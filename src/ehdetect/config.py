@@ -57,6 +57,15 @@ def _is_whole(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _one_per_sensor(scenario, items, what: str, name: str) -> None:
+    """Raise ValueError unless `items` holds one `what` per sensor, naming the
+    first sensor without one or, as name[N], the first entry without a sensor."""
+    n, N = len(items), scenario.num_sensors
+    if n != N:
+        why = f"sensor {n} has none" if n < N else f"{name}[{N}] matches no sensor"
+        raise ValueError(f"need one {what} per sensor: got {n} for {N} sensors; {why}")
+
+
 def _finite_positive(value: float, where: str) -> None:
     _require(isinstance(value, (int, float)), where, "must be a number")
     _require(math.isfinite(value) and value > 0.0, where, "must be finite and > 0")
@@ -99,7 +108,8 @@ class SensorParams:
     edges must be strictly increasing, and the last edge must be ``inf`` so the
     cells cover every possible gain. A sensor with ``len(thresholds) == L + 2``
     has quantizer levels ``0 .. L``; level 0 is the dead zone that never
-    transmits.
+    transmits. A sensor with a local observation model must carry its
+    operating point as (p_f, p_d), bit for bit.
     """
 
     mean_gain: float                 # mean of the exponentially distributed channel power gain
@@ -116,6 +126,10 @@ class SensorParams:
         _probability(self.p_f, "p_f")
         _probability(self.p_d, "p_d")
         _require(self.p_f < self.p_d, "p_f/p_d", "must satisfy 0 < p_f < p_d < 1")
+        if self.local_obs is not None:
+            point = self.local_obs.operating_point()
+            _require(point == (self.p_f, self.p_d), "p_f/p_d", f"({self.p_f!r}, {self.p_d!r}) "
+                     f"must equal the local model's operating point {point!r}")
         _probability(self.outage_confidence, "outage_confidence")
         edges = tuple(float(t) for t in self.thresholds)
         object.__setattr__(self, "thresholds", edges)

@@ -52,21 +52,17 @@ class RocCoefficients:
     tilt is a positive multiple of slope1*den1 + slope2*den2, and only its
     sign is read: where the slopes differ in sign, the marginal gain rises to
     an interior peak only if tilt < 0. Near the band's edge the two products
-    cancel below the rounding of den1 and den2, so roc_coefficients gives
-    the sign exactly from (p_f, p_d); coefficients built without it take the
-    float sum.
+    cancel below the rounding of den1 and den2, so the tilt is required and
+    roc_coefficients gives its sign exactly from (p_f, p_d).
     """
 
     slope1: float
     den1: float
     slope2: float
     den2: float
-    tilt: float = None
+    tilt: float
 
     def __post_init__(self) -> None:
-        if self.tilt is None:
-            object.__setattr__(self, "tilt",
-                               self.slope1 * self.den1 + self.slope2 * self.den2)
         # a Bernoulli variance tops out at 1/4
         for name in ("den1", "den2"):
             v = getattr(self, name)

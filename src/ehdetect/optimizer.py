@@ -47,6 +47,7 @@ from .config import (
     PowerMap,
     Scenario,
     SensorParams,
+    _one_per_sensor,
     units_from_power,
 )
 from .detection import RocCoefficients, roc_coefficients, sensor_j_divergence
@@ -662,9 +663,7 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
     stationary_solve does.
     """
     net = scenario.network
-    if len(units) != scenario.num_sensors:
-        raise ValueError(f"the unit map covers {len(units)} sensors, "
-                         f"the scenario has {scenario.num_sensors}")
+    _one_per_sensor(scenario, units, "unit table", "units")
     pmap = PowerMap(powers=tuple(np.asarray(u, dtype=float) * net.unit_power for u in units),
                     unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
     for n, (alpha, derived) in enumerate(zip(units, pmap.units)):

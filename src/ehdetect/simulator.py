@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .battery import quantize_gain
-from .config import MonteCarloReport, PowerMap, Scenario, _is_whole
+from .battery import _transmit_rates, quantize_gain
+from .config import MonteCarloReport, PowerMap, Scenario, _is_whole, _one_per_sensor
 
 __all__ = [
     "SensorStreams",
@@ -142,9 +142,7 @@ def _check_map(scenario: Scenario, power_map: PowerMap) -> None:
         if table.shape != shape:
             raise ValueError(f"sensor {n}: the power map needs a {shape[0]} x {shape[1]} "
                              "(levels x battery states) table")
-    if len(power_map.powers) != scenario.num_sensors:
-        raise ValueError(f"the power map covers {len(power_map.powers)} sensors, "
-                         f"the scenario has {scenario.num_sensors}")
+    _one_per_sensor(scenario, power_map.powers, "power table", "power_map.powers")
     if (power_map.unit_energy, power_map.slot_seconds) != (net.unit_energy, net.slot_seconds):
         # its units would drain another number of the battery's units
         raise ValueError(f"the power map counts {power_map.unit_energy} J units over "
@@ -161,25 +159,21 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     as one speculative chunked walk (`_walk`) with the same result as
     stepping each slot by slot. Batteries continue from
     `batteries`, one whole number of units in 0..capacity per sensor
-    (default: full). `slots` = 0 returns them unchanged. The network's
-    transmit_prob_model decides who transmits. Raises ValueError on a
-    negative, non-integer or bool `slots`, on streams or a power map for another
-    sensor count, on a bad battery (naming the sensor), on power tables
-    whose shape does not match the sensor, and on a map in other energy
-    units.
+    (default: full). `slots` = 0 returns them unchanged. A slot transmits
+    when its decision draw falls below its hypothesis's rate, one of the two
+    the chain's transmit_probability weighs (0 and 1 under ``prior``). Raises
+    ValueError on a negative, non-integer or bool `slots`, on streams,
+    batteries or power tables for another sensor count, on a bad battery
+    (naming the sensor), on power tables whose shape does not match the
+    sensor, and on a map in other energy units.
     """
     net = scenario.network
     N = scenario.num_sensors
     K = net.capacity
     _check_count("slots", slots, 0)
-    if len(streams.sensors) != N:
-        raise ValueError(f"streams cover {len(streams.sensors)} sensors, the scenario has {N}")
+    _one_per_sensor(scenario, streams.sensors, "stream set", "streams.sensors")
     batteries = (K,) * N if batteries is None else tuple(batteries)
-    if len(batteries) != N:
-        why = (f"sensor {len(batteries)} has none" if len(batteries) < N
-               else f"batteries[{N}] matches no sensor")
-        raise ValueError(f"need one battery per sensor: got {len(batteries)} "
-                         f"for {N} sensors; {why}")
+    _one_per_sensor(scenario, batteries, "battery", "batteries")
     for n, b in enumerate(batteries):
         if not _is_whole(b) or not 0 <= b <= K:
             raise ValueError(f"sensor {n}: battery must be a whole number of units "
@@ -201,7 +195,7 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     codes = states
     harvest = amplitudes
     scratch = np.empty(slots)
-    transmit_h0 = []  # per sensor, whether each slot would transmit under H0
+    transmit_h0 = np.empty((N, slots), dtype=bool)  # whether each slot would transmit under H0
 
     for n, (sensor, st) in enumerate(zip(scenario.sensors, streams.sensors)):
         # exponential(scale) draws scale * standard_exponential and
@@ -218,12 +212,10 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         dec = st.decision.random(out=scratch)
 
         levels[n] = quantize_gain(g, sensor.thresholds)
-        if net.transmit_prob_model == "prior":
-            transmit_h0.append(0)
-            transmit[n] = hyp
-        else:
-            transmit_h0.append(dec < sensor.p_f)
-            transmit[n] = np.where(hyp == 1, dec < sensor.p_d, transmit_h0[n])
+        rate_h0, rate_h1 = _transmit_rates(net, sensor)
+        u = np.less(dec, rate_h1, out=transmit[n].view(bool))
+        u &= hyp.view(bool)  # rate_h0 <= rate_h1, so dec < the slot's rate is H1 & u1 | u0
+        u |= np.less(dec, rate_h0, out=transmit_h0[n])
         np.add(levels[n], 1, out=codes[n])
         codes[n] *= transmit[n]
 
@@ -446,11 +438,7 @@ def _fusion_plan(scenario: Scenario, power_map: PowerMap | None, psis):
     if power_map is None or psis is None:
         raise ValueError("map_marginal fusion needs power_map and psis")
     _check_map(scenario, power_map)
-    N = scenario.num_sensors
-    if len(psis) != N:
-        why = f"sensor {len(psis)} has none" if len(psis) < N else f"psis[{N}] matches no sensor"
-        raise ValueError(f"map_marginal fusion needs one psi per sensor: got {len(psis)} "
-                         f"for {N} sensors; {why}")
+    _one_per_sensor(scenario, psis, "psi", "psis")
     plan = []
     for n, (sensor, table, dist) in enumerate(zip(scenario.sensors, power_map.powers, psis)):
         if dist.psi.size != table.shape[1]:

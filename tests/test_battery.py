@@ -123,7 +123,7 @@ def test_transmit_probability_models(two_sensor_scenario):
     from dataclasses import replace
     decision_net = replace(net, transmit_prob_model="decision")
     expected = net.prior_h0 * s.p_f + net.prior_h1 * s.p_d
-    assert transmit_probability(decision_net, s) == pytest.approx(expected, rel=1e-15)
+    assert transmit_probability(decision_net, s) == expected
 
 
 def _single_level_chain(capacity, arrival_pmf, transmit_prob):

@@ -228,6 +228,23 @@ def test_local_model_derives_rates_and_round_trips():
     assert loads_scenario(dumped) == sc
 
 
+def test_local_model_must_carry_its_operating_point(toy_scenario):
+    # the file keeps the local model and drops the rates, so a sensor whose
+    # rates differ from its model's used to reload as another sensor
+    sensor = toy_scenario.sensors[0]
+    model = LocalObservationModel(amplitude=1.0, noise_sigma=1.0, threshold=0.5)
+    match = (r"p_f/p_d: \(0\.2, 0\.9\) must equal the local model's operating point "
+             r"\(0\.3085375387259869, 0\.6914624612740131\)")
+    with pytest.raises(ScenarioError, match=match):
+        replace(sensor, local_obs=model)
+    local = replace(sensor, p_f=0.3085375387259869, p_d=0.6914624612740131, local_obs=model)
+    assert (local.p_f, local.p_d) == model.operating_point()
+    with pytest.raises(ScenarioError, match="must equal the local model's operating point"):
+        replace(local, p_f=0.3)
+    sc = replace(toy_scenario, sensors=(local,))
+    assert loads_scenario(dumps_scenario(sc)) == sc
+
+
 @st.composite
 def scenarios(draw):
     prior = draw(st.floats(0.05, 0.95))
@@ -235,8 +252,17 @@ def scenarios(draw):
     n_sensors = draw(st.integers(1, 3))
     sensors = []
     for _ in range(n_sensors):
-        p_f = draw(st.floats(0.01, 0.5))
-        p_d = draw(st.floats(p_f + 0.05, 0.99))
+        local_obs = None
+        if draw(st.booleans()):
+            p_f = draw(st.floats(0.01, 0.5))
+            p_d = draw(st.floats(p_f + 0.05, 0.99))
+        else:
+            # |threshold| / sigma <= 2 and |threshold - amplitude| / sigma <= 6
+            # keep both rates strictly inside (0, 1) and apart
+            local_obs = LocalObservationModel(amplitude=draw(st.floats(0.1, 4.0)),
+                                              noise_sigma=draw(st.floats(1.0, 3.0)),
+                                              threshold=draw(st.floats(-2.0, 2.0)))
+            p_f, p_d = local_obs.operating_point()
         n_edges = draw(st.integers(1, 4))
         interior = sorted(draw(st.lists(
             st.floats(0.01, 5.0), min_size=n_edges, max_size=n_edges,
@@ -247,6 +273,7 @@ def scenarios(draw):
             p_f=p_f, p_d=p_d,
             outage_confidence=draw(st.floats(0.5, 0.99)),
             thresholds=(0.0, *interior, math.inf),
+            local_obs=local_obs,
         ))
     network = NetworkParams(
         prior_h0=prior,

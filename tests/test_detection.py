@@ -59,7 +59,8 @@ def test_roc_coefficients_validate_inputs():
     with pytest.raises(ValueError):
         roc_coefficients(0.0, 0.5)
     with pytest.raises(ValueError):
-        RocCoefficients(slope1=0.2, den1=0.3, slope2=0.4, den2=0.1)  # den1 > 1/4
+        RocCoefficients(slope1=0.2, den1=0.3, slope2=0.4, den2=0.1,  # den1 > 1/4
+                        tilt=0.2 * 0.3 + 0.4 * 0.1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -77,9 +78,11 @@ def test_tilt_has_the_exact_sign_of_the_slope_den_sum(p_f, log_gap):
     assert (tilt > 0) == (exact > 0) and (tilt < 0) == (exact < 0)
 
 
-def test_coefficients_built_without_a_tilt_take_the_float_sum():
-    c = RocCoefficients(slope1=0.2, den1=0.25, slope2=-0.1, den2=0.1)
-    assert c.tilt == 0.2 * 0.25 - 0.1 * 0.1
+def test_coefficients_built_without_a_tilt_are_refused():
+    # the float sum would take the wrong sign near the band's edge, so no
+    # default stands in for roc_coefficients' exact tilt
+    with pytest.raises(TypeError, match="tilt"):
+        RocCoefficients(slope1=0.2, den1=0.25, slope2=-0.1, den2=0.1)
 
 
 def test_divergence_reference_point():

@@ -638,7 +638,8 @@ def _negative_gains(monkeypatch):
     the gain turns negative past the crossing, where sqrt(g / lam) is NaN.
     At these prices the crossing sits so close to the gain's own zero that
     iterates in the bracket [0, p_big] land past it."""
-    coeffs = RocCoefficients(slope1=0.25, den1=0.25, slope2=-0.05, den2=0.05)
+    coeffs = RocCoefficients(slope1=0.25, den1=0.25, slope2=-0.05, den2=0.05,
+                             tilt=0.25 * 0.25 + -0.05 * 0.05)
     return [(coeffs, 1e-6), (coeffs, 1e-9)]
 
 
@@ -1406,8 +1407,11 @@ def test_evaluate_unit_map_rejects_a_map_for_another_sensor_count(two_sensor_sce
                                                                  two_sensor_outcome):
     # one table for two sensors used to score the first sensor alone
     units = two_sensor_outcome.power_map.units
-    with pytest.raises(ValueError, match="the unit map covers 1 sensors, the scenario has 2"):
+    with pytest.raises(ValueError, match="need one unit table per sensor: got 1 for 2 sensors; "
+                                         "sensor 1 has none"):
         evaluate_unit_map(two_sensor_scenario, units[:1])
+    with pytest.raises(ValueError, match=r"got 3 for 2 sensors; units\[2\] matches no sensor"):
+        evaluate_unit_map(two_sensor_scenario, (units * 2)[:3])
 
 
 def test_evaluate_unit_map_refuses_maps_power_map_refuses(toy_scenario, toy_outcome):

@@ -103,13 +103,14 @@ def test_csv_fingerprint_covers_every_table():
         "powermap": ("battery_psi.csv", "power_map.csv", "summary.csv"),
         "simulate_genie": ("occupancy.csv", "report.csv"),
         "simulate_map_marginal": ("occupancy.csv", "report.csv"),
+        "simulate_decision": ("occupancy.csv", "report.csv"),
         "sweep": ("sweep.csv",),
         "simulate_long_warmup": ("occupancy.csv", "report.csv"),
     }
     expected = [f"{scenario}/{run}/{name}"
                 for scenario in ("toy.scn", "two_sensor.scn")
                 for run, names in tables.items() for name in names]
-    assert len(lines) == 20
+    assert len(lines) == 24
     assert [line.split("  ", 1)[1] for line in lines] == expected
     for line in lines:
         assert re.fullmatch(r"[0-9a-f]{64}", line.split("  ", 1)[0])

@@ -259,7 +259,8 @@ def test_map_marginal_rejects_a_map_for_another_sensor_count(two_sensor_scenario
     # the missing sensor's table used to be indexed past the end (IndexError)
     sc, pmap, batch, psi = _marginal_setup(two_sensor_scenario)
     one = replace(pmap, powers=pmap.powers[:1])
-    with pytest.raises(ValueError, match="the power map covers 1 sensors, the scenario has 2"):
+    with pytest.raises(ValueError, match="need one power table per sensor: got 1 for 2 sensors; "
+                                         "sensor 1 has none"):
         fusion_llr(batch, sc, one, psis=(psi, psi))
 
 
@@ -598,6 +599,24 @@ def test_null_outputs_replay_the_noise_and_decision_streams(two_sensor_scenario,
         w = st_n.noise.normal(0.0, math.sqrt(sensor.noise_var), slots)
         u0 = dec < sensor.p_f if model == "decision" else 0
         np.testing.assert_array_equal(batch.null_outputs[n], batch.amplitudes[n] * u0 + w)
+
+
+@pytest.mark.parametrize("model", ["prior", "decision"])
+def test_transmit_bits_replay_the_decision_stream(two_sensor_scenario, model):
+    # a slot transmits when its decision draw falls below its hypothesis's
+    # rate: p_f or p_d under the decision model, 0 or 1 (the hypothesis
+    # itself) under the prior model
+    sc = _with_network(two_sensor_scenario, transmit_prob_model=model)
+    slots = 3_000
+    batch = simulate_slots(sc, _spend_one_map(sc), slots, make_streams(31, 2))
+    h1 = batch.hypothesis == 1
+    assert 0 < h1.sum() < slots
+    replay = make_streams(31, 2)
+    for n, (sensor, st_n) in enumerate(zip(sc.sensors, replay.sensors)):
+        dec = st_n.decision.random(slots)
+        expected = dec < np.where(h1, sensor.p_d, sensor.p_f) if model == "decision" else h1
+        assert batch.transmit[n].dtype == np.int8
+        np.testing.assert_array_equal(batch.transmit[n], expected.astype(np.int8))
 
 
 def test_calibration_hits_target_in_sample(toy_scenario):
@@ -1157,16 +1176,20 @@ def test_bad_batteries_and_slots_raise(two_sensor_scenario, slots, batteries, ma
 
 def test_streams_for_another_sensor_count_are_rejected(two_sensor_scenario):
     # the sensor without a stream used to keep np.empty rows and no end battery
-    with pytest.raises(ValueError, match="streams cover 1 sensors, the scenario has 2"):
-        simulate_slots(two_sensor_scenario, _spend_one_map(two_sensor_scenario), 5,
-                       make_streams(1, 1))
+    pmap = _spend_one_map(two_sensor_scenario)
+    with pytest.raises(ValueError, match="need one stream set per sensor: got 1 for 2 sensors; "
+                                         "sensor 1 has none"):
+        simulate_slots(two_sensor_scenario, pmap, 5, make_streams(1, 1))
+    with pytest.raises(ValueError, match=r"got 3 for 2 sensors; streams\.sensors\[2\] matches"):
+        simulate_slots(two_sensor_scenario, pmap, 5, make_streams(1, 3))
 
 
 def test_power_map_for_another_sensor_count_is_rejected(toy_scenario):
     # the second table used to be ignored
     pmap = _spend_one_map(toy_scenario)
     two = replace(pmap, powers=pmap.powers * 2)
-    with pytest.raises(ValueError, match="the power map covers 2 sensors, the scenario has 1"):
+    with pytest.raises(ValueError, match=r"need one power table per sensor: got 2 for 1 sensors; "
+                                         r"power_map\.powers\[1\] matches no sensor"):
         simulate_slots(toy_scenario, two, 5, make_streams(1, 1))
 
 
