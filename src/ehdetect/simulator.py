@@ -20,7 +20,9 @@ Calibration and measurement, warm-up included, simulate in blocks small
 enough that a block's arrays stay in cache and come from memory the allocator
 already holds, so a long run pays neither page faults nor memory for its
 length. What fusion needs of the power map and psi is built once per call and
-serves every block.
+serves every block, and so is the one buffer that map_marginal fusion writes
+each block's linear forms into: one gemm with at least two rows and two
+columns per block.
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ __all__ = [
 # map_marginal fusion evaluates at most about this many elements per
 # (merged components x slots) block of one level, so the block bounds the
 # fusion's working memory independently of the run length. At 2^16 elements
-# a block is 0.5 MB and stays in cache across its in-place passes. A block
-# has at least two slots, because NumPy sums a one-column block along the
-# components pairwise but a wider one row by row, and a slot's statistic
-# must not depend on how the slots were blocked. For the same reason the
-# block is built by einsum and not by `@`: BLAS may round an element
-# differently depending on the block's width.
+# a block is 0.5 MB and stays in cache across its in-place passes; one buffer
+# of that size per call holds every block. A block has at least two slots,
+# because NumPy sums a one-column block along the components pairwise but a
+# wider one row by row, and a slot's statistic must not depend on how the
+# slots were blocked. For the same reason the block is one gemm with at
+# least two rows and two columns: NumPy sends a one-row product to gemv,
+# which rounds an element differently depending on the block's width, so a
+# one-component level carries a second row of zeros.
 _FUSION_CHUNK = 1 << 16
 # Each guessed chunk of the walk first walks this many slots before it from a
 # full battery, so a drain or the clamp in them has usually coupled its guess
@@ -426,12 +430,17 @@ def _fusion_plan(scenario: Scenario, power_map: PowerMap | None, psis):
     simulate_slots would take and one psi per sensor that covers the map's
     battery states. Battery states that spend the same power at a level are
     one component of that sensor's mixture, and their psi masses add; states
-    with psi = 0 contribute none. Per sensor, per level, returns the
-    (components x 3) coefficients (c0, c1, c2) of the components' linear
-    forms (see `fusion_llr`), one row per distinct power. The masses are
-    normalised per level, so a lone component has c0 = log 1 = 0 exactly
-    even where psi's float sum is not 1. Returns None for genie fusion,
-    which needs neither the map nor psi.
+    with psi = 0 contribute none. Returns (coefs, scratch). Per sensor, per
+    level, coefs holds the (rows x 3) coefficients (c0, c1, c2) of the
+    components' linear forms (see `fusion_llr`), one row per distinct power,
+    and whether the level has one component. A lone level gets a second row
+    of zeros, whose linear form is never read, so that every block is a gemm
+    with at least two rows (see `_FUSION_CHUNK`). The masses are normalised
+    per level, so a lone component has c0 = log 1 = 0 exactly even where
+    psi's float sum is not 1. scratch is the one buffer every block of the
+    call writes its linear forms into: `_FUSION_CHUNK` elements, or two
+    slots of the largest level if that is more. Returns None for genie
+    fusion, which needs neither the map nor psi.
     """
     if scenario.network.fc_knowledge == "genie":
         return None
@@ -440,6 +449,7 @@ def _fusion_plan(scenario: Scenario, power_map: PowerMap | None, psis):
     _check_map(scenario, power_map)
     _one_per_sensor(scenario, psis, "psi", "psis")
     plan = []
+    size = _FUSION_CHUNK
     for n, (sensor, table, dist) in enumerate(zip(scenario.sensors, power_map.powers, psis)):
         if dist.psi.size != table.shape[1]:
             raise ValueError(f"sensor {n}: psi covers {dist.psi.size} battery states, "
@@ -451,10 +461,15 @@ def _fusion_plan(scenario: Scenario, power_map: PowerMap | None, psis):
         for row in table:
             powers, which = np.unique(row[live], return_inverse=True)
             masses = np.bincount(which, weights=mass, minlength=powers.size)
-            coefs.append(np.stack([np.log(masses / masses.sum()), 2.0 * inv * np.sqrt(powers),
-                                   -inv * powers], axis=1))
+            coef = np.stack([np.log(masses / masses.sum()), 2.0 * inv * np.sqrt(powers),
+                             -inv * powers], axis=1)
+            lone = powers.size == 1
+            if lone:
+                coef = np.vstack([coef, np.zeros(3)])
+            coefs.append((coef, lone))
+            size = max(size, 2 * coef.shape[0])
         plan.append(tuple(coefs))
-    return tuple(plan)
+    return tuple(plan), np.empty(size)
 
 
 def _fuse(batch: SimBatch, scenario: Scenario, plan) -> np.ndarray:
@@ -473,6 +488,7 @@ def _fuse(batch: SimBatch, scenario: Scenario, plan) -> np.ndarray:
             d *= 1.0 / (2.0 * sensor.noise_var)
             total += _binary_llr(d, sensor.p_f, sensor.p_d)
             continue
+        coefs, scratch = plan
         levels = batch.levels[n]
         # each slot's inputs to the linear forms: 1, y sqrt(g), g
         x = np.empty((3, slots))
@@ -481,19 +497,22 @@ def _fuse(batch: SimBatch, scenario: Scenario, plan) -> np.ndarray:
         x[1] *= batch.outputs[n]
         x[2] = batch.gains[n]
         d = np.empty(slots)
-        for level, coef in enumerate(plan[n]):
-            width = max(2, _FUSION_CHUNK // coef.shape[0])
+        for level, (coef, lone) in enumerate(coefs[n]):
+            rows = coef.shape[0]
+            # as many slots as the scratch holds, at least two
+            width = scratch.size // rows
             where = np.flatnonzero(levels == level)
             for start in range(0, where.size, width):
                 idx = where[start:start + width]
                 if idx.size == 1:
                     idx = idx.repeat(2)  # never a one-column block, see _FUSION_CHUNK
+                z = scratch[:rows * idx.size].reshape(rows, idx.size)
                 # take, not x[:, idx]: that gather comes out column-major, and
-                # einsum over it runs about five times slower
-                z = np.einsum("ck,kn->cn", coef, x.take(idx, axis=1))
-                if coef.shape[0] == 1:
+                # the gemm over it runs slower and rounds differently
+                np.matmul(coef, x.take(idx, axis=1), out=z)
+                if lone:
                     # the log-sum-exp of one term z is log(exp(z - z)) + z =
-                    # 0 + z: the row itself (a -0.0 may stay -0.0, which
+                    # 0 + z: the first row itself (a -0.0 may stay -0.0, which
                     # _binary_llr's exp cannot tell from 0.0)
                     d[idx] = z[0]
                     continue
@@ -527,17 +546,19 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
     c1 = 2 inv sqrt(p_c) and c2 = -inv p_c, so the sent-vs-silent
     log-likelihood ratio d is a log-sum-exp of it over the components, with
     no large terms to cancel. A level's (components x slots) block of linear
-    forms is one einsum over at most about `_FUSION_CHUNK` elements; max,
-    subtract, exp and sum then run in place. The cost is about five passes
-    per (slot, component) element plus a few per slot. A level with one
-    component skips the log-sum-exp: its linear form is d, bit for bit. It
-    is einsum and not `@`, and a block never has one slot, so that a slot's
+    forms is one gemm with at least two rows and two columns, over at most
+    about `_FUSION_CHUNK` elements, written into one buffer that every block
+    of the call reuses; max, subtract, exp and sum then run in place. The
+    cost is about five passes per (slot, component) element plus a few per
+    slot. A level with one component skips the log-sum-exp: its linear form
+    is d, bit for bit, and its block carries a second row of zeros that is
+    never read. So no product has one row or one column, and a slot's
     statistic does not depend on how the slots were blocked (see
     `_FUSION_CHUNK`).
     """
     plan = _fusion_plan(scenario, power_map, psis)
     if plan is not None and batch.hypothesis.size:
-        for n, coefs in enumerate(plan):
+        for n, coefs in enumerate(plan[0]):
             levels = batch.levels[n]
             # every slot must fall in one level's group, or its statistic is never set
             if not 0 <= levels.min() <= levels.max() < len(coefs):

@@ -15,6 +15,8 @@ call:
   holds (_SensorCtx.cap), and the tests check the two agree.
 - lambda_search re-runs the solver's price search at fixed battery laws.
 - read_table reads back a CSV that cli.write_table wrote.
+- package_env is the environment of a fresh interpreter that imports this
+  ehdetect.
 
 Import with ``from references import ...``; pyproject.toml puts this
 directory on the test path.
@@ -24,10 +26,13 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import ehdetect
 from ehdetect.config import NetworkParams, PowerMap, Scenario, _probability
 from ehdetect.optimizer import _lambda_search, _sensor_context
 
@@ -139,3 +144,17 @@ def read_table(path) -> tuple[dict, list[dict]]:
             lines.append(line)
     rows = list(csv.DictReader(lines))
     return meta, rows
+
+
+def package_env(**override):
+    """os.environ for a fresh interpreter that imports this ehdetect, with
+    override applied (None unsets a variable)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ehdetect.__file__).parent.parent), env.get("PYTHONPATH")) if p)
+    for key, value in override.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env

@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -21,7 +20,7 @@ from ehdetect.cli import (
 )
 import ehdetect.battery
 import ehdetect.optimizer
-from references import read_table
+from references import package_env, read_table
 
 WIDE_SCENARIO = """\
 [network]
@@ -45,20 +44,6 @@ thresholds = 0, 0.3, 0.7, 1.2, 1.8, 2.5, inf
 
 def _toy(scenario_dir) -> str:
     return str(scenario_dir / "toy.scn")
-
-
-def _package_env(**override):
-    """os.environ for a fresh interpreter that imports this ehdetect, with
-    override applied (None unsets a variable)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(ehdetect.__file__).parent.parent), env.get("PYTHONPATH")) if p)
-    for key, value in override.items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    return env
 
 
 # toy.scn at the former stall point: outside the concavity band, and the
@@ -510,7 +495,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 def test_no_command_imports_scipy(tmp_path, scenario_dir):
     run = subprocess.run([sys.executable, "-c", _EVERY_COMMAND_WITHOUT_SCIPY,
                           _toy(scenario_dir), str(tmp_path)],
-                         capture_output=True, text=True, env=_package_env(), check=False)
+                         capture_output=True, text=True, env=package_env(), check=False)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
 
@@ -519,7 +504,7 @@ def test_cli_module_runs_as_a_script(scenario_dir):
     # python -m ehdetect.cli runs the command, as python -m ehdetect does
     run = subprocess.run([sys.executable, "-m", "ehdetect.cli", "validate",
                           "--scenario", _toy(scenario_dir)],
-                         capture_output=True, text=True, env=_package_env(), check=False)
+                         capture_output=True, text=True, env=package_env(), check=False)
     assert run.returncode == EXIT_OK, run.stderr
     assert run.stdout.splitlines()[-1] == "all 3 checks passed"
 
@@ -534,7 +519,7 @@ def test_powermap_bytes_do_not_follow_an_unset_blas_thread_count(tmp_path, scena
         run = subprocess.run([sys.executable, "-m", "ehdetect", "powermap", "--scenario",
                               str(scenario_dir / "two_sensor.scn"), "--out", str(out)],
                              capture_output=True, text=True,
-                             env=_package_env(OPENBLAS_NUM_THREADS=threads), check=False)
+                             env=package_env(OPENBLAS_NUM_THREADS=threads), check=False)
         assert run.returncode == EXIT_OK, run.stderr
         tables.append({csv.name: csv.read_bytes() for csv in out.glob("*.csv")})
     assert sorted(tables[0]) == ["battery_psi.csv", "power_map.csv", "summary.csv"]
@@ -546,7 +531,7 @@ def test_importing_the_package_defaults_blas_to_one_thread_unless_set(threads, s
     run = subprocess.run([sys.executable, "-c",
                           "import os, ehdetect; print(os.environ['OPENBLAS_NUM_THREADS'])"],
                          capture_output=True, text=True,
-                         env=_package_env(OPENBLAS_NUM_THREADS=threads), check=False)
+                         env=package_env(OPENBLAS_NUM_THREADS=threads), check=False)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == seen
 
@@ -638,7 +623,7 @@ def test_scenario_that_is_not_utf8_maps_to_input_exit(tmp_path):
     bad.write_bytes(b"\xff\xfe[network]\n")
     run = subprocess.run([sys.executable, "-m", "ehdetect", "validate",
                           "--scenario", str(bad)],
-                         capture_output=True, text=True, env=_package_env(), check=False)
+                         capture_output=True, text=True, env=package_env(), check=False)
     assert run.returncode == EXIT_INPUT
     assert run.stderr.splitlines() == [
         f"error: {bad}: not UTF-8 text at byte 0 (invalid start byte)"]

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -21,6 +23,7 @@ from ehdetect import (
 )
 from ehdetect import simulator
 from ehdetect.simulator import SimBatch, _fusion_plan
+from references import package_env
 
 
 def _with_network(scenario, **changes):
@@ -281,6 +284,18 @@ def test_map_marginal_rejects_levels_outside_the_map(toy_scenario):
         fusion_llr(replace(batch, levels=levels), sc, pmap, psis=(psi,))
 
 
+def _components(plan):
+    """Per sensor, per level, the (components x 3) coefficients of a
+    `_fusion_plan`, without the zero row that pads a lone level to two."""
+    coefs, _ = plan
+    for levels in coefs:
+        for coef, lone in levels:
+            assert coef.shape[0] >= 2
+            if lone:
+                np.testing.assert_array_equal(coef[1], 0.0)
+    return [[coef[:1] if lone else coef for coef, lone in levels] for levels in coefs]
+
+
 def _sensor_plan(scenario, table, psi):
     """`_fusion_plan` of the scenario's first sensor alone, with power table
     `table` and stationary distribution `psi`: per level, its coefficients."""
@@ -288,7 +303,7 @@ def _sensor_plan(scenario, table, psi):
     sc = replace(scenario, sensors=scenario.sensors[:1],
                  network=replace(net, fc_knowledge="map_marginal"))
     pmap = PowerMap(powers=(table,), unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
-    (coefs,) = _fusion_plan(sc, pmap, (BatteryDistribution(psi=psi),))
+    (coefs,) = _components(_fusion_plan(sc, pmap, (BatteryDistribution(psi=psi),)))
     return coefs
 
 
@@ -341,11 +356,12 @@ def _per_state_llr(batch, scenario, power_map, psis):
 
 
 @st.composite
-def _marginal_cases(draw, toy):
-    # either few components that tie across states, or 8 to 13 distinct
-    # powers at every live level, the regime of a many-component map
+def _marginal_cases(draw, toy, many_capacities=st.integers(7, 12), slot_counts=st.integers(1, 40)):
+    # either few components that tie across states, or K + 1 distinct powers
+    # at every live level (8 to 13 by default), the regime of a many-component
+    # map; level 0 is a lone component, and so is one more level
     many = draw(st.booleans())
-    K = draw(st.integers(7, 12) if many else st.integers(1, 6))
+    K = draw(many_capacities if many else st.integers(1, 6))
     level_count = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sensors, powers, psis = [], [], []
@@ -362,17 +378,24 @@ def _marginal_cases(draw, toy):
             else:
                 # at most two units per slot, so powers tie across states
                 u[level] = [draw(st.integers(0, min(k, 2))) for k in range(K + 1)]
-        u[draw(st.integers(1, level_count - 1))] = 0  # one live level left dead
+        # one live level left dead, or spending one unit from every charged
+        # state, which is one component of nonzero power once the empty
+        # state holds no mass (and leaves K components at a many level)
+        charged = draw(st.booleans())
+        u[draw(st.integers(1, level_count - 1))] = np.minimum(np.arange(K + 1), charged)
         powers.append(u * toy.network.unit_power)
         masses = [0.1, 0.5, 1.0] if many else [0.0, 0.1, 0.5, 1.0]
         weights = np.array([draw(st.sampled_from(masses)) for _ in range(K + 1)])
         weights[draw(st.integers(0, K))] = 1.0  # at least one state holds mass
+        if charged:
+            weights[0] = 0.0
+            weights[draw(st.integers(1, K))] = 1.0
         psis.append(BatteryDistribution(psi=weights / weights.sum()))
     scenario = replace(toy, sensors=tuple(sensors), network=replace(
         toy.network, capacity=K, fc_knowledge="map_marginal"))
     pmap = PowerMap(powers=tuple(powers), unit_energy=toy.network.unit_energy,
                     slot_seconds=toy.network.slot_seconds)
-    slots = draw(st.integers(1, 40))
+    slots = draw(slot_counts)
     N = len(sensors)
     scale = draw(st.sampled_from([1.0, 10.0]))  # 10 pushes every term far below zero
     outputs = rng.normal(0.0, scale, (N, slots))
@@ -442,7 +465,7 @@ def test_a_slots_statistic_does_not_depend_on_how_slots_are_blocked(two_sensor_s
         weights = np.ones((sc.num_sensors, K + 1))
         weights[:, 0] = 0.0
     psis = tuple(BatteryDistribution(psi=w / w.sum()) for w in weights)
-    for coefs in _fusion_plan(sc, pmap, psis):
+    for coefs in _components(_fusion_plan(sc, pmap, psis)):
         live = [coef.shape[0] for coef in coefs[1:]]
         assert min(live) >= 8 if many else max(live) == 1
     slots = 3_000
@@ -458,11 +481,84 @@ def test_a_slots_statistic_does_not_depend_on_how_slots_are_blocked(two_sensor_s
         np.testing.assert_array_equal(fusion_llr(batch, sc, pmap, psis=psis), whole)
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_no_gemm_block_moves_a_slots_statistic(toy_scenario, data):
+    # every level's linear forms are one gemm per block; the gemm must give a
+    # slot the same bits whatever the block's width, offset and row count
+    # (2 to 130, a lone level's zero row included), or capped calibration
+    # blocks would not equal the whole batch. A BLAS build that fails this
+    # must not run map_marginal fusion.
+    scenario, pmap, psis, batch = data.draw(_marginal_cases(
+        toy_scenario, many_capacities=st.integers(1, 129), slot_counts=st.integers(2, 400)))
+    whole = fusion_llr(batch, scenario, pmap, psis=psis).tobytes()
+    slots = batch.hypothesis.size
+    inner = data.draw(st.lists(st.integers(1, slots - 1), max_size=6, unique=True))
+    cuts = [0, *sorted(inner), slots]
+    pieces = [fusion_llr(_slot_range(batch, a, b), scenario, pmap, psis=psis)
+              for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(pieces).tobytes() == whole
+    for bound in (1, 2, 3, data.draw(st.integers(4, 1 << 16))):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_FUSION_CHUNK", bound)
+            assert fusion_llr(batch, scenario, pmap, psis=psis).tobytes() == whole, bound
+
+
+_FUSE_ONE_BATCH = """\
+import hashlib, sys
+import numpy as np
+from dataclasses import replace
+from ehdetect import (BatteryDistribution, PowerMap, fusion_llr, load_scenario, make_streams,
+                      simulate_slots, simulator)
+scenario, tables = sys.argv[1:]
+base = load_scenario(scenario)
+sc = replace(base, network=replace(base.network, fc_knowledge="map_marginal",
+                                   mean_harvest=2.0, power_budget=70.0))
+with np.load(tables) as saved:
+    pmap = PowerMap(powers=(saved["p0"], saved["p1"]), unit_energy=sc.network.unit_energy,
+                    slot_seconds=sc.network.slot_seconds)
+    psis = (BatteryDistribution(saved["psi0"]), BatteryDistribution(saved["psi1"]))
+batch = simulate_slots(sc, pmap, 8192, make_streams(31, 2))
+for bound in (simulator._FUSION_CHUNK, 1 << 20):
+    simulator._FUSION_CHUNK = bound
+    print(hashlib.sha256(fusion_llr(batch, sc, pmap, psis=psis).tobytes()).hexdigest())
+"""
+
+
+def test_map_marginal_statistic_does_not_follow_the_blas_thread_count(tmp_path, scenario_dir,
+                                                                      two_sensor_scenario):
+    # the benchmark runs OpenBLAS on its default thread count and the CLI on
+    # one; the gemm of the linear forms must give the same bytes on both.
+    # OpenBLAS by default runs a gemm of at most 2^18 multiply-adds on one
+    # thread, as every block under the default bound is, so each child also
+    # fuses with blocks of up to 2^20 elements, which it splits. The map is
+    # solved here and handed over, as the solve's own last bits follow the
+    # thread count
+    sc = _with_network(two_sensor_scenario, mean_harvest=2.0, power_budget=70.0)
+    out = optimize_power_map(sc)
+    tables = tmp_path / "map_70w.npz"
+    np.savez(tables, p0=out.power_map.powers[0], p1=out.power_map.powers[1],
+             psi0=out.psi_star[0].psi, psi1=out.psi_star[1].psi)
+    digests = []
+    for threads in ("1", "2"):
+        # the variable is in the child's environment before it imports numpy
+        run = subprocess.run([sys.executable, "-c", _FUSE_ONE_BATCH,
+                              str(scenario_dir / "two_sensor.scn"), str(tables)],
+                             capture_output=True, text=True,
+                             env=package_env(OPENBLAS_NUM_THREADS=threads), check=False)
+        assert run.returncode == 0, run.stderr
+        digests += run.stdout.split()
+    assert len(digests) == 4 and len(digests[0]) == 64
+    assert set(digests) == {digests[0]}
+
+
 @pytest.mark.parametrize("solved", [False, True], ids=["spend_one", "solved_map"])
 def test_lone_component_levels_equal_their_log_sum_exp(two_sensor_scenario, solved):
     # a lone component's statistic skips the log-sum-exp; a second component
-    # of zero mass (log-mass -inf) sends the level through it, adding
-    # exp(-inf) = 0 to the sum, so both must give the same bits
+    # of a log-mass far below every term sends the level through it, adding
+    # exp(-1e308 - peak) = 0 to the sum, so both must give the same bits.
+    # Not -inf: the gemm raises invalid on that row, although it comes out
+    # -inf, and _fusion_plan never emits it, as it drops states with psi = 0
     sc = _with_network(two_sensor_scenario, fc_knowledge="map_marginal")
     if solved:
         out = optimize_power_map(sc)
@@ -473,9 +569,11 @@ def test_lone_component_levels_equal_their_log_sum_exp(two_sensor_scenario, solv
         psi[0] = 0.0
         psis = (BatteryDistribution(psi=psi / psi.sum()),) * 2
     plan = _fusion_plan(sc, pmap, psis)
-    assert sum(coef.shape[0] == 1 for coefs in plan for coef in coefs) >= 5
-    padded = tuple(tuple(np.vstack([coef, [-np.inf, 0.0, 0.0]]) if coef.shape[0] == 1 else coef
-                         for coef in coefs) for coefs in plan)
+    assert sum(coef.shape[0] == 1 for coefs in _components(plan) for coef in coefs) >= 5
+    coefs, scratch = plan
+    padded = (tuple(tuple((np.vstack([coef[:1], [-1e308, 0.0, 0.0]]), False) if lone
+                          else (coef, lone) for coef, lone in levels) for levels in coefs),
+              scratch)
     batch = simulate_slots(sc, pmap, 5_000, make_streams(23, 2))
     lone = simulator._fuse(batch, sc, plan)
     np.testing.assert_array_equal(simulator._fuse(batch, sc, padded), lone)
@@ -714,19 +812,24 @@ def test_block_size_moves_no_calibration_or_measurement(two_sensor_scenario, mon
     assert blocked == whole
 
 
-@pytest.mark.parametrize("grows", ["slots", "warmup"])
-def test_measured_run_memory_does_not_grow_with_its_length(two_sensor_scenario, grows):
+@pytest.mark.parametrize("grows, fc_knowledge", [
+    ("slots", "genie"), ("warmup", "genie"), ("slots", "map_marginal"), ("warmup", "map_marginal"),
+], ids=["slots", "warmup", "slots-map_marginal", "warmup-map_marginal"])
+def test_measured_run_memory_does_not_grow_with_its_length(two_sensor_scenario, grows,
+                                                           fc_knowledge):
     # run_monte_carlo keeps counts between blocks and warms up in blocks of
     # the same size, so four times the slots or the warm-up take four times
     # the blocks and no more memory; the bound is about twice the traced
-    # peak of one 2^13-slot block with genie fusion
-    out = optimize_power_map(two_sensor_scenario)
+    # peak of one 2^13-slot block with genie fusion. map_marginal fusion adds
+    # one buffer per call, which every block reuses
+    sc = _with_network(two_sensor_scenario, fc_knowledge=fc_knowledge)
+    out = optimize_power_map(sc)
 
     def peak(length):
         counts = {"slots": 1_000, "warmup": None, grows: length}
         tracemalloc.start()
         try:
-            run_monte_carlo(two_sensor_scenario, out.power_map, 0.1, seed=3, **counts)
+            run_monte_carlo(sc, out.power_map, 0.1, seed=3, psis=out.psi_star, **counts)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
