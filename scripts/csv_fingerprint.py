@@ -2,12 +2,13 @@
 """SHA-256 fingerprints of the CSVs the CLI writes on the bundled scenarios.
 
 Runs `powermap`, `simulate` (genie and map_marginal fusion, and genie under
-the `decision` transmit model), a power-budget `sweep` and `simulate` after a
-100 000-slot warm-up on scenarios/toy.scn and scenarios/two_sensor.scn with
-fixed seeds, in a temporary directory, and prints one line per CSV.
-`simulate` calibrates and measures 20 000 slots, several Monte Carlo blocks
-and a remainder, so the bytes cover the block loop; `sweep` and the long
-warm-up run keep 2 000, the latter after thirteen capped warm-up blocks:
+the `decision` transmit model), a power-budget `sweep`, `simulate` after a
+100 000-slot warm-up and a capacity `sweep` on scenarios/toy.scn and
+scenarios/two_sensor.scn with fixed seeds, in a temporary directory, and
+prints one line per CSV. `simulate` calibrates and measures 20 000 slots,
+several Monte Carlo blocks and a remainder, so the bytes cover the block
+loop; the sweeps and the long warm-up run keep 2 000, the latter after
+thirteen capped warm-up blocks:
 
     <sha256>  <scenario>/<run>/<file>
 
@@ -45,6 +46,8 @@ RUNS = (
     ("sweep", ["sweep", *SHORT_FLAGS, "--variable", "power_budget",
                "--values", "0.5,1,2,4"]),
     ("simulate_long_warmup", ["simulate", *SHORT_FLAGS, "--warmup", "100000"]),
+    ("sweep_capacity", ["sweep", *SHORT_FLAGS, "--variable", "capacity",
+                        "--values", "3,5"]),
 )
 
 
@@ -54,7 +57,7 @@ def main() -> int:
         for scenario in ("toy.scn", "two_sensor.scn"):
             for name, argv in RUNS:
                 out = Path(tmp) / scenario / name
-                target = out / "sweep.csv" if name == "sweep" else out
+                target = out / "sweep.csv" if argv[0] == "sweep" else out
                 out.mkdir(parents=True)
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli_main([*argv, "--scenario", str(SCENARIOS / scenario),

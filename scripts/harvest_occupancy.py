@@ -34,7 +34,7 @@ def main() -> int:
     for rate in rates:
         point = replace(scenario, network=replace(scenario.network, mean_harvest=rate))
         outcome = optimize_power_map(point)
-        cdfs = [np.cumsum(psi.psi) for psi in outcome.psi_star]
+        cdfs = [psi.cdf() for psi in outcome.psi_star]
         print(f"mean_harvest={rate:g}: lambda_star={outcome.lambda_star:.4g}, "
               f"expected_power={outcome.expected_power:.4g} W")
         for n, cdf in enumerate(cdfs):

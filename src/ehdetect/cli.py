@@ -12,7 +12,8 @@ the solve noted a collapsed price bracket or an operating point outside the
 concavity band; 2 malformed scenario or argument or a failed check; 3 the
 battery fixed point did not settle (powermap still writes its tables
 flagged converged=false, sweep keeps the completed prefix, simulate writes
-nothing); 4 file-system errors.
+nothing); 4 file-system errors. A bad sweep value exits 2 before any solve,
+naming its key and writing nothing: the scenario's own rules judge each point.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,43 +45,13 @@ from .optimizer import (
 )
 from .simulator import calibrate_threshold, run_monte_carlo
 
-__all__ = ["main", "build_parser", "SweepSpec"]
+__all__ = ["main", "build_parser"]
 
 EXIT_OK, EXIT_INPUT, EXIT_CONVERGENCE, EXIT_IO = 0, 2, 3, 4
 
 CALIBRATION_SEED_OFFSET = 10 ** 6
 
 SWEEP_VARIABLES = ("power_budget", "mean_harvest", "capacity")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One scenario knob and the ascending positive values to sweep it over."""
-
-    variable: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
-            raise ScenarioError(
-                f"sweep variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) == 0:
-            raise ScenarioError("sweep needs at least one value")
-        if any(not math.isfinite(v) or v <= 0.0 for v in vals):
-            raise ScenarioError("sweep values must be finite and > 0")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ScenarioError("sweep values must be strictly ascending")
-        if self.variable == "capacity" and any(v != int(v) for v in vals):
-            raise ScenarioError("capacity sweep values must be whole numbers")
-        object.__setattr__(self, "values", vals)
-
-    def apply(self, scenario: Scenario, value: float) -> Scenario:
-        if self.variable == "capacity":
-            net = replace(scenario.network, capacity=int(value))
-        else:
-            net = replace(scenario.network, **{self.variable: value})
-        return replace(scenario, network=net)
 
 
 # ---------------------------------------------------------------------------
@@ -235,54 +206,52 @@ def cmd_simulate(args, scenario: Scenario) -> int:
 
 
 def cmd_sweep(args, scenario: Scenario) -> int:
-    spec = SweepSpec(variable=args.variable, values=args.values)
+    variable = args.variable
+    # NetworkParams judges every point before the first solve; a whole
+    # capacity goes in as an int, and the row keeps the value as parsed
+    points = [replace(scenario, network=replace(scenario.network, **{
+        variable: int(v) if variable == "capacity" and v.is_integer() else v}))
+        for v in args.values]
     columns = ("variable", "value", "lambda_star", "objective_j",
                "expected_power", "pd_fc", "pf_fc", "ci_pd", "ci_pf")
     rows = []
-    failure: int | None = None
-    for rank, value in enumerate(spec.values):
-        point = spec.apply(scenario, value)
-        try:
-            outcome = _solve(point)
-            if not outcome.converged:
-                print(f"sweep point {spec.variable}={value} failed: "
-                      "power map did not converge", file=sys.stderr)
-                failure = EXIT_CONVERGENCE
-                break
-            if args.skip_simulation:
-                pd = pf = ci_pd = ci_pf = math.nan
-            else:
-                _, report = _simulate_point(
-                    point, outcome, args,
-                    args.seed + rank,
-                    args.seed + rank + CALIBRATION_SEED_OFFSET)
-                pd, pf = report.pd_fc, report.pf_fc
-                ci_pd, ci_pf = report.ci_pd, report.ci_pf
-        except ScenarioError as exc:
-            print(f"sweep point {spec.variable}={value} rejected: {exc}",
-                  file=sys.stderr)
-            failure = EXIT_INPUT
+    converged = True
+    for rank, (value, point) in enumerate(zip(args.values, points)):
+        outcome = _solve(point)
+        if not outcome.converged:
+            print(f"sweep point {variable}={value} failed: "
+                  "power map did not converge", file=sys.stderr)
+            converged = False
             break
-        rows.append((spec.variable, value, outcome.lambda_star,
+        if args.skip_simulation:
+            pd = pf = ci_pd = ci_pf = math.nan
+        else:
+            _, report = _simulate_point(
+                point, outcome, args,
+                args.seed + rank,
+                args.seed + rank + CALIBRATION_SEED_OFFSET)
+            pd, pf = report.pd_fc, report.pf_fc
+            ci_pd, ci_pf = report.ci_pd, report.ci_pf
+        rows.append((variable, value, outcome.lambda_star,
                      outcome.objective_j, outcome.expected_power,
                      pd, pf, ci_pd, ci_pf))
-        print(f"{spec.variable}={value:g}: lambda_star={outcome.lambda_star:.6g}, "
+        print(f"{variable}={value:g}: lambda_star={outcome.lambda_star:.6g}, "
               f"objective_j={outcome.objective_j:.6g}, "
               f"expected_power={outcome.expected_power:.6g}")
     comments = {
         "format": "sweep",
-        "variable": spec.variable,
+        "variable": variable,
         "seed": args.seed,
         "samples": args.samples,
         "target_pf": args.target_pf,
     }
-    if failure is not None:
+    if not converged:
         comments["incomplete"] = True
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
     write_table(args.out, comments, columns, rows)
     print(f"wrote {len(rows)} sweep row(s) to {args.out}")
-    return failure if failure is not None else EXIT_OK
+    return EXIT_OK if converged else EXIT_CONVERGENCE
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +332,9 @@ def _arg_type(convert, accept, expected: str):
 _NONNEGATIVE = _arg_type(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
 _PROBABILITY = _arg_type(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-_NUMBERS = _arg_type(lambda t: tuple(float(v) for v in t.split(",")),
-                     lambda v: True, "comma-separated numbers")
+_ASCENDING = _arg_type(lambda t: tuple(float(v) for v in t.split(",")),
+                       lambda v: all(a < b for a, b in zip(v, v[1:])),
+                       "strictly ascending comma-separated numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "output CSV file")
     sim_flags(p)
     p.add_argument("--variable", required=True, choices=SWEEP_VARIABLES)
-    p.add_argument("--values", required=True, type=_NUMBERS,
+    p.add_argument("--values", required=True, type=_ASCENDING,
                    help="comma-separated ascending values, e.g. 2,6,10")
     p.add_argument("--skip-simulation", action="store_true",
                    help="record only the analytic columns")

@@ -77,6 +77,8 @@ def test_gain_level_probs_reference_values():
     assert pi[-1] == pytest.approx(0.3359109812391624, rel=1e-14)
     assert float(pi.sum()) == pytest.approx(1.0, abs=1e-15)
     assert pi.shape == (5,)
+    with pytest.raises(ValueError, match="mean_gain must be > 0"):
+        gain_level_probs(0.0, EDGES)
 
 
 @given(st.floats(0.05, 8.0),
@@ -100,6 +102,18 @@ def test_arrival_unit_pmf_reference_values():
     assert pmf[0] == 0.0
     assert pmf[1] == pytest.approx(0.6321205588285577, rel=1e-14)
     assert float(pmf.sum()) == pytest.approx(1.0, abs=1e-15)
+    for args, message in (((0.0, 0.1, 5), "mean_harvest and unit_energy must be > 0"),
+                          ((0.1, 0.0, 5), "mean_harvest and unit_energy must be > 0"),
+                          ((0.1, 0.1, 0), "capacity must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            arrival_unit_pmf(*args)
+    for pmf, message in (([1.0], "must cover states 0..K with K >= 1"),
+                         ([[0.0, 1.0]], "must cover states 0..K with K >= 1"),
+                         ([0.5, 0.5], r"pmf\[0\] must be exactly 0"),
+                         ([0.0, 1.5, -0.5], "pmf must be >= 0 and sum to 1"),
+                         ([0.0, 0.5, 0.4], "pmf must be >= 0 and sum to 1")):
+        with pytest.raises(ValueError, match=message):
+            ArrivalUnitPmf(pmf=pmf)
 
 
 @given(st.floats(0.02, 5.0), st.floats(0.02, 2.0), st.integers(2, 40))

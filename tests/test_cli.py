@@ -14,7 +14,6 @@ from ehdetect.cli import (
     EXIT_INPUT,
     EXIT_IO,
     EXIT_OK,
-    SweepSpec,
     main,
     write_table,
 )
@@ -298,8 +297,8 @@ def test_sweep_marks_partial_output(tmp_path, scenario_dir, monkeypatch, capsys)
                    "sweep point power_budget=4.0 failed: power map did not converge"]
 
 
-def test_sweep_keeps_the_prefix_before_a_rejected_point(tmp_path, scenario_dir,
-                                                       monkeypatch, capsys):
+def test_sweep_exits_on_a_point_its_solve_rejects(tmp_path, scenario_dir,
+                                                   monkeypatch, capsys):
     calls = {"n": 0}
 
     def picky(scenario):
@@ -313,13 +312,12 @@ def test_sweep_keeps_the_prefix_before_a_rejected_point(tmp_path, scenario_dir,
     code = main(["sweep", "--scenario", _toy(scenario_dir), "--out", str(out),
                  "--variable", "power_budget", "--values", "2,4,6",
                  "--skip-simulation"])
+    # every point passed NetworkParams, so a ScenarioError from a solve is a
+    # library fault: main reports it like any input error and no CSV is written
     assert code == EXIT_INPUT
-    assert calls["n"] == 2  # the sweep stops at the rejected point
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["sweep point power_budget=4.0 rejected: instrumented rejection"]
-    meta, rows = read_table(out)
-    assert meta["incomplete"] == "true"
-    assert [(r["variable"], r["value"]) for r in rows] == [("power_budget", "2.0")]
+    assert calls["n"] == 2
+    assert capsys.readouterr().err.splitlines() == ["error: instrumented rejection"]
+    assert not out.exists()
 
 
 def test_sweep_reports_why_a_point_did_not_converge(tmp_path, scenario_dir,
@@ -434,19 +432,51 @@ def test_fc_knowledge_leaves_the_power_map_tables_alone(tmp_path, scenario_dir, 
     assert written["plain"] and written["plain"] == written["flag"]
 
 
-def test_sweep_spec_rejects_bad_requests():
-    with pytest.raises(ScenarioError, match="variable"):
-        SweepSpec(variable="noise_floor", values=(1.0,))
-    with pytest.raises(ScenarioError, match="at least one"):
-        SweepSpec(variable="power_budget", values=())
-    with pytest.raises(ScenarioError, match="ascending"):
-        SweepSpec(variable="power_budget", values=(2.0, 1.0))
-    with pytest.raises(ScenarioError, match="finite"):
-        SweepSpec(variable="power_budget", values=(0.0, 1.0))
-    with pytest.raises(ScenarioError, match="whole"):
-        SweepSpec(variable="capacity", values=(2.5,))
-    spec = SweepSpec(variable="capacity", values=(2.0, 4.0))
-    assert spec.values == (2.0, 4.0)
+@pytest.mark.parametrize("variable, values, message", [
+    ("noise_floor", "1", "argument --variable: invalid choice"),
+    ("power_budget", "", "argument --values: expected strictly ascending"),
+    ("power_budget", "2,1", "argument --values: expected strictly ascending"),
+    ("power_budget", "1,1", "argument --values: expected strictly ascending"),
+    ("power_budget", "0,1", "error: power_budget: must be finite and > 0"),
+    ("power_budget", "nan", "error: power_budget: must be finite and > 0"),
+    ("mean_harvest", "inf", "error: mean_harvest: must be finite and > 0"),
+    ("capacity", "0", "error: capacity: must be >= 1"),
+    ("capacity", "2.5", "error: capacity: must be an integer"),
+    ("capacity", "3,5.5", "error: capacity: must be an integer"),
+])
+def test_sweep_refuses_a_bad_request_before_any_solve(tmp_path, scenario_dir, monkeypatch,
+                                                      capsys, variable, values, message):
+    solves = []
+    monkeypatch.setattr("ehdetect.cli.optimize_power_map", solves.append)
+    out = tmp_path / "sweep.csv"
+    try:
+        code = main(["sweep", "--scenario", _toy(scenario_dir), "--out", str(out),
+                     "--variable", variable, "--values", values, "--skip-simulation"])
+    except SystemExit as exc:  # the parser's usage error
+        code = exc.code
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert solves == []
+    assert not out.exists()
+
+
+def test_sweep_passes_a_whole_capacity_as_an_int(tmp_path, scenario_dir, monkeypatch):
+    seen = []
+
+    def spy(scenario):
+        seen.append(scenario.network.capacity)
+        return optimize_power_map(scenario)
+
+    monkeypatch.setattr("ehdetect.cli.optimize_power_map", spy)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--scenario", _toy(scenario_dir), "--out", str(out),
+                 "--variable", "capacity", "--values", "3,5", "--skip-simulation"])
+    assert code == EXIT_OK
+    assert seen == [3, 5] and all(type(c) is int for c in seen)
+    meta, rows = read_table(out)
+    assert meta["variable"] == "capacity"
+    assert [(r["variable"], r["value"]) for r in rows] == [("capacity", "3.0"),
+                                                          ("capacity", "5.0")]
 
 
 # ---------------------------------------------------------------------------

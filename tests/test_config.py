@@ -201,6 +201,8 @@ def test_missing_section_and_keys():
         loads_scenario("[sensor.1]\nmean_gain = 1\n")
     with pytest.raises(ScenarioError, match="missing required key"):
         loads_scenario(MINIMAL.replace("mean_harvest = 1.0\n", ""))
+    with pytest.raises(ScenarioError, match=r"unknown section \[sensors\.1\]"):
+        loads_scenario(MINIMAL.replace("[sensor.1]", "[sensors.1]"))
 
 
 def test_rates_and_local_model_are_exclusive():
@@ -211,6 +213,9 @@ def test_rates_and_local_model_are_exclusive():
     text = MINIMAL.replace("p_f = 0.2\np_d = 0.9\n", "local_amplitude = 2.0\n")
     with pytest.raises(ScenarioError, match="local"):
         loads_scenario(text)
+    # p_f alone
+    with pytest.raises(ScenarioError, match="need both p_f and p_d"):
+        loads_scenario(MINIMAL.replace("p_d = 0.9\n", ""))
 
 
 def test_local_model_derives_rates_and_round_trips():

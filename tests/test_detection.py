@@ -61,6 +61,9 @@ def test_roc_coefficients_validate_inputs():
     with pytest.raises(ValueError):
         RocCoefficients(slope1=0.2, den1=0.3, slope2=0.4, den2=0.1,  # den1 > 1/4
                         tilt=0.2 * 0.3 + 0.4 * 0.1)
+    with pytest.raises(ValueError, match=r"num1 = slope1 \+ den1 must be finite and >= 0"):
+        RocCoefficients(slope1=-0.3, den1=0.1, slope2=0.4, den2=0.1,  # num1 < 0
+                        tilt=-0.3 * 0.1 + 0.4 * 0.1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,6 +92,8 @@ def test_divergence_reference_point():
     c = roc_coefficients(0.2, 0.9)
     assert sensor_j_divergence(1.0, 1.0, c, 1.0) == pytest.approx(
         2.8758304334071494, rel=1e-14)
+    with pytest.raises(ValueError, match="noise_var must be > 0"):
+        sensor_j_divergence(1.0, 1.0, c, 0.0)
 
 
 def test_divergence_floor_at_zero_power():
@@ -153,6 +158,8 @@ def test_local_lrt_probabilities():
     # symmetric threshold: midpoint gives p_d = 1 - p_f
     p_f, p_d = local_lrt_probabilities(amplitude=3.0, noise_sigma=0.7, threshold=1.5)
     assert p_d == pytest.approx(1.0 - p_f, abs=1e-12)
+    with pytest.raises(ValueError, match="noise_sigma must be > 0"):
+        local_lrt_probabilities(amplitude=2.0, noise_sigma=0.0, threshold=1.0)
 
 
 # absolute and relative tolerance of the adaptive quadrature yardstick

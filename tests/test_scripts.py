@@ -106,11 +106,12 @@ def test_csv_fingerprint_covers_every_table():
         "simulate_decision": ("occupancy.csv", "report.csv"),
         "sweep": ("sweep.csv",),
         "simulate_long_warmup": ("occupancy.csv", "report.csv"),
+        "sweep_capacity": ("sweep.csv",),
     }
     expected = [f"{scenario}/{run}/{name}"
                 for scenario in ("toy.scn", "two_sensor.scn")
                 for run, names in tables.items() for name in names]
-    assert len(lines) == 24
+    assert len(lines) == 26
     assert [line.split("  ", 1)[1] for line in lines] == expected
     for line in lines:
         assert re.fullmatch(r"[0-9a-f]{64}", line.split("  ", 1)[0])

@@ -956,10 +956,13 @@ def test_one_fusion_plan_serves_every_block_of_a_call(two_sensor_scenario, monke
      r"warmup must be a whole number >= 0, got True"),
     (lambda sc, m: run_monte_carlo(sc, m, math.nan, slots=1000, seed=1),
      r"threshold must be a number, got nan"),
+    (lambda sc, m: calibrate_threshold(sc, m, 1.0, samples=500, seed=1),
+     r"target_pf must lie in \(0, 1\)"),
 ], ids=["calibrate_float_samples", "calibrate_zero_samples", "calibrate_negative_warmup",
         "calibrate_float_warmup", "measure_float_slots", "measure_zero_slots",
         "measure_negative_warmup", "measure_float_warmup", "calibrate_bool_samples",
-        "measure_bool_slots", "measure_bool_warmup", "measure_nan_threshold"])
+        "measure_bool_slots", "measure_bool_warmup", "measure_nan_threshold",
+        "calibrate_target_pf"])
 def test_bad_counts_raise_before_anything_is_simulated(toy_scenario, monkeypatch, call, match):
     calls = []
     monkeypatch.setattr(simulator, "simulate_slots", lambda *args, **kwargs: calls.append(args))
