@@ -17,12 +17,18 @@ slot's offset into it carries the harvest banked in the slot before. The
 path is the same as a slot-by-slot loop would give.
 
 Calibration and measurement, warm-up included, simulate in blocks small
-enough that a block's arrays stay in cache and come from memory the allocator
-already holds, so a long run pays neither page faults nor memory for its
-length. What fusion needs of the power map and psi is built once per call and
-serves every block, and so is the one buffer that map_marginal fusion writes
-each block's linear forms into: one gemm with at least two rows and two
-columns per block.
+enough that a block's arrays stay in cache, so a long run costs more blocks,
+not more memory. What a block needs but does not return is built once per
+call and reused by every block: the walk's drain table and its lane, path and
+index buffers (`_WalkPlan`), what fusion needs of the power map and psi, and
+the one buffer that map_marginal fusion writes each block's linear forms
+into (one gemm with at least two rows and two columns per block). Each batch
+gets fresh rows, and a call drops one before it simulates the next. So after
+its first blocks a call's block loop writes only memory that the allocator
+already holds, and takes no page faults. When a call ends, the allocator
+may still hand its memory back to the kernel (glibc trims the top of its
+heap once the free memory there passes a threshold), and the next call then
+faults it in again.
 """
 
 from __future__ import annotations
@@ -66,11 +72,11 @@ _FUSION_CHUNK = 1 << 16
 _LEAD = 32
 # calibrate_threshold and run_monte_carlo simulate at most this many slots per
 # call, warm-up included, so a long run costs more calls, not more memory. A
-# block of two sensors holds about 1 MB of arrays: reused heap memory, not
-# fresh pages the kernel maps on first touch, as at 2^18 slots (about 27 MB
-# per 100k-slot call). On a 2-vCPU Xeon, 2^13 ran the benchmark's Monte Carlo
-# points fastest of 2^12..2^16; below it the walk's per-block steps cost more
-# than they save.
+# block of two sensors holds about 0.8 MB of batch rows and its walk 0.5 MB
+# of buffers: reused heap memory, not fresh pages the kernel maps on first
+# touch, as at 2^18 slots (about 27 MB per 100k-slot call). On a 2-vCPU
+# Xeon, 2^13 ran the benchmark's Monte Carlo points fastest of 2^12..2^16;
+# below it the walk's per-block steps cost more than they save.
 _CALIBRATION_BLOCK = 1 << 13
 
 
@@ -155,7 +161,8 @@ def _check_map(scenario: Scenario, power_map: PowerMap) -> None:
 
 
 def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
-                   streams: Streams, batteries=None) -> SimBatch:
+                   streams: Streams, batteries=None, *, _plan: _WalkPlan | None = None
+                   ) -> SimBatch:
     """Run `slots` consecutive slots and record the full sample path.
 
     Draws, quantization, and channel outputs are vectorized and written in
@@ -169,7 +176,8 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     ValueError on a negative, non-integer or bool `slots`, on streams,
     batteries or power tables for another sensor count, on a bad battery
     (naming the sensor), on power tables whose shape does not match the
-    sensor, and on a map in other energy units.
+    sensor, and on a map in other energy units. `_plan` is private: a block
+    loop passes the `_WalkPlan` of this map that all its blocks share.
     """
     net = scenario.network
     N = scenario.num_sensors
@@ -223,7 +231,9 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         np.add(levels[n], 1, out=codes[n])
         codes[n] *= transmit[n]
 
-    end = _walk(power_map.units, codes, harvest, batteries, states)
+    if _plan is None:
+        _plan = _WalkPlan(power_map.units, (slots,))
+    end = _walk(_plan, codes, harvest, batteries, states)
 
     for n in range(N):
         a, w = amplitudes[n], null_outputs[n]
@@ -250,15 +260,53 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
     )
 
 
-def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray) -> tuple:
+class _WalkPlan:
+    """The drain table and working buffers of the battery walk (`_walk`).
+
+    `table[base[n] + c * width + x]` is sensor n's battery min(x, K) after
+    the drain of code c, with width = 2K + 1. The lane, path and index
+    buffers hold the largest walk of `lengths` (slot counts); a shorter walk
+    uses views of their fronts and rewrites every cell it reads. Each call of
+    `calibrate_threshold` or `run_monte_carlo` builds one plan, and every
+    block of the call walks in it, into pages that the blocks before it
+    already touched; a direct `simulate_slots` builds its own. A plan lives
+    no longer than its call, so it holds no memory between calls and reads
+    `_LEAD` as it stands when the call starts.
+    """
+
+    def __init__(self, units, lengths):
+        N = len(units)
+        K = units[0].shape[1] - 1
+        self.K, self.width, self.lead = K, 2 * K + 1, _LEAD
+        clamp = np.minimum(np.arange(self.width), K)
+        tables = [np.concatenate((clamp, (clamp - u[:, clamp]).ravel())) for u in units]
+        self.base = np.cumsum([0] + [t.size for t in tables[:-1]])
+        self.table = np.concatenate(tables)
+        grids = [self.grid(T) for T in lengths if T]
+        cells = max([(lead + S + 1) * N * C for S, C, lead in grids], default=0)
+        self.lanes = np.empty(2 * cells, dtype=np.int64)
+        self.after = np.empty(cells, dtype=np.int64)
+        self.index = np.empty(max([N * C for _, C, _ in grids], default=0), dtype=np.intp)
+
+    def grid(self, T: int) -> tuple[int, int, int]:
+        """The chunk length S, chunk count C and lead-in of a T-slot walk."""
+        S = math.isqrt(T)
+        # a lead-in reaches back at most one chunk
+        return S, -(-T // S), min(self.lead, S)
+
+
+def _walk(plan: _WalkPlan, codes: np.ndarray, harvest: np.ndarray, starts,
+          out: np.ndarray) -> tuple:
     """Every sensor's battery path: writes the start-of-slot states to `out`.
 
     Row n of the (sensors x slots) arrays is sensor n's: slot t drains
     units[n][level][b] from battery b when it transmits, which
     codes[n, t] = level + 1 says (0: silent), then banks harvest[n, t] units
-    (a whole number >= 0, of any dtype) up to the capacity K. The sensors
-    share K but not their level counts. `out` is written last, so it may be
-    `codes`. Returns each sensor's battery after the last slot, as ints.
+    (a whole number >= 0, of any dtype) up to the capacity K. `plan` holds
+    the units' drain table and buffers for at least this many slots. The
+    sensors share K but not their level counts. `out` is written last, so it
+    may be `codes`. Returns each sensor's battery after the last slot, as
+    ints.
 
     The path from a known state is fixed, and two paths that reach one state
     agree from then on; paths from different states meet at the clamp or
@@ -292,56 +340,54 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
     N, T = codes.shape
     if T == 0:
         return tuple(starts)
-    K = units[0].shape[1] - 1
-    width = 2 * K + 1
-    S = math.isqrt(T)
-    C = -(-T // S)
-    # a lead-in reaches back at most one chunk
-    lead = min(_LEAD, S)
-    # table[base[n] + c * width + x] is sensor n's battery min(x, K) after the
-    # drain of code c
-    clamp = np.minimum(np.arange(width), K)
-    tables = [np.concatenate((clamp, (clamp - u[:, clamp]).ravel())) for u in units]
-    base = np.cumsum([0] + [t.size for t in tables[:-1]])
-    table = np.concatenate(tables)
+    K, width = plan.K, plan.width
+    S, C, lead = plan.grid(T)
+    rows, cols = lead + S + 1, N * C
     # slot-major lanes, (lead + S + 1, N * C): column n * C + c walks sensor n's
     # slots c * S - lead .. (c + 1) * S - 1, so a lockstep step reads one
     # contiguous row. A slot's code sits in its own row and its harvest one
     # row below, in the next slot's. Slots before the first or after the last
-    # are padding: zeros, a silent slot that banks nothing.
+    # are padding: zeros, a silent slot that banks nothing. The lanes hold
+    # the last block's values, so each padding row is zeroed here.
     full = T // S
-    lanes = np.zeros((2, lead + S + 1, N, C), dtype=np.int64)
+    lanes = plan.lanes[:2 * rows * cols].reshape(2, rows, N, C)
     for lane, values, first in zip(lanes, (codes, harvest), (lead, lead + 1)):
         # (N, C, S) view of the chunks' own slots
         chunks = lane[first:first + S].transpose(1, 2, 0)
         chunks[:, :full] = values[:, :full * S].reshape(N, full, S)
         if full < C:
             chunks[:, full, :T - full * S] = values[:, full * S:]
-        # a chunk's lead-in is the end of the chunk before it
+            chunks[:, full, T - full * S:] = 0
+        # a chunk's lead-in is the end of the chunk before it; chunk 0's is
+        # padding, and so is the harvest lane's row 0, the slot before a lead-in
         lane[first - lead:first, :, 1:] = lane[first + S - lead:first + S, :, :-1]
-    offsets, banked = lanes.reshape(2, lead + S + 1, N * C)
+        lane[first - lead:first, :, 0] = 0
+        lane[:first - lead] = 0
+    offsets, banked = lanes.reshape(2, rows, cols)
     offsets = offsets[:-1]  # the code lane's last row only matches the harvest lane's
     np.minimum(banked, K, out=banked)  # exact, as a drained battery is >= 0
     offsets *= width
-    offsets += base.repeat(C)
+    offsets += plan.base.repeat(C)
     offsets += banked[:-1]
-    guess = np.full(N * C, K, dtype=np.int64)
-    guess[::C] = starts
+    after = plan.after[:rows * cols].reshape(rows, cols)
+    after[0] = K
+    after[0, ::C] = starts
+    _lockstep(plan.table, offsets, after, plan.index[:cols])
     # each chunk's own S slots from here on: its states and its end
-    path = _lockstep(table, offsets, guess)[lead:]
+    path = after[lead:]
     path += banked[lead:]
     np.minimum(path, K, out=path)
     firsts, lasts = path[0].tolist(), path[S].tolist()
     steps = None
     end = []
-    for first in range(0, N * C, C):
+    for first in range(0, cols, C):
         b = lasts[first]
         for c in range(first + 1, first + C):
             if b == firsts[c]:
                 b = lasts[c]
                 continue
             if steps is None:
-                steps = table.tolist()
+                steps = plan.table.tolist()
             # the slots' table rows without the harvest folded in, and each
             # slot's own harvest
             b = _rejoin(steps, (offsets[lead:, c] - banked[lead:-1, c]).tolist(),
@@ -356,22 +402,19 @@ def _walk(units, codes: np.ndarray, harvest: np.ndarray, starts, out: np.ndarray
     return tuple(end)
 
 
-def _lockstep(table: np.ndarray, offsets: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Walk every column of the (S, C) offsets at once from `starts`.
+def _lockstep(table: np.ndarray, offsets: np.ndarray, after: np.ndarray,
+              index: np.ndarray) -> None:
+    """Walk every column of the (S, C) offsets at once from after[0].
 
-    Returns the (S + 1, C) post-drain batteries: row 0 is `starts`, row s + 1
-    the battery after slot s's drain, before its harvest.
+    Writes the post-drain batteries to the rest of the (S + 1, C) `after`:
+    row s + 1 is the battery after slot s's drain, before its harvest.
+    `index` is (C,) scratch.
     """
-    S = offsets.shape[0]
-    after = np.empty((S + 1, starts.size), dtype=np.int64)
-    after[0] = starts
-    index = np.empty(starts.size, dtype=np.intp)
-    for s in range(S):
+    for s in range(offsets.shape[0]):
         np.add(offsets[s], after[s], out=index)
         # every index is a code row plus a battery and a harvest in 0..K, so
         # none is clipped
         table.take(index, out=after[s + 1], mode="clip")
-    return after
 
 
 def _rejoin(steps: list, offsets: list, banked: list, path: np.ndarray, b: int, K: int) -> int:
@@ -571,18 +614,28 @@ def _blocks(scenario: Scenario, power_map: PowerMap, slots: int, seed: int,
             warmup: int | None):
     """The `slots` slots after `warmup` slots (default 10x capacity) from full
     batteries, as consecutive batches of at most `_CALIBRATION_BLOCK` slots.
-    The warm-up runs in blocks of the same size and is not yielded."""
+    The warm-up runs in blocks of the same size and is not yielded. Every
+    block walks with one `_WalkPlan`, built for the longest of them. A batch
+    is dropped here before the next block is simulated, so a caller that
+    drops it too holds one block's rows at a time."""
     warmup = 10 * scenario.network.capacity if warmup is None else warmup
     _check_count("warmup", warmup, 0)
     streams = make_streams(seed, scenario.num_sensors)
+    counts = ((False, warmup), (True, slots))
+    # every block of the warm-up and of the kept run is as long as the cap,
+    # but each one's last
+    plan = _WalkPlan(power_map.units, {length for _, count in counts
+                                       for length in (min(_CALIBRATION_BLOCK, count),
+                                                      count % _CALIBRATION_BLOCK)})
     batteries = None
-    for kept, count in ((False, warmup), (True, slots)):
+    for kept, count in counts:
         for start in range(0, count, _CALIBRATION_BLOCK):
             batch = simulate_slots(scenario, power_map, min(_CALIBRATION_BLOCK, count - start),
-                                   streams, batteries=batteries)
+                                   streams, batteries=batteries, _plan=plan)
             batteries = batch.batteries
             if kept:
                 yield batch
+            del batch
 
 
 def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: float,
@@ -616,10 +669,16 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
         raise ValueError("target_pf must lie in (0, 1)")
     _check_count("samples", samples, 1)
     plan = _fusion_plan(scenario, power_map, psis)
-    null_llr = np.concatenate([
-        _fuse(replace(batch, outputs=batch.null_outputs), scenario, plan)
-        for batch in _blocks(scenario, power_map, samples, seed, warmup)])
-    threshold = float(np.quantile(null_llr, 1.0 - target_pf, method="higher"))
+    null_llr = np.empty(samples)
+    start = 0
+    for batch in _blocks(scenario, power_map, samples, seed, warmup):
+        stop = start + batch.hypothesis.size
+        null_llr[start:stop] = _fuse(replace(batch, outputs=batch.null_outputs), scenario, plan)
+        start = stop
+        del batch  # before the next block's rows, see _blocks
+    # the quantile partitions null_llr in place; the rate counts, so order is moot
+    threshold = float(np.quantile(null_llr, 1.0 - target_pf, method="higher",
+                                  overwrite_input=True))
     achieved = float(np.mean(null_llr > threshold))
     return threshold, achieved
 
@@ -654,8 +713,9 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
         n1 += int(np.count_nonzero(h1))
         hits1 += int(np.count_nonzero(decide & h1))
         hits0 += int(np.count_nonzero(decide & ~h1))
-        for n, states in enumerate(batch.states):
-            counts[n] += np.bincount(states, minlength=net.capacity + 1)
+        for n in range(scenario.num_sensors):
+            counts[n] += np.bincount(batch.states[n], minlength=net.capacity + 1)
+        del batch  # before the next block's rows, see _blocks
 
     n0 = slots - n1
     pd = hits1 / n1 if n1 else 0.0

@@ -1113,6 +1113,12 @@ def _walk_cases(draw):
     return units, levels, transmit, harvest, start
 
 
+def _fresh_walk(units, codes, harvest, starts, out):
+    """One walk on a plan of its own, as a direct simulate_slots runs it."""
+    plan = simulator._WalkPlan(units, (codes.shape[1],))
+    return simulator._walk(plan, codes, harvest, starts, out)
+
+
 # lead-ins of none, one slot, the shipped length, and longer than any chunk
 # (the cases draw at most 1 520 slots, so S <= 38)
 _LEADS = st.sampled_from([0, 1, 32, 64])
@@ -1128,8 +1134,8 @@ def test_chunked_walk_equals_the_plain_int_loop(case, lead):
     states = np.empty((1, levels.size), dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_LEAD", lead)
-        (end,) = simulator._walk((units,), ((levels + 1) * transmit)[None], harvest[None],
-                                 (start,), states)
+        (end,) = _fresh_walk((units,), ((levels + 1) * transmit)[None], harvest[None],
+                             (start,), states)
     ref_states, ref_end = _plain_int_walk(units, levels, transmit, harvest.astype(np.int64),
                                           start, K)
     assert states.tobytes() == ref_states.tobytes()
@@ -1152,7 +1158,7 @@ def _walk_every(period, monkeypatch):
     monkeypatch.setattr(simulator, "_rejoin",
                         lambda *args: repaired.append(args[-2]) or rejoin(*args))
     states = np.empty((1, slots), dtype=np.int64)
-    (end,) = simulator._walk((units,), codes[None], harvest[None], (K,), states)
+    (end,) = _fresh_walk((units,), codes[None], harvest[None], (K,), states)
     ref_states, ref_end = _plain_int_walk(units, codes // 2, codes // 2, harvest, K, K)
     assert states.tobytes() == ref_states.tobytes() and end == ref_end
     # the battery never refills, so every full-battery guess after chunk 0 is wrong
@@ -1245,13 +1251,97 @@ def test_fused_walk_gives_each_sensor_its_plain_int_loop(case, lead):
     states = np.empty(codes.shape, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_LEAD", lead)
-        ends = simulator._walk(units, codes, harvest, tuple(s[-1] for s in sensors), states)
+        ends = _fresh_walk(units, codes, harvest, tuple(s[-1] for s in sensors), states)
     assert len(ends) == len(sensors)
     for n, (units_n, levels, transmit, harvest_n, start) in enumerate(sensors):
         ref_states, ref_end = _plain_int_walk(units_n, levels, transmit,
                                               harvest_n.astype(np.int64), start, K)
         assert states[n].tobytes() == ref_states.tobytes(), f"sensor {n}"
         assert type(ends[n]) is int and ends[n] == ref_end, f"sensor {n}"
+
+
+@st.composite
+def _block_loops(draw):
+    """One `_blocks` call: 1 or 2 sensors of different level counts, either
+    transmit model, and a warm-up and kept run that each may end in a block
+    of their own length. `steps`: a transmission drains two units and every
+    slot banks exactly one, so paths move one unit a slot and meet only at
+    either end, and the chunks' guesses are often wrong (`_walk_cases`'
+    one-unit case, moved off a full battery); otherwise any causal map."""
+    first = draw(st.integers(2, 4))
+    second = draw(st.sampled_from([c for c in (2, 3, 4) if c != first]))
+    block = draw(st.integers(1, 1_200))
+    return dict(K=draw(st.integers(1, 30)),
+                level_counts=(first, second)[:draw(st.integers(1, 2))],
+                steps=draw(st.booleans()),
+                mean_harvest=draw(st.sampled_from([0.05, 0.3, 1.0, 3.0])),
+                model=draw(st.sampled_from(["prior", "decision"])),
+                block=block, warmup=draw(st.integers(0, 2 * block + 7)),
+                slots=draw(st.integers(1, 3 * block)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _block_loop_map(toy, case):
+    K, steps = case["K"], case["steps"]
+    rng = np.random.default_rng(case["seed"])
+    sensors, powers = [], []
+    for level_count in case["level_counts"]:
+        edges = (0.0,) + tuple(0.4 * i for i in range(1, level_count)) + (math.inf,)
+        sensors.append(replace(toy.sensors[0], thresholds=edges))
+        u = np.zeros((level_count, K + 1), dtype=np.int64)
+        if steps:
+            u[1:] = np.minimum(np.arange(K + 1), 2)
+        else:
+            u[1:] = rng.integers(0, np.arange(K + 1) + 1, size=(level_count - 1, K + 1))
+        powers.append(u * toy.network.unit_power)
+    # 1e-9 J is far below one 0.2 J unit, so every slot banks exactly one
+    scenario = replace(toy, sensors=tuple(sensors), network=replace(
+        toy.network, capacity=K, mean_harvest=1e-9 if steps else case["mean_harvest"],
+        transmit_prob_model=case["model"]))
+    return scenario, PowerMap(powers=tuple(powers), unit_energy=toy.network.unit_energy,
+                              slot_seconds=toy.network.slot_seconds)
+
+
+def _lengths(count, block):
+    return [block] * (count // block) + [count % block] * (count % block > 0)
+
+
+@given(_block_loops(), _LEADS)
+@settings(max_examples=60, deadline=None)
+@example(dict(K=30, level_counts=(2, 4), steps=True, mean_harvest=1.0, model="prior",
+              block=100, warmup=37, slots=250, seed=8), 1)
+def test_a_calls_walk_plan_gives_every_block_the_bytes_of_its_own(toy_scenario, case, lead):
+    # _blocks walks every block of a call on one plan's buffers; a fresh
+    # simulate_slots per block, continuing from the last one's batteries,
+    # must give the same batch, and no later block may overwrite a held one
+    block, warmup, slots, seed = case["block"], case["warmup"], case["slots"], case["seed"]
+    scenario, pmap = _block_loop_map(toy_scenario, case)
+    walk, batches = simulator.simulate_slots, []
+
+    def spy(*args, **kwargs):
+        batches.append(walk(*args, **kwargs))
+        return batches[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_LEAD", lead)
+        mp.setattr(simulator, "_CALIBRATION_BLOCK", block)
+        mp.setattr(simulator, "simulate_slots", spy)
+        kept = list(simulator._blocks(scenario, pmap, slots, seed, warmup))
+        assert [b.hypothesis.size for b in batches] == (_lengths(warmup, block)
+                                                        + _lengths(slots, block))
+        kept_count = len(_lengths(slots, block))
+        assert len(kept) == kept_count
+        assert all(a is b for a, b in zip(kept, batches[-kept_count:]))
+        streams, batteries = make_streams(seed, scenario.num_sensors), None
+        for t, batch in enumerate(batches):
+            alone = walk(scenario, pmap, batch.hypothesis.size, streams, batteries=batteries)
+            for f in fields(SimBatch):
+                got, want = getattr(batch, f.name), getattr(alone, f.name)
+                if f.name == "batteries":
+                    assert got == want, f"block {t}"
+                else:
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                        f"block {t}: {f.name}"
+            batteries = alone.batteries
 
 
 def test_zero_slots_return_the_start_batteries(two_sensor_scenario):
