@@ -66,6 +66,18 @@ def _one_per_sensor(scenario, items, what: str, name: str) -> None:
         raise ValueError(f"need one {what} per sensor: got {n} for {N} sensors; {why}")
 
 
+def _fits_each_sensor(scenario, tables, what: str) -> None:
+    """Raise ValueError unless each sensor's table is (its levels x K+1),
+    naming the first sensor whose `what` has another shape. With another
+    shape the walk's flat next-state table would read a neighbouring row,
+    and the chain fails deep inside without naming the sensor."""
+    states = scenario.network.capacity + 1
+    for n, (sensor, table) in enumerate(zip(scenario.sensors, tables)):
+        if np.shape(table) != (sensor.level_count, states):
+            raise ValueError(f"sensor {n}: the {what} needs a {sensor.level_count} x {states} "
+                             "(levels x battery states) table")
+
+
 def _finite_positive(value: float, where: str) -> None:
     _require(isinstance(value, (int, float)), where, "must be a number")
     _require(math.isfinite(value) and value > 0.0, where, "must be finite and > 0")
@@ -166,6 +178,13 @@ class NetworkParams:
         _require(_is_whole(self.capacity), "capacity", "must be an integer")
         object.__setattr__(self, "capacity", int(self.capacity))
         _require(self.capacity >= 1, "capacity", "must be >= 1")
+        # the battery chain is a dense (K+1) x (K+1) float64 matrix; past this
+        # its byte count overflows NumPy's index type, and a solve would fail
+        # deep inside with a traceback
+        most = math.isqrt(np.iinfo(np.intp).max // 8) - 1
+        _require(self.capacity <= most, "capacity",
+                 f"must be at most {most}, so that NumPy can size a (K+1) x (K+1) "
+                 "float64 battery chain")
         _finite_positive(self.unit_energy, "unit_energy")
         _finite_positive(self.slot_seconds, "slot_seconds")
         _finite_positive(self.mean_harvest, "mean_harvest")

@@ -47,6 +47,7 @@ from .config import (
     PowerMap,
     Scenario,
     SensorParams,
+    _fits_each_sensor,
     _one_per_sensor,
     units_from_power,
 )
@@ -659,11 +660,13 @@ def evaluate_unit_map(scenario: Scenario, units) -> tuple[float, float, tuple[Ba
     alpha * unit_energy / slot. The map must be one PowerMap
     would derive from those powers, so ValueError names the sensor of a
     draining level 0, a count outside [0, k] or a count that is not a whole
-    number. Raises ValueError too on a map for another sensor count, and as
+    number. Raises ValueError too on a map for another sensor count, on a
+    sensor's table that is not (its levels x K+1), naming the sensor, and as
     stationary_solve does.
     """
     net = scenario.network
     _one_per_sensor(scenario, units, "unit table", "units")
+    _fits_each_sensor(scenario, units, "unit map")
     pmap = PowerMap(powers=tuple(np.asarray(u, dtype=float) * net.unit_power for u in units),
                     unit_energy=net.unit_energy, slot_seconds=net.slot_seconds)
     for n, (alpha, derived) in enumerate(zip(units, pmap.units)):

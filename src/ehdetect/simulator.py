@@ -18,13 +18,14 @@ path is the same as a slot-by-slot loop would give.
 
 Calibration and measurement, warm-up included, simulate in blocks small
 enough that a block's arrays stay in cache, so a long run costs more blocks,
-not more memory. What a block needs but does not return is built once per
-call and reused by every block: the walk's drain table and its lane, path and
-index buffers (`_WalkPlan`), what fusion needs of the power map and psi, and
-the one buffer that map_marginal fusion writes each block's linear forms
-into (one gemm with at least two rows and two columns per block). Each batch
-gets fresh rows, and a call drops one before it simulates the next. So after
-its first blocks a call's block loop writes only memory that the allocator
+not more memory. One block loop (`_blocks`) simulates and fuses every block
+of a call, and builds once per call what a block needs but does not return:
+the walk's drain table and buffers (`_WalkPlan`, sized from the longest
+block alone), what fusion needs of the power map and psi, and the one
+buffer that map_marginal fusion writes each block's linear forms into (one
+gemm with at least two rows and two columns per block). Each batch gets
+fresh rows, and a call drops one before it simulates the next. So after its
+first blocks a call's block loop writes only memory that the allocator
 already holds, and takes no page faults. When a call ends, the allocator
 may still hand its memory back to the kernel (glibc trims the top of its
 heap once the free memory there passes a threshold), and the next call then
@@ -34,12 +35,13 @@ faults it in again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .battery import _transmit_rates, quantize_gain
-from .config import MonteCarloReport, PowerMap, Scenario, _is_whole, _one_per_sensor
+from .config import (MonteCarloReport, PowerMap, Scenario, _fits_each_sensor, _is_whole,
+                     _one_per_sensor)
 
 __all__ = [
     "SensorStreams",
@@ -145,13 +147,7 @@ def _check_map(scenario: Scenario, power_map: PowerMap) -> None:
     """Raise ValueError unless the power map holds one (levels x K+1) table
     per sensor, in the network's energy units."""
     net = scenario.network
-    for n, (sensor, table) in enumerate(zip(scenario.sensors, power_map.powers)):
-        # with a table of another shape the walk's flat next-state table
-        # would read a neighbouring row instead of failing
-        shape = (sensor.level_count, net.capacity + 1)
-        if table.shape != shape:
-            raise ValueError(f"sensor {n}: the power map needs a {shape[0]} x {shape[1]} "
-                             "(levels x battery states) table")
+    _fits_each_sensor(scenario, power_map.powers, "power map")
     _one_per_sensor(scenario, power_map.powers, "power table", "power_map.powers")
     if (power_map.unit_energy, power_map.slot_seconds) != (net.unit_energy, net.slot_seconds):
         # its units would drain another number of the battery's units
@@ -232,7 +228,7 @@ def simulate_slots(scenario: Scenario, power_map: PowerMap, slots: int,
         codes[n] *= transmit[n]
 
     if _plan is None:
-        _plan = _WalkPlan(power_map.units, (slots,))
+        _plan = _WalkPlan(power_map.units, slots)
     end = _walk(_plan, codes, harvest, batteries, states)
 
     for n in range(N):
@@ -265,16 +261,17 @@ class _WalkPlan:
 
     `table[base[n] + c * width + x]` is sensor n's battery min(x, K) after
     the drain of code c, with width = 2K + 1. The lane, path and index
-    buffers hold the largest walk of `lengths` (slot counts); a shorter walk
-    uses views of their fronts and rewrites every cell it reads. Each call of
-    `calibrate_threshold` or `run_monte_carlo` builds one plan, and every
-    block of the call walks in it, into pages that the blocks before it
-    already touched; a direct `simulate_slots` builds its own. A plan lives
-    no longer than its call, so it holds no memory between calls and reads
-    `_LEAD` as it stands when the call starts.
+    buffers hold any walk of at most `most` slots: a T-slot walk has chunks
+    of S = isqrt(T) slots and lead + S + 1 rows, and as T < (S + 1)^2, at
+    most S + 2 of them, while S never falls as T grows. A walk uses views of
+    the buffers' fronts and rewrites every cell it reads. `_blocks` builds
+    one plan per Monte Carlo call, and every block walks in it, into pages
+    the blocks before it touched; a direct `simulate_slots` builds its own.
+    A plan lives no longer than its call, so it holds no memory between
+    calls and reads `_LEAD` as it stands when the call starts.
     """
 
-    def __init__(self, units, lengths):
+    def __init__(self, units, most: int):
         N = len(units)
         K = units[0].shape[1] - 1
         self.K, self.width, self.lead = K, 2 * K + 1, _LEAD
@@ -282,17 +279,11 @@ class _WalkPlan:
         tables = [np.concatenate((clamp, (clamp - u[:, clamp]).ravel())) for u in units]
         self.base = np.cumsum([0] + [t.size for t in tables[:-1]])
         self.table = np.concatenate(tables)
-        grids = [self.grid(T) for T in lengths if T]
-        cells = max([(lead + S + 1) * N * C for S, C, lead in grids], default=0)
-        self.lanes = np.empty(2 * cells, dtype=np.int64)
-        self.after = np.empty(cells, dtype=np.int64)
-        self.index = np.empty(max([N * C for _, C, _ in grids], default=0), dtype=np.intp)
-
-    def grid(self, T: int) -> tuple[int, int, int]:
-        """The chunk length S, chunk count C and lead-in of a T-slot walk."""
-        S = math.isqrt(T)
-        # a lead-in reaches back at most one chunk
-        return S, -(-T // S), min(self.lead, S)
+        S = math.isqrt(most)
+        cols = N * (S + 2)
+        self.lanes = np.empty(2 * (min(self.lead, S) + S + 1) * cols, dtype=np.int64)
+        self.after = np.empty(self.lanes.size // 2, dtype=np.int64)
+        self.index = np.empty(cols, dtype=np.intp)
 
 
 def _walk(plan: _WalkPlan, codes: np.ndarray, harvest: np.ndarray, starts,
@@ -341,7 +332,9 @@ def _walk(plan: _WalkPlan, codes: np.ndarray, harvest: np.ndarray, starts,
     if T == 0:
         return tuple(starts)
     K, width = plan.K, plan.width
-    S, C, lead = plan.grid(T)
+    S = math.isqrt(T)
+    C = -(-T // S)
+    lead = min(plan.lead, S)  # a lead-in reaches back at most one chunk
     rows, cols = lead + S + 1, N * C
     # slot-major lanes, (lead + S + 1, N * C): column n * C + c walks sensor n's
     # slots c * S - lead .. (c + 1) * S - 1, so a lockstep step reads one
@@ -515,14 +508,15 @@ def _fusion_plan(scenario: Scenario, power_map: PowerMap | None, psis):
     return tuple(plan), np.empty(size)
 
 
-def _fuse(batch: SimBatch, scenario: Scenario, plan) -> np.ndarray:
-    """`fusion_llr` of a batch whose inputs are already checked, with
-    map_marginal fusion read from `plan` (`_fusion_plan`; None for genie)."""
+def _fuse(batch: SimBatch, outputs: np.ndarray, scenario: Scenario, plan) -> np.ndarray:
+    """`fusion_llr` of a checked batch, had it sent `outputs` (its outputs or
+    its null outputs), with map_marginal fusion read from `plan`
+    (`_fusion_plan`; None for genie)."""
     slots = batch.hypothesis.size
     total = np.zeros(slots)
     for n, sensor in enumerate(scenario.sensors):
         if plan is None:
-            y = batch.outputs[n]
+            y = outputs[n]
             a = batch.amplitudes[n]
             # (y^2 - (y - a)^2) / (2 sigma^2), exactly 0 where a is
             d = 2.0 * y
@@ -537,7 +531,7 @@ def _fuse(batch: SimBatch, scenario: Scenario, plan) -> np.ndarray:
         x = np.empty((3, slots))
         x[0] = 1.0
         np.sqrt(batch.gains[n], out=x[1])
-        x[1] *= batch.outputs[n]
+        x[1] *= outputs[n]
         x[2] = batch.gains[n]
         d = np.empty(slots)
         for level, (coef, lone) in enumerate(coefs[n]):
@@ -578,8 +572,8 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
     sensor. Battery states that spend the same power at a level form one
     component of that mixture, so the cost grows with the number of distinct
     powers per level, not with the capacity. The components and their
-    coefficients depend only on the map and psis: `calibrate_threshold` and
-    `run_monte_carlo` build them once per call, not once per block.
+    coefficients depend only on the map and psis, so a Monte Carlo call
+    builds them once (`_blocks`), not once per block.
 
     Against silence, component c (power p_c, normalised mass m_c) of a slot
     with output y and gain g has the log-likelihood
@@ -607,34 +601,32 @@ def fusion_llr(batch: SimBatch, scenario: Scenario, power_map: PowerMap | None =
             if not 0 <= levels.min() <= levels.max() < len(coefs):
                 raise ValueError(f"sensor {n}: batch levels must lie in 0..{len(coefs) - 1}, "
                                  "the power map's levels")
-    return _fuse(batch, scenario, plan)
+    return _fuse(batch, batch.outputs, scenario, plan)
 
 
 def _blocks(scenario: Scenario, power_map: PowerMap, slots: int, seed: int,
-            warmup: int | None):
+            warmup: int | None, psis, null: bool):
     """The `slots` slots after `warmup` slots (default 10x capacity) from full
-    batteries, as consecutive batches of at most `_CALIBRATION_BLOCK` slots.
-    The warm-up runs in blocks of the same size and is not yielded. Every
-    block walks with one `_WalkPlan`, built for the longest of them. A batch
-    is dropped here before the next block is simulated, so a caller that
-    drops it too holds one block's rows at a time."""
+    batteries, in blocks of at most `_CALIBRATION_BLOCK` slots, each with
+    the fusion statistic of its null outputs if `null`, else its outputs.
+    The warm-up is not yielded. One fusion plan, built first so that every
+    ValueError comes before the first draw, and one `_WalkPlan` serve the
+    call. A batch is dropped before the next block, so a caller that drops
+    it and its statistic too holds one block's rows at a time."""
+    fusion = _fusion_plan(scenario, power_map, psis)
     warmup = 10 * scenario.network.capacity if warmup is None else warmup
     _check_count("warmup", warmup, 0)
     streams = make_streams(seed, scenario.num_sensors)
-    counts = ((False, warmup), (True, slots))
-    # every block of the warm-up and of the kept run is as long as the cap,
-    # but each one's last
-    plan = _WalkPlan(power_map.units, {length for _, count in counts
-                                       for length in (min(_CALIBRATION_BLOCK, count),
-                                                      count % _CALIBRATION_BLOCK)})
+    walk = _WalkPlan(power_map.units, min(_CALIBRATION_BLOCK, max(warmup, slots)))
     batteries = None
-    for kept, count in counts:
+    for kept, count in ((False, warmup), (True, slots)):
         for start in range(0, count, _CALIBRATION_BLOCK):
             batch = simulate_slots(scenario, power_map, min(_CALIBRATION_BLOCK, count - start),
-                                   streams, batteries=batteries, _plan=plan)
+                                   streams, batteries=batteries, _plan=walk)
             batteries = batch.batteries
             if kept:
-                yield batch
+                yield batch, _fuse(batch, batch.null_outputs if null else batch.outputs,
+                                   scenario, fusion)
             del batch
 
 
@@ -668,14 +660,12 @@ def calibrate_threshold(scenario: Scenario, power_map: PowerMap, target_pf: floa
     if not 0.0 < target_pf < 1.0:
         raise ValueError("target_pf must lie in (0, 1)")
     _check_count("samples", samples, 1)
-    plan = _fusion_plan(scenario, power_map, psis)
     null_llr = np.empty(samples)
     start = 0
-    for batch in _blocks(scenario, power_map, samples, seed, warmup):
-        stop = start + batch.hypothesis.size
-        null_llr[start:stop] = _fuse(replace(batch, outputs=batch.null_outputs), scenario, plan)
-        start = stop
-        del batch  # before the next block's rows, see _blocks
+    for batch, llr in _blocks(scenario, power_map, samples, seed, warmup, psis, null=True):
+        null_llr[start:start + llr.size] = llr
+        start += llr.size
+        del batch, llr  # before the next block's rows, see _blocks
     # the quantile partitions null_llr in place; the rate counts, so order is moot
     threshold = float(np.quantile(null_llr, 1.0 - target_pf, method="higher",
                                   overwrite_input=True))
@@ -703,19 +693,18 @@ def run_monte_carlo(scenario: Scenario, power_map: PowerMap, threshold: float,
         # every comparison with NaN is False: the run would report no detection
         raise ValueError(f"threshold must be a number, got {threshold!r}")
     _check_count("slots", slots, 1)
-    plan = _fusion_plan(scenario, power_map, psis)
     net = scenario.network
     n1 = hits1 = hits0 = 0
     counts = np.zeros((scenario.num_sensors, net.capacity + 1), dtype=np.int64)
-    for batch in _blocks(scenario, power_map, slots, seed, warmup):
-        decide = _fuse(batch, scenario, plan) > threshold
+    for batch, llr in _blocks(scenario, power_map, slots, seed, warmup, psis, null=False):
+        decide = llr > threshold
         h1 = batch.hypothesis == 1
         n1 += int(np.count_nonzero(h1))
         hits1 += int(np.count_nonzero(decide & h1))
         hits0 += int(np.count_nonzero(decide & ~h1))
         for n in range(scenario.num_sensors):
             counts[n] += np.bincount(batch.states[n], minlength=net.capacity + 1)
-        del batch  # before the next block's rows, see _blocks
+        del batch, llr  # before the next block's rows, see _blocks
 
     n0 = slots - n1
     pd = hits1 / n1 if n1 else 0.0

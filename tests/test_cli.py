@@ -443,6 +443,8 @@ def test_fc_knowledge_leaves_the_power_map_tables_alone(tmp_path, scenario_dir, 
     ("capacity", "0", "error: capacity: must be >= 1"),
     ("capacity", "2.5", "error: capacity: must be an integer"),
     ("capacity", "3,5.5", "error: capacity: must be an integer"),
+    # NumPy could not size its battery chain: a traceback from np.arange
+    ("capacity", "1e30", "error: capacity: must be at most "),
 ])
 def test_sweep_refuses_a_bad_request_before_any_solve(tmp_path, scenario_dir, monkeypatch,
                                                       capsys, variable, values, message):
@@ -456,6 +458,23 @@ def test_sweep_refuses_a_bad_request_before_any_solve(tmp_path, scenario_dir, mo
         code = exc.code
     assert code == EXIT_INPUT
     assert message in capsys.readouterr().err
+    assert solves == []
+    assert not out.exists()
+
+
+def test_a_scenario_file_with_a_capacity_numpy_cannot_size_exits_with_input_code(
+        tmp_path, scenario_dir, monkeypatch, capsys):
+    # the file-side twin of the sweep's 1e30: it used to end in a traceback
+    text = (scenario_dir / "toy.scn").read_text(encoding="utf-8")
+    assert "\ncapacity = 5\n" in text
+    scn = tmp_path / "huge.scn"
+    scn.write_text(text.replace("\ncapacity = 5\n", f"\ncapacity = {10**30}\n"),
+                   encoding="utf-8")
+    solves = []
+    monkeypatch.setattr("ehdetect.cli.optimize_power_map", solves.append)
+    out = tmp_path / "map"
+    assert main(["powermap", "--scenario", str(scn), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: [network] capacity: must be at most ")
     assert solves == []
     assert not out.exists()
 

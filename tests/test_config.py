@@ -182,6 +182,20 @@ def test_capacity_takes_numpy_integers_and_stores_an_int(toy_scenario):
             replace(net, capacity=bad)
 
 
+def test_capacity_stops_where_numpy_cannot_size_the_battery_chain(toy_scenario):
+    # the chain is a dense (K+1) x (K+1) float64 matrix: one unit more and its
+    # byte count passes NumPy's index type, where np.zeros raises "array is
+    # too big" and np.arange, at 1e30, "Maximum allowed size exceeded".
+    # Checking the values allocates nothing
+    net = toy_scenario.network
+    most = math.isqrt(np.iinfo(np.intp).max // 8) - 1
+    assert 8 * (most + 1) ** 2 <= np.iinfo(np.intp).max < 8 * (most + 2) ** 2
+    assert replace(net, capacity=most).capacity == most
+    for bad in (most + 1, int(1e30)):
+        with pytest.raises(ScenarioError, match=f"capacity: must be at most {most}, "):
+            replace(net, capacity=bad)
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ScenarioError, match="unknown key"):
         loads_scenario(MINIMAL + "bogus = 1\n")

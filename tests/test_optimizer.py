@@ -1414,6 +1414,20 @@ def test_evaluate_unit_map_rejects_a_map_for_another_sensor_count(two_sensor_sce
         evaluate_unit_map(two_sensor_scenario, (units * 2)[:3])
 
 
+def test_evaluate_unit_map_names_the_sensor_whose_table_does_not_fit(two_sensor_scenario,
+                                                                     two_sensor_outcome):
+    # both used to fail deep in the chain, the first naming no sensor
+    units = two_sensor_outcome.power_map.units
+    K = two_sensor_scenario.network.capacity
+    tall = (units[0], np.vstack([units[1], np.zeros(K + 1, dtype=np.int64)]))
+    with pytest.raises(ValueError, match=r"^sensor 1: the unit map needs a 5 x 101 "
+                                         r"\(levels x battery states\) table$"):
+        evaluate_unit_map(two_sensor_scenario, tall)
+    # every table for a battery of 50 units, which PowerMap itself accepts
+    with pytest.raises(ValueError, match=r"^sensor 0: the unit map needs a 5 x 101 "):
+        evaluate_unit_map(two_sensor_scenario, tuple(u[:, :51] for u in units))
+
+
 def test_evaluate_unit_map_refuses_maps_power_map_refuses(toy_scenario, toy_outcome):
     units = toy_outcome.power_map.units[0]
     K = toy_scenario.network.capacity

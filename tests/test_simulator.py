@@ -575,8 +575,8 @@ def test_lone_component_levels_equal_their_log_sum_exp(two_sensor_scenario, solv
                           else (coef, lone) for coef, lone in levels) for levels in coefs),
               scratch)
     batch = simulate_slots(sc, pmap, 5_000, make_streams(23, 2))
-    lone = simulator._fuse(batch, sc, plan)
-    np.testing.assert_array_equal(simulator._fuse(batch, sc, padded), lone)
+    lone = simulator._fuse(batch, batch.outputs, sc, plan)
+    np.testing.assert_array_equal(simulator._fuse(batch, batch.outputs, sc, padded), lone)
     np.testing.assert_array_equal(fusion_llr(batch, sc, pmap, psis=psis), lone)
 
 
@@ -883,10 +883,10 @@ def test_calibration_fuses_the_null_output_of_every_slot(toy_scenario, monkeypat
     fused = []
     fuse = simulator._fuse
 
-    def spy(batch, *args):
-        np.testing.assert_array_equal(batch.outputs, batch.null_outputs)
+    def spy(batch, outputs, *args):
+        assert outputs is batch.null_outputs
         fused.append(batch.hypothesis.size)
-        return fuse(batch, *args)
+        return fuse(batch, outputs, *args)
 
     monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 4_096)
     monkeypatch.setattr(simulator, "_fuse", spy)
@@ -912,9 +912,9 @@ def test_one_fusion_plan_serves_every_block_of_a_call(two_sensor_scenario, monke
         builds.append(built is not None)
         return built
 
-    def count_blocks(batch, scenario, built):
+    def count_blocks(batch, outputs, scenario, built):
         blocks.append(built)
-        return fuse(batch, scenario, built)
+        return fuse(batch, outputs, scenario, built)
 
     monkeypatch.setattr(simulator, "_CALIBRATION_BLOCK", 2_048)
     monkeypatch.setattr(simulator, "_fusion_plan", count_builds)
@@ -1115,7 +1115,7 @@ def _walk_cases(draw):
 
 def _fresh_walk(units, codes, harvest, starts, out):
     """One walk on a plan of its own, as a direct simulate_slots runs it."""
-    plan = simulator._WalkPlan(units, (codes.shape[1],))
+    plan = simulator._WalkPlan(units, codes.shape[1])
     return simulator._walk(plan, codes, harvest, starts, out)
 
 
@@ -1140,6 +1140,41 @@ def test_chunked_walk_equals_the_plain_int_loop(case, lead):
                                           start, K)
     assert states.tobytes() == ref_states.tobytes()
     assert type(end) is int and end == ref_end
+
+
+@st.composite
+def _walks_within_a_bound(draw):
+    """A `_walk_cases` walk of T slots and a plan bound `most` >= T: T itself,
+    S^2 + 2S for S = isqrt(T) (the most slots with T's chunk length, and the
+    most chunks, S + 2), the same for S + 1, or any count up to 4T + 9."""
+    case = draw(_walk_cases())
+    T = case[1].size
+    S = math.isqrt(T)
+    most = draw(st.one_of(st.sampled_from([T, S * S + 2 * S, (S + 1) * (S + 3)]),
+                          st.integers(T, 4 * T + 9)))
+    return case, most
+
+
+@given(_walks_within_a_bound(), _LEADS)
+@settings(max_examples=200, deadline=None)
+@example(((np.array([[0, 0, 0], [0, 1, 1]]), np.ones(35, dtype=np.int64),
+           np.ones(35, dtype=np.int8), np.ones(35), 0), 35), 32)
+def test_a_plan_for_most_slots_walks_every_shorter_walk_as_its_own(case, lead):
+    # _blocks sizes a call's one plan from its longest block alone; every
+    # shorter walk in it, over whatever a longer one left in its buffers,
+    # must give the bytes of a plan built for its own length. The example
+    # is the tight case: 35 = 5^2 + 2 * 5 slots walk in S + 2 = 7 chunks
+    (units, levels, transmit, harvest, start), most = case
+    codes = ((levels + 1) * transmit)[None]
+    states, alone = (np.empty(codes.shape, dtype=np.int64) for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_LEAD", lead)
+        plan = simulator._WalkPlan((units,), most)
+        for buffer in (plan.lanes, plan.after, plan.index):
+            buffer.fill(-1)
+        end = simulator._walk(plan, codes, harvest[None], (start,), states)
+        assert end == _fresh_walk((units,), codes, harvest[None], (start,), alone)
+    assert states.tobytes() == alone.tobytes()
 
 
 def _walk_every(period, monkeypatch):
@@ -1312,7 +1347,8 @@ def _lengths(count, block):
 def test_a_calls_walk_plan_gives_every_block_the_bytes_of_its_own(toy_scenario, case, lead):
     # _blocks walks every block of a call on one plan's buffers; a fresh
     # simulate_slots per block, continuing from the last one's batteries,
-    # must give the same batch, and no later block may overwrite a held one
+    # must give the same batch, and no later block may overwrite a held one.
+    # Each kept block comes with the fusion statistic of its own outputs
     block, warmup, slots, seed = case["block"], case["warmup"], case["slots"], case["seed"]
     scenario, pmap = _block_loop_map(toy_scenario, case)
     walk, batches = simulator.simulate_slots, []
@@ -1325,12 +1361,14 @@ def test_a_calls_walk_plan_gives_every_block_the_bytes_of_its_own(toy_scenario, 
         mp.setattr(simulator, "_LEAD", lead)
         mp.setattr(simulator, "_CALIBRATION_BLOCK", block)
         mp.setattr(simulator, "simulate_slots", spy)
-        kept = list(simulator._blocks(scenario, pmap, slots, seed, warmup))
+        yielded = list(simulator._blocks(scenario, pmap, slots, seed, warmup, None, False))
+        kept = [b for b, _ in yielded]
         assert [b.hypothesis.size for b in batches] == (_lengths(warmup, block)
                                                         + _lengths(slots, block))
         kept_count = len(_lengths(slots, block))
         assert len(kept) == kept_count
         assert all(a is b for a, b in zip(kept, batches[-kept_count:]))
+        assert all(llr.tobytes() == fusion_llr(b, scenario).tobytes() for b, llr in yielded)
         streams, batteries = make_streams(seed, scenario.num_sensors), None
         for t, batch in enumerate(batches):
             alone = walk(scenario, pmap, batch.hypothesis.size, streams, batteries=batteries)
