@@ -9,10 +9,11 @@ than timestamps.
 Every command that solves a power map prints each note of the solve's
 outcome once to stderr as "warning: ...". Exit codes: 0 success, also when
 the solve noted a collapsed price bracket or an operating point outside the
-concavity band; 2 malformed scenario or argument or a failed check; 3 the
-battery fixed point did not settle (powermap still writes its tables
-flagged converged=false, sweep keeps the completed prefix, simulate writes
-nothing); 4 file-system errors. A bad sweep value exits 2 before any solve,
+concavity band; 2 malformed scenario or argument, a failed check, or a
+scenario too large for the machine's memory (no table is written); 3 the
+battery fixed point did not settle (powermap still writes its tables flagged
+converged=false, sweep keeps the completed prefix, simulate writes nothing);
+4 file-system errors. A bad sweep value exits 2 before any solve,
 naming its key and writing nothing: the scenario's own rules judge each point.
 """
 
@@ -39,6 +40,7 @@ from .optimizer import (
     BUDGET_TOL,
     ExhaustiveRefused,
     OptimizationOutcome,
+    _ContextStore,
     evaluate_unit_map,
     exhaustive_best_map,
     optimize_power_map,
@@ -135,9 +137,9 @@ def _write_outcome(outdir, scenario: Scenario, outcome: OptimizationOutcome) -> 
                 ("metric", "value"), summary)
 
 
-def _solve(scenario: Scenario) -> OptimizationOutcome:
+def _solve(scenario: Scenario, **options) -> OptimizationOutcome:
     """Optimize the power map and print each note of the outcome once to stderr."""
-    outcome = optimize_power_map(scenario)
+    outcome = optimize_power_map(scenario, **options)
     for note in outcome.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return outcome
@@ -216,8 +218,9 @@ def cmd_sweep(args, scenario: Scenario) -> int:
                "expected_power", "pd_fc", "pf_fc", "ci_pd", "ci_pf")
     rows = []
     converged = True
+    contexts = _ContextStore()  # reused by every point that changes only the budget
     for rank, (value, point) in enumerate(zip(args.values, points)):
-        outcome = _solve(point)
+        outcome = _solve(point, _contexts=contexts)
         if not outcome.converged:
             print(f"sweep point {variable}={value} failed: "
                   "power map did not converge", file=sys.stderr)
@@ -405,6 +408,9 @@ def main(argv=None) -> int:
         return args.func(args, scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # a capacity NumPy can size but the machine cannot hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -417,7 +417,11 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
                / sensor.noise_var)
     # the one place whole-unit powers are scored: causality[a] is a * unit_power
     j_units = sensor_j_divergence(mu[:, None], causality[None, :], coeffs, sensor.noise_var)
-    j_units.flags.writeable = False
+    # finite where phi is +inf; the slack absorbs dust on a unit boundary
+    unit_cap = np.floor(cap / network.unit_power + 1e-9).astype(np.int64)
+    # a sweep's solves share one context (_ContextStore), so none may write to it
+    for arr in (mu, phi, causality, cap, unit_cap, j_units, live):
+        arr.flags.writeable = False
     return _SensorCtx(
         coeffs=coeffs,
         chain=chain,
@@ -426,14 +430,35 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
         phi=phi,
         causality=causality,
         cap=cap,
-        # finite where phi is +inf; the slack absorbs dust on a unit boundary
-        unit_cap=np.floor(cap / network.unit_power + 1e-9).astype(np.int64),
+        unit_cap=unit_cap,
         j_units=j_units,
         lambda_ceiling=ceiling,
         live=live,
         levels=tuple(_level_constants(m, coeffs, sensor.noise_var)
                      for m in mu[live].tolist()),
     )
+
+
+class _ContextStore:
+    """The sensor contexts of the last scenario served.
+
+    No context field reads network.power_budget, so a scenario equal to the
+    held one in every other field gets the held contexts, and any other gets
+    fresh ones that replace them. The store lives as long as its caller
+    keeps it: cli.cmd_sweep makes one per sweep.
+    """
+
+    def __init__(self) -> None:
+        self._scenario: Scenario | None = None
+        self._ctxs: tuple[_SensorCtx, ...] = ()
+
+    def contexts(self, scenario: Scenario) -> tuple[_SensorCtx, ...]:
+        held = self._scenario
+        if held is None or scenario.sensors != held.sensors or replace(
+                scenario.network, power_budget=held.network.power_budget) != held.network:
+            self._ctxs = tuple(_sensor_context(scenario.network, s) for s in scenario.sensors)
+        self._scenario = scenario
+        return self._ctxs
 
 
 def _map_for_lambda(lam: float, ctxs):
@@ -572,7 +597,8 @@ def _kkt_report(lam, powers, ctxs, network, ep) -> KktReport:
     )
 
 
-def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
+def optimize_power_map(scenario: Scenario, *,
+                       _contexts: _ContextStore | None = None) -> OptimizationOutcome:
     """Joint price search and battery fixed point for a whole scenario.
 
     Policy iteration: given the current battery distributions, price the
@@ -590,9 +616,16 @@ def optimize_power_map(scenario: Scenario) -> OptimizationOutcome:
     band, a fixed point that did not settle, and a price bracket that
     collapsed before meeting the budget tolerance (which leaves converged
     True).
+
+    Each sensor's context (its chain, arrival table, caps, whole-unit
+    divergences and root constants) is built once per solve. The private
+    _contexts, a _ContextStore, lets a run of solves share them: a solve
+    whose scenario differs from the store's last one only in the budget
+    reuses its contexts, and the outcome is the one a fresh solve gives, bit
+    for bit.
     """
     net = scenario.network
-    ctxs = [_sensor_context(net, s) for s in scenario.sensors]
+    ctxs = (_contexts or _ContextStore()).contexts(scenario)
     notes = [f"sensor {i}: operating point outside the concavity band; "
              "the stationarity condition may have multiple roots"
              for i, ctx in enumerate(ctxs) if _gain_peak(ctx.coeffs) is not None]

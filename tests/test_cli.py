@@ -5,6 +5,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ehdetect import ScenarioError, emit_scenario, load_scenario, optimize_power_map
@@ -275,9 +276,9 @@ def test_sweep_skip_simulation(tmp_path, scenario_dir):
 def test_sweep_marks_partial_output(tmp_path, scenario_dir, monkeypatch, capsys):
     calls = {"n": 0}
 
-    def flaky(scenario):
+    def flaky(scenario, **kwargs):
         calls["n"] += 1
-        outcome = optimize_power_map(scenario)
+        outcome = optimize_power_map(scenario, **kwargs)
         if calls["n"] > 1:
             outcome = replace(outcome, converged=False,
                               warnings=("instrumented failure",))
@@ -301,11 +302,11 @@ def test_sweep_exits_on_a_point_its_solve_rejects(tmp_path, scenario_dir,
                                                    monkeypatch, capsys):
     calls = {"n": 0}
 
-    def picky(scenario):
+    def picky(scenario, **kwargs):
         calls["n"] += 1
         if calls["n"] > 1:
             raise ScenarioError("instrumented rejection")
-        return optimize_power_map(scenario)
+        return optimize_power_map(scenario, **kwargs)
 
     monkeypatch.setattr("ehdetect.cli.optimize_power_map", picky)
     out = tmp_path / "sweep.csv"
@@ -390,10 +391,10 @@ def test_override_flags_equal_a_scenario_that_sets_the_keys(tmp_path, scenario_d
     }
     solved = []  # the two keys of every scenario the command solves
 
-    def recording_solve(scenario):
+    def recording_solve(scenario, **kwargs):
         net = scenario.network
         solved.append((net.transmit_prob_model, net.fc_knowledge))
-        return optimize_power_map(scenario)
+        return optimize_power_map(scenario, **kwargs)
 
     monkeypatch.setattr("ehdetect.cli.optimize_power_map", recording_solve)
     written, printed, solves = {}, {}, {}
@@ -482,9 +483,9 @@ def test_a_scenario_file_with_a_capacity_numpy_cannot_size_exits_with_input_code
 def test_sweep_passes_a_whole_capacity_as_an_int(tmp_path, scenario_dir, monkeypatch):
     seen = []
 
-    def spy(scenario):
+    def spy(scenario, **kwargs):
         seen.append(scenario.network.capacity)
-        return optimize_power_map(scenario)
+        return optimize_power_map(scenario, **kwargs)
 
     monkeypatch.setattr("ehdetect.cli.optimize_power_map", spy)
     out = tmp_path / "sweep.csv"
@@ -496,6 +497,96 @@ def test_sweep_passes_a_whole_capacity_as_an_int(tmp_path, scenario_dir, monkeyp
     assert meta["variable"] == "capacity"
     assert [(r["variable"], r["value"]) for r in rows] == [("capacity", "3.0"),
                                                           ("capacity", "5.0")]
+
+
+@pytest.mark.parametrize("name, values", [
+    ("toy", "0.1,0.2,0.3,2"),
+    ("two_sensor", "0.5,1,2"),
+    ("stall", "0.25,0.291,0.5"),
+])
+def test_a_budget_sweep_equals_standalone_solves_of_its_points(
+        tmp_path, scenario_dir, toy_scenario, monkeypatch, capsys, name, values):
+    # the sweep shares its sensor contexts across points; each point must
+    # still be the solve it would be alone, to the last bit and note
+    path = (_stall_point(tmp_path, toy_scenario) if name == "stall"
+            else str(scenario_dir / f"{name}.scn"))
+    swept = []
+
+    def spy(scenario, **kwargs):
+        swept.append(optimize_power_map(scenario, **kwargs))
+        return swept[-1]
+
+    monkeypatch.setattr("ehdetect.cli.optimize_power_map", spy)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", path, "--out", str(out), "--variable",
+                 "power_budget", "--values", values, "--skip-simulation"]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    base = load_scenario(path)
+    alone = [optimize_power_map(replace(base, network=replace(
+        base.network, power_budget=float(v)))) for v in values.split(",")]
+    _, rows = read_table(out)
+    assert [[row[c] for c in ("lambda_star", "objective_j", "expected_power")]
+            for row in rows] == [[repr(o.lambda_star), repr(o.objective_j),
+                                  repr(o.expected_power)] for o in alone]
+    assert err == [f"warning: {note}" for o in alone for note in o.warnings]
+    for mine, theirs in zip(swept, alone, strict=True):
+        assert mine.warnings == theirs.warnings
+        assert mine.outer_iterations == theirs.outer_iterations
+        assert mine.price_evaluations == theirs.price_evaluations
+        for a, b in zip(mine.power_map.powers + tuple(p.psi for p in mine.psi_star),
+                        theirs.power_map.powers + tuple(p.psi for p in theirs.psi_star),
+                        strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variable, values, builds", [
+    ("power_budget", "0.5,1,2", 1),
+    ("capacity", "20,40,60", 3),
+    ("mean_harvest", "1,2,3", 3),
+], ids=["power_budget", "capacity", "mean_harvest"])
+def test_a_sweep_builds_a_sensor_context_once_per_point_unless_only_the_budget_moves(
+        tmp_path, scenario_dir, monkeypatch, variable, values, builds):
+    built = []
+    real = ehdetect.optimizer._sensor_context
+
+    def counting(network, sensor):
+        built.append(sensor)
+        return real(network, sensor)
+
+    monkeypatch.setattr(ehdetect.optimizer, "_sensor_context", counting)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", str(scenario_dir / "two_sensor.scn"),
+                 "--out", str(out), "--variable", variable, "--values", values,
+                 "--skip-simulation"]) == EXIT_OK
+    assert len(built) == 2 * builds  # two_sensor.scn has two sensors
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["powermap", "--out", "{tmp}/map"], "map"),
+    (["sweep", "--out", "{tmp}/sweep.csv", "--variable", "power_budget",
+      "--values", "1,2", "--skip-simulation"], "sweep.csv"),
+], ids=["powermap", "sweep"])
+def test_a_solve_past_the_machines_memory_exits_with_input_code(
+        tmp_path, scenario_dir, monkeypatch, capsys, argv, written):
+    # a capacity NumPy can size may still not fit in memory; no real
+    # allocation is tried here: the solve raises as NumPy's allocator would
+    calls = []
+
+    def starved(scenario, **kwargs):
+        calls.append(scenario.network.power_budget)
+        if argv[0] == "sweep" and len(calls) == 1:
+            return optimize_power_map(scenario, **kwargs)
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000001, 1000001) and data type float64")
+
+    monkeypatch.setattr("ehdetect.cli.optimize_power_map", starved)
+    args = [a.format(tmp=tmp_path) for a in argv[1:]]
+    assert main([argv[0], "--scenario", _toy(scenario_dir), *args]) == EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == [
+        "error: Unable to allocate 7.28 TiB for an array with shape "
+        "(1000001, 1000001) and data type float64"]
+    assert len(calls) == (2 if argv[0] == "sweep" else 1)
+    assert not (tmp_path / written).exists()
 
 
 # ---------------------------------------------------------------------------

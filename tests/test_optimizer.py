@@ -3,7 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -1215,6 +1215,50 @@ def test_unit_step_is_the_first_brute_force_argmax(toy_scenario, data):
                 # the same floats in the same order: the first index of the maximum
                 assert values[step[l, k]] == max(values), (l, k, values)
                 assert step[l, k] == values.index(max(values)), (l, k, values)
+
+
+def _assert_same_context(a, b, where="ctx"):
+    """Equal field by field, arrays by dtype and array_equal, floats by ==."""
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+    elif is_dataclass(a):
+        for f in fields(a):
+            _assert_same_context(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, tuple):  # the root constants: a tuple of _Level tuples
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_context(x, y, f"{where}[{i}]")
+    else:
+        assert type(a) is type(b) and a == b, (where, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_sensor_context_does_not_read_the_budget(toy_scenario, data):
+    # what lets a sweep's _ContextStore reuse one context at every budget
+    scenario = data.draw(_tiny_scenarios(toy_scenario))
+    net = replace(scenario.network, capacity=data.draw(st.integers(1, 120)),
+                  prior_h0=data.draw(st.floats(0.05, 0.95)))
+    budgets = data.draw(st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
+    first, second = (_sensor_context(replace(net, power_budget=b), scenario.sensors[0])
+                     for b in budgets)
+    _assert_same_context(first, second)
+
+
+def test_a_sensor_context_is_read_only(two_sensor_scenario):
+    # a sweep hands one context to every budget's solve, so a write in one
+    # solve must fail rather than reach the next
+    ctx = _sensor_context(two_sensor_scenario.network, two_sensor_scenario.sensors[0])
+    arrays = {f.name: getattr(ctx, f.name) for f in fields(ctx)
+              if isinstance(getattr(ctx, f.name), np.ndarray)}
+    arrays.update(pi=ctx.chain.pi, pmf=ctx.chain.arrivals.pmf,
+                  drain_table=ctx.chain.arrivals.drain_table)
+    assert set(arrays) == {"mu", "phi", "causality", "cap", "unit_cap", "j_units",
+                           "live", "pi", "pmf", "drain_table"}
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
 
 
 def test_exhaustive_holds_no_table_per_choice(toy_scenario):
