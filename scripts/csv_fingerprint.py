@@ -3,12 +3,15 @@
 
 Runs `powermap`, `simulate` (genie and map_marginal fusion, and genie under
 the `decision` transmit model), a power-budget `sweep`, `simulate` after a
-100 000-slot warm-up and a capacity `sweep` on scenarios/toy.scn and
+100 000-slot warm-up, a capacity `sweep` and a solve-only power-budget
+`sweep` over the acceptance budgets 1-105 W on scenarios/toy.scn and
 scenarios/two_sensor.scn with fixed seeds, in a temporary directory, and
 prints one line per CSV. `simulate` calibrates and measures 20 000 slots,
 several Monte Carlo blocks and a remainder, so the bytes cover the block
-loop; the sweeps and the long warm-up run keep 2 000, the latter after
-thirteen capped warm-up blocks:
+loop; the simulated sweeps and the long warm-up run keep 2 000, the latter
+after thirteen capped warm-up blocks. two_sensor.scn as shipped is the
+benchmark grid's (mean_harvest 3, capacity 100) config, so its
+`sweep_grid` table holds the results of ten of the grid's solves:
 
     <sha256>  <scenario>/<run>/<file>
 
@@ -48,6 +51,8 @@ RUNS = (
     ("simulate_long_warmup", ["simulate", *SHORT_FLAGS, "--warmup", "100000"]),
     ("sweep_capacity", ["sweep", *SHORT_FLAGS, "--variable", "capacity",
                         "--values", "3,5"]),
+    ("sweep_grid", ["sweep", "--skip-simulation", "--variable", "power_budget",
+                    "--values", "1,2,4,7,11,20,40,70,95,105"]),
 )
 
 

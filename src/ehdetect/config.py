@@ -256,7 +256,7 @@ def units_from_power(power, state, network: NetworkParams):
     may be a PowerMap: only unit_energy and slot_seconds are read.
     """
     q = np.asarray(power, dtype=float) * (network.slot_seconds / network.unit_energy)
-    alpha = np.clip(np.ceil(q - 1e-9).astype(np.int64), 0, state)
+    alpha = np.minimum(np.maximum(np.ceil(q - 1e-9).astype(np.int64), 0), state)
     return int(alpha) if alpha.ndim == 0 else alpha
 
 

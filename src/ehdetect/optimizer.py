@@ -10,10 +10,11 @@ closed form, so each level's crossing is bracketed on a monotone piece of
 its gain and no scan is run. Each level's root is its own safeguarded Newton
 iteration on Python floats: a call has only a handful of levels, and numpy's
 per-call overhead on such small arrays would outweigh the few dozen float
-operations of a step. A solve builds each live level's gain constants once,
-as Python floats, so a price evaluation runs the iterations and one clamp
-per sensor and nothing else; its roots equal stationarity_root's bit for
-bit. The price
+operations of a step. A solve builds each live level's gain constants and
+the price-free parts of its bracket once, as Python floats (_Level), so a
+price evaluation runs the root iterations, one in-place clamp at zero, one
+clamp to the caps and one einsum per sensor, and nothing else; its roots
+equal stationarity_root's bit for bit. The price
 is found on the monotone expected power by regula falsi (Illinois variant)
 with a bisection fallback. The battery distributions are then replaced by
 the exact stationary laws of the resulting integer unit map, all sensors'
@@ -225,8 +226,10 @@ class _Level(NamedTuple):
     t1 + t2 and its slope is m2 * (den1 * t1 / d1 + den2 * t2 / d2). Each
     constant is computed with the operations, in the order, of
     _gain_and_derivative, so the gains and slopes built from them equal
-    its bit for bit. A sign flip is exact, so _p_big's abs(a_i) equals
-    |slope_i| * s * mu bit for bit too.
+    its bit for bit. A sign flip is exact, so abs_a_i equals
+    |slope_i| * s * mu bit for bit too. abs_a_i and top are the price-free
+    parts of _falling_root's bracket, built here so a price evaluation
+    does not rebuild them. _rtsafe reads the first eight fields.
     """
 
     s: float            # noise variance
@@ -242,6 +245,10 @@ class _Level(NamedTuple):
     peak: float         # power of the gain's interior maximum, 0.0 if it has none
     g_peak: float       # gain there (g0 without a peak)
     dg_peak: float      # its slope
+    abs_a1: float       # abs(a_i)
+    abs_a2: float
+    top: float          # power where some d_i reaches half the square root of the
+                        # largest float, so d_i * d_i stays finite; +inf if no b_i > 0
 
 
 def _gain_peak(coeffs: RocCoefficients):
@@ -286,10 +293,15 @@ def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _L
         if span > 0.0:
             peak = min(s * (r - 1.0) / span / mu, peak)
         g_peak, dg_peak = _gain_and_derivative(peak, mu, coeffs, s)
-    return _Level(s=s, a1=coeffs.slope1 * s * mu, a2=coeffs.slope2 * s * mu,
-                  b1=coeffs.den1 * mu, b2=coeffs.den2 * mu,
+    a1, a2 = coeffs.slope1 * s * mu, coeffs.slope2 * s * mu
+    b1, b2 = coeffs.den1 * mu, coeffs.den2 * mu
+    b = max(b1, b2)
+    return _Level(s=s, a1=a1, a2=a2, b1=b1, b2=b2,
                   den1=coeffs.den1, den2=coeffs.den2, m2=-2.0 * mu,
-                  g0=g0, dg0=dg0, peak=peak, g_peak=g_peak, dg_peak=dg_peak)
+                  g0=g0, dg0=dg0, peak=peak, g_peak=g_peak, dg_peak=dg_peak,
+                  abs_a1=abs(a1), abs_a2=abs(a2),
+                  top=(0.5 * math.sqrt(sys.float_info.max) - s) / b if b > 0.0
+                  else math.inf)
 
 
 def _roots(lam, live, levels) -> np.ndarray:
@@ -312,31 +324,25 @@ def _live_roots(lam, levels):
 
 
 def _falling_root(lam, level: _Level):
-    """The crossing on [0, p_big], with the bracket cut where d * d could
-    overflow; +inf when the gain is still above lam at the cut."""
-    hi = _p_big(lam, level)
-    b = max(level.b1, level.b2)
-    if b > 0.0:
-        top = (0.5 * math.sqrt(sys.float_info.max) - level.s) / b
-        if top < hi:
-            hi = top
-            d1 = level.s + level.b1 * hi
-            d2 = level.s + level.b2 * hi
-            if level.a1 / (d1 * d1) + level.a2 / (d2 * d2) > lam:
-                return math.inf
-    return _rtsafe(lam, level, 0.0, hi, level.g0, level.dg0)
-
-
-def _p_big(lam, level: _Level):
-    """A power beyond which both terms of the gain are within lam/2 of zero."""
-    p_big = 1.0
+    """The crossing on [0, p_big], where p_big is a power beyond which both
+    terms of the gain are within lam/2 of zero, with the bracket cut at
+    level.top, where d * d could overflow; +inf when the gain is still above
+    lam at the cut, or when a price or gain so small that a divisor
+    underflows leaves p_big unbounded."""
+    s, half = level.s, 0.5 * lam
     try:
-        for a, b in ((level.a1, level.b1), (level.a2, level.b2)):
-            need = math.sqrt(max(abs(a) / (0.5 * lam), 1e-30))
-            p_big = max(p_big, (need + level.s) / b)
-    except ZeroDivisionError:  # a price or gain so small that a divisor underflows
-        return math.inf
-    return p_big
+        hi = max(1.0,
+                 (math.sqrt(max(level.abs_a1 / half, 1e-30)) + s) / level.b1,
+                 (math.sqrt(max(level.abs_a2 / half, 1e-30)) + s) / level.b2)
+    except ZeroDivisionError:
+        hi = math.inf
+    if level.top < hi:
+        hi = level.top
+        d1 = s + level.b1 * hi
+        d2 = s + level.b2 * hi
+        if level.a1 / (d1 * d1) + level.a2 / (d2 * d2) > lam:
+            return math.inf
+    return _rtsafe(lam, level, 0.0, hi, level.g0, level.dg0)
 
 
 def _rtsafe(lam, level: _Level, lo, hi, g, dg):
@@ -346,7 +352,7 @@ def _rtsafe(lam, level: _Level, lo, hi, g, dg):
     iteration starts. Returns the first iterate within ROOT_TOL * lam, or the
     last of 220.
     """
-    s, a1, a2, b1, b2, den1, den2, m2, *_ = level
+    s, a1, a2, b1, b2, den1, den2, m2 = level[:8]
     p = lo
     # the last step and the one before it; rtsafe starts mid-bracket with
     # both at the bracket width, this loop starts at an end, so twice that
@@ -473,7 +479,8 @@ def _map_for_lambda(lam: float, ctxs):
     out = []
     for ctx in ctxs:
         roots = _roots(lam, ctx.live, ctx.levels)
-        out.append(np.minimum(ctx.cap, np.maximum(roots[:, None], 0.0)))
+        np.maximum(roots, 0.0, out=roots)
+        out.append(np.minimum(ctx.cap, roots[:, None]))
     return out
 
 
@@ -580,9 +587,13 @@ def _kkt_report(lam, powers, ctxs, network, ep) -> KktReport:
     residuals, actives = [], []
     worst = 0.0
     for P, ctx in zip(powers, ctxs):
-        # the caps exactly as _map_for_lambda takes them, tested in its order
-        act = np.select([ctx.mu[:, None] == 0.0, P == ctx.causality, P == ctx.phi, P == 0.0],
-                        [LEVEL_ZERO, CLAMP_CAUSALITY, CLAMP_OUTAGE, CLAMP_ZERO], INTERIOR)
+        # the caps exactly as _map_for_lambda takes them, tested in its order:
+        # written last to first, so the first test an entry meets names it
+        act = np.full(P.shape, INTERIOR)
+        act[P == 0.0] = CLAMP_ZERO
+        act[P == ctx.phi] = CLAMP_OUTAGE
+        act[P == ctx.causality] = CLAMP_CAUSALITY
+        act[ctx.mu == 0.0] = LEVEL_ZERO
         interior = act == INTERIOR
         gain = marginal_divergence_gain(P, ctx.mu[:, None], ctx.coeffs, ctx.noise_var)
         res = np.where(interior, np.abs(gain - lam), np.nan)

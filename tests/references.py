@@ -14,6 +14,11 @@ call:
   interval. The solver clamps to the per-state cap its sensor context
   holds (_SensorCtx.cap), and the tests check the two agree.
 - lambda_search re-runs the solver's price search at fixed battery laws.
+- stationary_solve_with_eye is battery.stationary_solve as it formed
+  M - I with np.eye; the library subtracts 1 on M's diagonal alone.
+- p_big and falling_root are the falling bracket as the optimizer built it
+  at every price; the library builds its price-free constants once per
+  level (optimizer._Level).
 - read_table reads back a CSV that cli.write_table wrote.
 - package_env is the environment of a fresh interpreter that imports this
   ehdetect.
@@ -27,6 +32,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +40,7 @@ import numpy as np
 
 import ehdetect
 from ehdetect.config import NetworkParams, PowerMap, Scenario, _probability
-from ehdetect.optimizer import _lambda_search, _sensor_context
+from ehdetect.optimizer import _lambda_search, _rtsafe, _sensor_context
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,62 @@ def lambda_search(psis, scenario: Scenario):
     pmap = PowerMap(powers=tuple(powers), unit_energy=net.unit_energy,
                     slot_seconds=net.slot_seconds)
     return lam, pmap, ep
+
+
+def stationary_solve_with_eye(M) -> np.ndarray:
+    """battery.stationary_solve as it was when it formed M - np.eye(K+1)."""
+    M = np.asarray(M, dtype=float)
+    K1 = M.shape[-1]
+    # built untransposed and passed as a view: the solver copies its input
+    # anyway, and a strided subtraction over the stack costs more than the check
+    B = M - np.eye(K1)
+    B[..., :, K1 - 1] = 1.0
+    b = np.zeros((K1, 1))
+    b[K1 - 1] = 1.0
+    try:
+        psi = np.linalg.solve(np.swapaxes(B, -1, -2),
+                              np.broadcast_to(b, B.shape[:-1] + (1,)))[..., 0]
+    except np.linalg.LinAlgError:
+        raise ValueError("no unique stationary law: the stationary system "
+                         "is singular") from None
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = np.abs(np.einsum("...k,...kj->...j", psi, M) - psi)
+        # NaN and inf fail one of the comparisons, so non-finite laws fail too
+        if not np.all((residual <= 1e-10) & (psi >= -1e-10)):
+            raise ValueError("no numerically unique stationary law: worst residual "
+                             f"{np.max(residual):.3e} (tol 1e-10), most negative "
+                             f"entry {np.min(psi):.3e} (tol -1e-10)")
+    psi = np.maximum(psi, 0.0)
+    psi /= psi.sum(axis=-1, keepdims=True)
+    return psi
+
+
+def falling_root(lam, level):
+    """The crossing on [0, p_big], with the bracket cut where d * d could
+    overflow; +inf when the gain is still above lam at the cut."""
+    hi = p_big(lam, level)
+    b = max(level.b1, level.b2)
+    if b > 0.0:
+        top = (0.5 * math.sqrt(sys.float_info.max) - level.s) / b
+        if top < hi:
+            hi = top
+            d1 = level.s + level.b1 * hi
+            d2 = level.s + level.b2 * hi
+            if level.a1 / (d1 * d1) + level.a2 / (d2 * d2) > lam:
+                return math.inf
+    return _rtsafe(lam, level, 0.0, hi, level.g0, level.dg0)
+
+
+def p_big(lam, level):
+    """A power beyond which both terms of the gain are within lam/2 of zero."""
+    p_big = 1.0
+    try:
+        for a, b in ((level.a1, level.b1), (level.a2, level.b2)):
+            need = math.sqrt(max(abs(a) / (0.5 * lam), 1e-30))
+            p_big = max(p_big, (need + level.s) / b)
+    except ZeroDivisionError:  # a price or gain so small that a divisor underflows
+        return math.inf
+    return p_big
 
 
 def read_table(path) -> tuple[dict, list[dict]]:

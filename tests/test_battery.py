@@ -22,7 +22,7 @@ from ehdetect import (
 )
 import ehdetect.battery
 from ehdetect.cli import EXIT_CONVERGENCE, main
-from references import read_table
+from references import read_table, stationary_solve_with_eye
 
 EDGES = (0.0, 0.1, 0.3, 0.6, 1.2, math.inf)
 
@@ -410,6 +410,55 @@ def test_transition_matrix_sums_each_maps_levels_in_order_on_toy(toy_scenario):
             np.testing.assert_allclose(M, old, rtol=0.0, atol=1e-15)
 
 
+def _level_order_rows(alpha, chain):
+    """The reference sum of test_transition_matrix_sums_each_maps_levels_in_order_on_toy
+    for any drains: the idle branch, then every level's weighted drain rows,
+    in level order. A level that drains nothing takes the table itself."""
+    table, tp, pi = chain.arrivals.drain_table, chain.transmit_prob, chain.pi
+    states = np.arange(table.shape[0])
+    rows = (1.0 - tp) * table
+    for l in range(pi.size):
+        rows = rows + tp * pi[l] * table.take(states - alpha[l], axis=0)
+    return rows
+
+
+@st.composite
+def _maps_of_one_chain(draw):
+    capacity = draw(st.integers(1, 120))
+    live = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    dead = draw(st.floats(0.0, 0.5))
+    pi = np.array([dead, *(np.array(live) / sum(live) * (1.0 - dead))])
+    pi[-1] = 1.0 - pi[:-1].sum()
+    tp = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    chain = ChainSpec(pi, arrival_unit_pmf(draw(st.floats(0.2, 5.0)), 1.0, capacity), tp)
+    batch = draw(st.sampled_from([(1,), (3,), (2, 2)]))
+    return chain, batch, draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_maps_of_one_chain())
+@example((ChainSpec(np.array([0.1, 0.2, 0.3, 0.25, 0.15]),
+                    arrival_unit_pmf(3.0, 0.1, 120), 0.0), (2, 2), 1, False))
+@example((ChainSpec(np.array([0.0, 0.6, 0.4]), arrival_unit_pmf(0.5, 1.0, 120), 1.0),
+          (3,), 2, True))
+def test_transition_matrix_sums_levels_in_order_alone_and_in_a_batch(case):
+    # capacities past the toy's: a map alone and every map of a batch give
+    # the level-order sum byte for byte, at the transmit extremes too
+    chain, batch, seed, idle_dead_level = case
+    K = chain.arrivals.capacity
+    rng = np.random.default_rng(seed)
+    alphas = rng.integers(0, np.arange(K + 1) + 1, size=batch + (chain.pi.size, K + 1))
+    if idle_dead_level:
+        alphas[..., 0, :] = 0
+    stacked = transition_matrix(alphas, chain)
+    assert stacked.shape == batch + (K + 1, K + 1)
+    for index in np.ndindex(batch):
+        alone = transition_matrix(alphas[index], chain)
+        reference = _level_order_rows(alphas[index], chain)
+        assert alone.tobytes() == reference.tobytes(), index
+        assert stacked[index].tobytes() == reference.tobytes(), index
+
+
 @st.composite
 def _chains_of_one_capacity(draw):
     capacity = draw(st.integers(1, 12))
@@ -473,6 +522,34 @@ def test_each_rounds_laws_equal_the_per_chain_oracle(case):
         for psi, alpha, c in zip(psis, alphas, chains):
             exact = stationary_oracle(alpha, c)
             assert psi.psi.tobytes() == exact.psi.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains_of_one_capacity())
+# the nearly decomposable plan of test_each_rounds_laws_equal_the_per_chain_oracle
+@example(([ChainSpec(np.array([0.0, 1.0]), arrival_unit_pmf(mean, 1.0, 12), tp)
+           for mean, tp in ((1.0, 0.0), (0.25, 0.96875))], 0, 1))
+def test_stationary_solve_equals_the_system_formed_with_eye(case):
+    # a random causal map per chain, drawn as that test draws its first
+    # round; the stack, each chain alone, and the stack with a singular
+    # identity chain give the same laws, or the same error, byte for byte
+    chains, seed, _rounds = case
+    rng = np.random.default_rng(seed)
+    K = chains[0].arrivals.capacity
+    states = np.arange(K + 1)
+    M = np.stack([transition_matrix(np.vstack([np.zeros(K + 1, dtype=np.int64),
+                                               rng.integers(0, states + 1,
+                                                            size=(c.pi.size - 1, K + 1))]),
+                                    c) for c in chains])
+    for system in (M, *M, np.concatenate([M, np.eye(K + 1)[None]])):
+        try:
+            laws = stationary_solve(system)
+        except ValueError as err:
+            with pytest.raises(ValueError) as reference:
+                stationary_solve_with_eye(system)
+            assert str(err) == str(reference.value)
+        else:
+            assert laws.tobytes() == stationary_solve_with_eye(system).tobytes()
 
 
 def test_chains_of_different_capacities_are_refused_before_the_first_round():

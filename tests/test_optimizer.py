@@ -38,12 +38,14 @@ from ehdetect.optimizer import (
     LEVEL_ZERO,
     ROOT_TOL,
     KktReport,
+    _falling_root,
     _kkt_report,
+    _level_constants,
     _map_for_lambda,
     _sensor_context,
     _unit_step,
 )
-from references import clamp_power, convex_region_bounds, lambda_search
+from references import clamp_power, convex_region_bounds, falling_root, lambda_search, p_big
 
 
 @pytest.fixture(scope="module")
@@ -611,6 +613,40 @@ def test_per_level_roots_equal_the_masked_array_iteration(p_f, spread, lam, mus,
         reference = _masked_newton_roots(lam, mus, coeffs, noise_var)
     # byte equality is == on every root that also tells -0.0 from 0.0
     assert roots.tobytes() == reference.tobytes(), (roots.tolist(), reference.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p_f=st.floats(0.02, 0.9),
+    spread=st.floats(0.05, 1.0),
+    # log-uniform from the smallest subnormal, whose half rounds to 0, to 10
+    lam=st.floats(-323.4, 1.0).map(lambda e: max(10.0 ** e, 5e-324)),
+    mus=st.lists(st.floats(0.05, 3.0) | st.sampled_from([5e-324, 1e-309, 1e-30]),
+                 min_size=1, max_size=5),
+    noise_var=st.floats(0.5, 2.0),
+)
+# the underflow examples of test_per_level_roots_equal_the_masked_array_iteration
+@example(p_f=1e-300, spread=0.9, lam=1e-31, mus=[1e-30, 1.0], noise_var=1.0)
+@example(p_f=0.6, spread=0.3, lam=0.1, mus=[5e-324, 1.0], noise_var=1.0)
+@example(p_f=0.6, spread=0.11 / 0.38, lam=0.5, mus=[5e-324, 0.6], noise_var=1.0)
+@example(p_f=0.2, spread=0.9, lam=5e-324, mus=[1.0, 0.5], noise_var=1.0)
+@example(p_f=0.6, spread=0.11 / 0.38, lam=5e-324, mus=[1.0, 0.6], noise_var=1.0)
+@example(p_f=0.073, spread=0.187 / 0.907, lam=7.1e-311, mus=[1e-309, 1.6], noise_var=1.0)
+# the overflow cut with the gain above lam there at both levels, then with
+# it below lam at mu = 1 and above at mu = 2
+@example(p_f=0.2, spread=0.9, lam=1e-309, mus=[1.0, 3.0], noise_var=1.0)
+@example(p_f=0.2, spread=0.9, lam=5.128613839895283e-308, mus=[1.0, 2.0], noise_var=1.0)
+def test_the_folded_bracket_gives_the_rebuilt_brackets_roots(p_f, spread, lam, mus,
+                                                             noise_var):
+    # _falling_root reads abs(a_i) and the overflow cut off its _Level; the
+    # bracket that rebuilt them at every price gives the same root, byte for
+    # byte, on every live level, in the band and outside it
+    coeffs = roc_coefficients(p_f, p_f + spread * (0.98 - p_f))
+    for mu in mus:
+        level = _level_constants(mu, coeffs, noise_var)
+        mine, reference = _falling_root(lam, level), falling_root(lam, level)
+        assert np.float64(mine).tobytes() == np.float64(reference).tobytes(), \
+            (mu, mine, reference, p_big(lam, level), level.top)
 
 
 def _zero_slopes(monkeypatch):
