@@ -10,16 +10,18 @@ closed form, so each level's crossing is bracketed on a monotone piece of
 its gain and no scan is run. Each level's root is its own safeguarded Newton
 iteration on Python floats: a call has only a handful of levels, and numpy's
 per-call overhead on such small arrays would outweigh the few dozen float
-operations of a step. A solve builds each live level's gain constants and
-the price-free parts of its bracket once, as Python floats (_Level), so a
-price evaluation runs the root iterations, one in-place clamp at zero, one
-clamp to the caps and one einsum per sensor, and nothing else; its roots
-equal stationarity_root's bit for bit. The price
-is found on the monotone expected power by regula falsi (Illinois variant)
-with a bisection fallback. The battery distributions are then replaced by
-the exact stationary laws of the resulting integer unit map, all sensors'
-chains in one stacked solve, and the two steps repeat (policy iteration)
-until the unit map comes back unchanged.
+operations of a step. A solve builds each live level's gain constants
+(_gain_constants, which the one gain kernel _gain_and_slope reads) and the
+price-free parts of its bracket once, as Python floats (_Level), so a price
+evaluation runs the root iterations, one in-place clamp at zero, one clamp
+to the caps and one einsum per sensor, and nothing else; its roots equal
+stationarity_root's bit for bit. The price is found on the monotone expected
+power by regula falsi (Illinois variant) with a bisection fallback, up to
+the largest gain a live level reaches, where every power is 0. The battery
+distributions are then replaced by the exact stationary laws of the
+resulting integer unit map, all sensors' chains in one stacked solve, and
+the two steps repeat (policy iteration) until the unit map comes back
+unchanged.
 """
 
 from __future__ import annotations
@@ -134,22 +136,26 @@ def marginal_divergence_gain(power, mu, coeffs: RocCoefficients, noise_var: floa
 
     Vectorized: power and mu may be arrays that broadcast.
     """
-    out, _ = _gain_and_derivative(np.asarray(power, dtype=float), mu, coeffs,
-                                  noise_var, derivative=False)
+    # an overflowing d * d gives the gain's limit, 0; the dropped slope grows as mu**2
+    with np.errstate(over="ignore"):
+        out, _ = _gain_and_slope(np.asarray(power, dtype=float),
+                                 *_gain_constants(mu, coeffs, noise_var))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _gain_and_derivative(p, mu, coeffs: RocCoefficients, noise_var: float,
-                         derivative=True):
-    """The marginal divergence gain and its power derivative (None if not asked)."""
-    s = noise_var
-    d1 = s + coeffs.den1 * mu * p
-    d2 = s + coeffs.den2 * mu * p
-    t1 = coeffs.slope1 * s * mu / (d1 * d1)
-    t2 = coeffs.slope2 * s * mu / (d2 * d2)
-    if not derivative:
-        return t1 + t2, None
-    return t1 + t2, -2.0 * mu * (coeffs.den1 * t1 / d1 + coeffs.den2 * t2 / d2)
+def _gain_constants(mu, coeffs: RocCoefficients, s: float):
+    """The first eight _Level fields of the gain at mu, floats or arrays as mu is."""
+    return (s, coeffs.slope1 * s * mu, coeffs.slope2 * s * mu,
+            coeffs.den1 * mu, coeffs.den2 * mu, coeffs.den1, coeffs.den2, -2.0 * mu)
+
+
+def _gain_and_slope(p, s, a1, a2, b1, b2, den1, den2, m2):
+    """The gain at power p and its slope, from _gain_constants'; all broadcast."""
+    d1 = s + b1 * p
+    d2 = s + b2 * p
+    t1 = a1 / (d1 * d1)
+    t2 = a2 / (d2 * d2)
+    return t1 + t2, m2 * (den1 * t1 / d1 + den2 * t2 / d2)
 
 
 def outage_cap(state, sensor: SensorParams, network: NetworkParams):
@@ -223,13 +229,13 @@ class _Level(NamedTuple):
     """Python-float constants of one live level's marginal divergence gain.
 
     With d_i = s + b_i * p and t_i = a_i / d_i**2, the gain at power p is
-    t1 + t2 and its slope is m2 * (den1 * t1 / d1 + den2 * t2 / d2). Each
-    constant is computed with the operations, in the order, of
-    _gain_and_derivative, so the gains and slopes built from them equal
-    its bit for bit. A sign flip is exact, so abs_a_i equals
-    |slope_i| * s * mu bit for bit too. abs_a_i and top are the price-free
-    parts of _falling_root's bracket, built here so a price evaluation
-    does not rebuild them. _rtsafe reads the first eight fields.
+    t1 + t2 and its slope is m2 * (den1 * t1 / d1 + den2 * t2 / d2). The
+    first eight fields are _gain_constants', and _gain_and_slope evaluates
+    the gain from them; _rtsafe reads them too and runs that kernel's six
+    operations inline, in its order, so its gains equal the kernel's bit
+    for bit. A sign flip is exact, so abs_a_i equals |slope_i| * s * mu bit
+    for bit too. abs_a_i and top are the price-free parts of _falling_root's
+    bracket, built here so a price evaluation does not rebuild them.
     """
 
     s: float            # noise variance
@@ -277,7 +283,8 @@ def _gain_peak(coeffs: RocCoefficients):
 def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _Level:
     """The _Level of a live gain mu, a Python float."""
     s = noise_var
-    g0, dg0 = _gain_and_derivative(0.0, mu, coeffs, s)
+    gain = _gain_constants(mu, coeffs, s)
+    g0, dg0 = _gain_and_slope(0.0, *gain)
     peak, g_peak, dg_peak = 0.0, g0, dg0
     rising = _gain_peak(coeffs)
     if rising is not None:
@@ -292,13 +299,10 @@ def _level_constants(mu: float, coeffs: RocCoefficients, noise_var: float) -> _L
         peak = 0.5 * sys.float_info.max
         if span > 0.0:
             peak = min(s * (r - 1.0) / span / mu, peak)
-        g_peak, dg_peak = _gain_and_derivative(peak, mu, coeffs, s)
-    a1, a2 = coeffs.slope1 * s * mu, coeffs.slope2 * s * mu
-    b1, b2 = coeffs.den1 * mu, coeffs.den2 * mu
+        g_peak, dg_peak = _gain_and_slope(peak, *gain)
+    _, a1, a2, b1, b2 = gain[:5]
     b = max(b1, b2)
-    return _Level(s=s, a1=a1, a2=a2, b1=b1, b2=b2,
-                  den1=coeffs.den1, den2=coeffs.den2, m2=-2.0 * mu,
-                  g0=g0, dg0=dg0, peak=peak, g_peak=g_peak, dg_peak=dg_peak,
+    return _Level(*gain, g0=g0, dg0=dg0, peak=peak, g_peak=g_peak, dg_peak=dg_peak,
                   abs_a1=abs(a1), abs_a2=abs(a2),
                   top=(0.5 * math.sqrt(sys.float_info.max) - s) / b if b > 0.0
                   else math.inf)
@@ -338,9 +342,7 @@ def _falling_root(lam, level: _Level):
         hi = math.inf
     if level.top < hi:
         hi = level.top
-        d1 = s + level.b1 * hi
-        d2 = s + level.b2 * hi
-        if level.a1 / (d1 * d1) + level.a2 / (d2 * d2) > lam:
+        if _gain_and_slope(hi, *level[:8])[0] > lam:
             return math.inf
     return _rtsafe(lam, level, 0.0, hi, level.g0, level.dg0)
 
@@ -371,7 +373,7 @@ def _rtsafe(lam, level: _Level, lo, hi, g, dg):
         mid = 0.5 * (lo + hi)
         dx_old, dx = dx, (size if ok else abs(hi - mid))
         p = step if ok else mid
-        # the gain and its slope at p, as _gain_and_derivative computes them
+        # _gain_and_slope(p, *level[:8]) inline: a call per step is 5-20% slower
         d1 = s + b1 * p
         d2 = s + b2 * p
         t1 = a1 / (d1 * d1)
@@ -402,7 +404,7 @@ class _SensorCtx:
     cap: np.ndarray           # most a state may spend: min(causality, phi), in watts
     unit_cap: np.ndarray      # the whole units of cap, int64
     j_units: np.ndarray       # read-only divergence at a whole units, shape (L+1, K+1)
-    lambda_ceiling: float     # price above which every root vanishes
+    lambda_ceiling: float     # largest live-level gain, at least 5e-324: prices all out
     live: np.ndarray          # mu > 0
     levels: tuple[_Level, ...]  # root constants of the live levels, in order
 
@@ -419,8 +421,7 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
     cap = np.minimum(causality, phi)
     mu = np.asarray(sensor.thresholds[:-1], dtype=float)
     live = mu > 0.0
-    ceiling = ((max(coeffs.slope1, 0.0) + max(coeffs.slope2, 0.0)) * float(mu.max())
-               / sensor.noise_var)
+    levels = tuple(_level_constants(m, coeffs, sensor.noise_var) for m in mu[live].tolist())
     # the one place whole-unit powers are scored: causality[a] is a * unit_power
     j_units = sensor_j_divergence(mu[:, None], causality[None, :], coeffs, sensor.noise_var)
     # finite where phi is +inf; the slack absorbs dust on a unit boundary
@@ -438,10 +439,9 @@ def _sensor_context(network: NetworkParams, sensor: SensorParams) -> _SensorCtx:
         cap=cap,
         unit_cap=unit_cap,
         j_units=j_units,
-        lambda_ceiling=ceiling,
+        lambda_ceiling=max((max(lv.g0, lv.g_peak, 5e-324) for lv in levels), default=0.0),
         live=live,
-        levels=tuple(_level_constants(m, coeffs, sensor.noise_var)
-                     for m in mu[live].tolist()),
+        levels=levels,
     )
 
 
@@ -554,8 +554,8 @@ def _lambda_search(psi_arrays, ctxs, network: NetworkParams):
         return 0.0, powers0, ep0, flags, evaluations
 
     # regula falsi with the Illinois modification on ep(lam) - B, bisecting
-    # when the secant point is not strictly inside the bracket; lam_max prices
-    # every level out, so hi is always the feasible end
+    # when the secant point is not strictly inside the bracket; every power is 0
+    # at lam_max (_SensorCtx.lambda_ceiling), so hi is the feasible end
     lo, hi = 0.0, lam_max
     at_hi = ep_at(hi)
     f_lo, f_hi = ep0 - B, at_hi[1] - B

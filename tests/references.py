@@ -19,6 +19,10 @@ call:
 - p_big and falling_root are the falling bracket as the optimizer built it
   at every price; the library builds its price-free constants once per
   level (optimizer._Level).
+- gain_and_derivative is the marginal divergence gain and its slope written
+  out on (mu, coeffs, noise_var); the library evaluates one kernel
+  (optimizer._gain_and_slope) on constants derived once per level
+  (optimizer._gain_constants).
 - read_table reads back a CSV that cli.write_table wrote.
 - package_env is the environment of a fresh interpreter that imports this
   ehdetect.
@@ -189,6 +193,18 @@ def p_big(lam, level):
     except ZeroDivisionError:  # a price or gain so small that a divisor underflows
         return math.inf
     return p_big
+
+
+def gain_and_derivative(p, mu, coeffs, noise_var: float, derivative=True):
+    """The marginal divergence gain and its power derivative (None if not asked)."""
+    s = noise_var
+    d1 = s + coeffs.den1 * mu * p
+    d2 = s + coeffs.den2 * mu * p
+    t1 = coeffs.slope1 * s * mu / (d1 * d1)
+    t2 = coeffs.slope2 * s * mu / (d2 * d2)
+    if not derivative:
+        return t1 + t2, None
+    return t1 + t2, -2.0 * mu * (coeffs.den1 * t1 / d1 + coeffs.den2 * t2 / d2)
 
 
 def read_table(path) -> tuple[dict, list[dict]]:

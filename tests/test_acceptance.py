@@ -26,6 +26,7 @@ from ehdetect import (
     steady_state_psi,
 )
 from ehdetect.cli import CALIBRATION_SEED_OFFSET
+from ehdetect.optimizer import BUDGET_TOL
 from references import gaussian_j_divergence, moment_match
 
 GRID_CONFIGS = ((2.0, 100), (3.0, 100), (3.0, 70))   # (mean_harvest, capacity)
@@ -167,13 +168,13 @@ def test_05_certificate_on_the_two_sensor_scenario(two_sensor_scenario,
     out = two_sensor_outcome
     budget = two_sensor_scenario.network.power_budget
     res_ok = out.kkt.max_interior_residual <= 1e-6 * out.lambda_star
-    slack_ok = abs(out.kkt.slackness) <= 1e-6 * budget
+    slack_ok = abs(out.kkt.slackness) <= BUDGET_TOL * budget
     ok = res_ok and slack_ok and out.lambda_star > 0.0
     line = _verdict(5, ok,
                     f"price certificate: interior residual "
                     f"{out.kkt.max_interior_residual:.2e} <= 1e-6*lambda "
                     f"({out.lambda_star:.6f}), slackness {out.kkt.slackness:.2e} "
-                    f"<= 1e-6*budget")
+                    f"<= {BUDGET_TOL:g}*budget")
     assert ok, line
 
 
@@ -231,9 +232,10 @@ def test_08_budget_saturates_where_harvest_runs_out(budget_grid):
         # both settle on the exact stationary law of the same map
         checks.append(outs[i95].objective_j == outs[i105].objective_j)
         checks.append(outs[i95].expected_power == outs[i105].expected_power)
-        # while the budget binds, more budget means more divergence; past
-        # saturation the unpriced greedy map may self-drain slightly, so the
-        # monotone claim stops at the last binding point
+        # while the budget binds, more budget means more divergence. Past the
+        # last binding budget the paper's map is unpriced and its J falls
+        # (by 1.25% from 70 to 95 W at h=2 K=100), so the monotone claim
+        # stops at the last binding point
         js = [o.objective_j for o in outs]
         lams = [o.lambda_star for o in outs]
         checks.append(all(

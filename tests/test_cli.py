@@ -172,7 +172,7 @@ def test_powermap_tables_match_the_committed_record(tmp_path, scenario_dir, name
                if row["metric"] != "converged"}
     budget = load_scenario(scenario).network.power_budget
     assert metrics["max_interior_residual"] <= 1e-6 * max(metrics["lambda_star"], 1e-12)
-    assert abs(metrics["slackness"]) <= 1e-6 * budget
+    assert abs(metrics["slackness"]) <= ehdetect.optimizer.BUDGET_TOL * budget
 
 
 def test_powermap_nonconverged_exit(tmp_path, scenario_dir, toy_scenario,

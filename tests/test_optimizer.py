@@ -16,6 +16,7 @@ from ehdetect import (
     ExhaustiveRefused,
     NetworkParams,
     RocCoefficients,
+    Scenario,
     SensorParams,
     evaluate_unit_map,
     exhaustive_best_map,
@@ -45,6 +46,7 @@ from ehdetect.optimizer import (
     _sensor_context,
     _unit_step,
 )
+import references
 from references import clamp_power, convex_region_bounds, falling_root, lambda_search, p_big
 
 
@@ -508,8 +510,10 @@ def _masked_newton_roots(lam, mu, coeffs, noise_var):
     """The masked array Newton iteration that solved all levels of a call at
     once, kept as the reference for the per-level kernel. Its in-band branch
     and its iteration are verbatim; outside the band it takes the kernel's
-    bracket rule, from the closed-form peak, in place of its former scan."""
-    opt = ehdetect.optimizer
+    bracket rule, from the closed-form peak, in place of its former scan. It
+    evaluates the gain with references.gain_and_derivative, so it shares no
+    code with the kernel it checks."""
+    gain = references.gain_and_derivative
     m = np.asarray(mu, dtype=float)
     out = np.zeros(m.shape)
     live = m > 0.0
@@ -529,13 +533,13 @@ def _masked_newton_roots(lam, mu, coeffs, noise_var):
     if slope1 >= 0.0 and slope2 >= 0.0:
         # the gain decreases, so [0, p_big] holds the only crossing
         lo, hi = np.zeros(mu.size), p_big
-        g, dg = opt._gain_and_derivative(lo, mu, coeffs, noise_var)
+        g, dg = gain(lo, mu, coeffs, noise_var)
         solve = g > lam
     else:
         # a gain above lam at zero power falls to it on [0, p_big]; below it,
         # only a peak above lam crosses it, rising, on [0, peak]. r is a
         # Python float, as in the kernel, so the peaks are the kernel's too
-        g0, dg0 = opt._gain_and_derivative(np.zeros(mu.size), mu, coeffs, noise_var)
+        g0, dg0 = gain(np.zeros(mu.size), mu, coeffs, noise_var)
         peak, g_peak, dg_peak = np.zeros(mu.size), g0, dg0
         if slope1 * slope2 < 0.0:
             (sp, dp), (sn, dn) = sorted(((slope1, coeffs.den1), (slope2, coeffs.den2)),
@@ -544,7 +548,7 @@ def _masked_newton_roots(lam, mu, coeffs, noise_var):
             if r > 1.0 and dn > r * dp:
                 peak = np.minimum(noise_var * (r - 1.0) / (dn - r * dp) / mu,
                                   0.5 * sys.float_info.max)
-                g_peak, dg_peak = opt._gain_and_derivative(peak, mu, coeffs, noise_var)
+                g_peak, dg_peak = gain(peak, mu, coeffs, noise_var)
         falling = g0 > lam
         solve = falling | (g_peak > lam)
         lo, hi = np.where(falling, 0.0, peak), np.where(falling, p_big, 0.0)
@@ -567,7 +571,7 @@ def _masked_newton_roots(lam, mu, coeffs, noise_var):
                 ok = ((step - lo) * (step - hi) < 0.0) & (size + size <= dx_old)
                 dx_old, dx = dx, np.where(ok, size, np.abs(hi - mid))
                 p = np.where(done, p, np.where(ok, step, mid))
-                g, dg = opt._gain_and_derivative(p, mu_s, coeffs, noise_var)
+                g, dg = gain(p, mu_s, coeffs, noise_var)
                 above = g > lam
                 lo = np.where(above, p, lo)
                 hi = np.where(above, hi, p)
@@ -653,17 +657,23 @@ def _zero_slopes(monkeypatch):
     """Every slope the kernel and the reference compute is 0: the float64
     Newton step is infinite or NaN."""
     opt = ehdetect.optimizer
-    real_gain, real_level = opt._gain_and_derivative, opt._level_constants
+    real_gain, real_kernel, real_level = (references.gain_and_derivative,
+                                          opt._gain_and_slope, opt._level_constants)
 
     def gain(p, mu, coeffs, noise_var, derivative=True):
         g, dg = real_gain(p, mu, coeffs, noise_var, derivative)
         return g, None if dg is None else 0.0 * dg
 
+    def kernel(p, *constants):
+        g, dg = real_kernel(p, *constants)
+        return g, 0.0 * dg
+
     def level(mu, coeffs, noise_var):
-        # dg0 comes from the patched gain; m2 scales every step's slope
+        # dg0 and dg_peak come from the patched kernel; m2 scales every step's slope
         return real_level(mu, coeffs, noise_var)._replace(m2=0.0)
 
-    monkeypatch.setattr(opt, "_gain_and_derivative", gain)
+    monkeypatch.setattr(references, "gain_and_derivative", gain)
+    monkeypatch.setattr(opt, "_gain_and_slope", kernel)
     monkeypatch.setattr(opt, "_level_constants", level)
     return [(roc_coefficients(p_f, p_d), 0.001)
             for p_f, p_d in ((0.2, 0.9), (0.6, 0.7), (0.1, 0.3))]
@@ -744,6 +754,143 @@ def test_a_price_evaluation_equals_the_clamped_public_roots(capacity, unit_energ
     for lam in prices:
         mine = _map_for_lambda(float(lam), [ctx])[0]
         assert mine.tobytes() == _reference_map(float(lam), ctx, net).tobytes(), lam
+
+
+# a sensor whose top zero-power gain the former slope-formula ceiling, which
+# restated the gain's maximum, undercut by one ulp: K = 10, 0.1 J units, 1 s slots
+_ULP_POINT = dict(p_f=0.055832248083537976, p_d=0.9892303540321467,
+                  mu=0.011357844213429653, noise_var=0.5492754757289624)
+
+
+def _ulp_point(power_budget):
+    net = NetworkParams(prior_h0=0.5, capacity=10, unit_energy=0.1, slot_seconds=1.0,
+                        mean_harvest=1.0, drop_fraction=0.2, power_budget=power_budget)
+    sensor = SensorParams(mean_gain=1.0, noise_var=_ULP_POINT["noise_var"],
+                          p_f=_ULP_POINT["p_f"], p_d=_ULP_POINT["p_d"],
+                          outage_confidence=0.9,
+                          thresholds=(0.0, _ULP_POINT["mu"], math.inf))
+    return Scenario(network=net, sensors=(sensor,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 12),
+    unit_energy=st.floats(0.05, 2.0),
+    outage_confidence=st.floats(0.01, 0.999999),
+    p_f=st.floats(0.02, 0.9),
+    spread=st.floats(0.05, 1.0),
+    mus=st.lists(st.one_of(st.just(5e-324), st.floats(1e-300, 1e-6), st.floats(0.05, 3.0)),
+                 min_size=0, max_size=4, unique=True),
+    noise_var=st.floats(0.5, 2.0),
+)
+@example(capacity=10, unit_energy=0.1, outage_confidence=0.9, p_f=_ULP_POINT["p_f"],
+         spread=(_ULP_POINT["p_d"] - _ULP_POINT["p_f"]) / (0.98 - _ULP_POINT["p_f"]),
+         mus=[_ULP_POINT["mu"]], noise_var=_ULP_POINT["noise_var"])
+@example(capacity=5, unit_energy=0.2, outage_confidence=0.9, p_f=0.073, spread=0.187 / 0.907,
+         mus=[5e-324, 0.6, 1.6], noise_var=1.0)
+# the only live gain underflows to 0 at every power
+@example(capacity=1, unit_energy=1.0, outage_confidence=0.5, p_f=0.5, spread=1.0,
+         mus=[5e-324], noise_var=1.0)
+def test_the_price_ceiling_prices_every_level_out(capacity, unit_energy, outage_confidence,
+                                                  p_f, spread, mus, noise_var):
+    # both ROC-slope signs, in the band and outside it, gains down to 5e-324,
+    # the dead level and a sensor with no live level: the search's upper end
+    # is the largest gain a live level reaches, and every power is 0 there
+    net = NetworkParams(prior_h0=0.5, capacity=capacity, unit_energy=unit_energy,
+                        slot_seconds=1.0, mean_harvest=1.0, drop_fraction=0.2,
+                        power_budget=1.0)
+    sensor = SensorParams(mean_gain=1.0, noise_var=noise_var, p_f=p_f,
+                          p_d=p_f + spread * (0.98 - p_f),
+                          outage_confidence=outage_confidence,
+                          thresholds=(0.0, *sorted(mus), math.inf))
+    ctx = _sensor_context(net, sensor)
+    # each level's gain at zero power and at its peak, from the public gain
+    peaks = [max(marginal_divergence_gain(0.0, mu, ctx.coeffs, noise_var),
+                 marginal_divergence_gain(lv.peak, mu, ctx.coeffs, noise_var))
+             for mu, lv in zip(ctx.mu[ctx.live].tolist(), ctx.levels)]
+    # a level whose gain underflows to 0 is priced out by the least positive price
+    assert ctx.lambda_ceiling == (max(*peaks, 5e-324) if peaks else 0.0)
+    (powers,) = _map_for_lambda(ctx.lambda_ceiling, [ctx])
+    assert not powers.any(), powers
+
+
+@pytest.mark.parametrize("power_budget, sensor_change", [
+    # the former ceiling, one ulp below the level's zero-power gain, left it
+    # on at 4.82e-14 W
+    (1e-16, {}),
+    # every gain of the level rounds to 0, so only a positive price prices it
+    # out; a ceiling of 0 left a zero-width bracket, and the secant step
+    # divided by zero
+    (0.01, {"p_f": 0.5, "p_d": 0.98, "thresholds": (0.0, 5e-324, math.inf)}),
+], ids=["ulp_below_g0", "gain_underflows"])
+def test_a_budget_below_every_level_spends_nothing_at_the_ceiling(power_budget,
+                                                                  sensor_change):
+    scenario = _ulp_point(power_budget)
+    scenario = replace(scenario, sensors=(replace(scenario.sensors[0], **sensor_change),))
+    out = optimize_power_map(scenario)
+    ctx = _sensor_context(scenario.network, scenario.sensors[0])
+    assert out.expected_power == 0.0 and out.lambda_star == ctx.lambda_ceiling
+    assert out.converged
+    assert out.warnings == ("price bracket collapsed before meeting the budget tolerance",)
+
+
+def test_a_solve_with_a_gain_near_the_float_limit_emits_no_warning():
+    # the certificate evaluates the gain kernel on the returned powers. At
+    # mu = 1e300, d * d overflows where the level is capped, and the slope,
+    # which grows as mu**2, overflows at zero power; the roots stay finite.
+    # Tier-1 turns any warning into an error
+    scenario = _ulp_point(0.5)
+    sensor = replace(scenario.sensors[0], thresholds=(0.0, 1.0, 1e300, math.inf))
+    out = optimize_power_map(replace(scenario, sensors=(sensor,)))
+    assert out.converged and out.warnings == ()
+    assert math.isfinite(out.kkt.max_interior_residual)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p_f=st.floats(0.02, 0.9),
+    spread=st.floats(0.05, 1.0),
+    mus=st.lists(st.floats(0.05, 3.0) | st.sampled_from([5e-324, 1e-309]),
+                 min_size=1, max_size=4),
+    noise_var=st.floats(0.5, 2.0),
+    fraction=st.floats(0.0, 1.0),
+    scale=st.floats(-3.0, 3.0),
+)
+@example(p_f=0.073, spread=0.187 / 0.907, mus=[5e-324, 1e-309, 0.6, 1.6], noise_var=1.0,
+         fraction=0.5, scale=0.0)
+@example(p_f=0.2, spread=0.9, mus=[5e-324, 1e-309, 1.0], noise_var=1.0, fraction=0.5,
+         scale=1.0)
+def test_the_gain_kernel_equals_the_written_out_gain(p_f, spread, mus, noise_var, fraction,
+                                                     scale):
+    # the gain and its slope from the constants a level derives once equal
+    # the formula written out on (mu, coeffs, noise_var), bit for bit, on
+    # floats and on (L+1, K+1) arrays whose first row is the dead level
+    opt = ehdetect.optimizer
+    coeffs = roc_coefficients(p_f, p_f + spread * (0.98 - p_f))
+    random_power = fraction * 10.0 ** scale
+    rows = [[0.0, random_power, 0.0, 0.0]]
+    for mu in [0.0, *mus]:
+        powers = [0.0, random_power]
+        if mu > 0.0:
+            level = _level_constants(mu, coeffs, noise_var)
+            powers += [level.peak, level.top]
+            rows.append(powers)
+        for p in powers:
+            mine = opt._gain_and_slope(p, *opt._gain_constants(mu, coeffs, noise_var))
+            reference = references.gain_and_derivative(p, mu, coeffs, noise_var)
+            assert np.array(mine).tobytes() == np.array(reference).tobytes(), (mu, p)
+    mu = np.array([0.0, *mus])[:, None]
+    P = np.array(rows)
+    # a top of +inf where b_i * mu underflows to 0 makes 0 * inf, NaN in both,
+    # and b_i * p overflows at a peak capped at half the largest float
+    with np.errstate(invalid="ignore", over="ignore"):
+        mine = opt._gain_and_slope(P, *opt._gain_constants(mu, coeffs, noise_var))
+        reference = references.gain_and_derivative(P, mu, coeffs, noise_var)
+        public = marginal_divergence_gain(P, mu, coeffs, noise_var)
+    assert mine[0].shape == mine[1].shape == P.shape
+    for a, b in zip(mine, reference):
+        assert a.tobytes() == b.tobytes()
+    assert public.tobytes() == reference[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
